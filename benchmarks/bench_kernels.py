@@ -73,33 +73,13 @@ def test_opt_for_part_many_neighbourhood(benchmark):
     assert len(results) == len(partitions)
 
 
-def test_opt_for_part_many_packed(benchmark):
-    """The SA-neighbourhood batch with the packed kernel tier engaged."""
-    costs, p, _, n = _cost_setup(12, 7)
-    sample_rng = np.random.default_rng(1)
-    partitions = [random_partition(n, 7, sample_rng) for _ in range(8)]
-
-    def run():
-        with caching.packed_kernel(True):
-            return opt_for_part_many(
-                costs,
-                p,
-                partitions,
-                n,
-                n_initial_patterns=30,
-                rng=np.random.default_rng(0),
-            )
-
-    results = benchmark(run)
-    assert len(results) == len(partitions)
-
-
 def test_opt_for_part_many_reference(benchmark):
-    """The same batch on the pure reference sweep (all fast paths off).
+    """The same batch on the serial reference (all fast paths off).
 
     The committed ``BENCH_packed.json`` ratchet divides this phase by
-    the packed one; keeping both shapes here lets a local run
-    cross-check the snapshot's kernel-level ratio.
+    the production one (the exact sweep); keeping both shapes here
+    lets a local run cross-check the snapshot's kernel-level ratio
+    against :func:`test_opt_for_part_many_neighbourhood`.
     """
     costs, p, _, n = _cost_setup(12, 7)
     sample_rng = np.random.default_rng(1)

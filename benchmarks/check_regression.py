@@ -14,7 +14,8 @@ against the committed ``BENCH_table2.json`` / ``BENCH_parallel.json``
   more than ``--tolerance`` (default 25%): the fast-vs-reference
   ratio and the warm-memo replay speedup from the table2 snapshot,
   the warm-pool-vs-spawn campaign speedup from the parallel one, and
-  the packed-tier OptForPart-phase speedups from the packed one.
+  the exact sweep's OptForPart-phase speedup over the reference from
+  the packed one.
 * **Phase timings** — per-phase call *counts* must match exactly when
   the fresh run covers the committed suite (the protocol is
   deterministic), and no phase's per-call mean may drift more than
@@ -295,26 +296,25 @@ def check_packed(
     ratchet.check(
         "packed: cross-mode byte identity",
         bool(fresh.get("byte_identical")),
-        "packed/fast/reference (+fused) MEDs all match"
+        "packed/reference (+fused) MEDs all match"
         if fresh.get("byte_identical")
         else "fresh snapshot did not assert byte identity",
     )
     engaged = fresh.get("engagement", {}).get("packed_calls")
     ratchet.check(
-        "packed: eligibility-gate engagement",
+        "packed: exactness-gate engagement",
         bool(engaged),
-        f"{engaged} kernel calls ran the packed sweep"
+        f"{engaged} kernel calls ran the exact sweep"
         if engaged
         else "the gate never engaged — the snapshot measured nothing",
     )
-    for key in ("opt_phase_vs_reference", "opt_phase_vs_fast"):
-        _check_ratio(
-            ratchet,
-            f"packed: speedup [{key}]",
-            committed.get("speedup", {}).get(key),
-            fresh.get("speedup", {}).get(key),
-            tolerance,
-        )
+    _check_ratio(
+        ratchet,
+        "packed: speedup [opt_phase_vs_reference]",
+        committed.get("speedup", {}).get("opt_phase_vs_reference"),
+        fresh.get("speedup", {}).get("opt_phase_vs_reference"),
+        tolerance,
+    )
     if fusion:
         _check_fusion_packed(ratchet, committed, fresh, tolerance)
 
@@ -525,7 +525,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--packed",
         default=str(REPO_ROOT / "BENCH_packed.json"),
-        help="committed packed-kernel baseline",
+        help="committed exact-sweep baseline",
     )
     parser.add_argument(
         "--fresh-packed",

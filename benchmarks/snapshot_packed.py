@@ -1,16 +1,15 @@
-"""Generate ``BENCH_packed.json``: the packed-kernel-tier snapshot.
+"""Generate ``BENCH_packed.json``: the exact-sweep snapshot.
 
-The packed OptForPart tier restructures the kernel's arithmetic under
-a dyadic-exactness gate (see docs/performance.md), so its snapshot is
-a four-way differential of the full Table-II protocol:
+Production OptForPart runs the exact sweep, which restructures the
+kernel's arithmetic under a dyadic-exactness gate (see
+docs/performance.md), so its snapshot is a three-way differential of
+the full Table-II protocol:
 
-* **packed** — fast paths on, ``REPRO_PACKED_KERNEL`` on (the
+* **packed** — fast paths on: production, the exact sweep (the
   shipping default);
-* **fast** — fast paths on, packed tier off (the previous fast
-  kernel, isolating the tier's own contribution);
 * **reference** — ``fast_paths(False)``: the serial reference
-  implementation every fast path is pinned against;
-* **fused** — packed tier on *and* the whole campaign run through
+  implementation production is pinned against;
+* **fused** — production *and* the whole campaign run through
   ``run_table2_fused``: every run executes concurrently under one
   FusionHub so independent OptForPart batches merge into wide grouped
   kernel passes (``opt_for_part_grouped``).
@@ -26,9 +25,9 @@ campaign threads, so its wall spans absorb their CPU slices — and the
 CPU sum is the honest phase cost.  Cross-mode speedups therefore
 compare CPU phase to CPU phase (``fused_opt_phase_vs_packed``) while
 the legacy span-based ratios are kept for the serial modes.  The
-per-benchmark MEDs of all four modes are asserted **byte-identical**:
-neither the packed sweep nor fusion may change a single output bit.
-``engagement`` records how many kernel calls the eligibility gate
+per-benchmark MEDs of all three modes are asserted **byte-identical**:
+neither the exact sweep nor fusion may change a single output bit.
+``engagement`` records how many kernel calls the exactness gate
 accepted, and ``fusion`` how wide the grouped passes actually ran
 (``opt.fused_calls`` / ``opt.fused_items`` / the ``opt.fused_width``
 histogram) — a snapshot where the gate declined the protocol's
@@ -40,7 +39,7 @@ Usage::
     PYTHONPATH=src python -m benchmarks.snapshot_packed \
         --scale default --benchmarks cos --repeats 3 --out BENCH_packed.json
 
-CI runs the smoke scale as a <60s packed-differential gate; the
+CI runs the smoke scale as a <60s exact-sweep differential gate; the
 committed default-scale snapshot is ratcheted by
 ``benchmarks.check_regression`` (byte-identical MEDs, speedup ratio
 floor).
@@ -61,7 +60,7 @@ from repro.experiments.table2 import run_table2_fused
 
 from benchmarks import snapshot_provenance
 
-#: span-name prefix of the phase the packed tier accelerates
+#: span-name prefix of the phase the exact sweep accelerates
 _OPT_PHASE = "opt.for_part"
 
 #: per-call thread-CPU observation emitted by every kernel entry point
@@ -146,10 +145,9 @@ def main(argv=None) -> int:
     }
 
     runs = {
-        "packed": (caching.packed_kernel, True, run_table2),
-        "fast": (caching.packed_kernel, False, run_table2),
-        "reference": (caching.fast_paths, False, run_table2),
-        "fused": (caching.packed_kernel, True, run_table2_fused),
+        "packed": (True, run_table2),
+        "reference": (False, run_table2),
+        "fused": (True, run_table2_fused),
     }
     modes = {
         name: {
@@ -162,8 +160,8 @@ def main(argv=None) -> int:
         for name in runs
     }
     for _ in range(args.repeats):
-        for name, (context, flag, runner) in runs.items():
-            with context(flag):
+        for name, (production, runner) in runs.items():
+            with caching.fast_paths(production):
                 wall, phase, cpu_phase, result, summary = _run_pass(
                     scale, args.base_seed, runner
                 )
@@ -173,10 +171,10 @@ def main(argv=None) -> int:
             modes[name].update(result=result, summary=summary)
 
     packed_meds = _meds(modes["packed"]["result"])
-    for name in ("fast", "reference", "fused"):
+    for name in ("reference", "fused"):
         if _meds(modes[name]["result"]) != packed_meds:
             print(
-                f"FAIL: packed tier changed the protocol outputs vs {name}",
+                f"FAIL: the exact sweep changed the protocol outputs vs {name}",
                 file=sys.stderr,
             )
             print(json.dumps(packed_meds, indent=2), file=sys.stderr)
@@ -189,10 +187,9 @@ def main(argv=None) -> int:
     snapshot["byte_identical"] = True
 
     descriptions = {
-        "packed": "fast paths + packed kernel tier (shipping default)",
-        "fast": "fast paths with the packed tier disabled",
+        "packed": "production: fast paths + exact sweep (shipping default)",
         "reference": "fast_paths(False): serial reference implementation",
-        "fused": "packed tier + fused cross-run kernel dispatch "
+        "fused": "production + fused cross-run kernel dispatch "
         "(run_table2_fused)",
     }
     for name, mode in modes.items():
@@ -213,7 +210,6 @@ def main(argv=None) -> int:
     snapshot["speedup"] = {
         "opt_phase_vs_reference": snapshot["reference"]["opt_phase_min"]
         / packed_phase,
-        "opt_phase_vs_fast": snapshot["fast"]["opt_phase_min"] / packed_phase,
         "wall_vs_reference": snapshot["reference"]["min"]
         / snapshot["packed"]["min"],
         # CPU-phase vs CPU-phase: the honest cross-mode comparison
@@ -234,8 +230,8 @@ def main(argv=None) -> int:
     }
     if not engaged:
         print(
-            "FAIL: the eligibility gate never engaged the packed sweep — "
-            "the snapshot would be measuring the fast kernel twice",
+            "FAIL: the exactness gate never engaged the exact sweep — "
+            "the snapshot would be measuring the reference twice",
             file=sys.stderr,
         )
         return 1

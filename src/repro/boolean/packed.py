@@ -191,8 +191,8 @@ class WeightPlanes:
         masked_sum(mask) = sum_b 2**b * popcount(planes[b] & mask)
 
     This is the per-output-bit weighted-popcount primitive behind the
-    widened packed-kernel eligibility gate
-    (:func:`repro.core.opt_for_part._packed_eligible`): the gate needs
+    OptForPart exactness gate
+    (:func:`repro.core.opt_for_part._exact_tier`): the gate needs
     the *exact* integer total ``sum_i cost_i * w_i`` for weight vectors
     scaled out of a general (non-constant) input distribution, and the
     plane fold accumulates it without ever rounding — every partial is
@@ -283,8 +283,8 @@ class PackedTable:
 
         Mirrors the ``_trusted`` constructors in
         :mod:`repro.boolean.decomposition`: internal callers (the
-        shared-memory arena, the packed kernel) that produced the
-        planes themselves skip the pack/validate pass.  ``planes``
+        shared-memory arena) that produced the planes themselves skip
+        the pack/validate pass.  ``planes``
         must be ``(n_outputs, n_words(length))`` ``uint64`` with zero
         pad bits.
         """

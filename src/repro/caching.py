@@ -1,4 +1,4 @@
-"""Process-local caches and fast-path switches for the hot kernels.
+"""Process-local caches and the fast-path switch for the hot kernels.
 
 The BS-SA/DALTA inner loop (``OptForPart``) re-evaluates thousands of
 partitions per output bit.  Three caches amortise that work without
@@ -15,12 +15,13 @@ Everything here is **per process**: worker processes spawned by
 :meth:`RunSpec.execute` clears them at run start so telemetry counters
 are independent of run order and of serial-vs-parallel execution.
 
-``fast_paths_enabled()`` gates the batched drivers and the result memo
-(the index cache is a pure equivalence and stays on).  Disable globally
-with ``REPRO_FAST_PATHS=0`` in the environment, or locally with the
-:func:`fast_paths` context manager — the reference single-partition
-code paths are kept intact precisely so the differential test suite
-(and the ``BENCH_table2.json`` harness) can compare both.
+``fast_paths_enabled()`` is the one switch between production (the
+exact sweep where its gate admits, batching, and the result memo) and
+the serial reference ``OptForPart`` (the index cache is a pure
+equivalence and stays on).  Disable globally with ``REPRO_FAST_PATHS=0``
+in the environment, or locally with the :func:`fast_paths` context
+manager — the reference is kept intact precisely so the differential
+test suites (and ``perfbench/make_expected.py``) can compare both.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ __all__ = [
     "fast_paths_enabled",
     "set_fast_paths",
     "fast_paths",
-    "packed_kernel_enabled",
-    "set_packed_kernel",
-    "packed_kernel",
     "clear_caches",
     "cache_stats",
 ]
@@ -62,7 +60,7 @@ _fast_paths: bool = _env_default()
 
 
 def fast_paths_enabled() -> bool:
-    """True when the batched/memoized kernel drivers are active."""
+    """True when production kernels run; False selects the reference."""
     return _fast_paths
 
 
@@ -82,51 +80,6 @@ def fast_paths(enabled: bool):
         yield
     finally:
         set_fast_paths(previous)
-
-
-def _packed_env_default() -> bool:
-    return os.environ.get("REPRO_PACKED_KERNEL", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-_packed_kernel: bool = _packed_env_default()
-
-
-def packed_kernel_enabled() -> bool:
-    """True when the bit-packed kernel tier may engage.
-
-    The packed tier is nested under :func:`fast_paths_enabled`:
-    ``REPRO_FAST_PATHS=0`` selects the reference kernels regardless of
-    this switch, and even with both switches on the packed sweep only
-    runs on instances that pass the dyadic-exactness eligibility gate
-    (see ``docs/performance.md``, "Bit-packed kernel tier").  Disable
-    with ``REPRO_PACKED_KERNEL=0`` or the :func:`packed_kernel`
-    context manager — that is the packed-on/off axis the differential
-    suites sweep.
-    """
-    return _fast_paths and _packed_kernel
-
-
-def set_packed_kernel(enabled: bool) -> bool:
-    """Set the packed-kernel switch; returns the previous value."""
-    global _packed_kernel
-    previous = _packed_kernel
-    _packed_kernel = bool(enabled)
-    return previous
-
-
-@contextmanager
-def packed_kernel(enabled: bool):
-    """Scoped override of the packed-kernel switch (used by the tests)."""
-    previous = set_packed_kernel(enabled)
-    try:
-        yield
-    finally:
-        set_packed_kernel(previous)
 
 
 class LruCache:

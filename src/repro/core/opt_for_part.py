@@ -18,64 +18,46 @@ The BTO variant (§IV-A) restricts ``T`` to all type-3 rows; the optimal
 ``V`` is then found exactly in a single pass, no random restarts
 needed.
 
-Performance layer (see ``docs/performance.md``)
------------------------------------------------
-Three amortisations keep every output bit identical while cutting the
-wall clock of the search loops:
+Two implementations (see ``docs/performance.md``)
+-------------------------------------------------
+* **The reference** (:func:`_alternate_reference`): the paper-literal
+  serial alternation over :func:`_optimal_types_core` /
+  :func:`_optimal_patterns_core`, one partition at a time.  It is the
+  only kernel when the fast-path switch is off (``REPRO_FAST_PATHS=0``
+  or :func:`repro.caching.fast_paths`), and the production fallback
+  for instances the exactness gate rejects.
+* **The exact sweep** (:func:`_alternate_exact`, :class:`_ExactSweep`):
+  production's kernel for every instance that passes the
+  *dyadic-exactness* gate of :func:`_exact_tier` — integer-valued,
+  non-negative cost vectors together with an input distribution whose
+  weights all scale to integers on one dyadic unit ``2**U``, small
+  enough that every intermediate the kernel forms is an integer
+  multiple of ``2**(U-1)`` below 2**53.  Under that gate every float
+  the sweep produces is exact, so its algebraically restructured
+  half-steps — complement costs from hoisted row sums instead of two
+  extra matmuls, one sign-test matmul for the patterns, pairwise type
+  selection with reference tie-breaking — return bit-for-bit the
+  reference's patterns, types, and totals while running a fraction of
+  its work.  It evaluates a whole stacked batch of same-shape
+  partitions at once and freezes each item at exactly the sweep where
+  the serial loop would stop.
 
-* cost matrices are built through the cached gather index of
-  :func:`repro.boolean.truth_table.table_indices` instead of
-  recomputing the 2D permutation twice per call;
-* :func:`opt_for_part_many` evaluates a whole batch of same-shape
-  partitions (SA neighbours, DALTA samples) through one stacked
-  alternation — NumPy's stacked ``matmul`` runs the identical BLAS
-  kernel per slice, so each item's result is bitwise equal to a
-  standalone call, and converged items are frozen at exactly the sweep
-  where the serial loop would stop;
-* an LRU memo (:func:`memo_context`) caches full results keyed by
-  digests of the cost vectors, the input distribution, the partition,
-  and — for the randomised variant — the drawn initial patterns.  The
-  pattern digest is what makes a hit *provably* bit-exact: the
-  alternation is deterministic given ``(d0, d1, patterns)``.  The
-  deterministic BTO/exhaustive variants memoise without it and hit
-  whenever a bit's context is revisited unchanged.  Pattern digests
-  are taken over the *bit-packed* form of the candidate matrix
-  (:func:`repro.boolean.packed.pack_bits`), 8x fewer bytes hashed.
-
-Bit-packed kernel tier
-----------------------
-On top of the batching, a packed fast sweep engages when (a) the
-fast-path switch is on, (b) the packed-kernel switch is on
-(``REPRO_PACKED_KERNEL``, :func:`repro.caching.packed_kernel`), and
-(c) the instance passes the *dyadic-exactness* gate of
-:func:`_packed_eligible`: integer-valued cost vectors together with an
-input distribution whose weights all scale to integers on one dyadic
-unit ``2**U``, small enough that every intermediate the kernel forms
-is an integer multiple of ``2**(U-1)`` below 2**53.  Constant
-distributions (the protocol default) pass through a closed-form bound;
-general weighted distributions are admitted by computing the exact
-integer total ``sum_i (cost0_i + cost1_i) * w_i`` through per-bit
-weighted popcounts over packed bit-planes
-(:class:`repro.boolean.packed.WeightPlanes`) — integer accumulation,
-so the verdict itself never rounds.  Under that gate every float64 the
-sweep produces is exact, so the algebraically restructured half-steps
-(:class:`_PackedSweep`) — complement costs from hoisted row sums
-instead of two extra matmuls, zero-costs from one shared-sum matmul,
-pairwise type selection with reference tie-breaking — return
-bit-for-bit the reference kernel's patterns, types, and totals while
-running a fraction of its work.  Ineligible instances (weights that
-need more than 52 bits on a common scale, fractional costs) silently
-take the reference sweep; ``REPRO_FAST_PATHS=0`` disables the whole
-tier.  The differential harness in ``tests/core/test_fast_paths.py``,
-``tests/core/test_packed_kernel.py`` and ``tests/core/test_fusion.py``
-pins the equivalence.
+Production also memoises: an LRU memo (:func:`memo_context`) caches
+full results keyed by digests of the cost vectors, the input
+distribution, the partition, and — for the randomised variant — the
+drawn initial patterns (digested in their bit-packed form, 8x fewer
+bytes hashed).  The pattern digest is what makes a hit *provably*
+bit-exact: the alternation is deterministic given ``(d0, d1,
+patterns)``.  The deterministic BTO/exhaustive variants memoise
+without it.  The differential suites under ``tests/core`` pin
+production to the reference.
 
 Cross-caller fusion
 -------------------
 :func:`opt_for_part_grouped` evaluates a *list* of
 :class:`KernelRequest` batches — possibly from different ``(costs,
 p)`` contexts — in one pass: items are grouped by table shape and
-eligibility, deduplicated by memo digest, and executed in chunks up to
+gate tier, deduplicated by memo digest, and executed in chunks up to
 ``_BATCH_LIMIT`` wide, each item bitwise equal to its standalone call.
 :class:`repro.core.fusion.FusionHub` routes concurrent callers'
 ``opt_for_part`` / ``opt_for_part_many`` invocations here so serve
@@ -206,37 +188,28 @@ class OptMemo:
     stay valid.
     """
 
-    __slots__ = ("context_key", "packed_ok", "packed_mode")
+    __slots__ = ("context_key", "gated", "tier")
 
     def __init__(self, context_key: Tuple) -> None:
         self.context_key = context_key
-        # lazily cached packed-tier eligibility verdict (and precision
-        # tier) for the bound (costs, p) pair — see _packed_mode_engaged()
-        self.packed_ok: Optional[bool] = None
-        self.packed_mode: Optional[str] = None
+        # lazily cached exactness-gate verdict for the bound (costs, p)
+        # pair — see _engaged_tier()
+        self.gated = False
+        self.tier: Optional[str] = None
 
     def normal_key(
-        self, partition: Partition, patterns: np.ndarray, max_sweeps: int
-    ) -> Tuple:
-        # digest the bit-packed candidate matrix: same information
-        # (shape is part of the key, pad bits are zero), 8x fewer bytes
-        # through sha1 per memo probe
-        return self.normal_key_packed(
-            partition, pack_bits(patterns), patterns.shape, max_sweeps
-        )
-
-    def normal_key_packed(
         self,
         partition: Partition,
         packed: np.ndarray,
         shape: Tuple[int, ...],
         max_sweeps: int,
     ) -> Tuple:
-        """:meth:`normal_key` from an already bit-packed pattern matrix.
+        """Key of the randomised variant from its bit-packed patterns.
 
-        The batched driver packs the whole pattern stack in one
-        :func:`pack_bits` call and hands each item's words here, so the
-        per-item key cost is one sha1 over the packed bytes.
+        The driver packs the whole ``(Z, cols)`` pattern stack in one
+        :func:`pack_bits` call and hands each item's words here: same
+        information (shape is part of the key, pad bits are zero), and
+        8x fewer bytes through sha1 per memo probe.
         """
         digest = hashlib.sha1(packed.tobytes()).digest()
         return (
@@ -281,14 +254,12 @@ def _cost_matrices(
 
 
 # ----------------------------------------------------------------------
-# The two exact half-steps, batched over a leading partition axis.
+# The reference: the two exact half-steps and the serial alternation.
 #
-# Bit-exactness contract: every float reduction below goes through the
-# same NumPy kernels whether the batch holds 1 item or 64 — stacked
-# matmul dispatches the identical BLAS call per slice, and axis sums
-# reduce each slice in the same order — so a batch item's numbers are
-# bitwise equal to a standalone evaluation.  The single-partition
-# wrappers run the batch code with B = 1, keeping one code path.
+# The half-steps keep a leading partition axis so the exhaustive oracle
+# can stack its items (stacked matmul dispatches the identical BLAS
+# call per slice, and axis sums reduce each slice in the same order);
+# the alternation itself runs them with B = 1, one partition at a time.
 # ----------------------------------------------------------------------
 
 
@@ -297,79 +268,31 @@ def _row_sums(d0: np.ndarray, d1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return d0.sum(axis=2), d1.sum(axis=2)
 
 
-class _SweepScratch:
-    """Reusable ``(B, Z, cols)`` work buffers for the alternation loop.
-
-    The sweep temporaries at paper scale (e.g. Z = 30, 2**b = 512
-    columns, a handful of batched partitions) are large enough that
-    fresh allocations fall through to mmap on every sweep; writing the
-    intermediates into preallocated buffers via ``out=`` keeps the loop
-    off that cliff.  ``out=`` changes where results land, never their
-    bits.
-    """
-
-    __slots__ = ("f1", "f2", "f3", "pb", "st", "g1", "g2")
-
-    def __init__(self, batch: int, z: int, cols: int, rows: int) -> None:
-        self.f1 = np.empty((batch, z, cols))
-        self.f2 = np.empty((batch, z, cols))
-        self.f3 = np.empty((batch, z, cols))
-        self.pb = np.empty((batch, z, cols), dtype=bool)
-        # candidate stack for the types half-step; planes 0/1 hold the
-        # all-0/all-1 row costs, which only change when the active set
-        # is compacted — refresh_constants() rewrites them then
-        self.st = np.empty((4, batch, rows, z))
-        self.g1 = np.empty((batch, rows, z))
-        self.g2 = np.empty((batch, rows, z))
-
-    def refresh_constants(
-        self, zero_cost: np.ndarray, one_cost: np.ndarray
-    ) -> None:
-        b = zero_cost.shape[0]
-        self.st[0, :b] = zero_cost[:, :, None]
-        self.st[1, :b] = one_cost[:, :, None]
-
-
 def _optimal_types_core(
     d0: np.ndarray,
     d1: np.ndarray,
     patterns: np.ndarray,
     zero_cost: np.ndarray,
     one_cost: np.ndarray,
-    scratch: Optional[_SweepScratch] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_optimal_types_batch` with the row sums precomputed."""
-    if scratch is None:
-        v = patterns.astype(np.float64)
-        w = 1.0 - v
-        vt = v.transpose(0, 2, 1)  # (B, cols, Z)
-        wt = w.transpose(0, 2, 1)
-        pattern_cost = np.matmul(d0, wt) + np.matmul(d1, vt)  # type 3
-        complement_cost = np.matmul(d0, vt) + np.matmul(d1, wt)  # type 4
-        b, rows, z = pattern_cost.shape
-        stacked = np.empty((4, b, rows, z))
-        stacked[0] = zero_cost[:, :, None]
-        stacked[1] = one_cost[:, :, None]
-        stacked[2] = pattern_cost
-        stacked[3] = complement_cost
-    else:
-        # planes 0/1 of scratch.st were filled by refresh_constants()
-        b = patterns.shape[0]
-        v = scratch.f1[:b]
-        np.copyto(v, patterns)
-        w = scratch.f2[:b]
-        np.subtract(1.0, v, out=w)
-        vt = v.transpose(0, 2, 1)
-        wt = w.transpose(0, 2, 1)
-        g1 = scratch.g1[:b]
-        g2 = scratch.g2[:b]
-        stacked = scratch.st[:, :b]
-        np.matmul(d0, wt, out=g1)
-        np.matmul(d1, vt, out=g2)
-        np.add(g1, g2, out=stacked[2])
-        np.matmul(d0, vt, out=g1)
-        np.matmul(d1, wt, out=g2)
-        np.add(g1, g2, out=stacked[3])
+    """Best type per row for each candidate pattern vector.
+
+    ``d0``/``d1`` have shape ``(B, rows, cols)``, ``patterns``
+    ``(B, Z, cols)`` and the row sums ``(B, rows)``; returns ``(types,
+    totals)`` with shapes ``(B, Z, rows)`` and ``(B, Z)``.
+    """
+    v = patterns.astype(np.float64)
+    w = 1.0 - v
+    vt = v.transpose(0, 2, 1)  # (B, cols, Z)
+    wt = w.transpose(0, 2, 1)
+    pattern_cost = np.matmul(d0, wt) + np.matmul(d1, vt)  # type 3
+    complement_cost = np.matmul(d0, vt) + np.matmul(d1, wt)  # type 4
+    b, rows, z = pattern_cost.shape
+    stacked = np.empty((4, b, rows, z))
+    stacked[0] = zero_cost[:, :, None]
+    stacked[1] = one_cost[:, :, None]
+    stacked[2] = pattern_cost
+    stacked[3] = complement_cost
     best = stacked.argmin(axis=0)  # (B, rows, Z) in 0..3
     # min picks the same element argmin indexes (ties hold equal values;
     # all entries are sums of non-negative terms, so no -0.0 asymmetry)
@@ -383,35 +306,19 @@ def _optimal_patterns_core(
     types: np.ndarray,
     zero_cost: np.ndarray,
     one_cost: np.ndarray,
-    scratch: Optional[_SweepScratch] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_optimal_patterns_batch` with the row sums precomputed.
+    """Best pattern vector per candidate given its type vector.
 
-    With ``scratch``, the returned pattern array is a bool view into
-    ``scratch.pb`` (valid until the next call); without, a fresh uint8
-    array — both hold the same 0/1 bytes.
+    ``types`` has shape ``(B, Z, rows)``; returns ``(patterns, totals)``
+    with shapes ``(B, Z, cols)`` and ``(B, Z)``.
     """
     mask3 = (types == _T_PATTERN).astype(np.float64)  # (B, Z, rows)
     mask4 = (types == _T_COMPLEMENT).astype(np.float64)
     # cost of V[c]=1: type-3 rows pay d1, type-4 rows pay d0
-    if scratch is None:
-        cost_one = np.matmul(mask3, d1) + np.matmul(mask4, d0)  # (B, Z, cols)
-        cost_zero = np.matmul(mask3, d0) + np.matmul(mask4, d1)
-        patterns = (cost_one < cost_zero).astype(np.uint8)
-        column_total = np.minimum(cost_zero, cost_one).sum(axis=2)
-    else:
-        b = types.shape[0]
-        cost_one = scratch.f1[:b]
-        cost_zero = scratch.f2[:b]
-        spare = scratch.f3[:b]
-        np.matmul(mask3, d1, out=cost_one)
-        np.matmul(mask4, d0, out=spare)
-        np.add(cost_one, spare, out=cost_one)
-        np.matmul(mask3, d0, out=cost_zero)
-        np.matmul(mask4, d1, out=spare)
-        np.add(cost_zero, spare, out=cost_zero)
-        patterns = np.less(cost_one, cost_zero, out=scratch.pb[:b])
-        column_total = np.minimum(cost_zero, cost_one, out=spare).sum(axis=2)
+    cost_one = np.matmul(mask3, d1) + np.matmul(mask4, d0)  # (B, Z, cols)
+    cost_zero = np.matmul(mask3, d0) + np.matmul(mask4, d1)
+    patterns = (cost_one < cost_zero).astype(np.uint8)
+    column_total = np.minimum(cost_zero, cost_one).sum(axis=2)
     mask1 = types == _T_ZERO
     mask2 = types == _T_ONE
     constant_total = (
@@ -421,89 +328,69 @@ def _optimal_patterns_core(
     return patterns, column_total + constant_total
 
 
-def _optimal_types_batch(
-    d0: np.ndarray, d1: np.ndarray, patterns: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Best type per row for each candidate pattern vector, batched.
+def _alternate_reference(
+    d0: np.ndarray, d1: np.ndarray, patterns: np.ndarray, max_sweeps: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The paper's alternation for one partition, in B = 1 shapes.
 
-    ``d0``/``d1`` have shape ``(B, rows, cols)`` and ``patterns``
-    ``(B, Z, cols)``; returns ``(types, totals)`` with shapes
-    ``(B, Z, rows)`` and ``(B, Z)``.
+    ``d0``/``d1`` have shape ``(1, rows, cols)`` and ``patterns``
+    ``(1, Z, cols)``.  Alternates the two exact half-steps until no
+    candidate's total improves, or ``max_sweeps`` sweeps ran.  Returns
+    ``(patterns, types, totals, sweeps)`` with shapes ``(1, Z, cols)``,
+    ``(1, Z, rows)`` and ``(1, Z)``, plus the sweep count.
     """
     zero_cost, one_cost = _row_sums(d0, d1)
-    return _optimal_types_core(d0, d1, patterns, zero_cost, one_cost)
-
-
-def _optimal_patterns_batch(
-    d0: np.ndarray, d1: np.ndarray, types: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Best pattern vector per candidate given its type vector, batched.
-
-    ``types`` has shape ``(B, Z, rows)``; returns ``(patterns, totals)``
-    with shapes ``(B, Z, cols)`` and ``(B, Z)``.
-    """
-    zero_cost, one_cost = _row_sums(d0, d1)
-    return _optimal_patterns_core(d0, d1, types, zero_cost, one_cost)
-
-
-def _optimal_types(
-    d0: np.ndarray, d1: np.ndarray, patterns: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-partition view of :func:`_optimal_types_batch`."""
-    types, totals = _optimal_types_batch(d0[None], d1[None], patterns[None])
-    return types[0], totals[0]
-
-
-def _optimal_patterns(
-    d0: np.ndarray, d1: np.ndarray, types: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-partition view of :func:`_optimal_patterns_batch`."""
-    patterns, totals = _optimal_patterns_batch(d0[None], d1[None], types[None])
-    return patterns[0], totals[0]
+    types, totals = _optimal_types_core(d0, d1, patterns, zero_cost, one_cost)
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        patterns, _ = _optimal_patterns_core(d0, d1, types, zero_cost, one_cost)
+        types, new_totals = _optimal_types_core(
+            d0, d1, patterns, zero_cost, one_cost
+        )
+        converged = bool((new_totals >= totals - 1e-12).all())
+        totals = new_totals
+        if converged:
+            break
+    return patterns, types, totals, sweeps
 
 
 # ----------------------------------------------------------------------
-# Bit-packed kernel tier: the dyadic-exactness gate and the
-# restructured exact-arithmetic sweep it unlocks.
+# The dyadic-exactness gate and the exact sweep it unlocks.
 # ----------------------------------------------------------------------
 
 
-def _packed_eligible(costs: BitCosts, p: np.ndarray) -> bool:
-    """Boolean view of :func:`_packed_mode` (any packed tier engages)."""
-    return _packed_mode(costs, p) is not None
+def _exact_tier(costs: BitCosts, p: np.ndarray) -> Optional[str]:
+    """Dyadic-exactness gate: the exact sweep's precision tier.
 
+    Returns ``"f32"``, ``"f64"``, or ``None`` (the reference runs).  A
+    tier is admitted when every float the alternation forms is
+    *exactly representable* in it.  The cost vectors must be
+    non-negative integers, and every supported weight must be a finite
+    non-negative ``p_i = w_i * 2**U`` with an integer ``w_i`` of at
+    most 52 bits on the least common dyadic unit ``U``.  The one exact
+    integer total ``T = sum_i (cost0_i + cost1_i) * w_i`` then bounds
+    every partial sum the kernel (exact sweep *or* reference) can
+    form: they lie in ``[-T, T]`` in units of ``2**U``, and the msign
+    half-step's in ``[-T, T]`` in units of ``2**(U-1)``.  So
+    ``T < 2**52`` makes every intermediate an exact float64, and
+    ``T < 2**24`` with ``U >= -37`` an exact float32 — the bound on
+    ``U`` keeps the convergence test's ``1e-12`` slack resolving to
+    the same verdict in both precisions (totals are spaced ``2**U``
+    apart, far wider than the slack or either tier's rounding radius).
+    Under the gate the tier's arithmetic is exact in any association
+    order, so the exact sweep is bit-identical to the reference.
 
-def _weighted_eligible(costs: BitCosts, p: np.ndarray) -> bool:
-    """Boolean view of :func:`_weighted_mode`."""
-    return _weighted_mode(costs, p) is not None
-
-
-def _packed_mode(costs: BitCosts, p: np.ndarray) -> Optional[str]:
-    """Dyadic-exactness gate for the packed sweep.
-
-    Returns the widest exact precision tier — ``"f32"``, ``"f64"``, or
-    ``None`` for the reference fallback.  A tier is admitted when every
-    float the alternation forms is *exactly representable* in it: the
-    cost vectors are non-negative integers and the input distribution's
-    weights all scale to integers ``w_i`` on one common dyadic unit
-    ``2**U`` with every sum the kernel can build staying below the
-    significand limit — ``2**53`` for float64, ``2**25`` for float32 —
-    in units of ``2**(U-1)`` (the half-scale covers the signed
-    ``msign`` trick in :class:`_PackedSweep`).  Under those conditions
-    the tier's arithmetic is exact in any association order, so the
-    restructured half-steps are bit-identical to the reference kernel;
-    the float32 tier additionally requires ``U >= -37`` so the
-    convergence test's ``1e-12`` slack resolves to the same verdict in
-    both precisions (totals are spaced ``2**U`` apart, far wider than
-    the slack or either tier's rounding radius).  Constant
-    distributions (every finite float is a dyadic rational) are
-    admitted through a closed-form worst-case bound; anything else goes
-    through :func:`_weighted_mode`, which computes the exact integer
-    total ``sum_i (cost0_i + cost1_i) * w_i`` by weighted popcounts —
-    so truncated-Gaussian and geometric inputs engage the packed tier
-    too whenever their weights share a representable dyadic scale.
+    ``T`` is accumulated in Python integers, so the verdict never
+    rounds.  A constant distribution (the protocol default) has one
+    weight, so ``T = w * sum_i comb_i`` is one integer sum; any other
+    distribution forms ``T`` by weighted popcounts over the weights'
+    bit-planes (:class:`~repro.boolean.packed.WeightPlanes`).  Entries
+    with zero weight or zero cost add exactly 0.0 to every product the
+    kernel forms and are left out; an instance with no such entry at
+    all is exact in any tier (``"f32"``).
     """
-    p = np.asarray(p)
+    p = np.asarray(p, dtype=np.float64)
     if p.size == 0:
         return None
     c0, c1 = costs.cost0, costs.cost1
@@ -514,85 +401,59 @@ def _packed_mode(costs: BitCosts, p: np.ndarray) -> Optional[str]:
     if not math.isfinite(hi) or float(c0.min()) < 0.0 or float(c1.min()) < 0.0:
         return None
     p0 = float(p.flat[0])
-    if math.isfinite(p0) and p0 > 0.0 and bool(np.all(p == p0)):
-        # constant distribution (the protocol default): one frexp and a
-        # closed-form bound — ``entries`` terms of at most ``hi * p0``
-        # each, in units of p0's dyadic scale
+    if bool(np.all(p == p0)):
+        # constant distribution (the protocol default): one weight
+        if not (math.isfinite(p0) and p0 >= 0.0):
+            return None
+        # a float sum of non-negative integers is exact below 2**53, and
+        # it reaches 2**52 exactly when the true sum does
+        comb_sum = float(c0.sum()) + float(c1.sum())
+        if p0 == 0.0 or comb_sum == 0.0:
+            return "f32"
+        if comb_sum >= float(1 << 52):
+            return None
+        # p0 = m_int * 2**(exponent - 53), exact by construction of frexp
         mantissa, exponent = math.frexp(p0)
         m_int = int(mantissa * (1 << 53))
         trailing = (m_int & -m_int).bit_length() - 1
-        m_odd = m_int >> trailing
-        bound = 2 * m_odd * int(hi) * c0.shape[0]
-        if bound < (1 << 53):
-            if bound < (1 << 25) and exponent - 53 + trailing >= -37:
-                return "f32"
-            # the closed-form bound proves f64; the exact weighted
-            # total may still prove f32 (it is never looser)
-            refined = _weighted_mode(costs, p)
-            return refined if refined == "f32" else "f64"
-        # the worst-case bound is loose; fall through to the exact one
-    return _weighted_mode(costs, p)
-
-
-def _weighted_mode(costs: BitCosts, p: np.ndarray) -> Optional[str]:
-    """Exact dyadic gate for general weighted input distributions.
-
-    Writes each supported weight as ``p_i = w_i * 2**U`` with integer
-    ``w_i`` on the least common dyadic unit ``U``, then forms the exact
-    integer bound ``T = sum_i (cost0_i + cost1_i) * w_i`` via per-bit
-    weighted popcounts over the weights' packed bit-planes
-    (:class:`~repro.boolean.packed.WeightPlanes`).  Every accumulation
-    is in Python integers, so the verdict itself never rounds.  Any
-    partial sum of weighted-cost terms the kernel (packed *or*
-    reference) can form lies in ``[-T, T]`` in units of ``2**U``, and
-    the msign half-step's partial sums lie in ``[-T, T]`` in units of
-    ``2**(U-1)``; ``T < 2**52`` therefore guarantees every intermediate
-    is an exact float64 (``T < 2**24`` with ``U >= -37`` upgrades to
-    exact float32 — the same ``2 * T < 2**25`` half-unit budget the
-    closed-form constant-``p`` check applies — see
-    :func:`_packed_mode`).  Rejects (reference fallback): non-finite or
-    negative weights, weights whose integer form needs more than 52
-    bits on the common unit, per-entry cost sums at or above 2**52, or
-    a total ``T`` at or above 2**52.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if not bool(np.all(np.isfinite(p))) or float(p.min()) < 0.0:
-        return None
-    combined = np.asarray(
-        costs.cost0, dtype=np.float64
-    ) + np.asarray(costs.cost1, dtype=np.float64)
-    support = (p > 0.0) & (combined > 0.0)
-    if not bool(support.any()):
-        # every product the kernel forms is exactly 0.0 in any tier
-        return "f32"
-    ps = p[support]
-    # p_i = m_int_i * 2**(exp_i - 53) with m_int in [2**52, 2**53) —
-    # exact by construction of frexp/ldexp
-    mant, exp = np.frexp(ps)
-    m_int = np.ldexp(mant, 53).astype(np.int64)
-    low = (m_int & -m_int).astype(np.float64)
-    trailing = np.frexp(low)[1] - 1
-    odd = m_int >> trailing
-    scale = exp.astype(np.int64) - 53 + trailing
-    unit = int(scale.min())
-    shift = scale - unit
-    # bail before shifting: odd << shift must stay within 52 bits both
-    # to avoid int64 overflow and to keep T's terms bounded
-    odd_bits = np.frexp(odd.astype(np.float64))[1]
-    if int((odd_bits + shift).max()) > 52:
-        return None
-    w_int = odd << shift
-    comb = combined[support]
-    if float(comb.max()) >= float(1 << 52):
-        return None
-    comb_int = comb.astype(np.int64)
-    planes = WeightPlanes(w_int)
-    total = 0
-    for bit in range(int(comb_int.max()).bit_length()):
-        mask = pack_bits(((comb_int >> np.int64(bit)) & 1).astype(np.uint8))
-        total += planes.masked_sum(mask) << bit
-        if total >= (1 << 52):
+        unit = exponent - 53 + trailing
+        # a weight of 53 bits or more makes T >= 2**52 on its own
+        total = (m_int >> trailing) * int(comb_sum)
+    else:
+        if not bool(np.all(np.isfinite(p))) or float(p.min()) < 0.0:
             return None
+        combined = np.asarray(c0, dtype=np.float64) + np.asarray(
+            c1, dtype=np.float64
+        )
+        support = (p > 0.0) & (combined > 0.0)
+        if not bool(support.any()):
+            return "f32"
+        comb = combined[support]
+        if float(comb.max()) >= float(1 << 52):
+            return None
+        # p_i = m_int_i * 2**(exp_i - 53) with m_int in [2**52, 2**53) —
+        # exact by construction of frexp/ldexp
+        mant, exp = np.frexp(p[support])
+        m_int = np.ldexp(mant, 53).astype(np.int64)
+        low = (m_int & -m_int).astype(np.float64)
+        trailing = np.frexp(low)[1] - 1
+        odd = m_int >> trailing
+        scale = exp.astype(np.int64) - 53 + trailing
+        unit = int(scale.min())
+        shift = scale - unit
+        # bail before shifting: odd << shift must stay within 52 bits
+        # both to avoid int64 overflow and to keep T's terms bounded
+        odd_bits = np.frexp(odd.astype(np.float64))[1]
+        if int((odd_bits + shift).max()) > 52:
+            return None
+        comb_int = comb.astype(np.int64)
+        planes = WeightPlanes(odd << shift)
+        total = 0
+        for bit in range(int(comb_int.max()).bit_length()):
+            mask = pack_bits(((comb_int >> np.int64(bit)) & 1).astype(np.uint8))
+            total += planes.masked_sum(mask) << bit
+            if total >= (1 << 52):
+                return None
     if total >= (1 << 52):
         return None
     if total < (1 << 24) and unit >= -37:
@@ -600,71 +461,61 @@ def _weighted_mode(costs: BitCosts, p: np.ndarray) -> Optional[str]:
     return "f64"
 
 
-def _packed_mode_engaged(
+def _engaged_tier(
     costs: BitCosts, p: np.ndarray, memo: Optional["OptMemo"] = None
 ) -> Optional[str]:
-    """Switches + eligibility tier, with engagement telemetry.
+    """Production's gate verdict for ``(costs, p)``, with telemetry.
 
-    The eligibility verdict depends only on ``(costs, p)``, so when the
-    caller holds an :class:`OptMemo` (which binds exactly that pair)
-    the verdict is cached on it — the gate's array scans then run once
+    ``None`` whenever the fast-path switch is off: then the reference
+    runs everything.  The verdict depends only on ``(costs, p)``, so
+    when the caller holds an :class:`OptMemo` (which binds exactly that
+    pair) it is cached there — the gate's array scans then run once
     per search context instead of once per kernel call.
     """
-    if not caching.packed_kernel_enabled():
+    if not caching.fast_paths_enabled():
         return None
-    if memo is not None:
-        if memo.packed_ok is None:
-            mode = _packed_mode(costs, p)
-            memo.packed_ok = mode is not None
-            memo.packed_mode = mode
-        mode = memo.packed_mode
+    if memo is None:
+        tier = _exact_tier(costs, p)
     else:
-        mode = _packed_mode(costs, p)
+        if not memo.gated:
+            memo.tier = _exact_tier(costs, p)
+            memo.gated = True
+        tier = memo.tier
     if obs.enabled():
-        obs.incr("opt.packed_calls" if mode else "opt.packed_ineligible")
-        if mode == "f32":
+        obs.incr("opt.packed_calls" if tier else "opt.packed_ineligible")
+        if tier == "f32":
             obs.incr("opt.packed_f32_calls")
-    return mode
+    return tier
 
 
-def _packed_engaged(
-    costs: BitCosts, p: np.ndarray, memo: Optional["OptMemo"] = None
-) -> bool:
-    """Boolean view of :func:`_packed_mode_engaged`."""
-    return _packed_mode_engaged(costs, p, memo) is not None
+class _ExactSweep:
+    """Hoisted state + buffers for the exact sweep.
 
-
-class _PackedSweep:
-    """Hoisted state + buffers for the packed exact-arithmetic sweep.
-
-    The entire sweep runs off ``diff = d1 - d0`` plus per-row sums —
-    the full cost matrices are never materialised.  ``diff`` turns the
-    two type-3/type-4 matmuls of the types half-step into one
-    (``pattern_cost = zc + diff @ Vᵀ``), the complement cost falls out
-    of the hoisted ``both = zc + oc`` row sums with zero matmuls
-    (``complement = both - pattern``), and the patterns half-step only
-    needs the *sign* of ``cost_zero - cost_one = (m4 - m3) @ diff`` —
-    one matmul where the reference takes four.  Each identity holds
-    *bitwise* — not just algebraically — because the eligibility gate
-    guarantees every operand and sum is an exact float.  Type and
-    pattern selection use strict comparisons so ties resolve exactly
-    like the reference kernel (first-index ``argmin``; a cost tie in
-    the patterns step picks pattern bit 0, matching the reference's
-    strict ``cost_one < cost_zero``).
+    The entire sweep runs off ``diff = d1 - d0`` plus its per-row sums
+    — the full cost matrices are never materialised.  Every cost is
+    shifted down by the per-row zero cost: the shift cancels out of
+    *all* comparisons (both sides of each strict ``<`` move by the same
+    exact float) and re-enters the totals as one per-item scalar offset
+    (see :func:`_alternate_exact`).  ``diff`` turns the two
+    type-3/type-4 matmuls of the types half-step into one
+    (``pattern_cost = diff @ Vᵀ``), the complement cost falls out of
+    the hoisted row sums with zero matmuls (``complement = both -
+    pattern``), and the patterns half-step only needs the *sign* of
+    ``cost_zero - cost_one = (m4 - m3) @ diff`` — one matmul where the
+    reference takes four.  Each identity holds *bitwise* — not just
+    algebraically — because the gate guarantees every operand and sum
+    is an exact float.  Type and pattern selection use strict
+    comparisons so ties resolve exactly like the reference (first-index
+    ``argmin``; a cost tie in the patterns step picks pattern bit 0,
+    matching the reference's strict ``cost_one < cost_zero``).
     """
 
     __slots__ = (
-        "diff", "diff_t", "zc", "both", "m01", "b01", "ones",
+        "diff", "diff_t", "both", "m01", "b01", "ones",
         "v", "pat", "comp", "m4", "g", "u4", "uvt",
     )
 
-    def __init__(
-        self,
-        diff: np.ndarray,
-        zero_cost: Optional[np.ndarray],
-        one_cost: np.ndarray,
-        z: int,
-    ) -> None:
+    def __init__(self, diff: np.ndarray, row_sums: np.ndarray, z: int) -> None:
         batch, rows, cols = diff.shape
         self.diff = diff
         self.diff_t = diff.transpose(0, 2, 1)
@@ -673,34 +524,18 @@ class _PackedSweep:
         # no transposes, and the row reduction runs over the contiguous
         # last axis.  Row-state arrays carry a broadcast axis so the
         # half-steps never rebuild views per sweep.
-        if zero_cost is None:
-            # relative mode: every cost is shifted down by the per-row
-            # zero cost, which cancels out of *all* comparisons (both
-            # sides of each strict ``<`` shift by the same exact float)
-            # and re-enters the totals as one per-item scalar offset
-            # (see _alternate_packed).  ``one_cost`` then holds the row
-            # sums of ``diff`` — the only per-row state the sweep needs.
-            self.zc = None
-            self.both = one_cost[:, None, :]
-            self.m01 = np.minimum(0.0, one_cost)[:, None, :]
-            self.b01 = np.where(
-                one_cost < 0.0, np.int8(_T_ONE), np.int8(_T_ZERO)
-            )[:, None, :]
-        else:
-            self.zc = zero_cost[:, None, :]
-            self.both = (zero_cost + one_cost)[:, None, :]
-            self.m01 = np.minimum(zero_cost, one_cost)[:, None, :]
-            # constant-row type by reference tie-breaking: ALL_ZERO
-            # unless the all-one row is strictly cheaper (argmin
-            # prefers index 0)
-            self.b01 = np.where(
-                one_cost < zero_cost, np.int8(_T_ONE), np.int8(_T_ZERO)
-            )[:, None, :]
-        # exact-sum reduction vector: under the eligibility gate a
-        # gemv against ones is bitwise equal to ``pat.sum(axis=2)``
-        # in any association order, and roughly halves the dispatch.
-        # All scratch follows diff's dtype — float64, or float32 when
-        # the gate proved the narrower significand exact too.
+        self.both = row_sums[:, None, :]
+        self.m01 = np.minimum(0.0, row_sums)[:, None, :]
+        # constant-row type by reference tie-breaking: ALL_ZERO unless
+        # the all-one row is strictly cheaper (argmin prefers index 0)
+        self.b01 = np.where(
+            row_sums < 0.0, np.int8(_T_ONE), np.int8(_T_ZERO)
+        )[:, None, :]
+        # exact-sum reduction vector: under the gate a gemv against ones
+        # is bitwise equal to ``pat.sum(axis=2)`` in any association
+        # order, and roughly halves the dispatch.  All scratch follows
+        # diff's dtype — float64, or float32 when the gate proved the
+        # narrower significand exact too.
         dtype = diff.dtype
         self.ones = np.ones(rows, dtype=dtype)
         self.v = np.empty((batch, z, cols), dtype=dtype)
@@ -715,8 +550,6 @@ class _PackedSweep:
         """Drop converged items; state shrinks, buffers re-slice."""
         self.diff = self.diff[keep]
         self.diff_t = self.diff.transpose(0, 2, 1)
-        if self.zc is not None:
-            self.zc = self.zc[keep]
         self.both = self.both[keep]
         self.m01 = self.m01[keep]
         self.b01 = self.b01[keep]
@@ -730,15 +563,15 @@ class _PackedSweep:
         self.uvt = self.uvt[:b]
 
 
-def _packed_types_core(
-    sweep: _PackedSweep, patterns: Optional[np.ndarray] = None
+def _exact_types_core(
+    sweep: _ExactSweep, patterns: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Packed types half-step: one matmul, pairwise exact selection.
+    """Exact types half-step: one matmul, pairwise exact selection.
 
     Returns ``(use4, use_vt, totals)`` — the two selection masks plus
     the per-candidate totals.  The ``int8`` type vectors the reference
-    core emits are only needed when an item freezes, so the sweep loop
-    carries the masks and :func:`_packed_types` materialises types on
+    emits are only needed when an item freezes, so the sweep loop
+    carries the masks and :func:`_exact_types` materialises types on
     demand (most sweeps never do).  When ``patterns`` is ``None`` the
     candidates already sit in ``sweep.v`` (the patterns half-step
     writes them there as exact 0.0/1.0 floats, skipping a copy).
@@ -747,8 +580,6 @@ def _packed_types_core(
         np.copyto(sweep.v, patterns)
     pat = sweep.pat
     np.matmul(sweep.v, sweep.diff_t, out=pat)
-    if sweep.zc is not None:
-        pat += sweep.zc
     comp = sweep.comp
     np.subtract(sweep.both, pat, out=comp)
     # among {pattern, complement}: argmin prefers the lower index, so
@@ -763,27 +594,27 @@ def _packed_types_core(
     return use4, use_vt, np.matmul(pat, sweep.ones)
 
 
-def _packed_types(
+def _exact_types(
     use4: np.ndarray, use_vt: np.ndarray, b01: np.ndarray
 ) -> np.ndarray:
     """Materialise the reference ``int8`` type vectors from the masks."""
     return np.where(use_vt, use4 + np.int8(_T_PATTERN), b01)
 
 
-def _packed_patterns_core(
-    sweep: _PackedSweep, use4: np.ndarray, use_vt: np.ndarray
+def _exact_patterns_core(
+    sweep: _ExactSweep, use4: np.ndarray, use_vt: np.ndarray
 ) -> np.ndarray:
-    """Packed patterns half-step: one matmul, sign test only.
+    """Exact patterns half-step: one matmul, sign test only.
 
-    The reference core forms ``cost_zero`` and ``cost_one`` per column
-    and compares them, but the alternation loop only consumes the
+    The reference forms ``cost_zero`` and ``cost_one`` per column and
+    compares them, but the alternation loop only consumes the
     *comparison* (its totals are never read — convergence is judged on
-    the types half-step).  Under the eligibility gate the difference
-    ``cost_zero - cost_one = (m4 - m3) @ diff`` is exact, so its sign
-    reproduces the reference's strict ``cost_one < cost_zero`` bit for
-    bit.  The 0/1 result is written straight into ``sweep.v`` as exact
-    floats — the very operand the next types half-step multiplies — so
-    neither half-step pays a bool→float copy.
+    the types half-step).  Under the gate the difference ``cost_zero -
+    cost_one = (m4 - m3) @ diff`` is exact, so its sign reproduces the
+    reference's strict ``cost_one < cost_zero`` bit for bit.  The 0/1
+    result is written straight into ``sweep.v`` as exact floats — the
+    very operand the next types half-step multiplies — so neither
+    half-step pays a bool→float copy.
     """
     # msign = ((types == COMPLEMENT) - (types == PATTERN)) / 2, built
     # in two ops as use_vt * (use4 - 0.5).  The half-scale factors out
@@ -796,74 +627,53 @@ def _packed_patterns_core(
     return np.greater(sweep.g, 0.0, out=sweep.v, casting="unsafe")
 
 
-def _alternate_batch_packed(
-    d0: np.ndarray, d1: np.ndarray, patterns: np.ndarray, max_sweeps: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Packed-tier :func:`_alternate_batch` from full cost matrices.
-
-    Thin adapter for callers that already built ``d0``/``d1`` (the
-    serial path); the batched driver gathers ``diff`` and the row sums
-    directly and calls :func:`_alternate_packed`.
-    """
-    zero_cost, one_cost = _row_sums(d0, d1)
-    return _alternate_packed(d1 - d0, zero_cost, one_cost, patterns, max_sweeps)
-
-
-def _alternate_packed(
+def _alternate_exact(
     diff: np.ndarray,
-    zero_cost: Optional[np.ndarray],
-    one_cost: np.ndarray,
+    row_sums: np.ndarray,
     patterns: np.ndarray,
     max_sweeps: int,
-    totals_offset: Optional[np.ndarray] = None,
+    totals_offset: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Packed-tier :func:`_alternate_batch`: same loop, packed cores.
+    """The exact sweep over a stacked batch of partitions.
 
-    The convergence test, freeze points, and compaction mirror the
-    reference driver line for line — only the half-step arithmetic is
-    swapped, and the eligibility gate makes that swap bitwise
-    invisible.
+    ``diff`` is ``d1 - d0`` with shape ``(B, rows, cols)``,
+    ``row_sums`` its per-row sums and ``totals_offset`` each item's
+    total zero cost (an exact dyadic-integer scalar), which re-bases
+    the relative totals to the reference's absolute ones bit for bit.
+    Each item converges (or hits ``max_sweeps``) independently and is
+    frozen with exactly the state :func:`_alternate_reference` would
+    return for it: the convergence test runs the reference's op order,
+    and every item's trajectory is independent of its batchmates.
 
-    With ``zero_cost=None`` the sweep runs in *relative* mode:
-    ``one_cost`` holds the per-row sums of ``diff`` and every internal
-    cost is shifted down by the (never materialised) per-row zero
-    cost.  The shift cancels out of every comparison — both sides of
-    each strict ``<`` and of the convergence test move by the same
-    exact float — so masks, tie-breaks, and sweep counts are bitwise
-    identical to absolute mode.  The returned totals are re-based by
-    adding ``totals_offset`` (each item's total zero cost, an exact
-    dyadic-integer scalar), which restores the absolute values bit for
-    bit because every quantity involved is exact under the eligibility
-    gate.
+    Returns ``(patterns, types, totals, sweeps)`` with shapes
+    ``(B, Z, cols)``, ``(B, Z, rows)``, ``(B, Z)``, ``(B,)``.
     """
     batch, z = diff.shape[0], patterns.shape[1]
-    sweep = _PackedSweep(diff, zero_cost, one_cost, z)
-    use4, use_vt, totals = _packed_types_core(sweep, patterns)
+    sweep = _ExactSweep(diff, row_sums, z)
+    use4, use_vt, totals = _exact_types_core(sweep, patterns)
     out_patterns = np.empty_like(patterns)
     out_types = np.empty((batch, z, diff.shape[1]), dtype=np.int8)
     out_totals = np.empty_like(totals)
     out_sweeps = np.zeros(batch, dtype=np.int64)
     if max_sweeps < 1:
-        types = _packed_types(use4, use_vt, sweep.b01)
-        if totals_offset is not None:
-            totals = totals + totals_offset[:, None]
-        return patterns.copy(), types, totals, out_sweeps
+        types = _exact_types(use4, use_vt, sweep.b01)
+        return patterns.copy(), types, totals + totals_offset[:, None], out_sweeps
 
     if batch == 1:
+        # one item: skip the freeze/compaction bookkeeping below — the
+        # sequence of core calls is identical, so the bits are too
         sweeps = 0
         while True:
             sweeps += 1
-            patterns = _packed_patterns_core(sweep, use4, use_vt)
-            use4, use_vt, new_totals = _packed_types_core(sweep)
+            patterns = _exact_patterns_core(sweep, use4, use_vt)
+            use4, use_vt, new_totals = _exact_types_core(sweep)
             converged = bool((new_totals >= totals - 1e-12).all())
             totals = new_totals
             if converged or sweeps >= max_sweeps:
                 out_patterns[0] = patterns[0]
                 out_sweeps[0] = sweeps
-                types = _packed_types(use4, use_vt, sweep.b01)
-                if totals_offset is not None:
-                    totals = totals + totals_offset[:, None]
-                return out_patterns, types, totals, out_sweeps
+                types = _exact_types(use4, use_vt, sweep.b01)
+                return out_patterns, types, totals + totals_offset[:, None], out_sweeps
 
     active = np.arange(batch)
     done_mask = np.zeros(batch, dtype=bool)
@@ -878,9 +688,9 @@ def _alternate_packed(
     sweeps = 0
     while True:
         sweeps += 1
-        patterns = _packed_patterns_core(sweep, use4, use_vt)
-        use4, use_vt, new_totals = _packed_types_core(sweep)
-        # same op order as the reference driver: (totals - 1e-12) then
+        patterns = _exact_patterns_core(sweep, use4, use_vt)
+        use4, use_vt, new_totals = _exact_types_core(sweep)
+        # same op order as the reference: (totals - 1e-12) then
         # the compare, so the f32 tier rounds the slack identically
         np.subtract(totals, 1e-12, out=slack)
         np.greater_equal(new_totals, slack, out=slack_ok)
@@ -896,7 +706,7 @@ def _alternate_packed(
         if newly.size:
             sel = active[newly]
             out_patterns[sel] = patterns[newly]
-            out_types[sel] = _packed_types(
+            out_types[sel] = _exact_types(
                 use4[newly], use_vt[newly], sweep.b01[newly]
             )
             out_totals[sel] = totals[newly]
@@ -904,8 +714,7 @@ def _alternate_packed(
             done_mask[newly] = True
             remaining = active.size - int(np.count_nonzero(done_mask))
             if remaining == 0:
-                if totals_offset is not None:
-                    out_totals += totals_offset[:, None]
+                out_totals += totals_offset[:, None]
                 return out_patterns, out_types, out_totals, out_sweeps
             # finished items keep riding the batch (their outputs are
             # frozen above, and every item's trajectory is independent
@@ -927,92 +736,6 @@ def _alternate_packed(
                 slack_ok = slack_ok[:b]
                 conv = conv[:b]
                 newly_mask = newly_mask[:b]
-
-
-def _alternate_batch(
-    d0: np.ndarray, d1: np.ndarray, patterns: np.ndarray, max_sweeps: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run the alternating optimisation for a batch of partitions.
-
-    Each item converges (or hits ``max_sweeps``) independently: as soon
-    as an item's totals stop improving it is frozen with exactly the
-    state the serial loop would return, and dropped from the active
-    stack so later sweeps only pay for the stragglers.
-
-    Returns ``(patterns, types, totals, sweeps)`` with shapes
-    ``(B, Z, cols)``, ``(B, Z, rows)``, ``(B, Z)``, ``(B,)``.
-    """
-    batch = d0.shape[0]
-    zero_cost, one_cost = _row_sums(d0, d1)
-    scratch = _SweepScratch(
-        batch, patterns.shape[1], patterns.shape[2], d0.shape[1]
-    )
-    scratch.refresh_constants(zero_cost, one_cost)
-    types, totals = _optimal_types_core(
-        d0, d1, patterns, zero_cost, one_cost, scratch
-    )
-    out_patterns = np.empty_like(patterns)
-    out_types = np.empty_like(types)
-    out_totals = np.empty_like(totals)
-    out_sweeps = np.zeros(batch, dtype=np.int64)
-    if max_sweeps < 1:
-        return patterns.copy(), types, totals, out_sweeps
-
-    if batch == 1:
-        # Serial calls and straggler chunks skip the freeze/compaction
-        # bookkeeping below — it's pure overhead with one item.  The
-        # sequence of core calls is identical, so the bits are too.
-        sweeps = 0
-        while True:
-            sweeps += 1
-            patterns, _ = _optimal_patterns_core(
-                d0, d1, types, zero_cost, one_cost, scratch
-            )
-            types, new_totals = _optimal_types_core(
-                d0, d1, patterns, zero_cost, one_cost, scratch
-            )
-            converged = bool((new_totals >= totals - 1e-12).all())
-            totals = new_totals
-            if converged or sweeps >= max_sweeps:
-                out_patterns[0] = patterns[0]
-                out_sweeps[0] = sweeps
-                return out_patterns, types, totals, out_sweeps
-
-    active = np.arange(batch)
-    sweeps = 0
-    while True:
-        sweeps += 1
-        patterns, _ = _optimal_patterns_core(
-            d0, d1, types, zero_cost, one_cost, scratch
-        )
-        types, new_totals = _optimal_types_core(
-            d0, d1, patterns, zero_cost, one_cost, scratch
-        )
-        converged = np.all(new_totals >= totals - 1e-12, axis=1)
-        totals = new_totals
-        finished = (
-            converged
-            if sweeps < max_sweeps
-            else np.ones(active.size, dtype=bool)
-        )
-        done = np.flatnonzero(finished)
-        if done.size:
-            sel = active[done]
-            out_patterns[sel] = patterns[done]
-            out_types[sel] = types[done]
-            out_totals[sel] = totals[done]
-            out_sweeps[sel] = sweeps
-            if done.size == active.size:
-                return out_patterns, out_types, out_totals, out_sweeps
-            keep = ~finished
-            active = active[keep]
-            d0 = d0[keep]
-            d1 = d1[keep]
-            zero_cost = zero_cost[keep]
-            one_cost = one_cost[keep]
-            types = types[keep]
-            totals = totals[keep]
-            scratch.refresh_constants(zero_cost, one_cost)
 
 
 def _best_of(
@@ -1069,55 +792,26 @@ def opt_for_part(
     # Hot path: the disabled-telemetry branch avoids even the no-op
     # span allocation — this function dominates both algorithms.
     if not obs.enabled():
-        return _opt_single(costs, p, partition, n_inputs, patterns, max_sweeps, memo)[0]
+        return _opt_many(
+            costs, p, [partition], n_inputs, patterns[None], max_sweeps, memo
+        )[0][0]
     with obs.span(
         "opt.for_part", n_bound=partition.n_bound, n_free=partition.n_free
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        result, sweeps, hit = _opt_single(
-            costs, p, partition, n_inputs, patterns, max_sweeps, memo
+        results, sweeps, hits = _opt_many(
+            costs, p, [partition], n_inputs, patterns[None], max_sweeps, memo
         )
+        result = results[0]
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
         span.set(sweeps=sweeps, error=result.error)
         obs.incr("opt.calls")
-        if not hit:
+        if not hits:
             obs.incr("opt.sweeps", sweeps)
         obs.incr("opt.lut_entries", 2 << (n_inputs - 1))
         return result
-
-
-def _opt_single(
-    costs: BitCosts,
-    p: np.ndarray,
-    partition: Partition,
-    n_inputs: int,
-    patterns: np.ndarray,
-    max_sweeps: int,
-    memo: Optional[OptMemo],
-) -> Tuple[OptForPartResult, int, bool]:
-    """One partition with pre-drawn patterns; returns (result, sweeps, hit)."""
-    key = None
-    if memo is not None and caching.fast_paths_enabled():
-        key = memo.normal_key(partition, patterns, max_sweeps)
-        cached = _RESULT_MEMO.get(key)
-        if cached is not None:
-            return cached[0], cached[1], True
-    d0, d1 = _cost_matrices(costs, p, partition, n_inputs)
-    alternate = (
-        _alternate_batch_packed
-        if _packed_engaged(costs, p, memo)
-        else _alternate_batch
-    )
-    fin_patterns, fin_types, fin_totals, fin_sweeps = alternate(
-        d0[None], d1[None], patterns[None], max_sweeps
-    )
-    result = _best_of(partition, fin_patterns[0], fin_types[0], fin_totals[0])
-    sweeps = int(fin_sweeps[0])
-    if key is not None:
-        _RESULT_MEMO.put(key, (result, sweeps))
-    return result, sweeps, False
 
 
 def opt_for_part_many(
@@ -1259,7 +953,7 @@ def opt_for_part_grouped(
     """Fused evaluation of many callers' batches in one kernel pass.
 
     Items from all requests are grouped by table shape, candidate
-    count, sweep cap, and packed eligibility, deduplicated by memo
+    count, sweep cap, and gate tier, deduplicated by memo
     digest across requests, and executed in stacked chunks up to
     ``_BATCH_LIMIT`` wide — each item bitwise equal to its standalone
     :func:`opt_for_part_many` call (and the memo keeps cross-request
@@ -1324,18 +1018,16 @@ def _grouped_eval(
 ) -> List[Tuple[List[OptForPartResult], int, int]]:
     """Shared engine behind :func:`_opt_many` / :func:`opt_for_part_grouped`.
 
-    Returns ``(results, total_sweeps, memo_hits)`` per request.  With a
-    single request this runs the exact memo-probe / chunk / scatter
-    sequence the pre-fusion ``_opt_many`` ran, so the serial entry
-    points keep their bits and counters; with many requests the chunks
-    simply interleave items, which the batched sweeps are already
-    proven to keep independent.
+    Returns ``(results, total_sweeps, memo_hits)`` per request.  Items
+    the gate admits run the exact sweep in stacked chunks (with many
+    requests the chunks simply interleave items, which the exact sweep
+    keeps independent); every other item runs the reference on its own.
     """
     results: List[List[Optional[OptForPartResult]]] = []
     keys: List[List[Optional[Tuple]]] = []
     item_sweeps: List[List[int]] = []
     hits: List[int] = [0] * len(requests)
-    # (rows, cols, Z, max_sweeps, packed?) → [(request idx, item idx)]
+    # (rows, cols, Z, max_sweeps, tier) → [(request idx, item idx)]
     groups: dict = {}
     # memo key → (request idx, item idx) of the first occurrence; later
     # occurrences across requests alias it (a serial replay would hit
@@ -1343,8 +1035,8 @@ def _grouped_eval(
     first_seen: dict = {}
     aliases: List[Tuple[int, int, Tuple]] = []
     fresh: dict = {}
-    # per-request packed tier: None (reference) / "f64" / "f32"
-    packed_flags: List[Optional[str]] = [None] * len(requests)
+    # per-request gate tier: None (reference) / "f64" / "f32"
+    tiers: List[Optional[str]] = [None] * len(requests)
     for ri, request in enumerate(requests):
         count = len(request.partitions)
         use_memo = request.memo is not None and caching.fast_paths_enabled()
@@ -1359,7 +1051,7 @@ def _grouped_eval(
             shape = request.stacked.shape[1:]
         for ii, partition in enumerate(request.partitions):
             if use_memo:
-                key = request.memo.normal_key_packed(
+                key = request.memo.normal_key(
                     partition, packed_stack[ii], shape, request.max_sweeps
                 )
                 cached = _RESULT_MEMO.get(key)
@@ -1376,15 +1068,13 @@ def _grouped_eval(
                 keys[ri][ii] = key
             misses.append((ri, ii))
         if misses:
-            packed_flags[ri] = _packed_mode_engaged(
-                request.costs, request.p, request.memo
-            )
+            tiers[ri] = _engaged_tier(request.costs, request.p, request.memo)
             gkey = (
                 request.partitions[0].n_rows,
                 request.partitions[0].n_cols,
                 request.stacked.shape[1],
                 request.max_sweeps,
-                packed_flags[ri],
+                tiers[ri],
             )
             groups.setdefault(gkey, []).extend(misses)
 
@@ -1396,21 +1086,21 @@ def _grouped_eval(
         if cached is None:
             request = requests[ri]
             w0, w1 = request.costs.weighted(request.p)
-            if packed_flags[ri]:
-                # the packed sweep runs in relative mode: it consumes
-                # only diff = d1 - d0 (pre-differenced once, half the
-                # gather work) plus the item's *total* zero cost — a
-                # single scalar, since the per-row zero costs cancel
-                # out of every comparison and re-enter the totals as
-                # one exact offset.  ``w0.sum()`` is exact under the
-                # gate (an integer multiple of the common dyadic unit,
-                # below the overflow bound), so the re-based totals
-                # are bit-equal to building the matrices and reducing
-                # them.  In the f32 tier the grid is pre-cast once —
-                # exact (the gate bounds every value below 2**24 in
-                # units) and the per-item gathers move half the bytes.
+            if tiers[ri]:
+                # the exact sweep consumes only diff = d1 - d0
+                # (pre-differenced once, half the gather work) plus the
+                # item's *total* zero cost — a single scalar, since the
+                # per-row zero costs cancel out of every comparison and
+                # re-enter the totals as one exact offset.  ``w0.sum()``
+                # is exact under the gate (an integer multiple of the
+                # common dyadic unit, below the overflow bound), so the
+                # re-based totals are bit-equal to building the matrices
+                # and reducing them.  In the f32 tier the grid is
+                # pre-cast once — exact (the gate bounds every value
+                # below 2**24 in units) and the per-item gathers move
+                # half the bytes.
                 wdiff = w1 - w0
-                if packed_flags[ri] == "f32":
+                if tiers[ri] == "f32":
                     wdiff = wdiff.astype(np.float32)
                 grid = (2,) * request.n_inputs
                 cached = (wdiff.reshape(grid), float(w0.sum()))
@@ -1420,7 +1110,7 @@ def _grouped_eval(
         return cached
 
     for gkey, members in groups.items():
-        rows, cols, z, group_sweeps, packed = gkey
+        rows, cols, z, group_sweeps, tier = gkey
         for start in range(0, len(members), _BATCH_LIMIT):
             chunk = members[start : start + _BATCH_LIMIT]
             b = len(chunk)
@@ -1438,8 +1128,8 @@ def _grouped_eval(
                 )
                 for j, (ri, ii) in enumerate(chunk):
                     patterns[j] = requests[ri].stacked[ii]
-            if packed:
-                dtype = np.float32 if packed == "f32" else np.float64
+            if tier:
+                dtype = np.float32 if tier == "f32" else np.float64
                 diff = np.empty((b, rows, cols), dtype=dtype)
                 offsets = np.empty(b)
                 for j, (ri, ii) in enumerate(chunk):
@@ -1453,35 +1143,37 @@ def _grouped_eval(
                         wdiff_grid.transpose(axes),
                     )
                     offsets[j] = zc_total
-                # relative mode: the diff row sums are the only per-row
-                # state the packed sweep needs (exact integer-scaled
-                # sums under the gate, so any association order gives
-                # the same bits); each item's total zero cost re-bases
-                # its final totals
+                # the diff row sums are the only per-row state the
+                # exact sweep needs (exact integer-scaled sums under the
+                # gate, so any association order gives the same bits);
+                # each item's total zero cost re-bases its final totals
                 fin_patterns, fin_types, fin_totals, fin_sweeps = (
-                    _alternate_packed(
-                        diff, None, diff.sum(axis=2), patterns,
-                        group_sweeps, totals_offset=offsets,
+                    _alternate_exact(
+                        diff, diff.sum(axis=2), patterns, group_sweeps, offsets
                     )
                 )
             else:
-                # gather each item's table straight into its batch slot
-                # — one pass instead of to_matrix allocations + np.stack
-                d0 = np.empty((b, rows, cols))
-                d1 = np.empty_like(d0)
+                fin_patterns = np.empty_like(patterns)
+                fin_types = np.empty((b, z, rows), dtype=np.int8)
+                fin_totals = np.empty((b, z))
+                fin_sweeps = np.empty(b, dtype=np.int64)
                 for j, (ri, ii) in enumerate(chunk):
                     request = requests[ri]
                     w0, w1 = _weights(ri)
                     idx = gather_index(request.partitions[ii], request.n_inputs)
-                    np.take(w0, idx, out=d0[j].reshape(-1))
-                    np.take(w1, idx, out=d1[j].reshape(-1))
-                fin_patterns, fin_types, fin_totals, fin_sweeps = (
-                    _alternate_batch(d0, d1, patterns, group_sweeps)
-                )
+                    pat, typ, tot, fin_sweeps[j] = _alternate_reference(
+                        w0[idx].reshape(1, rows, cols),
+                        w1[idx].reshape(1, rows, cols),
+                        patterns[j : j + 1],
+                        group_sweeps,
+                    )
+                    fin_patterns[j], fin_types[j], fin_totals[j] = (
+                        pat[0], typ[0], tot[0]
+                    )
             if observe_fusion:
                 obs.observe("opt.fused_width", b)
             # one argmin pass for the whole chunk; ties break exactly
-            # like the per-item _best_of (first index wins)
+            # like the exhaustive oracle's _best_of (first index wins)
             winners = fin_totals.argmin(axis=1)
             # gather every winner in one fancy-index pass — the result
             # owns its data, so the per-item rows below are views into
@@ -1541,11 +1233,11 @@ def opt_for_part_bto(
             if obs.enabled():
                 obs.incr("opt.bto_calls")
             return cached
-    if _packed_engaged(costs, p, memo):
-        # packed tier: only the per-column sums are needed, so skip the
-        # (rows x cols) matrix builds and sum the transposed weight
-        # grids down the row axis — exact under the eligibility gate,
-        # hence bit-equal to the matrix route
+    if _engaged_tier(costs, p, memo):
+        # only the per-column sums are needed, so skip the (rows x cols)
+        # matrix builds and sum the transposed weight grids down the
+        # row axis — exact under the gate, hence bit-equal to the
+        # matrix route
         w0, w1 = costs.weighted(p)
         grid = (2,) * n_inputs
         axes = _partition_axes(partition, n_inputs)
@@ -1600,8 +1292,8 @@ def opt_for_part_exhaustive_many(
     ``(free, bound)`` shape, results in input order, optional memo) so
     oracle comparisons in the property suites can evaluate a whole
     partition batch without hand-rolled loops.  The oracle always runs
-    the *reference* types half-step — it is the thing the fast tiers
-    are judged against — and every batch item is bitwise equal to a
+    the *reference* types half-step — it is the thing the exact sweep
+    is judged against — and every batch item is bitwise equal to a
     standalone :func:`opt_for_part_exhaustive` call.
     """
     partitions = list(partitions)
@@ -1658,7 +1350,9 @@ def opt_for_part_exhaustive_many(
             stacked = np.broadcast_to(
                 patterns, (len(chunk), n_patterns, cols)
             )
-            types, totals = _optimal_types_batch(d0, d1, stacked)
+            types, totals = _optimal_types_core(
+                d0, d1, stacked, *_row_sums(d0, d1)
+            )
             for j, index in enumerate(chunk):
                 result = _best_of(partitions[index], patterns, types[j], totals[j])
                 results[index] = result

@@ -62,7 +62,6 @@ import multiprocessing
 
 import numpy as np
 
-from .. import caching
 from .. import faults as faults_mod
 from .. import obs
 from ..obs import exposition
@@ -116,10 +115,9 @@ class TableArena:
     hundreds of jobs reference them.  Only the parent creates and
     unlinks segments; workers attach read-only by name.
 
-    When the packed kernel tier is enabled
-    (:func:`repro.caching.packed_kernel_enabled`), non-negative integer
-    tables are published as :class:`~repro.boolean.packed.PackedTable`
-    bit-planes instead of raw ``int64`` entries — ``n_outputs`` bits
+    Non-negative integer tables are published as
+    :class:`~repro.boolean.packed.PackedTable` bit-planes instead of raw
+    ``int64`` entries whenever that page is smaller — ``n_outputs`` bits
     per entry rather than 64 (5.3x smaller for the default 12-bit
     Table-II functions), which directly raises arena capacity.  The ref
     is still content-addressed by the digest of the *raw* table bytes,
@@ -143,12 +141,7 @@ class TableArena:
         if cached is not None:
             return cached[1]
         packed = None
-        if (
-            caching.packed_kernel_enabled()
-            and table.ndim == 1
-            and table.size
-            and int(table.min()) >= 0
-        ):
+        if table.ndim == 1 and table.size and int(table.min()) >= 0:
             candidate = PackedTable(
                 table, max(1, int(table.max()).bit_length())
             )

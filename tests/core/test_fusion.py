@@ -3,11 +3,11 @@
 Four contracts, each pinned differentially against the serial /
 reference code paths:
 
-* the *widened* packed-eligibility gate admits general weighted input
-  distributions exactly when every kernel intermediate is provably
-  exact (dyadic weights within the integer-float range) and the packed
-  sweep stays byte-identical to the reference sweep under it — for
-  non-dyadic weights the gate must refuse and the reference sweep run;
+* the exactness gate admits general weighted input distributions
+  exactly when every kernel intermediate is provably exact (dyadic
+  weights within the integer-float range) and the exact sweep stays
+  byte-identical to the reference under it — for non-dyadic weights
+  the gate must refuse and the reference run;
 * :class:`repro.boolean.packed.WeightPlanes` computes exact weighted
   popcounts (the gate's certificate arithmetic);
 * :func:`repro.core.opt_for_part.opt_for_part_grouped` returns, for
@@ -59,19 +59,19 @@ def _integer_costs(n_inputs, seed):
     return cost_vectors_fixed(bits, np.zeros_like(bits), 0)
 
 
-def _packed_vs_reference(costs, p, n_inputs, bound, count, seed):
-    """Run the same batch packed-on and packed-off; return both."""
+def _production_vs_reference(costs, p, n_inputs, bound, count, seed):
+    """Run the same batch in production and in the reference; return both."""
     sample = np.random.default_rng(seed)
     partitions = [random_partition(n_inputs, bound, sample) for _ in range(count)]
     rng_on = np.random.default_rng(seed + 1)
     rng_off = np.random.default_rng(seed + 1)
     caching.clear_caches()
-    with caching.packed_kernel(True):
+    with caching.fast_paths(True):
         on = opt_for_part_many(
             costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_on
         )
     caching.clear_caches()
-    with caching.packed_kernel(False):
+    with caching.fast_paths(False):
         off = opt_for_part_many(
             costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_off
         )
@@ -100,15 +100,15 @@ class TestWeightedEligibility:
         shift = data.draw(st.integers(0, 24), label="shift")
         p = mant / float(1 << shift)
         # dyadic weights with a tiny magnitude bound: always provable
-        assert ofp._packed_eligible(costs, p)
-        on, off = _packed_vs_reference(costs, p, n_inputs, 3, 3, seed=5)
+        assert ofp._exact_tier(costs, p)
+        on, off = _production_vs_reference(costs, p, n_inputs, 3, 3, seed=5)
         for a, b in zip(on, off):
             _same_result(a, b)
 
     @settings(max_examples=15, deadline=None, suppress_health_check=_SUPPRESS)
     @given(data=st.data())
     def test_arbitrary_distribution_packed_on_off_identical(self, data):
-        """Eligible or not, packing must never change a byte."""
+        """Eligible or not, production must never change a byte."""
         n_inputs = 6
         costs = _integer_costs(n_inputs, data.draw(st.integers(0, 99), label="f"))
         mode = data.draw(
@@ -129,7 +129,7 @@ class TestWeightedEligibility:
         else:
             p = np.full(1 << n_inputs, 1.0 / 3.0)
             p[0] = 2.0 / 3.0
-        on, off = _packed_vs_reference(costs, p, n_inputs, 3, 3, seed=9)
+        on, off = _production_vs_reference(costs, p, n_inputs, 3, 3, seed=9)
         for a, b in zip(on, off):
             _same_result(a, b)
 
@@ -138,7 +138,7 @@ class TestWeightedEligibility:
         costs = _integer_costs(6, seed=3)
         p = np.full(64, 1.0 / 3.0)
         p[0] = 2.0 / 3.0
-        assert not ofp._packed_eligible(costs, p)
+        assert not ofp._exact_tier(costs, p)
 
     def test_weighted_overflow_is_refused(self):
         """Weights whose *scaled* total leaves 2**52 bail out.
@@ -150,18 +150,18 @@ class TestWeightedEligibility:
         costs = _integer_costs(6, seed=4)
         p = np.full(64, 2.0**50 + 1.0)
         p[0] = 2.0**50 + 3.0  # non-constant: takes the weighted path
-        assert not ofp._packed_eligible(costs, p)
+        assert not ofp._exact_tier(costs, p)
 
     def test_power_of_two_magnitudes_stay_eligible(self):
         """Huge but dyadic-unit weights are exact in scaled units."""
         costs = _integer_costs(6, seed=4)
         p = np.full(64, float(1 << 50))
         p[0] = float(1 << 51)
-        assert ofp._packed_eligible(costs, p)
+        assert ofp._exact_tier(costs, p)
 
     def test_uniform_stays_eligible_via_closed_form(self):
         costs = _integer_costs(8, seed=5)
-        assert ofp._packed_eligible(costs, distributions.uniform(8))
+        assert ofp._exact_tier(costs, distributions.uniform(8))
 
 
 class TestWeightPlanes:

@@ -166,14 +166,20 @@ class TestMonotoneAlternation:
         n, partition, costs, p, z, seed = instance
         rng = np.random.default_rng(seed)
         d0, d1 = _kernel._cost_matrices(costs, p, partition, n)
+        d0, d1 = d0[None], d1[None]
+        sums = _kernel._row_sums(d0, d1)
         patterns = rng.integers(
-            0, 2, size=(z, partition.n_cols), dtype=np.uint8
+            0, 2, size=(1, z, partition.n_cols), dtype=np.uint8
         )
-        types, totals = _kernel._optimal_types(d0, d1, patterns)
+        types, totals = _kernel._optimal_types_core(d0, d1, patterns, *sums)
         previous = totals
         for _ in range(6):
-            patterns, after_patterns = _kernel._optimal_patterns(d0, d1, types)
+            patterns, after_patterns = _kernel._optimal_patterns_core(
+                d0, d1, types, *sums
+            )
             assert np.all(after_patterns <= previous + _TOL)
-            types, after_types = _kernel._optimal_types(d0, d1, patterns)
+            types, after_types = _kernel._optimal_types_core(
+                d0, d1, patterns, *sums
+            )
             assert np.all(after_types <= after_patterns + _TOL)
             previous = after_types

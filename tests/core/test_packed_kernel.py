@@ -1,37 +1,48 @@
-"""Differential harness for the bit-packed OptForPart kernel tier.
+"""Differential harness for the exact sweep and its exactness gate.
 
-The packed sweep restructures the kernel's arithmetic (diff-matrix
-matmuls, offset bincounts, half-scaled sign products) and is only
-engaged when the dyadic-exactness gate proves every intermediate float
-exactly representable.  Under the gate the tier must be *byte-exact*:
-every error, pattern byte, type byte and consumed rng draw identical
-to the reference sweep with packing disabled.  These tests pin that
+Production runs the exact sweep — restructured arithmetic (diff-matrix
+matmuls, relative row costs, half-scaled sign products) — on every
+instance the dyadic-exactness gate admits, and the serial reference
+elsewhere.  Under the gate the sweep must be *byte-exact*: every error,
+pattern byte, type byte and consumed rng draw identical to the
+reference (``caching.fast_paths(False)``).  These tests pin that
 contract at three levels — single kernel calls across sweep budgets,
-full algorithm runs across all three architectures, and packed
-shared-memory arena pages — plus the gate itself.
+full algorithm runs across all three architectures, and gate-rejected
+batches — plus the gate itself, hardest at its boundaries, and the
+packed shared-memory arena pages.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro import caching
+from repro import caching, workloads
 from repro.boolean import random_partition
 from repro.core import (
     AlgorithmConfig,
+    BitCosts,
     cost_vectors_fixed,
     memo_context,
     opt_for_part,
     opt_for_part_bto,
     opt_for_part_many,
+    rest_word,
     run_bssa,
     run_dalta,
 )
+from repro.core.cost import apply_objective
+from repro.core.opt_for_part import KernelRequest, opt_for_part_grouped
+from repro.experiments.distribution_study import DISTRIBUTIONS, _make_distribution
 from repro.metrics import distributions
 
 from ..conftest import random_bits, random_function
 from .test_fast_paths import _run_fingerprint, _same_result
+from .test_fusion import _production_vs_reference
+
+ofp = importlib.import_module("repro.core.opt_for_part")
 
 
 @pytest.fixture(autouse=True)
@@ -49,84 +60,249 @@ def _uniform_instance(n_inputs, seed):
     return costs, distributions.uniform(n_inputs)
 
 
-def _kernel():
-    import importlib
-
-    # the package re-exports the function under the module's name
-    return importlib.import_module("repro.core.opt_for_part")
-
-
 class TestEligibilityGate:
     def test_uniform_integer_instance_is_eligible(self):
         costs, p = _uniform_instance(8, seed=0)
-        assert _kernel()._packed_eligible(costs, p)
+        assert ofp._exact_tier(costs, p) is not None
 
     def test_non_uniform_distribution_is_rejected(self):
         costs, _ = _uniform_instance(6, seed=1)
         raw = np.random.default_rng(1).random(1 << 6) + 1e-3
-        assert not _kernel()._packed_eligible(costs, raw / raw.sum())
+        assert ofp._exact_tier(costs, raw / raw.sum()) is None
 
     def test_fractional_costs_are_rejected(self):
         costs, p = _uniform_instance(5, seed=2)
-        fractional = type(costs)(costs.k, costs.cost0 + 0.5, costs.cost1)
-        assert not _kernel()._packed_eligible(fractional, p)
+        fractional = BitCosts(costs.k, costs.cost0 + 0.5, costs.cost1)
+        assert ofp._exact_tier(fractional, p) is None
 
     def test_negative_costs_are_rejected(self):
         costs, p = _uniform_instance(5, seed=3)
-        negative = type(costs)(costs.k, costs.cost0 - 1.0, costs.cost1)
-        assert not _kernel()._packed_eligible(negative, p)
+        negative = BitCosts(costs.k, costs.cost0 - 1.0, costs.cost1)
+        assert ofp._exact_tier(negative, p) is None
 
     def test_magnitude_overflow_is_rejected(self):
         """Sums that could leave the exact-integer float range bail out."""
         costs, p = _uniform_instance(5, seed=4)
-        huge = type(costs)(costs.k, costs.cost0 + 2.0**53, costs.cost1)
-        assert not _kernel()._packed_eligible(huge, p)
+        huge = BitCosts(costs.k, costs.cost0 + 2.0**53, costs.cost1)
+        assert ofp._exact_tier(huge, p) is None
 
     def test_empty_distribution_is_rejected(self):
         costs, _ = _uniform_instance(4, seed=5)
-        assert not _kernel()._packed_eligible(costs, np.empty(0))
-
-    def test_switch_nests_under_fast_paths(self):
-        """REPRO_FAST_PATHS=0 must also disable the packed tier."""
-        assert caching.packed_kernel_enabled()
-        with caching.packed_kernel(False):
-            assert not caching.packed_kernel_enabled()
-        with caching.fast_paths(False):
-            assert not caching.packed_kernel_enabled()
-        assert caching.packed_kernel_enabled()
+        assert ofp._exact_tier(costs, np.empty(0)) is None
 
     def test_memo_caches_the_verdict(self):
         costs, p = _uniform_instance(7, seed=6)
         memo = memo_context(costs, p)
-        assert memo.packed_ok is None
-        assert _kernel()._packed_engaged(costs, p, memo)
-        assert memo.packed_ok is True
+        assert not memo.gated
+        assert ofp._engaged_tier(costs, p, memo)
+        assert memo.gated and memo.tier == ofp._exact_tier(costs, p)
         # a cached verdict short-circuits the array scans entirely
-        assert _kernel()._packed_engaged(costs, p, memo)
+        assert ofp._engaged_tier(costs, p, memo)
+
+    def test_fast_paths_off_engages_nothing(self):
+        costs, p = _uniform_instance(7, seed=6)
+        with caching.fast_paths(False):
+            assert ofp._engaged_tier(costs, p) is None
+
+
+# ----------------------------------------------------------------------
+# The gate at its boundaries.  Each case fixes the exact integer total
+# T = sum_i (cost0_i + cost1_i) * w_i and the dyadic unit U of
+# p_i = w_i * 2**U; a case runs with one constant weight (the protocol
+# default, the gate's closed form) and with alternating weights 1 and 2
+# (the gate's weighted popcounts).
+# ----------------------------------------------------------------------
+
+_N = 4
+
+
+def _instance(total, weights, unit=0, seed=0):
+    """Integer costs over ``2**_N`` entries whose exact T is ``total``.
+
+    ``weights[0]`` must be 1: entry 0 absorbs the remainder.
+    """
+    rng = np.random.default_rng(seed)
+    w = np.resize(np.asarray(weights, dtype=np.int64), 1 << _N)
+    assert w[0] == 1
+    comb = np.zeros(1 << _N, dtype=np.int64)
+    comb[1:] = rng.integers(0, 1 + total // (4 * int(w.sum())), size=(1 << _N) - 1)
+    comb[0] = total - int((comb[1:] * w[1:]).sum())
+    cost1 = (comb * rng.random(1 << _N)).astype(np.int64)
+    costs = BitCosts(0, (comb - cost1).astype(np.float64), cost1.astype(np.float64))
+    return costs, np.ldexp(w.astype(np.float64), unit)
+
+
+_WEIGHTS = {"constant": (1,), "weighted": (1, 2)}
+
+_BOUNDARIES = [
+    # (T, U, tier)
+    ((1 << 24) - 1, 0, "f32"),
+    (1 << 24, 0, "f64"),
+    (1000, -37, "f32"),
+    (1000, -38, "f64"),
+    ((1 << 52) - 1, 0, "f64"),
+    (1 << 52, 0, None),
+]
+
+
+def _same_as_reference(costs, p, seed=3):
+    on, off = _production_vs_reference(costs, p, _N, 2, 3, seed=seed)
+    for a, b in zip(on, off):
+        _same_result(a, b)
+
+
+class TestGateBoundaries:
+    @pytest.mark.parametrize("shape", sorted(_WEIGHTS))
+    @pytest.mark.parametrize("total,unit,tier", _BOUNDARIES)
+    def test_total_and_unit_boundaries(self, shape, total, unit, tier):
+        costs, p = _instance(total, _WEIGHTS[shape], unit)
+        assert ofp._exact_tier(costs, p) == tier
+        _same_as_reference(costs, p)
+
+    @pytest.mark.parametrize(
+        "p0,tier",
+        [
+            (1.0 - 2.0**-53, None),  # odd part 2**53 - 1: T >= 2**52
+            (1.0 - 2.0**-52, "f64"),  # odd part 2**52 - 1: T < 2**52
+        ],
+    )
+    def test_constant_weight_bit_budget(self, p0, tier):
+        cost0 = np.zeros(1 << _N)
+        cost0[5] = 1.0
+        costs = BitCosts(0, cost0, np.zeros(1 << _N))
+        assert ofp._exact_tier(costs, np.full(1 << _N, p0)) == tier
+        _same_as_reference(costs, np.full(1 << _N, p0))
+
+    @pytest.mark.parametrize(
+        "small,tier",
+        [
+            (2.0**-51, None),  # 3 on a 2**-51 unit: 3 * 2**51 needs 53 bits
+            (2.0**-50, "f64"),  # 3 * 2**50 needs 52 bits
+        ],
+    )
+    def test_common_unit_bit_budget(self, small, tier):
+        p = np.resize([3.0, small], 1 << _N)
+        cost0 = np.zeros(1 << _N)
+        cost0[:2] = [1.0, 5.0]
+        costs = BitCosts(0, cost0, np.zeros(1 << _N))
+        assert ofp._exact_tier(costs, p) == tier
+        _same_as_reference(costs, p)
+
+    def test_zero_weight_supports_are_ignored(self):
+        """Huge costs at p = 0 and 1/3 at zero cost never reach T."""
+        p = np.resize([0.5, 0.0, 0.25, 1.0 / 3.0], 1 << _N)
+        cost0 = np.resize([3.0, 2.0**60, 1.0, 0.0], 1 << _N)
+        cost1 = np.resize([1.0, 0.0, 4.0, 0.0], 1 << _N)
+        costs = BitCosts(0, cost0, cost1)
+        assert ofp._exact_tier(costs, p) == "f32"
+        _same_as_reference(costs, p)
+
+    @pytest.mark.parametrize("p0", [1.0 / 3.0, 0.0])
+    def test_all_zero_support_is_exact(self, p0):
+        rng = np.random.default_rng(7)
+        if p0:
+            # no cost at all: every product is 0.0 whatever p is
+            costs = BitCosts(0, np.zeros(1 << _N), np.zeros(1 << _N))
+            p = np.full(1 << _N, p0)
+        else:
+            costs = BitCosts(
+                0,
+                rng.integers(0, 9, 1 << _N).astype(np.float64),
+                rng.integers(0, 9, 1 << _N).astype(np.float64),
+            )
+            p = np.zeros(1 << _N)
+        assert ofp._exact_tier(costs, p) == "f32"
+        _same_as_reference(costs, p)
+
+    @pytest.mark.parametrize("shape", sorted(_WEIGHTS))
+    @pytest.mark.parametrize(
+        "bad", ["fractional", "negative", "nan", "inf"]
+    )
+    def test_rejects_non_integer_or_negative_costs(self, shape, bad):
+        costs, p = _instance(1000, _WEIGHTS[shape])
+        cost0 = costs.cost0.copy()
+        cost0[3] = {"fractional": cost0[3] + 0.5, "negative": -1.0,
+                    "nan": np.nan, "inf": np.inf}[bad]
+        assert ofp._exact_tier(BitCosts(0, cost0, costs.cost1), p) is None
+
+
+# ----------------------------------------------------------------------
+# The gate on real contexts: cos at 4-16 bits, every output bit's
+# fixed-rest cost vectors, both objectives, the three distributions of
+# the distribution study.  Verdicts are spelled one character per
+# output bit: "3" = f32, "6" = f64, "-" = reference.
+# ----------------------------------------------------------------------
+
+_VERDICTS = {
+    ("uniform", "med"): (
+        "3333", "33333", "333333", "3333333", "33333333", "333333333",
+        "3333333333", "33333333333", "333333333333", "3333333333366",
+        "33333333336666", "333333333666666", "3333333366666666",
+    ),
+    ("uniform", "mse"): (
+        "3333", "33333", "333333", "3333333", "33333333", "333333336",
+        "3333333666", "33333336666", "333333666666", "3333336666666",
+        "33333666666666", "333336666666666", "3333666666666666",
+    ),
+    ("sparse-bits", "med"): (
+        "3333", "33333", "333333", "3333333", "33333333", "333333666",
+        "3333666666", "33666666666", "666666666666", "6666666666666",
+        "66666666666666", "666666666666666", "6666666666666666",
+    ),
+    ("sparse-bits", "mse"): (
+        "3333", "33333", "333333", "3333366", "33336666", "333666666",
+        "3366666666", "36666666666", "666666666666", "6666666666666",
+        "666666666666--", "66666666666----", "6666666666------",
+    ),
+}
+
+
+class TestGateVerdicts:
+    @pytest.mark.parametrize("objective", ["med", "mse"])
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_expected_tiers(self, distribution, objective):
+        code = {"f32": "3", "f64": "6", None: "-"}
+        for index, n_inputs in enumerate(range(4, 17)):
+            target = workloads.get("cos", n_inputs)
+            p = _make_distribution(distribution, n_inputs)
+            spelled = "".join(
+                code[ofp._exact_tier(
+                    apply_objective(
+                        cost_vectors_fixed(target, rest_word(target.table, k), k),
+                        objective,
+                    ),
+                    p,
+                )]
+                for k in range(target.n_outputs)
+            )
+            expected = _VERDICTS.get(
+                (distribution, objective), ("-" * 16,) * 13
+            )[index][:n_inputs]
+            assert spelled == expected, n_inputs
 
 
 class TestKernelByteIdentity:
-    """Packed on vs off: identical bytes out, identical rng stream."""
+    """Production vs reference: identical bytes out, identical rng stream."""
 
     @pytest.mark.parametrize("max_sweeps", [1, 2, 50])
     @pytest.mark.parametrize("n_inputs,bound", [(6, 3), (9, 4), (10, 6)])
     def test_single_call(self, n_inputs, bound, max_sweeps):
         costs, p = _uniform_instance(n_inputs, seed=17)
         partition = random_partition(n_inputs, bound, np.random.default_rng(3))
-        rng_packed = np.random.default_rng(23)
+        rng_exact = np.random.default_rng(23)
         rng_ref = np.random.default_rng(23)
-        with caching.packed_kernel(True):
-            packed = opt_for_part(
+        with caching.fast_paths(True):
+            exact = opt_for_part(
                 costs, p, partition, n_inputs,
-                n_initial_patterns=6, max_sweeps=max_sweeps, rng=rng_packed,
+                n_initial_patterns=6, max_sweeps=max_sweeps, rng=rng_exact,
             )
-        with caching.packed_kernel(False):
+        with caching.fast_paths(False):
             reference = opt_for_part(
                 costs, p, partition, n_inputs,
                 n_initial_patterns=6, max_sweeps=max_sweeps, rng=rng_ref,
             )
-        _same_result(packed, reference)
-        assert rng_packed.bit_generator.state == rng_ref.bit_generator.state
+        _same_result(exact, reference)
+        assert rng_exact.bit_generator.state == rng_ref.bit_generator.state
 
     @pytest.mark.parametrize("count", [1, 9, 70])
     def test_batched_calls(self, count):
@@ -134,53 +310,53 @@ class TestKernelByteIdentity:
         costs, p = _uniform_instance(9, seed=29)
         sample_rng = np.random.default_rng(11)
         partitions = [random_partition(9, 4, sample_rng) for _ in range(count)]
-        rng_packed = np.random.default_rng(31)
+        rng_exact = np.random.default_rng(31)
         rng_ref = np.random.default_rng(31)
-        with caching.packed_kernel(True):
-            packed = opt_for_part_many(
-                costs, p, partitions, 9, n_initial_patterns=5, rng=rng_packed
+        with caching.fast_paths(True):
+            exact = opt_for_part_many(
+                costs, p, partitions, 9, n_initial_patterns=5, rng=rng_exact
             )
-        with caching.packed_kernel(False):
+        with caching.fast_paths(False):
             reference = opt_for_part_many(
                 costs, p, partitions, 9, n_initial_patterns=5, rng=rng_ref
             )
-        for a, b in zip(packed, reference):
+        for a, b in zip(exact, reference):
             _same_result(a, b)
-        assert rng_packed.bit_generator.state == rng_ref.bit_generator.state
+        assert rng_exact.bit_generator.state == rng_ref.bit_generator.state
 
     def test_bto_variant(self):
         costs, p = _uniform_instance(8, seed=37)
         partition = random_partition(8, 4, np.random.default_rng(5))
-        with caching.packed_kernel(True):
-            packed = opt_for_part_bto(costs, p, partition, 8)
-        with caching.packed_kernel(False):
+        with caching.fast_paths(True):
+            exact = opt_for_part_bto(costs, p, partition, 8)
+        with caching.fast_paths(False):
             reference = opt_for_part_bto(costs, p, partition, 8)
-        _same_result(packed, reference)
+        _same_result(exact, reference)
 
     def test_ineligible_instance_falls_back(self):
-        """Non-uniform p runs the reference sweep even with packing on."""
+        """Non-uniform p runs the reference in production too."""
         rng = np.random.default_rng(41)
         bits = random_bits(7, rng)
         costs = cost_vectors_fixed(bits, np.zeros_like(bits), 0)
         raw = rng.random(1 << 7) + 1e-3
         p = raw / raw.sum()
         partition = random_partition(7, 3, np.random.default_rng(2))
-        with caching.packed_kernel(True):
+        with caching.fast_paths(True):
             on = opt_for_part(
                 costs, p, partition, 7, rng=np.random.default_rng(9)
             )
-        with caching.packed_kernel(False):
+        with caching.fast_paths(False):
             off = opt_for_part(
                 costs, p, partition, 7, rng=np.random.default_rng(9)
             )
         _same_result(on, off)
 
     def test_memoised_result_matches_reference(self):
-        """A memo warmed under packing replays reference-identical bytes."""
+        """A memo warmed in production replays reference-identical bytes."""
         costs, p = _uniform_instance(8, seed=43)
         partition = random_partition(8, 4, np.random.default_rng(7))
         memo = memo_context(costs, p)
-        with caching.packed_kernel(True):
+        with caching.fast_paths(True):
             first = opt_for_part(
                 costs, p, partition, 8, rng=np.random.default_rng(1), memo=memo
             )
@@ -195,9 +371,52 @@ class TestKernelByteIdentity:
         _same_result(first, replay)
         _same_result(first, reference)
 
+    def test_rejected_batch_wider_than_chunk_loops_the_reference(self):
+        """A gate-rejected batch past _BATCH_LIMIT equals serial reference calls."""
+        n_inputs, count, z = 9, ofp._BATCH_LIMIT + 6, 5
+        costs, _ = _uniform_instance(n_inputs, seed=47)
+        p = distributions.truncated_gaussian(n_inputs, mean=0.45, std=0.2)
+        assert ofp._exact_tier(costs, p) is None
+        sample = np.random.default_rng(13)
+        partitions = [random_partition(n_inputs, 4, sample) for _ in range(count)]
+        with caching.fast_paths(False):
+            rng = np.random.default_rng(17)
+            reference = [
+                opt_for_part(
+                    costs, p, partition, n_inputs, n_initial_patterns=z, rng=rng
+                )
+                for partition in partitions
+            ]
+        draw = np.random.default_rng(17)
+        stacked = np.stack(
+            [
+                draw.integers(0, 2, size=(z, partition.n_cols), dtype=np.uint8)
+                for partition in partitions
+            ]
+        )
+        with caching.fast_paths(True):
+            many = opt_for_part_many(
+                costs, p, partitions, n_inputs, initial_patterns=stacked
+            )
+            caching.clear_caches()
+            half = count // 2
+            grouped = opt_for_part_grouped(
+                [
+                    KernelRequest(
+                        costs, p, partitions[:half], n_inputs, stacked[:half]
+                    ),
+                    KernelRequest(
+                        costs, p, partitions[half:], n_inputs, stacked[half:]
+                    ),
+                ]
+            )
+        for a, b, c in zip(many, grouped[0] + grouped[1], reference):
+            _same_result(a, c)
+            _same_result(b, c)
+
 
 class TestPipelineByteIdentity:
-    """Full protocol runs are byte-identical with the packed tier on/off."""
+    """Full protocol runs are byte-identical in production and reference."""
 
     CONFIG = AlgorithmConfig(
         bound_size=4,
@@ -209,10 +428,10 @@ class TestPipelineByteIdentity:
         nd_candidates=2,
     )
 
-    def _run(self, algorithm, architecture, packed):
+    def _run(self, algorithm, architecture, production):
         rng = np.random.default_rng(2024)
         target = random_function(8, 4, np.random.default_rng(77), name="t")
-        with caching.packed_kernel(packed):
+        with caching.fast_paths(production):
             caching.clear_caches()
             if algorithm == "dalta":
                 return run_dalta(target, self.CONFIG, rng=rng)
@@ -230,9 +449,9 @@ class TestPipelineByteIdentity:
         ],
     )
     def test_packed_tier_does_not_change_results(self, algorithm, architecture):
-        packed = self._run(algorithm, architecture, packed=True)
-        reference = self._run(algorithm, architecture, packed=False)
-        assert _run_fingerprint(packed) == _run_fingerprint(reference)
+        exact = self._run(algorithm, architecture, production=True)
+        reference = self._run(algorithm, architecture, production=False)
+        assert _run_fingerprint(exact) == _run_fingerprint(reference)
 
 
 class TestArenaPackedPages:
@@ -245,8 +464,7 @@ class TestArenaPackedPages:
             table = np.random.default_rng(0).integers(
                 0, 1 << 12, size=1 << 12, dtype=np.int64
             )
-            with caching.packed_kernel(True):
-                ref = arena.publish(table)
+            ref = arena.publish(table)
             assert "packed" in ref
             view = pool_mod._table_view(segments, tables, ref)
             assert view.dtype == table.dtype
@@ -266,25 +484,11 @@ class TestArenaPackedPages:
         arena = pool_mod.TableArena()
         try:
             table = np.arange(1 << 12, dtype=np.int64)
-            with caching.packed_kernel(True):
-                ref = arena.publish(table)
-                again = arena.publish(table.copy())
+            ref = arena.publish(table)
+            again = arena.publish(table.copy())
             assert arena.bytes * 5 < table.nbytes
             # content addressing keys the *raw* bytes: idempotent publish
             assert again["name"] == ref["name"] and len(arena) == 1
-        finally:
-            arena.close()
-
-    def test_disabled_tier_publishes_raw_pages(self):
-        from repro.experiments import pool as pool_mod
-
-        arena = pool_mod.TableArena()
-        try:
-            table = np.arange(64, dtype=np.int64)
-            with caching.packed_kernel(False):
-                ref = arena.publish(table)
-            assert "packed" not in ref
-            assert arena.bytes == table.nbytes
         finally:
             arena.close()
 
@@ -294,8 +498,7 @@ class TestArenaPackedPages:
         arena = pool_mod.TableArena()
         try:
             table = np.arange(-32, 32, dtype=np.int64)
-            with caching.packed_kernel(True):
-                ref = arena.publish(table)
+            ref = arena.publish(table)
             assert "packed" not in ref
         finally:
             arena.close()

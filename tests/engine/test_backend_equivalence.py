@@ -9,11 +9,12 @@ acceptance test of the warm-pool backend: persistent workers, the
 shared-memory table transport, and the campaign-shared OptForPart memo
 may change *when* things are computed, never *what*.
 
-The packed-kernel tier adds a second axis: every backend must produce
-the same bytes whether ``REPRO_PACKED_KERNEL`` is on (the default,
-exercised by the suite above) or off — including a chaos-marked
-SIGKILL-and-resume with packing enabled, whose resumed results must
-match a fault-free run with packing *disabled*.
+The kernel implementation adds a second axis: every backend must
+produce the same bytes whether ``REPRO_FAST_PATHS`` is on (production:
+the exact sweep, the default exercised by the suite above) or off (the
+serial reference) — including a chaos-marked SIGKILL-and-resume in
+production, whose resumed results must match a fault-free run of the
+reference.
 """
 
 import json
@@ -138,26 +139,26 @@ class TestBackendEquivalence:
 
 
 class TestPackedKernelAxis:
-    """The backend grid crossed with the packed-kernel switch.
+    """The backend grid crossed with the fast-path switch.
 
-    The suite above runs every backend with the packed tier on (its
-    default); here the same campaign runs with ``REPRO_PACKED_KERNEL=0``
-    — in-process for the serial reference, via the inherited
-    environment for spawn/pool workers — and each cell must still be
-    byte-identical to the packed-on serial run.
+    The suite above runs every backend in production (the exact sweep,
+    its default); here the same campaign runs with
+    ``REPRO_FAST_PATHS=0`` — in-process for the serial run, via the
+    inherited environment for spawn/pool workers — and each cell must
+    still be byte-identical to the production serial run.
     """
 
     def test_packed_off_backends_match_packed_on_serial(
         self, tmp_path, monkeypatch
     ):
-        with caching.packed_kernel(True):
+        with caching.fast_paths(True):
             caching.clear_caches()
-            packed_on = run_table2(
+            production = run_table2(
                 ExperimentScale.smoke(), base_seed=_BASE_SEED
             )
 
-        monkeypatch.setenv("REPRO_PACKED_KERNEL", "0")
-        with caching.packed_kernel(False):
+        monkeypatch.setenv("REPRO_FAST_PATHS", "0")
+        with caching.fast_paths(False):
             caching.clear_caches()
             serial_off = run_table2(
                 ExperimentScale.smoke(), base_seed=_BASE_SEED
@@ -178,12 +179,12 @@ class TestPackedKernelAxis:
 
         blobs = [
             json.dumps(_strip_times(result.as_dict()), sort_keys=True)
-            for result in (packed_on, serial_off, spawn_off, pool_off, warm_off)
+            for result in (production, serial_off, spawn_off, pool_off, warm_off)
         ]
-        assert blobs[0] == blobs[1], "packed tier changed serial results"
-        assert blobs[1] == blobs[2], "packed-off spawn diverged from serial"
-        assert blobs[2] == blobs[3], "packed-off pool diverged from spawn"
-        assert blobs[3] == blobs[4], "packed-off warm memo changed results"
+        assert blobs[0] == blobs[1], "exact sweep changed serial results"
+        assert blobs[1] == blobs[2], "reference spawn diverged from serial"
+        assert blobs[2] == blobs[3], "reference pool diverged from spawn"
+        assert blobs[3] == blobs[4], "reference warm memo changed results"
 
 
 _SRC = os.path.join(
@@ -202,14 +203,14 @@ run_experiment_campaign("table2", "smoke", {seed}, campaign_dir=sys.argv[1])
 
 @pytest.mark.chaos
 class TestPackedKillResume:
-    """SIGKILL mid-campaign with packing on; resume; compare to packed-off.
+    """SIGKILL mid-campaign in production; resume; compare to the reference.
 
-    The strongest cross-check of the tier: a campaign killed at a job
-    boundary *with the packed kernel engaged*, resumed from its
-    checkpoints (still packed), must reproduce — byte for byte — the
-    MEDs of an uninterrupted campaign that never ran packed code at
-    all.  Any drift in the packed sweep, the checkpoint payloads, or
-    the resume accounting shows up as a diff here.
+    The strongest cross-check of the exact sweep: a campaign killed at
+    a job boundary *with the exact sweep engaged*, resumed from its
+    checkpoints (still in production), must reproduce — byte for byte —
+    the MEDs of an uninterrupted campaign that only ever ran the
+    reference.  Any drift in the exact sweep, the checkpoint payloads,
+    or the resume accounting shows up as a diff here.
     """
 
     def test_resumed_packed_campaign_matches_packed_off_run(self, tmp_path):
@@ -217,7 +218,7 @@ class TestPackedKillResume:
         env = dict(os.environ)
         env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
         env[ENV_VAR] = f"abort@{_KILL_AFTER_JOB}"
-        env["REPRO_PACKED_KERNEL"] = "1"
+        env["REPRO_FAST_PATHS"] = "1"
         proc = subprocess.run(
             [sys.executable, "-c", _CHILD.format(seed=_BASE_SEED), campaign_dir],
             env=env,
@@ -228,13 +229,13 @@ class TestPackedKillResume:
         status = campaign_status(campaign_dir)
         assert len(status.done) == _KILL_AFTER_JOB + 1
 
-        with caching.packed_kernel(True):
+        with caching.fast_paths(True):
             caching.clear_caches()
             result, outcome = resume_campaign(campaign_dir, faults=FaultPlan())
         assert outcome.complete
         assert outcome.resumed == _KILL_AFTER_JOB + 1
 
-        with caching.packed_kernel(False):
+        with caching.fast_paths(False):
             caching.clear_caches()
             reference = run_table2(
                 ExperimentScale.smoke(), base_seed=_BASE_SEED
