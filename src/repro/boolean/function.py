@@ -184,17 +184,10 @@ class BooleanFunction:
         The returned function has ``n - 1`` inputs; the remaining
         variables keep their relative order and are re-indexed densely.
         """
-        if not 0 <= variable < self.n_inputs:
-            raise ValueError(f"variable {variable} out of range")
-        if value not in (0, 1):
-            raise ValueError(f"value must be 0 or 1, got {value}")
-        keep = [i for i in range(self.n_inputs) if i != variable]
-        reduced = ops.all_inputs(self.n_inputs - 1)
-        full = ops.deposit_bits(reduced, keep) | (value << variable)
         return BooleanFunction(
             self.n_inputs - 1,
             self.n_outputs,
-            self.table[full],
+            ops.cofactor(self.table, self.n_inputs, {variable: value}),
             name=f"{self.name}|x{variable + 1}={value}",
         )
 

@@ -8,7 +8,7 @@ word corresponds to the paper's variable :math:`x_{i+1}` / output bit
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -16,6 +16,7 @@ __all__ = [
     "all_inputs",
     "bit_of",
     "bits_to_words",
+    "cofactor",
     "extract_bits",
     "deposit_bits",
     "parity",
@@ -85,6 +86,37 @@ def deposit_bits(packed: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     for i, pos in enumerate(positions):
         out |= ((packed >> i) & 1) << pos
     return out
+
+
+def cofactor(
+    values: np.ndarray, n_inputs: int, fixed: Mapping[int, int]
+) -> np.ndarray:
+    """Restrict a per-input vector to the inputs with ``fixed`` bits set.
+
+    ``values[x]`` belongs to input word ``x`` over ``n_inputs`` bits;
+    ``fixed`` maps bit positions to their 0/1 values.  The result is a
+    contiguous copy over the ``2**(n - len(fixed))`` reduced words, the
+    remaining bits re-packed densely in their original order: entry
+    ``r`` is ``values[deposit_bits(r, kept) | fixed word]``.  Viewing
+    the vector as a ``(2,) * n`` array (bit ``i`` on axis ``n-1-i``)
+    makes this a basic slice instead of a scatter plus a gather.
+    """
+    values = np.asarray(values)
+    if values.shape != (1 << n_inputs,):
+        raise ValueError(
+            f"vector has shape {values.shape}, expected ({1 << n_inputs},)"
+        )
+    index = [slice(None)] * n_inputs
+    for bit, value in fixed.items():
+        bit = int(bit)
+        if not 0 <= bit < n_inputs:
+            raise ValueError(f"bit {bit} out of range for {n_inputs} inputs")
+        if not isinstance(index[n_inputs - 1 - bit], slice):
+            raise ValueError(f"bit {bit} fixed twice")
+        if value not in (0, 1):
+            raise ValueError(f"bit {bit} fixed to {value!r}, expected 0 or 1")
+        index[n_inputs - 1 - bit] = int(value)
+    return values.reshape((2,) * n_inputs)[tuple(index)].flatten()
 
 
 def words_to_bits(words: np.ndarray, n_bits: int) -> np.ndarray:

@@ -47,7 +47,7 @@ from .opt_for_part import (
     opt_for_part_many,
 )
 from .result import ApproximationResult, SearchStats
-from .settings import Setting, SettingSequence
+from .settings import Setting, SettingBits, SettingSequence
 
 __all__ = ["find_best_settings", "run_bssa", "FindBestSettingsResult"]
 
@@ -467,6 +467,8 @@ def run_bssa(
     stats = SearchStats()
     m = target.n_outputs
     history: List[float] = []
+    # every setting's truth table is evaluated once per run
+    bits = SettingBits(target.n_inputs)
 
     with obs.span(
         "bssa.run",
@@ -487,7 +489,7 @@ def run_bssa(
             with obs.span("bssa.beam_round", bit=k, beam=len(beams)):
                 pool: List[Tuple[float, SettingSequence]] = []
                 for _, sequence in beams:
-                    msb = sequence.msb_word(target, k)
+                    msb = sequence.msb_word(target, k, bits)
                     if lsb_model == "predictive":
                         costs = cost_vectors_predictive(target, msb, k)
                         obs.incr("bssa.predictive_model_calls")
@@ -508,7 +510,7 @@ def run_bssa(
                 pool.sort(key=lambda item: item[0])
                 beams = pool[: config.n_beam]
         best_sequence = beams[0][1]
-        history.append(best_sequence.med(target, p))
+        history.append(best_sequence.med(target, p, bits))
 
         # --------------------------------------------------------------
         # Later rounds (lines 11-15): greedy refinement in the fixed
@@ -521,7 +523,7 @@ def run_bssa(
             with obs.span("bssa.refine_round", round=round_index + 2):
                 for k in range(m - 1, -1, -1):
                     with obs.span("bssa.refine_bit", bit=k):
-                        rest = best_sequence.rest_word(target, k)
+                        rest = best_sequence.rest_word(target, k, bits)
                         costs = apply_objective(
                             cost_vectors_fixed(target, rest, k), config.objective
                         )
@@ -543,9 +545,7 @@ def run_bssa(
                         if config.monotone_rounds and current is not None:
                             # Re-evaluate the incumbent in the *current*
                             # context so the comparison is apples-to-apples.
-                            incumbent_error = costs.evaluate(
-                                current.decomposition.evaluate(target.n_inputs), p
-                            )
+                            incumbent_error = costs.evaluate(bits(current), p)
                             if (
                                 incumbent_error <= normal.error
                                 and current.mode == "normal"
@@ -569,14 +569,14 @@ def run_bssa(
                             normal, found.bto, nd, config, architecture
                         )
                         best_sequence = best_sequence.replace(k, chosen)
-            history.append(best_sequence.med(target, p))
+            history.append(best_sequence.med(target, p, bits))
 
     elapsed = time.perf_counter() - start
     return ApproximationResult(
         algorithm="bs-sa" if architecture == "normal" else f"bs-sa/{architecture}",
         target=target,
         sequence=best_sequence,
-        med=best_sequence.med(target, p),
+        med=best_sequence.med(target, p, bits),
         elapsed_seconds=elapsed,
         stats=stats,
         round_history=history,

@@ -23,7 +23,7 @@ from .config import AlgorithmConfig
 from .cost import apply_objective, cost_vectors_fixed
 from .opt_for_part import memo_context, opt_for_part, opt_for_part_many
 from .result import ApproximationResult, SearchStats
-from .settings import Setting, SettingSequence
+from .settings import Setting, SettingBits, SettingSequence
 
 __all__ = ["run_dalta"]
 
@@ -63,6 +63,8 @@ def run_dalta(
     stats = SearchStats()
     sequence = SettingSequence(target.n_outputs)
     history = []
+    # every setting's truth table is evaluated once per run
+    bits = SettingBits(target.n_inputs)
     max_partitions = partition_count(target.n_inputs, config.bound_size)
 
     with obs.span(
@@ -78,7 +80,7 @@ def run_dalta(
                         # Fixed-context costs: unoptimised bits read as
                         # accurate (round 1), optimised bits as their
                         # latest versions.
-                        rest = sequence.rest_word(target, k)
+                        rest = sequence.rest_word(target, k, bits)
                         costs = apply_objective(
                             cost_vectors_fixed(target, rest, k),
                             config.objective,
@@ -167,14 +169,14 @@ def run_dalta(
                                     )
                         stats.partitions_visited += len(seen)
                         sequence = sequence.replace(k, best_setting)
-            history.append(sequence.med(target, p))
+            history.append(sequence.med(target, p, bits))
 
     elapsed = time.perf_counter() - start
     return ApproximationResult(
         algorithm="dalta",
         target=target,
         sequence=sequence,
-        med=sequence.med(target, p),
+        med=sequence.med(target, p, bits),
         elapsed_seconds=elapsed,
         stats=stats,
         round_history=history,

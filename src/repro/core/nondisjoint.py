@@ -15,7 +15,7 @@ enumerates every bound variable and keeps the best.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,24 +61,22 @@ def _reduced_partition(partition: Partition, shared: int) -> Partition:
 
 
 def _half_problem(
-    costs: BitCosts,
-    p: np.ndarray,
-    reduced_words: np.ndarray,
-    keep: List[int],
-    assignment: int,
+    costs: BitCosts, p: np.ndarray, n_inputs: int, fixed: Dict[int, int]
 ) -> Tuple[BitCosts, np.ndarray]:
     """Conditional cost vectors + weights for one shared-bit assignment.
 
-    ``assignment`` is the already-positioned shared-bit value (e.g.
-    ``j << shared``); the reduced input words are scattered over
-    ``keep`` and OR-ed with it, selecting the cofactor slice of the
-    cost vectors and the (unnormalised) conditional distribution.
-    Shared by the serial and fused candidate loops so both solve the
-    byte-identical half problems.
+    ``fixed`` maps each shared bit to its value; the cofactor slices of
+    the cost vectors and of the (unnormalised) conditional distribution
+    are indexed by the reduced input word.  Shared by the serial and
+    fused candidate loops so both solve the byte-identical half
+    problems.
     """
-    full = ops.deposit_bits(reduced_words, keep) | assignment
-    half_costs = BitCosts(costs.k, costs.cost0[full], costs.cost1[full])
-    weights = np.asarray(p, dtype=np.float64)[full]
+    half_costs = BitCosts(
+        costs.k,
+        ops.cofactor(costs.cost0, n_inputs, fixed),
+        ops.cofactor(costs.cost1, n_inputs, fixed),
+    )
+    weights = ops.cofactor(np.asarray(p, dtype=np.float64), n_inputs, fixed)
     return half_costs, weights
 
 
@@ -107,15 +105,11 @@ def optimize_nondisjoint_shared(
             "(removing the shared bit must leave a non-empty bound table)"
         )
     reduced = _reduced_partition(partition, shared)
-    keep = [i for i in range(n_inputs) if i != shared]
-    reduced_words = ops.all_inputs(n_inputs - 1)
 
     halves = []
     total_error = 0.0
     for j in (0, 1):
-        half_costs, weights = _half_problem(
-            costs, p, reduced_words, keep, j << shared
-        )
+        half_costs, weights = _half_problem(costs, p, n_inputs, {shared: j})
         result = opt_for_part(
             half_costs,
             weights,
@@ -210,22 +204,16 @@ def _optimize_nondisjoint_fused(
             raise ValueError(f"shared variable {shared} not in bound set")
     if n_initial_patterns < 1:
         raise ValueError("n_initial_patterns must be >= 1")
-    reduced_words = ops.all_inputs(n_inputs - 1)
     requests: List[KernelRequest] = []
-    reductions: List[Partition] = []
     for shared in candidates:
         reduced = _reduced_partition(partition, shared)
-        reductions.append(reduced)
-        keep = [i for i in range(n_inputs) if i != shared]
         for j in (0, 1):
             # the serial loop's opt_for_part draws happen candidate-
             # major, half-minor — replicate that exact stream here
             patterns = rng.integers(
                 0, 2, size=(n_initial_patterns, reduced.n_cols), dtype=np.uint8
             )
-            half_costs, weights = _half_problem(
-                costs, p, reduced_words, keep, j << shared
-            )
+            half_costs, weights = _half_problem(costs, p, n_inputs, {shared: j})
             requests.append(
                 KernelRequest(
                     half_costs, weights, [reduced], n_inputs - 1, patterns[None]
@@ -304,8 +292,10 @@ def optimize_multi_shared(
         tuple(shift(v) for v in partition.free),
         tuple(shift(v) for v in partition.bound if v not in shared_set),
     )
-    keep = [i for i in range(n_inputs) if i not in shared_set]
-    reduced_words = ops.all_inputs(n_inputs - len(shared))
+
+    def assignment(j: int) -> Dict[int, int]:
+        """Values of the shared bits in cofactor ``j`` (bit ``i`` -> ``shared[i]``)."""
+        return {bit: (j >> i) & 1 for i, bit in enumerate(shared)}
 
     patterns = []
     types = []
@@ -318,13 +308,10 @@ def optimize_multi_shared(
             raise ValueError("n_initial_patterns must be >= 1")
         requests = []
         for j in range(1 << len(shared)):
-            assignment = ops.deposit_bits(np.int64(j), shared)
             draw = rng.integers(
                 0, 2, size=(n_initial_patterns, reduced.n_cols), dtype=np.uint8
             )
-            half_costs, weights = _half_problem(
-                costs, p, reduced_words, keep, assignment
-            )
+            half_costs, weights = _half_problem(costs, p, n_inputs, assignment(j))
             requests.append(
                 KernelRequest(
                     half_costs,
@@ -349,10 +336,7 @@ def optimize_multi_shared(
         )
         return MultiSharedResult(total_error, decomposition)
     for j in range(1 << len(shared)):
-        assignment = ops.deposit_bits(np.int64(j), shared)
-        half_costs, weights = _half_problem(
-            costs, p, reduced_words, keep, assignment
-        )
+        half_costs, weights = _half_problem(costs, p, n_inputs, assignment(j))
         result = opt_for_part(
             half_costs,
             weights,

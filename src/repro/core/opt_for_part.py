@@ -373,11 +373,13 @@ def _exact_tier(costs: BitCosts, p: np.ndarray) -> Optional[str]:
     every partial sum the kernel (exact sweep *or* reference) can
     form: they lie in ``[-T, T]`` in units of ``2**U``, and the msign
     half-step's in ``[-T, T]`` in units of ``2**(U-1)``.  So
-    ``T < 2**52`` makes every intermediate an exact float64, and
-    ``T < 2**24`` with ``U >= -37`` an exact float32 — the bound on
-    ``U`` keeps the convergence test's ``1e-12`` slack resolving to
-    the same verdict in both precisions (totals are spaced ``2**U``
-    apart, far wider than the slack or either tier's rounding radius).
+    ``T < 2**52`` with ``U >= -1073`` makes every intermediate an exact
+    float64 (the half-step's unit ``2**(U-1)`` must itself be a float,
+    and the least subnormal is ``2**-1074``), and ``T < 2**24`` with
+    ``U >= -37`` an exact float32 — that bound on ``U`` keeps the
+    convergence test's ``1e-12`` slack resolving to the same verdict in
+    both precisions (totals are spaced ``2**U`` apart, far wider than
+    the slack or either tier's rounding radius).
     Under the gate the tier's arithmetic is exact in any association
     order, so the exact sweep is bit-identical to the reference.
 
@@ -458,6 +460,9 @@ def _exact_tier(costs: BitCosts, p: np.ndarray) -> Optional[str]:
         return None
     if total < (1 << 24) and unit >= -37:
         return "f32"
+    if unit < -1073:
+        # the half-step's unit 2**(U-1) is below the least subnormal
+        return None
     return "f64"
 
 

@@ -10,7 +10,7 @@ the active LSB model (predictive for BS-SA, accurate for DALTA).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ..boolean.decomposition import Decomposition
 from ..boolean.function import BooleanFunction
 from ..metrics import error as error_metrics
 
-__all__ = ["Setting", "SettingSequence"]
+__all__ = ["Setting", "SettingBits", "SettingSequence"]
 
 
 class Setting:
@@ -50,6 +50,36 @@ class Setting:
 
     def __repr__(self) -> str:
         return f"Setting(error={self.error:.4g}, mode={self.mode!r})"
+
+
+class SettingBits:
+    """Truth tables of settings, each evaluated at most once.
+
+    A search run owns one instance and hands it to the
+    :class:`SettingSequence` word builders, which otherwise evaluate
+    every set output bit on every call.  Tables are keyed by the
+    identity of the setting's decomposition, so a setting rebuilt
+    around an incumbent's decomposition shares its table; each entry
+    keeps its decomposition alive, so an id is never reused while it is
+    cached.  The tables live here, not on :class:`Setting`, so a
+    returned result holds none of them.  They are read-only.
+    """
+
+    __slots__ = ("n_inputs", "_tables")
+
+    def __init__(self, n_inputs: int) -> None:
+        self.n_inputs = n_inputs
+        self._tables: Dict[int, Tuple[Decomposition, np.ndarray]] = {}
+
+    def __call__(self, setting: Setting) -> np.ndarray:
+        decomposition = setting.decomposition
+        entry = self._tables.get(id(decomposition))
+        if entry is None:
+            table = decomposition.evaluate(self.n_inputs)
+            table.setflags(write=False)
+            entry = (decomposition, table)
+            self._tables[id(decomposition)] = entry
+        return entry[1]
 
 
 class SettingSequence:
@@ -97,46 +127,67 @@ class SettingSequence:
         return self.n_outputs
 
     # ------------------------------------------------------------------
-    def approx_bits(self, target: BooleanFunction, k: int) -> np.ndarray:
-        """Component bit ``k`` of ``Ĝ`` (accurate when unset)."""
+    def approx_bits(
+        self, target: BooleanFunction, k: int, bits: Optional[SettingBits] = None
+    ) -> np.ndarray:
+        """Component bit ``k`` of ``Ĝ`` (accurate when unset).
+
+        ``bits`` is the caller's :class:`SettingBits`; without one the
+        setting is evaluated afresh.
+        """
         setting = self.settings[k]
         if setting is None:
             return target.component(k)
-        return setting.bits(target.n_inputs)
+        if bits is None:
+            bits = SettingBits(target.n_inputs)
+        return bits(setting)
 
-    def approx_function(self, target: BooleanFunction) -> BooleanFunction:
+    def _word(
+        self,
+        target: BooleanFunction,
+        positions: Iterable[int],
+        bits: Optional[SettingBits],
+    ) -> np.ndarray:
+        """OR of the approximate component bits at ``positions``."""
+        word = np.zeros(target.size, dtype=np.int64)
+        for j in positions:
+            word |= self.approx_bits(target, j, bits).astype(np.int64) << j
+        return word
+
+    def approx_function(
+        self, target: BooleanFunction, bits: Optional[SettingBits] = None
+    ) -> BooleanFunction:
         """Materialise ``Ĝ`` (the paper's ``GetApproxFunction``)."""
-        table = np.zeros(target.size, dtype=np.int64)
-        for k in range(self.n_outputs):
-            table |= self.approx_bits(target, k).astype(np.int64) << k
+        table = self._word(target, range(self.n_outputs), bits)
         return BooleanFunction(
             target.n_inputs, self.n_outputs, table, name=f"{target.name}~approx"
         )
 
-    def msb_word(self, target: BooleanFunction, k: int) -> np.ndarray:
+    def msb_word(
+        self, target: BooleanFunction, k: int, bits: Optional[SettingBits] = None
+    ) -> np.ndarray:
         """Word formed by the approximated bits strictly above ``k``.
 
         Bits at or below ``k`` are zero — the shape required by the
         predictive and accurate-LSB cost models.
         """
-        word = np.zeros(target.size, dtype=np.int64)
-        for j in range(k + 1, self.n_outputs):
-            word |= self.approx_bits(target, j).astype(np.int64) << j
-        return word
+        return self._word(target, range(k + 1, self.n_outputs), bits)
 
-    def rest_word(self, target: BooleanFunction, k: int) -> np.ndarray:
+    def rest_word(
+        self, target: BooleanFunction, k: int, bits: Optional[SettingBits] = None
+    ) -> np.ndarray:
         """Full approximate word with bit ``k`` cleared (fixed context)."""
-        word = np.zeros(target.size, dtype=np.int64)
-        for j in range(self.n_outputs):
-            if j != k:
-                word |= self.approx_bits(target, j).astype(np.int64) << j
-        return word
+        others = (j for j in range(self.n_outputs) if j != k)
+        return self._word(target, others, bits)
 
     def med(
-        self, target: BooleanFunction, p: Optional[np.ndarray] = None
+        self,
+        target: BooleanFunction,
+        p: Optional[np.ndarray] = None,
+        bits: Optional[SettingBits] = None,
     ) -> float:
         """Exact MED of the materialised ``Ĝ`` against ``target``."""
-        return error_metrics.med(target, self.approx_function(target), p)
+        return error_metrics.med(target, self.approx_function(target, bits), p)
 
     def total_lut_entries(self) -> int:
         """Sum of LUT entries over all set output bits."""

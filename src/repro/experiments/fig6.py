@@ -30,7 +30,7 @@ from ..core.config import AlgorithmConfig
 from ..core.cost import cost_vectors_fixed
 from ..core.dalta import run_dalta
 from ..core.result import SearchStats
-from ..core.settings import Setting, SettingSequence
+from ..core.settings import Setting, SettingBits, SettingSequence
 from ..hardware.architectures import BtoNormalNdDesign, DaltaDesign
 from ..hardware.power import measure_energy, random_read_workload
 from ..metrics import distributions
@@ -59,8 +59,9 @@ def per_bit_candidates(
     if p is None:
         p = distributions.uniform(target.n_inputs)
     candidates: List[Dict[str, Setting]] = []
+    bits = SettingBits(target.n_inputs)
     for k in range(target.n_outputs):
-        rest = sequence.rest_word(target, k)
+        rest = sequence.rest_word(target, k, bits)
         costs = cost_vectors_fixed(target, rest, k)
         found = find_best_settings(
             costs,
@@ -80,9 +81,7 @@ def per_bit_candidates(
         normal = found.best
         incumbent = sequence[k]
         if incumbent is not None and incumbent.mode == "normal":
-            incumbent_error = costs.evaluate(
-                incumbent.decomposition.evaluate(target.n_inputs), p
-            )
+            incumbent_error = costs.evaluate(bits(incumbent), p)
             if incumbent_error <= normal.error:
                 normal = Setting(incumbent_error, incumbent.decomposition)
         per_mode = {"normal": normal}

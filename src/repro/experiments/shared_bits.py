@@ -25,7 +25,7 @@ from ..core.bs_sa import find_best_settings, run_bssa
 from ..core.config import AlgorithmConfig
 from ..core.cost import cost_vectors_fixed
 from ..core.nondisjoint import optimize_multi_shared
-from ..core.settings import Setting, SettingSequence
+from ..core.settings import Setting, SettingBits, SettingSequence
 from ..hardware.architectures import DaltaDesign, MultiSharedNdDesign
 from ..hardware.power import measure_energy, random_read_workload
 from ..hardware.simulate import verify_design
@@ -126,16 +126,15 @@ def _nested_candidates(
     polluted by independent random streams.
     """
     candidates: List[Dict[int, Setting]] = []
+    bits = SettingBits(target.n_inputs)
     for k in range(target.n_outputs):
-        rest = base.rest_word(target, k)
+        rest = base.rest_word(target, k, bits)
         costs = cost_vectors_fixed(target, rest, k)
         found = find_best_settings(costs, p, target.n_inputs, config, rng)
         best = found.best
         incumbent = base[k]
         if incumbent is not None and incumbent.mode == "normal":
-            incumbent_error = costs.evaluate(
-                incumbent.decomposition.evaluate(target.n_inputs), p
-            )
+            incumbent_error = costs.evaluate(bits(incumbent), p)
             if incumbent_error <= best.error:
                 best = Setting(incumbent_error, incumbent.decomposition)
 

@@ -90,8 +90,8 @@ def geometric_bit(n_inputs: int, p_one: float = 0.3) -> np.ndarray:
 
 def bit_probability(p: np.ndarray, n_inputs: int, bit: int) -> float:
     """``P(x_bit = 1)`` under the distribution ``p``."""
-    mask = ops.bit_of(ops.all_inputs(n_inputs), bit).astype(bool)
-    return float(p[mask].sum())
+    p = np.asarray(p, dtype=np.float64)
+    return float(ops.cofactor(p, n_inputs, {bit: 1}).sum())
 
 
 def condition_on_bit(
@@ -106,13 +106,8 @@ def condition_on_bit(
     so downstream optimisation stays well-defined (its contribution to
     any expectation is zero anyway).
     """
-    if value not in (0, 1):
-        raise ValueError(f"value must be 0 or 1, got {value}")
     p = np.asarray(p, dtype=np.float64)
-    keep = [i for i in range(n_inputs) if i != bit]
-    reduced = ops.all_inputs(n_inputs - 1)
-    full = ops.deposit_bits(reduced, keep) | (value << bit)
-    selected = p[full]
+    selected = ops.cofactor(p, n_inputs, {bit: value})
     prior = float(selected.sum())
     if prior <= 0:
         return uniform(n_inputs - 1), 0.0

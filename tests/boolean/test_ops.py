@@ -1,5 +1,7 @@
 """Unit tests for the bit-manipulation utilities."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,66 @@ class TestExtractDeposit:
         redeposited = ops.deposit_bits(packed, positions)
         # redeposited keeps only the selected bits
         assert ops.extract_bits(redeposited, positions).tolist() == packed.tolist()
+
+
+def _deposit_gather(values, n_inputs, fixed):
+    """Reference cofactor: scatter the reduced words, then gather."""
+    keep = [i for i in range(n_inputs) if i not in fixed]
+    assignment = sum(value << bit for bit, value in fixed.items())
+    reduced = ops.all_inputs(n_inputs - len(fixed))
+    return values[ops.deposit_bits(reduced, keep) | assignment]
+
+
+class TestCofactor:
+    @pytest.mark.parametrize("n_inputs", range(1, 11))
+    def test_matches_deposit_gather(self, n_inputs):
+        values = np.random.default_rng(n_inputs).random(1 << n_inputs)
+        for size in (1, 2, 3):
+            for bits in combinations(range(n_inputs), size):
+                for assignment in product((0, 1), repeat=size):
+                    fixed = dict(zip(bits, assignment))
+                    out = ops.cofactor(values, n_inputs, fixed)
+                    expected = _deposit_gather(values, n_inputs, fixed)
+                    assert out.tobytes() == expected.tobytes(), fixed
+
+    @pytest.mark.parametrize(
+        "fixed",
+        [{0: 0}, {0: 1}, {15: 0}, {15: 1}, {7: 1}, {8: 0}, {3: 0, 8: 1, 12: 1}],
+    )
+    def test_sixteen_inputs(self, fixed):
+        values = np.random.default_rng(16).integers(0, 1 << 40, 1 << 16)
+        out = ops.cofactor(values, 16, fixed)
+        assert out.tobytes() == _deposit_gather(values, 16, fixed).tobytes()
+
+    def test_returns_contiguous_copy(self):
+        values = np.arange(16, dtype=np.float64)
+        for fixed in ({3: 0}, {0: 1}, {}):
+            out = ops.cofactor(values, 4, fixed)
+            assert out.flags["C_CONTIGUOUS"]
+            assert not np.shares_memory(out, values)
+            out[:] = -1.0
+        assert values.tolist() == list(range(16))
+
+    def test_keeps_dtype(self):
+        values = np.arange(8, dtype=np.uint8)
+        assert ops.cofactor(values, 3, {1: 1}).dtype == np.uint8
+        assert ops.cofactor(values, 3, {1: 1}).tolist() == [2, 3, 6, 7]
+
+    @pytest.mark.parametrize(
+        "values,n_inputs,fixed,match",
+        [
+            (np.zeros(8), 4, {0: 0}, "shape"),
+            (np.zeros((4, 4)), 4, {0: 0}, "shape"),
+            (np.zeros(16), 4, {4: 0}, "out of range"),
+            (np.zeros(16), 4, {-1: 0}, "out of range"),
+            (np.zeros(16), 4, {0: 2}, "expected 0 or 1"),
+            (np.zeros(16), 4, {0: -1}, "expected 0 or 1"),
+            (np.zeros(16), 4, {1: 0, 1.0: 1, "1": 0}, "fixed twice"),
+        ],
+    )
+    def test_rejects_malformed_input(self, values, n_inputs, fixed, match):
+        with pytest.raises(ValueError, match=match):
+            ops.cofactor(values, n_inputs, fixed)
 
 
 class TestWordBitConversions:

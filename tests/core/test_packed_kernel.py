@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro import caching, workloads
-from repro.boolean import random_partition
+from repro.boolean import Partition, random_partition
 from repro.core import (
     AlgorithmConfig,
     BitCosts,
@@ -34,6 +34,7 @@ from repro.core import (
     run_dalta,
 )
 from repro.core.cost import apply_objective
+from repro.core.nondisjoint import optimize_nondisjoint
 from repro.core.opt_for_part import KernelRequest, opt_for_part_grouped
 from repro.experiments.distribution_study import DISTRIBUTIONS, _make_distribution
 from repro.metrics import distributions
@@ -142,6 +143,10 @@ _BOUNDARIES = [
     (1000, -38, "f64"),
     ((1 << 52) - 1, 0, "f64"),
     (1 << 52, 0, None),
+    # the msign half-step needs the unit 2**(U-1): a float at U = -1073
+    # (the least subnormal), not at U = -1074
+    (1000, -1073, "f64"),
+    (1000, -1074, None),
 ]
 
 
@@ -213,6 +218,60 @@ class TestGateBoundaries:
             p = np.zeros(1 << _N)
         assert ofp._exact_tier(costs, p) == "f32"
         _same_as_reference(costs, p)
+
+    @pytest.mark.parametrize("unit", [-1073, -1074])
+    def test_subnormal_unit_matches_reference(self, unit):
+        """Constant ``p = 2**U``: every seed agrees with the reference."""
+        n_inputs = 6
+        p = np.full(1 << n_inputs, 2.0**unit)
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            costs = BitCosts(
+                0,
+                rng.integers(0, 4, 1 << n_inputs).astype(np.float64),
+                rng.integers(0, 4, 1 << n_inputs).astype(np.float64),
+            )
+            on, off = _production_vs_reference(costs, p, n_inputs, 3, 3, seed)
+            for a, b in zip(on, off):
+                _same_result(a, b)
+
+    def test_subnormal_half_through_nondisjoint(self):
+        """An ND half whose conditional weights are all ``2**-1074``."""
+        n_inputs = 6
+        words = np.arange(1 << n_inputs)
+        p = distributions.validate(
+            np.where(words % 2 == 0, 1.0 / 32.0, 5e-324), n_inputs
+        )
+        partition = Partition((3, 4, 5), (0, 1, 2))
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            costs = BitCosts(
+                0,
+                rng.integers(0, 4, 1 << n_inputs).astype(np.float64),
+                rng.integers(0, 4, 1 << n_inputs).astype(np.float64),
+            )
+            results = []
+            for fast in (True, False):
+                caching.clear_caches()
+                with caching.fast_paths(fast):
+                    results.append(
+                        optimize_nondisjoint(
+                            costs,
+                            p,
+                            partition,
+                            n_inputs,
+                            n_initial_patterns=4,
+                            rng=np.random.default_rng(seed + 1),
+                            shared_candidates=(0,),
+                        )
+                    )
+            on, off = results
+            assert on.error == off.error, seed
+            for name in ("pattern0", "types0", "pattern1", "types1"):
+                assert (
+                    getattr(on.decomposition, name).tobytes()
+                    == getattr(off.decomposition, name).tobytes()
+                ), (seed, name)
 
     @pytest.mark.parametrize("shape", sorted(_WEIGHTS))
     @pytest.mark.parametrize(

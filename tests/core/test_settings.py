@@ -1,13 +1,23 @@
-"""Unit tests for Setting and SettingSequence."""
+"""Unit tests for Setting, SettingBits and SettingSequence."""
+
+import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro import caching
 from repro.boolean import BoundOnlyDecomposition, DisjointDecomposition, Partition
-from repro.core import Setting, SettingSequence
+from repro.boolean.decomposition import (
+    MultiSharedDecomposition,
+    NonDisjointDecomposition,
+)
+from repro.core import Setting, SettingSequence, run_bssa, run_dalta
+from repro.core.settings import SettingBits
 from repro.metrics import distributions
 
 from ..conftest import random_function
+from .test_fast_paths import TestPipelineBitExact, _run_fingerprint
 
 
 def _simple_setting(n_inputs: int, rng, mode: str = "normal") -> Setting:
@@ -91,3 +101,88 @@ class TestSettingSequence:
         seq = SettingSequence(2).replace(0, _simple_setting(4, rng))
         text = repr(seq)
         assert "normal" in text and "-" in text
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Count ``Decomposition.evaluate`` calls per decomposition object."""
+    calls = Counter()
+    alive = []  # keeps every counted object alive so ids stay unique
+    for cls in (DisjointDecomposition, NonDisjointDecomposition,
+                MultiSharedDecomposition):
+        original = cls.__dict__["evaluate"]
+
+        def counted(self, n_inputs, _original=original):
+            calls[id(self)] += 1
+            alive.append(self)
+            return _original(self, n_inputs)
+
+        monkeypatch.setattr(cls, "evaluate", counted)
+    return calls
+
+
+class TestSettingBits:
+    def test_evaluates_each_decomposition_once(self, rng, evaluations):
+        f = random_function(5, 3, rng)
+        low, high = _simple_setting(5, rng), _simple_setting(5, rng, "bto")
+        seq = SettingSequence(3).replace(0, low).replace(2, high)
+        bits = SettingBits(5)
+        for k in range(3):
+            seq.rest_word(f, k, bits)
+            seq.msb_word(f, k, bits)
+        seq.approx_function(f, bits)
+        # a setting rebuilt around the same decomposition shares its table
+        assert bits(Setting(0.25, low.decomposition)) is bits(low)
+        assert sorted(evaluations.values()) == [1, 1]
+
+    def test_words_match_uncached(self, rng):
+        f = random_function(5, 3, rng)
+        seq = SettingSequence(3).replace(0, _simple_setting(5, rng))
+        seq = seq.replace(1, _simple_setting(5, rng, "bto"))
+        bits = SettingBits(5)
+        for k in range(3):
+            assert np.array_equal(seq.rest_word(f, k, bits), seq.rest_word(f, k))
+            assert np.array_equal(seq.msb_word(f, k, bits), seq.msb_word(f, k))
+        assert seq.approx_function(f, bits).equals(seq.approx_function(f))
+
+    def test_tables_are_read_only(self, rng):
+        setting = _simple_setting(4, rng)
+        table = SettingBits(4)(setting)
+        assert table.tolist() == setting.bits(4).tolist()
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+class TestEvaluateOncePerRun:
+    """A whole search run evaluates every setting's table at most once.
+
+    The runs are :class:`TestPipelineBitExact`'s fixed-seed 8-bit runs,
+    which that class pins to the serial reference; the digests below
+    are their :func:`_run_fingerprint` bytes, so caching the tables
+    cannot change a bit.
+    """
+
+    DIGESTS = {
+        "bto-normal-nd": (
+            "3ff5a955e138c56a119df1fe7768bde229a1d4db8cc63865a71855022d763f92"
+        ),
+        "dalta": "86bcd807fbcd36bb07e24f8ebfe0d4b4c4b83b32b8b8367adf653a97f8551535",
+    }
+
+    @pytest.mark.parametrize("architecture", sorted(DIGESTS))
+    def test_each_setting_evaluated_at_most_once(self, architecture, evaluations):
+        rng = np.random.default_rng(2024)
+        target = random_function(8, 4, np.random.default_rng(77), name="t")
+        caching.clear_caches()
+        if architecture == "dalta":
+            result = run_dalta(target, TestPipelineBitExact.CONFIG, rng=rng)
+        else:
+            result = run_bssa(
+                target,
+                TestPipelineBitExact.CONFIG,
+                rng=rng,
+                architecture=architecture,
+            )
+        assert evaluations and max(evaluations.values()) == 1
+        digest = hashlib.sha256(repr(_run_fingerprint(result)).encode())
+        assert digest.hexdigest() == self.DIGESTS[architecture]

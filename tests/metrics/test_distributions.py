@@ -98,3 +98,29 @@ class TestConditioning:
     def test_condition_rejects_bad_value(self):
         with pytest.raises(ValueError):
             dist.condition_on_bit(dist.uniform(2), 2, 0, 2)
+
+    @pytest.mark.parametrize("bit", [4, 5, -1])
+    def test_out_of_range_bit_is_rejected(self, bit):
+        p = dist.normalized(np.random.default_rng(3).random(16))
+        with pytest.raises(ValueError, match="out of range"):
+            dist.condition_on_bit(p, 4, bit, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            dist.marginalize_bit(p, 4, bit)
+        with pytest.raises(ValueError, match="out of range"):
+            dist.bit_probability(p, 4, bit)
+
+    def test_wrong_length_distribution_is_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            dist.condition_on_bit(dist.uniform(3), 4, 0, 0)
+        with pytest.raises(ValueError, match="shape"):
+            dist.bit_probability(dist.uniform(3), 4, 0)
+
+    def test_conditioning_matches_direct_selection(self, rng):
+        p = dist.normalized(rng.random(64))
+        words = np.arange(64)
+        for bit in range(6):
+            ones = (words >> bit) & 1 == 1
+            assert dist.bit_probability(p, 6, bit) == float(p[ones].sum())
+            cond, prior = dist.condition_on_bit(p, 6, bit, 1)
+            assert prior == float(p[ones].sum())
+            assert cond.tobytes() == (p[ones] / prior).tobytes()
