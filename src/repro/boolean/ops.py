@@ -17,6 +17,7 @@ __all__ = [
     "bit_of",
     "bits_to_words",
     "cofactor",
+    "cofactor_index",
     "extract_bits",
     "deposit_bits",
     "parity",
@@ -88,6 +89,26 @@ def deposit_bits(packed: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     return out
 
 
+def cofactor_index(n_inputs: int, fixed: Mapping[int, int]) -> tuple:
+    """Basic index restricting a ``(2,) * n_inputs`` grid to ``fixed`` bits.
+
+    Bit ``i`` lives on axis ``n_inputs - 1 - i``; ``fixed`` maps bit
+    positions to their 0/1 values.  Indexing the grid with the result
+    is a view over the remaining bits, in their original order.
+    """
+    index = [slice(None)] * n_inputs
+    for bit, value in fixed.items():
+        bit = int(bit)
+        if not 0 <= bit < n_inputs:
+            raise ValueError(f"bit {bit} out of range for {n_inputs} inputs")
+        if not isinstance(index[n_inputs - 1 - bit], slice):
+            raise ValueError(f"bit {bit} fixed twice")
+        if value not in (0, 1):
+            raise ValueError(f"bit {bit} fixed to {value!r}, expected 0 or 1")
+        index[n_inputs - 1 - bit] = int(value)
+    return tuple(index)
+
+
 def cofactor(
     values: np.ndarray, n_inputs: int, fixed: Mapping[int, int]
 ) -> np.ndarray:
@@ -99,24 +120,16 @@ def cofactor(
     remaining bits re-packed densely in their original order: entry
     ``r`` is ``values[deposit_bits(r, kept) | fixed word]``.  Viewing
     the vector as a ``(2,) * n`` array (bit ``i`` on axis ``n-1-i``)
-    makes this a basic slice instead of a scatter plus a gather.
+    makes this a basic slice (:func:`cofactor_index`) instead of a
+    scatter plus a gather.
     """
     values = np.asarray(values)
     if values.shape != (1 << n_inputs,):
         raise ValueError(
             f"vector has shape {values.shape}, expected ({1 << n_inputs},)"
         )
-    index = [slice(None)] * n_inputs
-    for bit, value in fixed.items():
-        bit = int(bit)
-        if not 0 <= bit < n_inputs:
-            raise ValueError(f"bit {bit} out of range for {n_inputs} inputs")
-        if not isinstance(index[n_inputs - 1 - bit], slice):
-            raise ValueError(f"bit {bit} fixed twice")
-        if value not in (0, 1):
-            raise ValueError(f"bit {bit} fixed to {value!r}, expected 0 or 1")
-        index[n_inputs - 1 - bit] = int(value)
-    return values.reshape((2,) * n_inputs)[tuple(index)].flatten()
+    grid = values.reshape((2,) * n_inputs)
+    return grid[cofactor_index(n_inputs, fixed)].flatten()
 
 
 def words_to_bits(words: np.ndarray, n_bits: int) -> np.ndarray:

@@ -25,7 +25,12 @@ from ..boolean.decomposition import MultiSharedDecomposition, NonDisjointDecompo
 from ..boolean.partition import Partition
 from .cost import BitCosts
 from .fusion import current_hub
-from .opt_for_part import KernelRequest, opt_for_part, opt_for_part_grouped
+from .opt_for_part import (
+    KernelContext,
+    KernelRequest,
+    opt_for_part,
+    opt_for_part_grouped,
+)
 
 __all__ = [
     "NonDisjointResult",
@@ -67,9 +72,10 @@ def _half_problem(
 
     ``fixed`` maps each shared bit to its value; the cofactor slices of
     the cost vectors and of the (unnormalised) conditional distribution
-    are indexed by the reduced input word.  Shared by the serial and
-    fused candidate loops so both solve the byte-identical half
-    problems.
+    are indexed by the reduced input word.  The serial reference loops
+    solve these copies as standalone problems; the fused loops solve
+    the same halves as :meth:`KernelContext.cofactor` views of the
+    parent, bit for bit the same problems.
     """
     half_costs = BitCosts(
         costs.k,
@@ -150,8 +156,10 @@ def optimize_nondisjoint(
     With the fast paths on and an explicit ``rng``, the whole
     enumeration is *fused*: the per-half initial patterns are pre-drawn
     in exactly the serial call order, every conditional half problem
-    becomes a :class:`~repro.core.opt_for_part.KernelRequest`, and all
-    ``2 * len(candidates)`` halves run in one
+    becomes a :class:`~repro.core.opt_for_part.KernelRequest` over a
+    :meth:`~repro.core.opt_for_part.KernelContext.cofactor` view of the
+    parent context (one weighting and one gate verdict for all halves),
+    and all ``2 * len(candidates)`` halves run in one
     :func:`~repro.core.opt_for_part.opt_for_part_grouped` pass (or
     through the ambient :class:`~repro.core.fusion.FusionHub`, fusing
     wider still across concurrent callers).  The generator stream and
@@ -163,9 +171,11 @@ def optimize_nondisjoint(
     )
     if not candidates:
         raise ValueError("at least one shared-bit candidate is required")
+    # validates the shapes for both loops
+    context = KernelContext(costs, p, n_inputs)
     if rng is not None and caching.fast_paths_enabled():
         return _optimize_nondisjoint_fused(
-            costs, p, partition, n_inputs, candidates, n_initial_patterns, rng
+            context, partition, candidates, n_initial_patterns, rng
         )
     best: Optional[NonDisjointResult] = None
     for shared in candidates:
@@ -185,10 +195,8 @@ def optimize_nondisjoint(
 
 
 def _optimize_nondisjoint_fused(
-    costs: BitCosts,
-    p: np.ndarray,
+    context: KernelContext,
     partition: Partition,
-    n_inputs: int,
     candidates: Tuple[int, ...],
     n_initial_patterns: int,
     rng: np.random.Generator,
@@ -213,11 +221,8 @@ def _optimize_nondisjoint_fused(
             patterns = rng.integers(
                 0, 2, size=(n_initial_patterns, reduced.n_cols), dtype=np.uint8
             )
-            half_costs, weights = _half_problem(costs, p, n_inputs, {shared: j})
             requests.append(
-                KernelRequest(
-                    half_costs, weights, [reduced], n_inputs - 1, patterns[None]
-                )
+                KernelRequest(context.cofactor({shared: j}), [reduced], patterns[None])
             )
     hub = current_hub()
     if hub is not None:
@@ -277,11 +282,15 @@ def optimize_multi_shared(
     shared = tuple(sorted(int(v) for v in shared))
     if not shared:
         raise ValueError("at least one shared variable is required")
+    if len(set(shared)) != len(shared):
+        raise ValueError(f"shared variables must be distinct, got {shared}")
     for v in shared:
         if v not in partition.bound:
             raise ValueError(f"shared variable {v} not in bound set")
     if len(shared) >= partition.n_bound:
         raise ValueError("|C| must be smaller than the bound set")
+    # validates the shapes for both loops
+    context = KernelContext(costs, p, n_inputs)
 
     shared_set = set(shared)
 
@@ -302,8 +311,9 @@ def optimize_multi_shared(
     total_error = 0.0
     if rng is not None and caching.fast_paths_enabled():
         # fused: pre-draw each cofactor's patterns in the serial call
-        # order and solve all 2**s conditional problems in one grouped
-        # kernel pass — bitwise equal to the loop below
+        # order and solve all 2**s conditional problems, as views of
+        # the parent context, in one grouped kernel pass — bitwise
+        # equal to the loop below
         if n_initial_patterns < 1:
             raise ValueError("n_initial_patterns must be >= 1")
         requests = []
@@ -311,15 +321,8 @@ def optimize_multi_shared(
             draw = rng.integers(
                 0, 2, size=(n_initial_patterns, reduced.n_cols), dtype=np.uint8
             )
-            half_costs, weights = _half_problem(costs, p, n_inputs, assignment(j))
             requests.append(
-                KernelRequest(
-                    half_costs,
-                    weights,
-                    [reduced],
-                    n_inputs - len(shared),
-                    draw[None],
-                )
+                KernelRequest(context.cofactor(assignment(j)), [reduced], draw[None])
             )
         hub = current_hub()
         evaluated = (

@@ -72,11 +72,12 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import caching, obs
+from ..boolean import ops
 from ..boolean.decomposition import (
     BoundOnlyDecomposition,
     DisjointDecomposition,
@@ -84,13 +85,13 @@ from ..boolean.decomposition import (
 )
 from ..boolean.packed import WeightPlanes, pack_bits
 from ..boolean.partition import Partition
-from ..boolean.truth_table import gather_index, to_matrix
 from .cost import BitCosts
 from .fusion import current_hub
 
 __all__ = [
     "OptForPartResult",
     "OptMemo",
+    "KernelContext",
     "KernelRequest",
     "memo_context",
     "result_memo",
@@ -188,14 +189,14 @@ class OptMemo:
     stay valid.
     """
 
-    __slots__ = ("context_key", "gated", "tier")
+    __slots__ = ("context_key", "context")
 
     def __init__(self, context_key: Tuple) -> None:
         self.context_key = context_key
-        # lazily cached exactness-gate verdict for the bound (costs, p)
-        # pair — see _engaged_tier()
-        self.gated = False
-        self.tier: Optional[str] = None
+        # the bound (costs, p) pair's KernelContext, built by the first
+        # kernel call (see _context()): its gate verdict and weighted
+        # grids are then computed once per search context
+        self.context: Optional[KernelContext] = None
 
     def normal_key(
         self,
@@ -241,16 +242,6 @@ def memo_context(costs: BitCosts, p: np.ndarray) -> OptMemo:
     h.update(np.ascontiguousarray(costs.cost1).tobytes())
     h.update(np.ascontiguousarray(p).tobytes())
     return OptMemo((int(costs.k), costs.cost0.shape[0], h.digest()))
-
-
-def _cost_matrices(
-    costs: BitCosts, p: np.ndarray, partition: Partition, n_inputs: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Weighted (rows × cols) cost matrices for bit values 0 and 1."""
-    w0, w1 = costs.weighted(p)
-    d0 = to_matrix(w0, partition, n_inputs)
-    d1 = to_matrix(w1, partition, n_inputs)
-    return d0, d1
 
 
 # ----------------------------------------------------------------------
@@ -466,26 +457,148 @@ def _exact_tier(costs: BitCosts, p: np.ndarray) -> Optional[str]:
     return "f64"
 
 
-def _engaged_tier(
-    costs: BitCosts, p: np.ndarray, memo: Optional["OptMemo"] = None
-) -> Optional[str]:
-    """Production's gate verdict for ``(costs, p)``, with telemetry.
+class KernelContext:
+    """One ``(costs, p)`` context, prepared once for every kernel call.
+
+    Construction validates the shapes: ``cost0``, ``cost1`` and ``p``
+    must be 1-D of length ``2**n_inputs``.  Everything else is built on
+    first use and then kept, as ``(2,) * n_inputs`` grids with bit
+    ``i`` on axis ``n-1-i`` (the axis convention of
+    :func:`repro.boolean.ops.cofactor`):
+
+    * :attr:`tier` — the gate verdict (:func:`_exact_tier`);
+    * :meth:`weights` — the float64 grids ``cost0 * p`` / ``cost1 * p``
+      that the reference, the BTO variant and the exhaustive oracle
+      read;
+    * :meth:`exact_weights` — ``w1 - w0`` in the tier's dtype and the
+      total zero cost ``w0.sum()``, all the exact sweep reads.
+
+    :meth:`cofactor` restricts a context to fixed input bits as views
+    of those grids, so the ``2 * |candidates|`` half problems of a
+    non-disjoint parent share one weighting and one gate scan.
+    """
+
+    __slots__ = (
+        "n_inputs", "_costs", "_p", "_gated", "_tier",
+        "_w0", "_w1", "_wdiff", "_zero_total",
+    )
+
+    def __init__(self, costs: BitCosts, p: np.ndarray, n_inputs: int) -> None:
+        n_inputs = int(n_inputs)
+        if n_inputs < 0:
+            raise ValueError(f"n_inputs must be non-negative, got {n_inputs}")
+        p = np.asarray(p, dtype=np.float64)
+        expected = (1 << n_inputs,)
+        for name, values in (("cost0", costs.cost0), ("cost1", costs.cost1), ("p", p)):
+            if np.shape(values) != expected:
+                raise ValueError(
+                    f"{name} has shape {np.shape(values)}, expected "
+                    f"{expected} for n_inputs={n_inputs}"
+                )
+        self.n_inputs = n_inputs
+        self._costs = costs
+        self._p = p
+        self._gated = False
+        self._tier: Optional[str] = None
+        self._w0: Optional[np.ndarray] = None
+        self._w1: Optional[np.ndarray] = None
+        self._wdiff: Optional[np.ndarray] = None
+        self._zero_total: Optional[float] = None
+
+    @property
+    def tier(self) -> Optional[str]:
+        """The gate verdict, whatever the fast-path switch says."""
+        if not self._gated:
+            self._tier = _exact_tier(self._costs, self._p)
+            self._gated = True
+        return self._tier
+
+    def weights(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The weighted cost grids ``(w0, w1)``, float64."""
+        if self._w0 is None:
+            grid = (2,) * self.n_inputs
+            w0, w1 = self._costs.weighted(self._p)
+            self._w0, self._w1 = w0.reshape(grid), w1.reshape(grid)
+        return self._w0, self._w1
+
+    def _diff(self) -> np.ndarray:
+        if self._wdiff is None:
+            w0, w1 = self.weights()
+            # exact under the gate; the f32 cast too (the gate bounds
+            # every value below 2**24 units), and it halves the bytes
+            # the per-item transposes move
+            wdiff = w1 - w0
+            self._wdiff = wdiff.astype(np.float32) if self.tier == "f32" else wdiff
+        return self._wdiff
+
+    def exact_weights(self) -> Tuple[np.ndarray, float]:
+        """``(w1 - w0, w0.sum())`` for the exact sweep (gated tiers only).
+
+        ``w0.sum()`` is exact under the gate (an integer multiple of the
+        common dyadic unit below the overflow bound), in any order.
+        """
+        if self._zero_total is None:
+            self._zero_total = float(self.weights()[0].sum())
+        return self._diff(), self._zero_total
+
+    def cofactor(self, fixed: Mapping[int, int]) -> "KernelContext":
+        """The context restricted to ``fixed`` bits, over views of this one.
+
+        ``fixed`` maps bit positions to 0/1, as in
+        :func:`repro.boolean.ops.cofactor`; the cofactor lives on the
+        remaining ``n_inputs - len(fixed)`` bits in their original
+        order.  Its grids are basic slices of this context's: the
+        products are elementwise, so a slice of ``cost * p`` equals the
+        product of the slices bit for bit, and so does a slice of
+        ``w1 - w0``.
+
+        The cofactor inherits this context's verdict.  Its supported
+        weights are a subset of the parent's on the same costs, so its
+        least dyadic unit ``U`` can only rise and its exact total ``T``
+        only fall: every bound the parent's tier passed, the cofactor
+        passes too.  An ``"f32"`` parent has exact f32 cofactors and an
+        ``"f64"`` parent exact f64 ones; a rejected parent sends its
+        cofactors to the reference.  The only loss is a cofactor that
+        could have run f32 under an f64 parent.
+        """
+        index = ops.cofactor_index(self.n_inputs, fixed)
+        tier = self.tier
+        w0, w1 = self.weights()
+        view = KernelContext.__new__(KernelContext)
+        view.n_inputs = self.n_inputs - len(fixed)
+        view._costs = view._p = None
+        view._gated, view._tier = True, tier
+        view._w0, view._w1 = w0[index], w1[index]
+        view._wdiff = self._diff()[index] if tier else None
+        view._zero_total = None
+        return view
+
+
+def _context(
+    costs: BitCosts, p: np.ndarray, n_inputs: int, memo: Optional[OptMemo]
+) -> KernelContext:
+    """The kernel context of ``(costs, p)``, kept on ``memo`` when given.
+
+    A memo binds one ``(costs, p)`` pair for the lifetime of a search
+    context, so its context — gate verdict and weighted grids — is
+    built by the first kernel call and reused by every later one.
+    """
+    if memo is None:
+        return KernelContext(costs, p, n_inputs)
+    if memo.context is None or memo.context.n_inputs != n_inputs:
+        memo.context = KernelContext(costs, p, n_inputs)
+    return memo.context
+
+
+def _engaged_tier(context: KernelContext) -> Optional[str]:
+    """Production's gate verdict for ``context``, with telemetry.
 
     ``None`` whenever the fast-path switch is off: then the reference
-    runs everything.  The verdict depends only on ``(costs, p)``, so
-    when the caller holds an :class:`OptMemo` (which binds exactly that
-    pair) it is cached there — the gate's array scans then run once
-    per search context instead of once per kernel call.
+    runs everything.
     """
     if not caching.fast_paths_enabled():
         return None
-    if memo is None:
-        tier = _exact_tier(costs, p)
-    else:
-        if not memo.gated:
-            memo.tier = _exact_tier(costs, p)
-            memo.gated = True
-        tier = memo.tier
+    tier = context.tier
     if obs.enabled():
         obs.incr("opt.packed_calls" if tier else "opt.packed_ineligible")
         if tier == "f32":
@@ -779,6 +892,7 @@ def opt_for_part(
     random pattern draw happens regardless, so the generator stream —
     and therefore every downstream draw — is identical on hit and miss.
     """
+    context = _context(costs, p, n_inputs, memo)
     if rng is None:
         rng = np.random.default_rng()
     if n_initial_patterns < 1:
@@ -786,28 +900,22 @@ def opt_for_part(
     patterns = rng.integers(
         0, 2, size=(n_initial_patterns, partition.n_cols), dtype=np.uint8
     )
+    request = KernelRequest(context, [partition], patterns[None], max_sweeps, memo)
     hub = current_hub()
     if hub is not None:
         # a fusion party: ship the drawn problem to the hub (telemetry
         # is emitted once by the executor's fused dispatch)
-        request = KernelRequest(
-            costs, p, [partition], n_inputs, patterns[None], max_sweeps, memo
-        )
         return hub.evaluate(request)[0]
     # Hot path: the disabled-telemetry branch avoids even the no-op
     # span allocation — this function dominates both algorithms.
     if not obs.enabled():
-        return _opt_many(
-            costs, p, [partition], n_inputs, patterns[None], max_sweeps, memo
-        )[0][0]
+        return _grouped_eval([request], False)[0][0][0]
     with obs.span(
         "opt.for_part", n_bound=partition.n_bound, n_free=partition.n_free
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        results, sweeps, hits = _opt_many(
-            costs, p, [partition], n_inputs, patterns[None], max_sweeps, memo
-        )
+        results, sweeps, hits = _grouped_eval([request], False)[0]
         result = results[0]
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
@@ -847,6 +955,7 @@ def opt_for_part_many(
     Results are returned in input order; each is bitwise equal to the
     corresponding single-partition call.
     """
+    context = _context(costs, p, n_inputs, memo)
     partitions = list(partitions)
     if not partitions:
         return []
@@ -886,18 +995,14 @@ def opt_for_part_many(
                 raise ValueError("initial-pattern arrays must share one shape")
         stacked = np.stack(initial_patterns)
 
+    request = KernelRequest(context, partitions, stacked, max_sweeps, memo)
     hub = current_hub()
     if hub is not None:
         # a fusion party: ship the whole batch to the hub (telemetry is
         # emitted once by the executor's fused dispatch)
-        return hub.evaluate(
-            KernelRequest(costs, p, partitions, n_inputs, stacked, max_sweeps, memo)
-        )
+        return hub.evaluate(request)
     if not obs.enabled():
-        results, _, _ = _opt_many(
-            costs, p, partitions, n_inputs, stacked, max_sweeps, memo
-        )
-        return results
+        return _grouped_eval([request], False)[0][0]
     with obs.span(
         "opt.for_part_many",
         batch=len(partitions),
@@ -906,9 +1011,7 @@ def opt_for_part_many(
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        results, total_sweeps, hits = _opt_many(
-            costs, p, partitions, n_inputs, stacked, max_sweeps, memo
-        )
+        results, total_sweeps, hits = _grouped_eval([request], False)[0]
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
         span.set(sweeps=total_sweeps, memo_hits=hits)
@@ -921,32 +1024,27 @@ def opt_for_part_many(
 class KernelRequest:
     """One caller's ``opt_for_part_many`` batch, ready for fused dispatch.
 
-    Bundles everything :func:`_opt_many` consumes — the cost context,
-    the partitions, the pre-drawn ``(N, Z, cols)`` pattern stack, and
-    the optional memo handle — so requests from *different* search or
-    serve contexts can ride one :func:`opt_for_part_grouped` pass.
-    The pattern stack is captured by reference; callers must not
-    mutate it until the request resolves.
+    Bundles everything :func:`_grouped_eval` consumes — the
+    :class:`KernelContext`, the partitions, the pre-drawn ``(N, Z,
+    cols)`` pattern stack, and the optional memo handle — so requests
+    from *different* search or serve contexts can ride one
+    :func:`opt_for_part_grouped` pass.  The pattern stack is captured
+    by reference; callers must not mutate it until the request
+    resolves.
     """
 
-    __slots__ = (
-        "costs", "p", "partitions", "n_inputs", "stacked", "max_sweeps", "memo",
-    )
+    __slots__ = ("context", "partitions", "stacked", "max_sweeps", "memo")
 
     def __init__(
         self,
-        costs: BitCosts,
-        p: np.ndarray,
+        context: KernelContext,
         partitions: Sequence[Partition],
-        n_inputs: int,
         stacked: np.ndarray,
         max_sweeps: int = _DEFAULT_MAX_SWEEPS,
         memo: Optional[OptMemo] = None,
     ) -> None:
-        self.costs = costs
-        self.p = p
+        self.context = context
         self.partitions = list(partitions)
-        self.n_inputs = n_inputs
         self.stacked = stacked
         self.max_sweeps = max_sweeps
         self.memo = memo
@@ -995,33 +1093,18 @@ def opt_for_part_grouped(
         for request in requests:
             obs.incr(
                 "opt.lut_entries",
-                len(request.partitions) * (2 << (request.n_inputs - 1)),
+                len(request.partitions) * (2 << (request.context.n_inputs - 1)),
             )
         obs.incr("opt.fused_calls")
         obs.incr("opt.fused_items", total)
         return [results for results, _, _ in evaluated]
 
 
-def _opt_many(
-    costs: BitCosts,
-    p: np.ndarray,
-    partitions: List[Partition],
-    n_inputs: int,
-    stacked: np.ndarray,
-    max_sweeps: int,
-    memo: Optional[OptMemo],
-) -> Tuple[List[OptForPartResult], int, int]:
-    """Memo-aware batched evaluation; returns (results, sweeps, hits)."""
-    request = KernelRequest(
-        costs, p, partitions, n_inputs, stacked, max_sweeps, memo
-    )
-    return _grouped_eval([request], False)[0]
-
-
 def _grouped_eval(
     requests: List[KernelRequest], observe_fusion: bool
 ) -> List[Tuple[List[OptForPartResult], int, int]]:
-    """Shared engine behind :func:`_opt_many` / :func:`opt_for_part_grouped`.
+    """Shared engine behind :func:`opt_for_part`, :func:`opt_for_part_many`
+    and :func:`opt_for_part_grouped`.
 
     Returns ``(results, total_sweeps, memo_hits)`` per request.  Items
     the gate admits run the exact sweep in stacked chunks (with many
@@ -1073,7 +1156,7 @@ def _grouped_eval(
                 keys[ri][ii] = key
             misses.append((ri, ii))
         if misses:
-            tiers[ri] = _engaged_tier(request.costs, request.p, request.memo)
+            tiers[ri] = _engaged_tier(request.context)
             gkey = (
                 request.partitions[0].n_rows,
                 request.partitions[0].n_cols,
@@ -1082,37 +1165,6 @@ def _grouped_eval(
                 tiers[ri],
             )
             groups.setdefault(gkey, []).extend(misses)
-
-    # per-request weight vectors / grids, built lazily once per request
-    weight_cache: dict = {}
-
-    def _weights(ri: int):
-        cached = weight_cache.get(ri)
-        if cached is None:
-            request = requests[ri]
-            w0, w1 = request.costs.weighted(request.p)
-            if tiers[ri]:
-                # the exact sweep consumes only diff = d1 - d0
-                # (pre-differenced once, half the gather work) plus the
-                # item's *total* zero cost — a single scalar, since the
-                # per-row zero costs cancel out of every comparison and
-                # re-enter the totals as one exact offset.  ``w0.sum()``
-                # is exact under the gate (an integer multiple of the
-                # common dyadic unit, below the overflow bound), so the
-                # re-based totals are bit-equal to building the matrices
-                # and reducing them.  In the f32 tier the grid is
-                # pre-cast once — exact (the gate bounds every value
-                # below 2**24 in units) and the per-item gathers move
-                # half the bytes.
-                wdiff = w1 - w0
-                if tiers[ri] == "f32":
-                    wdiff = wdiff.astype(np.float32)
-                grid = (2,) * request.n_inputs
-                cached = (wdiff.reshape(grid), float(w0.sum()))
-            else:
-                cached = (w0, w1)
-            weight_cache[ri] = cached
-        return cached
 
     for gkey, members in groups.items():
         rows, cols, z, group_sweeps, tier = gkey
@@ -1134,20 +1186,20 @@ def _grouped_eval(
                 for j, (ri, ii) in enumerate(chunk):
                     patterns[j] = requests[ri].stacked[ii]
             if tier:
+                # the exact sweep consumes only diff = d1 - d0 plus each
+                # item's *total* zero cost — a single scalar, since the
+                # per-row zero costs cancel out of every comparison and
+                # re-enter the totals as one exact offset
                 dtype = np.float32 if tier == "f32" else np.float64
                 diff = np.empty((b, rows, cols), dtype=dtype)
                 offsets = np.empty(b)
                 for j, (ri, ii) in enumerate(chunk):
-                    request = requests[ri]
-                    wdiff_grid, zc_total = _weights(ri)
+                    context = requests[ri].context
+                    wdiff, offsets[j] = context.exact_weights()
                     axes = _partition_axes(
-                        request.partitions[ii], request.n_inputs
+                        requests[ri].partitions[ii], context.n_inputs
                     )
-                    np.copyto(
-                        diff[j].reshape(wdiff_grid.shape),
-                        wdiff_grid.transpose(axes),
-                    )
-                    offsets[j] = zc_total
+                    np.copyto(diff[j].reshape(wdiff.shape), wdiff.transpose(axes))
                 # the diff row sums are the only per-row state the
                 # exact sweep needs (exact integer-scaled sums under the
                 # gate, so any association order gives the same bits);
@@ -1162,13 +1214,24 @@ def _grouped_eval(
                 fin_types = np.empty((b, z, rows), dtype=np.int8)
                 fin_totals = np.empty((b, z))
                 fin_sweeps = np.empty(b, dtype=np.int64)
+                # C-contiguous tables: the reference's float sums and
+                # matmuls are not exact here, so their bits depend on
+                # the memory layout, not only on the values
+                d0 = np.empty((1, rows, cols))
+                d1 = np.empty_like(d0)
                 for j, (ri, ii) in enumerate(chunk):
-                    request = requests[ri]
-                    w0, w1 = _weights(ri)
-                    idx = gather_index(request.partitions[ii], request.n_inputs)
+                    context = requests[ri].context
+                    w0, w1 = context.weights()
+                    # the transposed grid, flattened, is the partition's
+                    # (rows x cols) table: one strided copy per matrix
+                    axes = _partition_axes(
+                        requests[ri].partitions[ii], context.n_inputs
+                    )
+                    np.copyto(d0.reshape(w0.shape), w0.transpose(axes))
+                    np.copyto(d1.reshape(w1.shape), w1.transpose(axes))
                     pat, typ, tot, fin_sweeps[j] = _alternate_reference(
-                        w0[idx].reshape(1, rows, cols),
-                        w1[idx].reshape(1, rows, cols),
+                        d0,
+                        d1,
                         patterns[j : j + 1],
                         group_sweeps,
                     )
@@ -1230,6 +1293,7 @@ def opt_for_part_bto(
     found exactly — no random restarts, no alternation, no generator
     use, which is why the memo key needs no pattern digest.
     """
+    context = _context(costs, p, n_inputs, memo)
     key = None
     if memo is not None and caching.fast_paths_enabled():
         key = memo.bto_key(partition)
@@ -1238,21 +1302,17 @@ def opt_for_part_bto(
             if obs.enabled():
                 obs.incr("opt.bto_calls")
             return cached
-    if _engaged_tier(costs, p, memo):
-        # only the per-column sums are needed, so skip the (rows x cols)
-        # matrix builds and sum the transposed weight grids down the
-        # row axis — exact under the gate, hence bit-equal to the
-        # matrix route
-        w0, w1 = costs.weighted(p)
-        grid = (2,) * n_inputs
-        axes = _partition_axes(partition, n_inputs)
-        table = (partition.n_rows, partition.n_cols)
-        cost_zero = w0.reshape(grid).transpose(axes).reshape(table).sum(axis=0)
-        cost_one = w1.reshape(grid).transpose(axes).reshape(table).sum(axis=0)
-    else:
-        d0, d1 = _cost_matrices(costs, p, partition, n_inputs)
-        cost_zero = d0.sum(axis=0)
-        cost_one = d1.sum(axis=0)
+    if obs.enabled():
+        # the per-column sums below run on every tier; the verdict
+        # only feeds the gate counters
+        _engaged_tier(context)
+    w0, w1 = context.weights()
+    axes = _partition_axes(partition, n_inputs)
+    table = (partition.n_rows, partition.n_cols)
+    # summed as C-contiguous tables, row after row: outside the gate
+    # the sums are not exact, so the order of addition sets the bits
+    cost_zero = np.ascontiguousarray(w0.transpose(axes)).reshape(table).sum(axis=0)
+    cost_one = np.ascontiguousarray(w1.transpose(axes)).reshape(table).sum(axis=0)
     pattern = (cost_one < cost_zero).astype(np.uint8)
     error = float(np.minimum(cost_zero, cost_one).sum())
     result = OptForPartResult(error, BoundOnlyDecomposition(partition, pattern))
@@ -1317,6 +1377,7 @@ def opt_for_part_exhaustive_many(
                 f"exhaustive search over 2**{partition.n_cols} patterns "
                 "refused; use bound sets of size <= 4"
             )
+    context = _context(costs, p, n_inputs, memo)
     count = len(partitions)
     use_memo = memo is not None and caching.fast_paths_enabled()
     results: List[Optional[OptForPartResult]] = [None] * count
@@ -1333,7 +1394,7 @@ def opt_for_part_exhaustive_many(
         misses.append(index)
 
     if misses:
-        w0, w1 = costs.weighted(p)
+        w0, w1 = context.weights()
         rows, cols = shape
         n_patterns = 1 << cols
         shifts = np.arange(cols, dtype=np.int64)
@@ -1349,9 +1410,9 @@ def opt_for_part_exhaustive_many(
             d0 = np.empty((len(chunk), rows, cols))
             d1 = np.empty_like(d0)
             for j, i in enumerate(chunk):
-                idx = gather_index(partitions[i], n_inputs)
-                np.take(w0, idx, out=d0[j].reshape(-1))
-                np.take(w1, idx, out=d1[j].reshape(-1))
+                axes = _partition_axes(partitions[i], n_inputs)
+                np.copyto(d0[j].reshape(w0.shape), w0.transpose(axes))
+                np.copyto(d1[j].reshape(w1.shape), w1.transpose(axes))
             stacked = np.broadcast_to(
                 patterns, (len(chunk), n_patterns, cols)
             )

@@ -34,7 +34,11 @@ from repro.boolean import random_partition
 from repro.boolean.packed import WeightPlanes, pack_bits
 from repro.core import cost_vectors_fixed, opt_for_part_many
 from repro.core.fusion import FusionHub, current_hub
-from repro.core.opt_for_part import KernelRequest, opt_for_part_grouped
+from repro.core.opt_for_part import (
+    KernelContext,
+    KernelRequest,
+    opt_for_part_grouped,
+)
 from repro.experiments.parallel import run_specs_fused
 from repro.metrics import distributions
 
@@ -233,7 +237,9 @@ class TestGroupedEngine:
         caching.clear_caches()
         grouped = opt_for_part_grouped(
             [
-                KernelRequest(costs, p, partitions, n_inputs, stacked)
+                KernelRequest(
+                    KernelContext(costs, p, n_inputs), partitions, stacked
+                )
                 for n_inputs, (costs, p, partitions, stacked) in zip(
                     (6, 6, 7), problems
                 )
@@ -262,8 +268,8 @@ class TestGroupedEngine:
         caching.clear_caches()
         grouped = opt_for_part_grouped(
             [
-                KernelRequest(costs, random_p, partitions, 6, stacked),
-                KernelRequest(costs, uniform_p, partitions, 6, stacked),
+                KernelRequest(KernelContext(costs, random_p, 6), partitions, stacked),
+                KernelRequest(KernelContext(costs, uniform_p, 6), partitions, stacked),
             ]
         )
         for a, b in zip(grouped[0], serial_ref):

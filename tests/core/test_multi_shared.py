@@ -16,6 +16,12 @@ from repro.core import (
 from repro.metrics import distributions
 
 from ..conftest import random_bits
+from .test_nondisjoint import (
+    ND_CONTEXTS,
+    layout_context,
+    nd_context,
+    run_fused_and_serial,
+)
 
 
 def _costs(bits):
@@ -155,6 +161,47 @@ class TestOptimizeMultiShared:
             optimize_multi_shared(costs, p, partition, n, [5], rng=rng)
         with pytest.raises(ValueError, match="smaller than"):
             optimize_multi_shared(costs, p, partition, n, [0, 1, 2, 3], rng=rng)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_repeated_shared_bit_rejected(self, instance, fused):
+        n, costs, p, partition = instance
+        rng = np.random.default_rng(0) if fused else None
+        with pytest.raises(ValueError, match="must be distinct"):
+            optimize_multi_shared(costs, p, partition, n, [3, 3], rng=rng)
+
+    @pytest.mark.parametrize("name", sorted(ND_CONTEXTS))
+    def test_fused_byte_identical_to_serial(self, name):
+        """All 2**s cofactors as views of the parent, against the loop."""
+        costs, p, n_inputs, partition = nd_context(name)
+        shared = partition.bound[1:3]
+        fused, serial = run_fused_and_serial(
+            lambda rng: optimize_multi_shared(
+                costs, p, partition, n_inputs, shared, n_initial_patterns=4, rng=rng
+            )
+        )
+        _assert_same_multi(fused, serial)
+
+    @pytest.mark.parametrize("distribution", ["truncated-gaussian", "geometric"])
+    def test_shared_bit_inside_the_bound_range(self, distribution):
+        """Gate-rejected cofactors of shared bit 5, bound bits 3-6."""
+        for seed in range(12):
+            costs, p, n_inputs, partition = layout_context(distribution, seed)
+            fused, serial = run_fused_and_serial(
+                lambda rng: optimize_multi_shared(
+                    costs, p, partition, n_inputs, [5],
+                    n_initial_patterns=4, rng=rng,
+                )
+            )
+            _assert_same_multi(fused, serial)
+
+
+def _assert_same_multi(fused, serial):
+    assert np.float64(fused.error).tobytes() == np.float64(serial.error).tobytes()
+    for got, want in zip(
+        fused.decomposition.patterns + fused.decomposition.types,
+        serial.decomposition.patterns + serial.decomposition.types,
+    ):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMultiSharedHardware:

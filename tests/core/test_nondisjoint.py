@@ -1,18 +1,27 @@
 """Unit tests for non-disjoint decomposition (paper §IV-B1, Example 3)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from repro.boolean import Partition
+from repro import caching, workloads
+from repro.boolean import Partition, random_partition
 from repro.core import (
+    BitCosts,
     cost_vectors_fixed,
     opt_for_part_exhaustive,
     optimize_nondisjoint,
     optimize_nondisjoint_shared,
+    rest_word,
 )
+from repro.core.cost import apply_objective
+from repro.experiments.distribution_study import _make_distribution
 from repro.metrics import distributions, med
 
 from ..conftest import random_bits
+
+ofp = importlib.import_module("repro.core.opt_for_part")
 
 
 def _costs_for(bits: np.ndarray):
@@ -173,3 +182,117 @@ class TestNdGeneralizesDisjoint:
                     total += half.error
                 best_nd = min(best_nd, total)
             assert best_nd <= disjoint.error + 1e-9
+
+
+
+def _cos_context(n_inputs, k, distribution, objective="med"):
+    target = workloads.get("cos", n_inputs)
+    costs = cost_vectors_fixed(target, rest_word(target.table, k), k)
+    return apply_objective(costs, objective), _make_distribution(distribution, n_inputs)
+
+
+def _subnormal_half_context():
+    """Mass 1/32 on even words, 2**-1074 on odd ones (U = -1074 parent)."""
+    rng = np.random.default_rng(3)
+    words = np.arange(64)
+    p = distributions.validate(np.where(words % 2 == 0, 1.0 / 32.0, 5e-324), 6)
+    costs = BitCosts(
+        0,
+        rng.integers(0, 4, 64).astype(np.float64),
+        rng.integers(0, 4, 64).astype(np.float64),
+    )
+    return costs, p
+
+
+#: ND parents solved as views, by distribution: (build, n_inputs, gate tier)
+ND_CONTEXTS = {
+    "uniform-12": (lambda: _cos_context(12, 11, "uniform", "mse"), 12, "f64"),
+    "uniform-8": (lambda: _cos_context(8, 7, "uniform"), 8, "f32"),
+    "sparse-bits": (lambda: _cos_context(10, 9, "sparse-bits"), 10, "f64"),
+    "truncated-gaussian": (lambda: _cos_context(8, 6, "midtone-gaussian"), 8, None),
+    "subnormal-half": (_subnormal_half_context, 6, None),
+}
+
+
+def nd_context(name):
+    """``(costs, p, n_inputs, partition)`` of an ``ND_CONTEXTS`` entry."""
+    build, n_inputs, tier = ND_CONTEXTS[name]
+    costs, p = build()
+    assert ofp._exact_tier(costs, p) == tier
+    bound = min(5, n_inputs - 2)
+    partition = random_partition(n_inputs, bound, np.random.default_rng(n_inputs))
+    return costs, p, n_inputs, partition
+
+
+def run_fused_and_serial(solve):
+    """``solve(rng)`` with the fast paths on (fused) and off (serial).
+
+    Both sides start from the same seed and must leave the generator in
+    the same state.
+    """
+    results, states = [], []
+    for fast in (True, False):
+        caching.clear_caches()
+        rng = np.random.default_rng(11)
+        with caching.fast_paths(fast):
+            results.append(solve(rng))
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
+    return results
+
+
+class TestFusedMatchesSerial:
+    """The fused enumeration (halves as views of the parent context)
+    is byte-identical to the serial reference loop."""
+
+    @pytest.mark.parametrize("name", sorted(ND_CONTEXTS))
+    def test_every_half_byte_identical(self, name):
+        costs, p, n_inputs, partition = nd_context(name)
+        fused, serial = run_fused_and_serial(
+            lambda rng: optimize_nondisjoint(
+                costs, p, partition, n_inputs, n_initial_patterns=4, rng=rng
+            )
+        )
+        _assert_same_nd(fused, serial)
+
+    @pytest.mark.parametrize("distribution", ["truncated-gaussian", "geometric"])
+    def test_shared_bit_inside_the_bound_range(self, distribution):
+        """Gate-rejected halves whose copied and sliced tables differ in
+        layout: shared bit 5 of bound bits 3-6 at n = 7."""
+        for seed in range(12):
+            costs, p, n_inputs, partition = layout_context(distribution, seed)
+            fused, serial = run_fused_and_serial(
+                lambda rng: optimize_nondisjoint(
+                    costs, p, partition, n_inputs,
+                    n_initial_patterns=4, rng=rng, shared_candidates=[5],
+                )
+            )
+            _assert_same_nd(fused, serial)
+
+
+def layout_context(distribution, seed):
+    """A gate-rejected n = 7 context with bound bits 3-6 above the free
+    bits: its tables are column-major views of the weight grid."""
+    n_inputs = 7
+    if distribution == "truncated-gaussian":
+        p = distributions.truncated_gaussian(n_inputs, mean=0.45, std=0.2)
+    else:
+        p = distributions.geometric_bit(n_inputs, p_one=0.3)
+    rng = np.random.default_rng(seed)
+    costs = BitCosts(
+        0,
+        rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
+        rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
+    )
+    assert ofp._exact_tier(costs, p) is None
+    return costs, p, n_inputs, Partition((0, 1, 2), (3, 4, 5, 6))
+
+
+def _assert_same_nd(fused, serial):
+    assert np.float64(fused.error).tobytes() == np.float64(serial.error).tobytes()
+    assert fused.shared == serial.shared
+    for field in ("pattern0", "types0", "pattern1", "types1"):
+        assert (
+            getattr(fused.decomposition, field).tobytes()
+            == getattr(serial.decomposition, field).tobytes()
+        ), field

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import caching
 from repro.boolean import Partition, RowType, random_partition
 from repro.core import (
     BitCosts,
@@ -12,6 +13,13 @@ from repro.core import (
     opt_for_part_exhaustive,
     opt_for_part_exhaustive_many,
     opt_for_part_many,
+    optimize_multi_shared,
+    optimize_nondisjoint,
+)
+from repro.core.opt_for_part import (
+    KernelContext,
+    KernelRequest,
+    opt_for_part_grouped,
 )
 from repro.metrics import distributions
 
@@ -189,3 +197,78 @@ class TestParameters:
         p = p / p.sum()
         result = opt_for_part(costs, p, partition, n, rng=rng)
         assert result.error == pytest.approx(0.0)
+
+
+_N = 6
+_PARTITION = Partition((3, 4, 5), (0, 1, 2))
+
+#: every kernel entry point, as ``(costs, p, n_inputs) -> result``
+_ENTRY_POINTS = {
+    "opt_for_part": lambda costs, p, n: opt_for_part(
+        costs, p, _PARTITION, n, n_initial_patterns=2,
+        rng=np.random.default_rng(0),
+    ),
+    "opt_for_part_many": lambda costs, p, n: opt_for_part_many(
+        costs, p, [_PARTITION], n, n_initial_patterns=2,
+        rng=np.random.default_rng(0),
+    ),
+    "opt_for_part_bto": lambda costs, p, n: opt_for_part_bto(
+        costs, p, _PARTITION, n
+    ),
+    "opt_for_part_grouped": lambda costs, p, n: opt_for_part_grouped(
+        [
+            KernelRequest(
+                KernelContext(costs, p, n),
+                [_PARTITION],
+                np.zeros((1, 2, _PARTITION.n_cols), dtype=np.uint8),
+            )
+        ]
+    ),
+    "nondisjoint-fused": lambda costs, p, n: optimize_nondisjoint(
+        costs, p, _PARTITION, n, n_initial_patterns=2,
+        rng=np.random.default_rng(0),
+    ),
+    "nondisjoint-serial": lambda costs, p, n: optimize_nondisjoint(
+        costs, p, _PARTITION, n, n_initial_patterns=2
+    ),
+    "multi-shared-fused": lambda costs, p, n: optimize_multi_shared(
+        costs, p, _PARTITION, n, [0, 2], n_initial_patterns=2,
+        rng=np.random.default_rng(0),
+    ),
+    "multi-shared-serial": lambda costs, p, n: optimize_multi_shared(
+        costs, p, _PARTITION, n, [0, 2], n_initial_patterns=2
+    ),
+}
+
+#: malformed ``(p, n_inputs)`` against 64-entry cost vectors
+_MALFORMED = {
+    "scalar-p": (np.float64(1 / 64), _N),
+    "2d-p": (np.full((8, 8), 1 / 64), _N),
+    "short-p": (np.full(32, 1 / 32), _N),
+    "wrong-n_inputs": (distributions.uniform(_N), _N + 1),
+}
+
+
+class TestShapeValidation:
+    """Every entry point names the expected shape of a malformed context."""
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_malformed_context_rejected(self, entry, case, fast):
+        costs = _single_bit_costs(random_bits(_N, np.random.default_rng(1)))
+        p, n_inputs = _MALFORMED[case]
+        expected = rf"expected \({1 << n_inputs},\)"
+        with caching.fast_paths(fast), pytest.raises(ValueError, match=expected):
+            _ENTRY_POINTS[entry](costs, p, n_inputs)
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_well_formed_context_accepted(self, entry):
+        costs = _single_bit_costs(random_bits(_N, np.random.default_rng(1)))
+        _ENTRY_POINTS[entry](costs, distributions.uniform(_N), _N)
+
+    def test_cost_vectors_are_checked(self):
+        costs = _single_bit_costs(random_bits(_N, np.random.default_rng(1)))
+        short = BitCosts(0, costs.cost0[:32], costs.cost1)
+        with pytest.raises(ValueError, match=r"cost0 has shape \(32,\)"):
+            KernelContext(short, distributions.uniform(_N), _N)

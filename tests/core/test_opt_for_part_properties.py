@@ -18,6 +18,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.boolean import Partition
+from repro.boolean.truth_table import to_matrix
 from repro.core import (
     cost_vectors_fixed,
     opt_for_part,
@@ -165,8 +166,7 @@ class TestMonotoneAlternation:
     def test_totals_non_increasing(self, instance):
         n, partition, costs, p, z, seed = instance
         rng = np.random.default_rng(seed)
-        d0, d1 = _kernel._cost_matrices(costs, p, partition, n)
-        d0, d1 = d0[None], d1[None]
+        d0, d1 = (to_matrix(w, partition, n)[None] for w in costs.weighted(p))
         sums = _kernel._row_sums(d0, d1)
         patterns = rng.integers(
             0, 2, size=(1, z, partition.n_cols), dtype=np.uint8

@@ -14,13 +14,15 @@ packed shared-memory arena pages.
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import caching, workloads
-from repro.boolean import Partition, random_partition
+from repro.boolean import Partition, ops, random_partition
 from repro.core import (
     AlgorithmConfig,
     BitCosts,
@@ -35,7 +37,11 @@ from repro.core import (
 )
 from repro.core.cost import apply_objective
 from repro.core.nondisjoint import optimize_nondisjoint
-from repro.core.opt_for_part import KernelRequest, opt_for_part_grouped
+from repro.core.opt_for_part import (
+    KernelContext,
+    KernelRequest,
+    opt_for_part_grouped,
+)
 from repro.experiments.distribution_study import DISTRIBUTIONS, _make_distribution
 from repro.metrics import distributions
 
@@ -94,16 +100,21 @@ class TestEligibilityGate:
     def test_memo_caches_the_verdict(self):
         costs, p = _uniform_instance(7, seed=6)
         memo = memo_context(costs, p)
-        assert not memo.gated
-        assert ofp._engaged_tier(costs, p, memo)
-        assert memo.gated and memo.tier == ofp._exact_tier(costs, p)
-        # a cached verdict short-circuits the array scans entirely
-        assert ofp._engaged_tier(costs, p, memo)
+        assert memo.context is None
+        context = ofp._context(costs, p, 7, memo)
+        assert memo.context is context
+        assert ofp._engaged_tier(context)
+        assert context.tier == ofp._exact_tier(costs, p)
+        # later kernel calls reuse the context: the verdict and the
+        # weighted grids are computed once per memo
+        assert ofp._context(costs, p, 7, memo) is context
+        opt_for_part_bto(costs, p, Partition((3, 4, 5, 6), (0, 1, 2)), 7, memo=memo)
+        assert memo.context is context
 
     def test_fast_paths_off_engages_nothing(self):
         costs, p = _uniform_instance(7, seed=6)
         with caching.fast_paths(False):
-            assert ofp._engaged_tier(costs, p) is None
+            assert ofp._engaged_tier(KernelContext(costs, p, 7)) is None
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +297,113 @@ class TestGateBoundaries:
 
 
 # ----------------------------------------------------------------------
+# Verdict inheritance: an ND half is solved as a view of its parent's
+# context and runs the parent's tier.  That is sound because a cofactor
+# is always admitted at least as fast as its parent (its weights are a
+# subset: U can only rise, T only fall).
+# ----------------------------------------------------------------------
+
+_SPEED = {None: 0, "f64": 1, "f32": 2}
+
+
+def _boundary_contexts():
+    """Every TestGateBoundaries instance, as ``(id, costs, p)``."""
+    for shape, weights in sorted(_WEIGHTS.items()):
+        for total, unit, _ in _BOUNDARIES:
+            yield f"T={total},U={unit},{shape}", *_instance(total, weights, unit)
+    single = np.zeros(1 << _N)
+    single[5] = 1.0
+    for p0 in (1.0 - 2.0**-53, 1.0 - 2.0**-52):
+        yield f"p0={p0!r}", BitCosts(0, single, np.zeros(1 << _N)), np.full(1 << _N, p0)
+    pair = np.zeros(1 << _N)
+    pair[:2] = [1.0, 5.0]
+    for small in (2.0**-51, 2.0**-50):
+        yield (
+            f"small={small!r}",
+            BitCosts(0, pair, np.zeros(1 << _N)),
+            np.resize([3.0, small], 1 << _N),
+        )
+    yield (
+        "zero-weight-supports",
+        BitCosts(
+            0,
+            np.resize([3.0, 2.0**60, 1.0, 0.0], 1 << _N),
+            np.resize([1.0, 0.0, 4.0, 0.0], 1 << _N),
+        ),
+        np.resize([0.5, 0.0, 0.25, 1.0 / 3.0], 1 << _N),
+    )
+
+
+def _assert_cofactors_inherit(costs, p, n_inputs):
+    """Each one-bit cofactor: gated at least as fast, views equal copies."""
+    parent = ofp._exact_tier(costs, p)
+    context = KernelContext(costs, p, n_inputs)
+    for bit in range(n_inputs):
+        for value in (0, 1):
+            fixed = {bit: value}
+            half_costs = BitCosts(
+                costs.k,
+                ops.cofactor(costs.cost0, n_inputs, fixed),
+                ops.cofactor(costs.cost1, n_inputs, fixed),
+            )
+            half_p = ops.cofactor(p, n_inputs, fixed)
+            assert _SPEED[ofp._exact_tier(half_costs, half_p)] >= _SPEED[parent], (
+                fixed
+            )
+            view = context.cofactor(fixed)
+            assert view.tier == parent
+            copied = KernelContext(half_costs, half_p, n_inputs - 1)
+            for got, want in zip(view.weights(), copied.weights()):
+                assert got.tobytes() == want.tobytes()
+            if parent:
+                got_diff, got_zero = view.exact_weights()
+                want_diff, want_zero = copied.exact_weights()
+                assert got_diff.astype(want_diff.dtype).tobytes() == want_diff.tobytes()
+                assert got_zero == want_zero
+
+
+@st.composite
+def _any_context(draw):
+    """Integer or fractional costs; dyadic weights from 1 to 53 bits."""
+    n_inputs = draw(st.integers(2, 6), label="n_inputs")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    size = 1 << n_inputs
+    cost_top = draw(st.sampled_from([1, 7, 255, 1 << 24, 1 << 51]), label="cost_top")
+    cost0, cost1 = (
+        rng.integers(0, cost_top + 1, size).astype(np.float64) for _ in range(2)
+    )
+    if draw(st.booleans(), label="fractional"):
+        cost0[rng.integers(size)] += 0.5
+    weight_bits = draw(st.sampled_from([1, 4, 12, 24, 25, 52, 53]), label="bits")
+    if draw(st.booleans(), label="constant"):
+        weights = np.full(size, int(rng.integers(1, 1 << weight_bits)))
+    else:
+        weights = rng.integers(0, 1 << weight_bits, size, dtype=np.int64)
+        weights[rng.random(size) < draw(st.sampled_from([0.0, 0.5]))] = 0
+    unit = draw(
+        st.sampled_from([0, -24, -37, -38, -1022, -1073, -1074])
+        | st.integers(-1074, 8),
+        label="unit",
+    )
+    p = np.ldexp(weights.astype(np.float64), unit)
+    return BitCosts(0, cost0, cost1), p, n_inputs
+
+
+class TestVerdictInheritance:
+    @pytest.mark.parametrize(
+        "case", list(_boundary_contexts()), ids=lambda case: case[0]
+    )
+    def test_boundary_cofactors_inherit(self, case):
+        _, costs, p = case
+        _assert_cofactors_inherit(costs, p, _N)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_any_context())
+    def test_drawn_cofactors_inherit(self, drawn):
+        _assert_cofactors_inherit(*drawn)
+
+
+# ----------------------------------------------------------------------
 # The gate on real contexts: cos at 4-16 bits, every output bit's
 # fixed-rest cost vectors, both objectives, the three distributions of
 # the distribution study.  Verdicts are spelled one character per
@@ -462,16 +580,93 @@ class TestKernelByteIdentity:
             grouped = opt_for_part_grouped(
                 [
                     KernelRequest(
-                        costs, p, partitions[:half], n_inputs, stacked[:half]
+                        KernelContext(costs, p, n_inputs),
+                        partitions[:half],
+                        stacked[:half],
                     ),
                     KernelRequest(
-                        costs, p, partitions[half:], n_inputs, stacked[half:]
+                        KernelContext(costs, p, n_inputs),
+                        partitions[half:],
+                        stacked[half:],
                     ),
                 ]
             )
         for a, b, c in zip(many, grouped[0] + grouped[1], reference):
             _same_result(a, c)
             _same_result(b, c)
+
+
+#: Partitions whose (rows x cols) table is a column-major view of the
+#: weight grid: the free bits sit below every bound bit.
+_LAYOUT_PARTITIONS = {
+    6: Partition((0, 1, 2), (3, 4, 5)),
+    7: Partition((0, 1, 2), (3, 4, 5, 6)),
+}
+
+#: sha256 of eight seeds' results, computed by the reference before the
+#: kernel read its tables off the weight grid (each copied by a gather,
+#: C-contiguous); see _layout_digest
+_LAYOUT_DIGESTS = {
+    ("opt_for_part", 6, "truncated-gaussian"):
+        "0f85cbebc310ce708f0f57353b3b6c2cce7aa9430beaca24b5112d0e6f66502f",
+    ("opt_for_part", 6, "geometric"):
+        "bb269a4a900296b8b69e89fea9dae7613a75857884cfc997523173b41a2ad3b0",
+    ("opt_for_part", 7, "truncated-gaussian"):
+        "e6dd624ca3e3e97670d9549f9fda4eea8d5a8761cd430b47e47219f99be45720",
+    ("opt_for_part", 7, "geometric"):
+        "e207894aa84227beb2fd51e45f2f7abe5b475e780957f12ff0caa2f499e8305d",
+    ("bto", 6, "truncated-gaussian"):
+        "a7fef5956ad0b601e87c885d4f93e4614d76a6100b1151caf4bfec1a9b99cd96",
+    ("bto", 6, "geometric"):
+        "03bcebaa0f9f8054d0ee9714518137c77ee86aef79707aa1d9271cd6cebf49ea",
+    ("bto", 7, "truncated-gaussian"):
+        "f861222436121a0c3fce2eaa0461e10549ff1a1acb685b08d4eb9e138139b402",
+    ("bto", 7, "geometric"):
+        "50d5233daf01a01e3cd9ed796e75ccd2150336925b6b42189ea29b841acf6660",
+}
+
+
+def _layout_digest(kind, n_inputs, distribution):
+    if distribution == "truncated-gaussian":
+        p = distributions.truncated_gaussian(n_inputs, mean=0.45, std=0.2)
+    else:
+        p = distributions.geometric_bit(n_inputs, p_one=0.3)
+    partition = _LAYOUT_PARTITIONS[n_inputs]
+    digest = hashlib.sha256()
+    for seed in range(8):
+        caching.clear_caches()
+        rng = np.random.default_rng(seed)
+        costs = BitCosts(
+            0,
+            rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
+            rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
+        )
+        assert ofp._exact_tier(costs, p) is None
+        if kind == "bto":
+            result = opt_for_part_bto(costs, p, partition, n_inputs)
+        else:
+            result = opt_for_part(
+                costs, p, partition, n_inputs, n_initial_patterns=4, rng=rng
+            )
+        digest.update(np.float64(result.error).tobytes())
+        digest.update(result.decomposition.pattern.tobytes())
+        if kind != "bto":
+            digest.update(result.decomposition.types.tobytes())
+    return digest.hexdigest()
+
+
+class TestGateRejectedLayout:
+    """Gate-rejected contexts sum and multiply inexact floats, so their
+    bits depend on the order of addition: the kernel must read
+    C-contiguous tables, whatever layout the transposed grid has."""
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize(
+        "case", sorted(_LAYOUT_DIGESTS), ids=lambda case: "-".join(map(str, case))
+    )
+    def test_results_pinned(self, case, fast):
+        with caching.fast_paths(fast):
+            assert _layout_digest(*case) == _LAYOUT_DIGESTS[case]
 
 
 class TestPipelineByteIdentity:

@@ -19,9 +19,11 @@ from repro.core import (
     memo_context,
     opt_for_part,
     opt_for_part_bto,
+    run_bssa,
 )
 
-from ..conftest import random_bits
+from ..conftest import random_bits, random_function
+from ..core.test_fast_paths import TestPipelineBitExact
 
 
 @pytest.fixture(autouse=True)
@@ -85,3 +87,25 @@ class TestEnabled:
         assert counters.get("opt.cache_miss") == 1
         assert counters.get("opt.cache_hit") == 1
         assert counters.get("cache.opt.memo.hit") == 1
+
+    def test_gate_counters_of_a_fixed_nd_run(self):
+        """One verdict count per kernel request, ND halves included.
+
+        The halves inherit their parent's verdict instead of gating
+        their own copies; on this run (TestPipelineBitExact's 8-bit
+        ``bto-normal-nd`` run) every request is f32 either way, so the
+        counts are the ones the per-half gate produced.
+        """
+        target = random_function(8, 4, np.random.default_rng(77), name="t")
+        sink = obs.MemorySink()
+        with obs.session(sink):
+            run_bssa(
+                target,
+                TestPipelineBitExact.CONFIG,
+                rng=np.random.default_rng(2024),
+                architecture="bto-normal-nd",
+            )
+        counters = sink.counters()
+        assert counters.get("opt.packed_calls") == 140
+        assert counters.get("opt.packed_f32_calls") == 140
+        assert counters.get("opt.packed_ineligible", 0) == 0
