@@ -12,10 +12,9 @@ against the committed ``BENCH_table2.json`` / ``BENCH_parallel.json``
   run is still comparable row-for-row.  Any drift fails.
 * **Speed ratios** — machine-independent ratios must not regress by
   more than ``--tolerance`` (default 25%): the fast-vs-reference
-  ratio and the warm-memo replay speedup from the table2 snapshot,
-  the warm-pool-vs-spawn campaign speedup from the parallel one, and
-  the exact sweep's OptForPart-phase speedup over the reference from
-  the packed one.
+  ratio from the table2 snapshot, the pool-vs-spawn campaign speedup
+  from the parallel one, and the exact sweep's OptForPart-phase
+  speedup over the reference from the packed one.
 * **Phase timings** — per-phase call *counts* must match exactly when
   the fresh run covers the committed suite (the protocol is
   deterministic), and no phase's per-call mean may drift more than
@@ -247,13 +246,6 @@ def check_table2(
         ratio(fresh),
         tolerance,
     )
-    _check_ratio(
-        ratchet,
-        "table2: warm memo replay speedup",
-        committed.get("warm_rerun", {}).get("speedup"),
-        fresh.get("warm_rerun", {}).get("speedup"),
-        tolerance,
-    )
     _check_phase_timings(ratchet, committed, fresh, tolerance)
 
 
@@ -269,18 +261,17 @@ def check_parallel(
     ratchet.check(
         "parallel: cross-backend byte identity",
         bool(fresh.get("byte_identical")),
-        "spawn/pool_cold/pool_warm MEDs all match serial"
+        "spawn/pool_cold MEDs all match serial"
         if fresh.get("byte_identical")
         else "fresh snapshot did not assert byte identity",
     )
-    for key in ("pool_warm_vs_spawn", "pool_cold_vs_spawn"):
-        _check_ratio(
-            ratchet,
-            f"parallel: speedup [{key}]",
-            committed.get("speedup", {}).get(key),
-            fresh.get("speedup", {}).get(key),
-            tolerance,
-        )
+    _check_ratio(
+        ratchet,
+        "parallel: speedup [pool_cold_vs_spawn]",
+        committed.get("speedup", {}).get("pool_cold_vs_spawn"),
+        fresh.get("speedup", {}).get("pool_cold_vs_spawn"),
+        tolerance,
+    )
 
 
 def check_packed(
@@ -458,9 +449,6 @@ def _generate(kind: str, committed: Dict[str, Any], args, out: Path) -> None:
         from benchmarks.snapshot_parallel import main
 
         argv += ["--jobs", str(args.jobs)]
-        capacity = committed.get("memo_capacity")
-        if capacity:
-            argv += ["--memo-capacity", str(capacity)]
     print(
         f"[check_regression] generating fresh {kind} snapshot "
         f"({benchmarks}, repeats={args.repeats})...",

@@ -6,12 +6,8 @@ engine under every execution backend —
 * ``serial`` — the no-engine, single-process protocol (anchor),
 * ``spawn`` — the fault-isolated per-job subprocess backend (each job
   pays a fresh interpreter + import),
-* ``pool_cold`` — the warm-pool backend with cold caches (persistent
-  workers, shared-memory truth tables, the campaign-shared OptForPart
-  memo),
-* ``pool_warm`` — the warm pool starting from a disk memo snapshot
-  (``memo_dir``) pre-populated by an identical prior campaign, the
-  "repeated campaigns start warm" path —
+* ``pool_cold`` — the warm-pool backend started fresh (persistent
+  workers, shared-memory truth tables) —
 
 and the script asserts every mode's MEDs are **byte-identical** before
 recording wall-clock times and speedups.  Timed passes run without
@@ -21,8 +17,7 @@ pool counters for the snapshot.
 Usage::
 
     PYTHONPATH=src python -m benchmarks.snapshot_parallel \
-        --scale default --repeats 2 --memo-capacity 262144 \
-        --out BENCH_parallel.json
+        --scale default --repeats 2 --out BENCH_parallel.json
 
 CI runs the smoke scale as a consistency gate: any cross-backend MED
 disagreement fails the script.
@@ -45,7 +40,6 @@ from repro.experiments.engine import (
     resolve_jobs,
     run_experiment_campaign,
 )
-from repro.experiments.pool import DEFAULT_MEMO_CAPACITY, load_memo_snapshot
 
 from benchmarks import snapshot_provenance
 
@@ -110,13 +104,6 @@ def main(argv=None) -> int:
         default=1,
         help="timed repetitions per backend (min is reported)",
     )
-    parser.add_argument(
-        "--memo-capacity",
-        type=int,
-        default=DEFAULT_MEMO_CAPACITY,
-        help="shared OptForPart memo bound (entries); size it above the "
-        "campaign's OptForPart working set for a fully-warm replay",
-    )
     parser.add_argument("--out", default=None, help="JSON output path")
     args = parser.parse_args(argv)
 
@@ -127,9 +114,7 @@ def main(argv=None) -> int:
     jobs = resolve_jobs(args.jobs)
 
     spawn_config = EngineConfig(n_jobs=jobs)
-    pool_config = EngineConfig(
-        n_jobs=jobs, backend="pool", memo_capacity=args.memo_capacity
-    )
+    pool_config = EngineConfig(n_jobs=jobs, backend="pool")
 
     snapshot = {
         "protocol": "table2",
@@ -141,13 +126,10 @@ def main(argv=None) -> int:
         "base_seed": args.base_seed,
         "jobs": jobs,
         "repeats": args.repeats,
-        "memo_capacity": args.memo_capacity,
     }
 
     with tempfile.TemporaryDirectory(prefix="bench-parallel-") as tmp:
         root = Path(tmp)
-        memo_dir = root / "memo"
-        warm_config = replace(pool_config, memo_dir=str(memo_dir))
 
         # -- serial anchor: the no-engine single-process protocol ------
         serial_times, serial_result = [], None
@@ -164,22 +146,12 @@ def main(argv=None) -> int:
         cold_times, cold_result = _timed_mode(
             scale, args.base_seed, pool_config, root, "pool-cold", args.repeats
         )
-        # one untimed pool campaign with --memo-dir populates the disk
-        # snapshot; the timed warm passes then start from it
-        _campaign(scale, args.base_seed, warm_config, root / "memo-seed")
-        warm_times, warm_result = _timed_mode(
-            scale, args.base_seed, warm_config, root, "pool-warm", args.repeats
-        )
-        snapshot["memo_snapshot_entries"] = len(
-            load_memo_snapshot(str(memo_dir))
-        )
 
         # -- byte-identity across every backend ------------------------
         meds = _meds(serial_result)
         for tag, result in (
             ("spawn", spawn_result),
             ("pool_cold", cold_result),
-            ("pool_warm", warm_result),
         ):
             if _meds(result) != meds:
                 print(f"FAIL: {tag} backend changed the MEDs", file=sys.stderr)
@@ -192,20 +164,14 @@ def main(argv=None) -> int:
         snapshot["serial"] = {"seconds": serial_times, "min": min(serial_times)}
         snapshot["spawn"] = {"seconds": spawn_times, "min": min(spawn_times)}
         snapshot["pool_cold"] = {"seconds": cold_times, "min": min(cold_times)}
-        snapshot["pool_warm"] = {
-            "memo_dir": "pre-populated by an identical prior pool campaign",
-            "seconds": warm_times,
-            "min": min(warm_times),
-        }
         snapshot["speedup"] = {
             "pool_cold_vs_spawn": min(spawn_times) / min(cold_times),
-            "pool_warm_vs_spawn": min(spawn_times) / min(warm_times),
         }
 
-        # -- pool counters of one untimed, telemetry-on warm campaign --
+        # -- pool counters of one untimed, telemetry-on pool campaign --
         sink = obs.MemorySink()
         with obs.session(sink):
-            _campaign(scale, args.base_seed, warm_config, root / "counters")
+            _campaign(scale, args.base_seed, pool_config, root / "counters")
         summary = obs.summarize.summarize(sink.records)
         snapshot["pool_counters"] = summary.pool_stats()
 

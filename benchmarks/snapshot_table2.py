@@ -6,12 +6,10 @@ one process — the shape the caches amortise over) and records
 
 * wall-clock of the current tree (fast paths on, cold caches),
 * wall-clock of the in-tree reference mode (``fast_paths(False)``:
-  serial single-partition calls, no result memo),
+  serial single-partition calls),
 * optionally, wall-clock of a *baseline checkout* (``--baseline``
   points at an older tree's ``src``; both sides run as interleaved
   subprocesses so machine drift hits them equally),
-* a warm re-run of the identical protocol in the same process (every
-  ``OptForPart`` call becomes a memo hit),
 * the cache hit/miss statistics and per-phase wall-clock breakdown
   (``phase_timings``: span name -> count/total seconds) of a cold
   fast pass run under telemetry, and
@@ -39,12 +37,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from repro import caching, obs
-from repro.core import run_bssa
 from repro.experiments import ExperimentScale, run_table2
-from repro.workloads import get as get_workload
 
 from benchmarks import snapshot_provenance
 
@@ -162,7 +156,7 @@ def main(argv=None) -> int:
     snapshot["meds"] = fast_meds
     snapshot["fast"] = {"seconds": fast_times, "min": min(fast_times)}
     snapshot["reference"] = {
-        "mode": "fast_paths(False): serial calls, no result memo",
+        "mode": "fast_paths(False): serial calls",
         "seconds": reference_times,
         "min": min(reference_times),
         "byte_identical": True,
@@ -177,37 +171,6 @@ def main(argv=None) -> int:
     snapshot["cache_stats"] = caching.cache_stats()
     summary = obs.summarize.summarize(memory.records)
     snapshot["phase_timings"] = summary.phase_timings()
-
-    # -- warm re-run: one search run, caches hot -> memo replay --------
-    # The result memo is sized to a single search run's working set
-    # (the full protocol's 2 algorithms x n_runs seeds deliberately
-    # overflow it), so the replay demo re-runs one BS-SA search with an
-    # identical seed in the same process: every OptForPart call hits.
-    target = get_workload(scale.benchmarks[0], scale.n_inputs)
-    caching.clear_caches()
-    start = time.perf_counter()
-    cold = run_bssa(
-        target, scale.bssa_config, rng=np.random.default_rng(args.base_seed)
-    )
-    cold_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    warm = run_bssa(
-        target, scale.bssa_config, rng=np.random.default_rng(args.base_seed)
-    )
-    warm_seconds = time.perf_counter() - start
-    if warm.med != cold.med:
-        print("FAIL: warm memo re-run changed the search output", file=sys.stderr)
-        return 1
-    memo = caching.cache_stats()["opt.memo"]
-    snapshot["warm_rerun"] = {
-        "benchmark": scale.benchmarks[0],
-        "algorithm": "bs-sa",
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "speedup": cold_seconds / warm_seconds,
-        "memo_hit_rate": memo["hit_rate"],
-        "byte_identical": True,
-    }
 
     # -- optional race against an older checkout -----------------------
     if args.baseline:

@@ -18,15 +18,8 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from . import ops
-from ..caching import LruCache
 
 __all__ = ["Partition", "random_partition", "all_partitions", "partition_count"]
-
-#: cached neighbour lists keyed by partition — SA revisits the same
-#: states across chains and rounds, and the swap enumeration allocates
-#: n_free * n_bound Partition objects per call.  The list order is part
-#: of the contract: ``sample_neighbours`` draws indices into it.
-_NEIGHBOUR_CACHE = LruCache("partition_neighbours", maxsize=1024)
 
 
 @dataclass(frozen=True)
@@ -143,17 +136,15 @@ class Partition:
 
         Each neighbour swaps one free variable with one bound variable,
         preserving the bound-set size ``b`` required by the hardware.
+        The list order is part of the contract: :meth:`sample_neighbours`
+        draws indices into it.
         """
-        cached = _NEIGHBOUR_CACHE.get(self)
-        if cached is not None:
-            return list(cached)
         result = []
         for a in self.free:
             for b in self.bound:
                 free = tuple(sorted(set(self.free) - {a} | {b}))
                 bound = tuple(sorted(set(self.bound) - {b} | {a}))
                 result.append(Partition._trusted(free, bound))
-        _NEIGHBOUR_CACHE.put(self, tuple(result))
         return result
 
     def sample_neighbours(

@@ -1,14 +1,10 @@
 """Process-local caches and the fast-path switch for the hot kernels.
 
-The BS-SA/DALTA inner loop (``OptForPart``) re-evaluates thousands of
-partitions per output bit.  Three caches amortise that work without
-changing a single output bit (see ``docs/performance.md``):
-
-* the 2D-table *index cache* in :mod:`repro.boolean.truth_table`
-  (gather/scatter permutations keyed by ``(partition, n_inputs)``),
-* the *result memo* in :mod:`repro.core.opt_for_part` (full
-  ``OptForPartResult`` keyed by cost/pattern digests), and
-* the batched ``opt_for_part_many`` driver used by BS-SA and DALTA.
+:class:`LruCache` is the bounded map behind the 2D-table *index
+caches* in :mod:`repro.boolean.truth_table` (gather/scatter
+permutations keyed by ``(partition, n_inputs)``) and the serve
+daemon's in-memory artifact cache.  None of them changes an output bit
+(see ``docs/performance.md``).
 
 Everything here is **per process**: worker processes spawned by
 :mod:`repro.experiments.parallel` each hold their own caches, and
@@ -16,9 +12,9 @@ Everything here is **per process**: worker processes spawned by
 are independent of run order and of serial-vs-parallel execution.
 
 ``fast_paths_enabled()`` is the one switch between production (the
-exact sweep where its gate admits, batching, and the result memo) and
-the serial reference ``OptForPart`` (the index cache is a pure
-equivalence and stays on).  Disable globally with ``REPRO_FAST_PATHS=0``
+exact sweep where its gate admits, and batched search generations)
+and the serial reference ``OptForPart`` (the index caches are a pure
+equivalence and stay on).  Disable globally with ``REPRO_FAST_PATHS=0``
 in the environment, or locally with the :func:`fast_paths` context
 manager — the reference is kept intact precisely so the differential
 test suites (and ``perfbench/make_expected.py``) can compare both.
@@ -30,7 +26,7 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional
 
 from . import obs
 
@@ -90,21 +86,12 @@ class LruCache:
     (``repro.core.fusion``) runs a grouped kernel pass while its party
     threads may still be probing the same caches inline, so the
     OrderedDict operations must not interleave.  Uncontended, the lock
-    costs ~0.1µs per probe — invisible next to the sha1 key digests.
-    When a telemetry session is active, every lookup increments
-    ``cache.<name>.hit`` / ``cache.<name>.miss`` — plus the aggregate
-    ``<aggregate>_hit`` / ``<aggregate>_miss`` counters when an
-    aggregate prefix is given (the opt-layer caches use ``opt.cache``,
-    which is what ``repro summarize`` reports as ``opt.cache_hit`` /
-    ``opt.cache_miss``).  Evictions increment
-    ``cache.<name>.eviction`` plus ``eviction_counter`` when one is
-    named (the result memo uses ``opt.memo_evictions``), so a memo
-    thrashing its bound is visible in ``repro summarize``.
-
-    ``journal``, when set to a list, receives every ``(key, value)``
-    pair stored through :meth:`put` — the warm-pool workers use it to
-    export exactly the entries a job computed (entries seeded through
-    :meth:`import_entries` are deliberately not journalled).
+    costs ~0.1µs per probe.  When a telemetry session is active, every
+    lookup increments ``cache.<name>.hit`` / ``cache.<name>.miss`` —
+    plus the aggregate ``<aggregate>_hit`` / ``<aggregate>_miss``
+    counters when an aggregate prefix is given (the serve artifact
+    cache uses ``serve.cache``) — and every eviction increments
+    ``cache.<name>.eviction``.
 
     ``register=False`` keeps the instance out of the process-wide
     registry, exempting it from :func:`clear_caches`.  The per-run
@@ -119,7 +106,6 @@ class LruCache:
         name: str,
         maxsize: int,
         aggregate: Optional[str] = None,
-        eviction_counter: Optional[str] = None,
         register: bool = True,
     ) -> None:
         if maxsize < 1:
@@ -127,11 +113,9 @@ class LruCache:
         self.name = name
         self.maxsize = maxsize
         self.aggregate = aggregate
-        self.eviction_counter = eviction_counter
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.journal: Optional[List] = None
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.RLock()
         if register:
@@ -163,69 +147,13 @@ class LruCache:
         if value is None:
             raise ValueError("LruCache cannot store None")
         with self._lock:
-            if self.journal is not None:
-                self.journal.append((key, value))
-            self._store(key, value)
-
-    def put_many(self, items: Iterable[Tuple[Hashable, Any]]) -> None:
-        """Store a batch of ``(key, value)`` pairs under one lock hold.
-
-        Semantically identical to calling :meth:`put` per pair (same
-        journalling, same LRU order, same eviction accounting) but the
-        lock and journal lookups are paid once per batch — the fused
-        kernel driver stores one batch per evaluated chunk.
-        """
-        with self._lock:
-            journal = self.journal
-            for key, value in items:
-                if value is None:
-                    raise ValueError("LruCache cannot store None")
-                if journal is not None:
-                    journal.append((key, value))
-                self._store(key, value)
-
-    def _store(self, key: Hashable, value: Any) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        if len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
-            if obs.enabled():
-                obs.incr(f"cache.{self.name}.eviction")
-                if self.eviction_counter:
-                    obs.incr(self.eviction_counter)
-
-    def resize(self, maxsize: int) -> None:
-        """Change the bound, evicting oldest entries if it shrank."""
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        with self._lock:
-            self.maxsize = maxsize
-            while len(self._data) > self.maxsize:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            if len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
                 self.evictions += 1
-
-    def export_entries(self) -> List:
-        """Every ``(key, value)`` pair, least-recently-used first."""
-        with self._lock:
-            return list(self._data.items())
-
-    def import_entries(self, pairs: Iterable) -> int:
-        """Bulk-seed entries without touching hit/miss stats or journal.
-
-        Existing keys are refreshed in place.  Returns the number of
-        entries stored.  Used to warm a worker's cache from a shared
-        memo segment or a disk snapshot — the seeded entries are not
-        journalled, so a subsequent export ships only fresh work.
-        """
-        count = 0
-        with self._lock:
-            for key, value in pairs:
-                if value is None:
-                    continue
-                self._store(key, value)
-                count += 1
-        return count
+                if obs.enabled():
+                    obs.incr(f"cache.{self.name}.eviction")
 
     def clear(self) -> None:
         """Drop all entries and reset the hit/miss/eviction counters."""

@@ -22,8 +22,6 @@ from .nondisjoint import (
 )
 from .opt_for_part import (
     OptForPartResult,
-    OptMemo,
-    memo_context,
     opt_for_part,
     opt_for_part_bto,
     opt_for_part_exhaustive,
@@ -59,8 +57,6 @@ __all__ = [
     "optimize_nondisjoint",
     "optimize_nondisjoint_shared",
     "OptForPartResult",
-    "OptMemo",
-    "memo_context",
     "opt_for_part",
     "opt_for_part_bto",
     "opt_for_part_exhaustive",

@@ -41,7 +41,7 @@ from .cost import (
 from .modes import select_mode
 from .nondisjoint import optimize_nondisjoint
 from .opt_for_part import (
-    memo_context,
+    KernelContext,
     opt_for_part,
     opt_for_part_bto,
     opt_for_part_many,
@@ -122,8 +122,8 @@ def _draw_patterns(
     ``opt_for_part`` calls would, which is what keeps every later draw
     (SA acceptance tests, subsequent bits) bit-identical.  The draws
     land directly in one preallocated ``(N, Z, cols)`` stack, so the
-    whole generation is materialised (and later memo-digested) once
-    per batch instead of once per item.
+    whole generation is materialised once per batch instead of once
+    per item.
     """
     z = config.n_initial_patterns
     cols = partitions[0].n_cols if partitions else 0
@@ -171,10 +171,9 @@ def find_best_settings(
     beam = _Beam(n_beam)
     best_bto: Optional[Setting] = None
     budget = min(config.partition_limit, partition_count(n_inputs, config.bound_size))
-    # One memo handle per (costs, p) context: partitions revisited with
-    # identical context (and, for the randomised variant, identical
-    # pattern draws) come straight from the result cache.
-    memo = memo_context(costs, p)
+    # One kernel context per (costs, p): every OptForPart call of this
+    # search shares its gate verdict and weighted grids.
+    context = KernelContext(costs, p, n_inputs)
 
     def record(partition: Partition, result) -> float:
         """Fold one OptForPart result into beam/BTO/stats bookkeeping."""
@@ -182,7 +181,7 @@ def find_best_settings(
         stats.opt_for_part_calls += 1
         beam.push(Setting(result.error, result.decomposition))
         if collect_bto:
-            bto = opt_for_part_bto(costs, p, partition, n_inputs, memo=memo)
+            bto = opt_for_part_bto(costs, p, partition, n_inputs, context=context)
             if best_bto is None or bto.error < best_bto.error:
                 best_bto = Setting(bto.error, bto.decomposition)
         return result.error
@@ -196,7 +195,7 @@ def find_best_settings(
             n_inputs,
             n_initial_patterns=config.n_initial_patterns,
             rng=rng,
-            memo=memo,
+            context=context,
         )
         obs.incr("sa.partitions_evaluated")
         return record(partition, result)
@@ -219,7 +218,7 @@ def find_best_settings(
             p,
             partitions,
             n_inputs,
-            memo=memo,
+            context=context,
             initial_patterns=patterns,
         )
         obs.incr("sa.partitions_evaluated", len(partitions))

@@ -21,7 +21,7 @@ from ..boolean.partition import partition_count, random_partition
 from ..metrics import distributions
 from .config import AlgorithmConfig
 from .cost import apply_objective, cost_vectors_fixed
-from .opt_for_part import memo_context, opt_for_part, opt_for_part_many
+from .opt_for_part import KernelContext, opt_for_part, opt_for_part_many
 from .result import ApproximationResult, SearchStats
 from .settings import Setting, SettingBits, SettingSequence
 
@@ -90,7 +90,7 @@ def run_dalta(
                         seen = set()
                         budget = min(config.partition_limit, max_partitions)
                         attempts = 0
-                        memo = memo_context(costs, p)
+                        context = KernelContext(costs, p, target.n_inputs)
                         if caching.fast_paths_enabled():
                             # Take every generator draw (partition, then
                             # its initial patterns) in the order the
@@ -124,7 +124,7 @@ def run_dalta(
                                 p,
                                 order,
                                 target.n_inputs,
-                                memo=memo,
+                                context=context,
                                 initial_patterns=drawn,
                             )
                             if order:
@@ -156,7 +156,7 @@ def run_dalta(
                                     target.n_inputs,
                                     n_initial_patterns=config.n_initial_patterns,
                                     rng=rng,
-                                    memo=memo,
+                                    context=context,
                                 )
                                 stats.opt_for_part_calls += 1
                                 obs.incr("dalta.partitions_evaluated")

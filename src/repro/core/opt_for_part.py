@@ -42,23 +42,19 @@ Two implementations (see ``docs/performance.md``)
   partitions at once and freezes each item at exactly the sweep where
   the serial loop would stop.
 
-Production also memoises: an LRU memo (:func:`memo_context`) caches
-full results keyed by digests of the cost vectors, the input
-distribution, the partition, and — for the randomised variant — the
-drawn initial patterns (digested in their bit-packed form, 8x fewer
-bytes hashed).  The pattern digest is what makes a hit *provably*
-bit-exact: the alternation is deterministic given ``(d0, d1,
-patterns)``.  The deterministic BTO/exhaustive variants memoise
-without it.  The differential suites under ``tests/core`` pin
-production to the reference.
+Both read one :class:`KernelContext` per ``(costs, p)`` pair: the
+search loops build it once per context and pass it to every call, so
+the gate verdict and the weighted grids are computed once.  The
+differential suites under ``tests/core`` pin production to the
+reference.
 
 Cross-caller fusion
 -------------------
 :func:`opt_for_part_grouped` evaluates a *list* of
 :class:`KernelRequest` batches — possibly from different ``(costs,
 p)`` contexts — in one pass: items are grouped by table shape and
-gate tier, deduplicated by memo digest, and executed in chunks up to
-``_BATCH_LIMIT`` wide, each item bitwise equal to its standalone call.
+gate tier and executed in chunks up to ``_BATCH_LIMIT`` wide, each
+item bitwise equal to its standalone call.
 :class:`repro.core.fusion.FusionHub` routes concurrent callers'
 ``opt_for_part`` / ``opt_for_part_many`` invocations here so serve
 batches and fused campaign runs share kernel dispatches; engagement is
@@ -68,7 +64,6 @@ visible as ``opt.fused_calls`` / ``opt.fused_items`` and the
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -90,10 +85,8 @@ from .fusion import current_hub
 
 __all__ = [
     "OptForPartResult",
-    "OptMemo",
     "KernelContext",
     "KernelRequest",
-    "memo_context",
     "result_memo",
     "opt_for_part",
     "opt_for_part_many",
@@ -117,17 +110,11 @@ _T_ONE = int(RowType.ALL_ONE)
 _T_PATTERN = int(RowType.PATTERN)
 _T_COMPLEMENT = int(RowType.COMPLEMENT)
 
-#: process-wide result memo; entries are a few hundred bytes each.
-#: Evictions feed the ``opt.memo_evictions`` counter so `repro
-#: summarize` shows when the bound is thrashing (a full Table-II
-#: protocol overflows 4096 entries by design; the warm pool resizes
-#: its workers' memos to the campaign capacity).
-_RESULT_MEMO = caching.LruCache(
-    "opt.memo",
-    maxsize=4096,
-    aggregate="opt.cache",
-    eviction_counter="opt.memo_evictions",
-)
+#: always empty: no kernel result is cached.  ``perfbench/tracer.py``
+#: reads its hit/miss counts on every traced search call for the
+#: ``kernel.memo_hit_ratio`` metric, which therefore reports 0
+_EMPTY_MEMO = caching.LruCache("opt.memo", maxsize=1, register=False)
+
 
 def _partition_axes(partition: Partition, n_inputs: int) -> Tuple[int, ...]:
     """Transpose axes mapping the flat weight grid to ``partition``'s table.
@@ -144,15 +131,8 @@ def _partition_axes(partition: Partition, n_inputs: int) -> Tuple[int, ...]:
 
 
 def result_memo() -> caching.LruCache:
-    """The process-wide ``OptForPart`` result memo.
-
-    Exposed for the warm-pool execution backend, which seeds worker
-    memos from a campaign-shared segment and exports freshly computed
-    entries after each job (see ``repro.experiments.pool``).  Entries
-    are safe to share across processes: keys are content digests, so a
-    hit is provably the value a recompute would produce.
-    """
-    return _RESULT_MEMO
+    """The always-empty ``opt.memo`` cache ``perfbench/tracer.py`` reads."""
+    return _EMPTY_MEMO
 
 
 @dataclass(frozen=True)
@@ -177,71 +157,6 @@ class OptForPartResult:
     @property
     def types(self) -> np.ndarray:
         return self.decomposition.types
-
-
-class OptMemo:
-    """Binds one ``(costs, p)`` pair to the process-wide result memo.
-
-    Created by :func:`memo_context`, which digests the cost vectors and
-    the input distribution once; per-partition keys are then cheap.
-    The callers (``find_best_settings``, DALTA's bit loop) own the
-    arrays for the duration, so content digests taken at construction
-    stay valid.
-    """
-
-    __slots__ = ("context_key", "context")
-
-    def __init__(self, context_key: Tuple) -> None:
-        self.context_key = context_key
-        # the bound (costs, p) pair's KernelContext, built by the first
-        # kernel call (see _context()): its gate verdict and weighted
-        # grids are then computed once per search context
-        self.context: Optional[KernelContext] = None
-
-    def normal_key(
-        self,
-        partition: Partition,
-        packed: np.ndarray,
-        shape: Tuple[int, ...],
-        max_sweeps: int,
-    ) -> Tuple:
-        """Key of the randomised variant from its bit-packed patterns.
-
-        The driver packs the whole ``(Z, cols)`` pattern stack in one
-        :func:`pack_bits` call and hands each item's words here: same
-        information (shape is part of the key, pad bits are zero), and
-        8x fewer bytes through sha1 per memo probe.
-        """
-        digest = hashlib.sha1(packed.tobytes()).digest()
-        return (
-            "normal",
-            self.context_key,
-            partition,
-            int(max_sweeps),
-            tuple(shape),
-            digest,
-        )
-
-    def bto_key(self, partition: Partition) -> Tuple:
-        return ("bto", self.context_key, partition)
-
-    def exhaustive_key(self, partition: Partition) -> Tuple:
-        return ("exhaustive", self.context_key, partition)
-
-
-def memo_context(costs: BitCosts, p: np.ndarray) -> OptMemo:
-    """Digest ``(costs, p)`` into a memo handle for the result cache.
-
-    Only create one when the cost vectors and distribution are immutable
-    for the lifetime of the handle (the per-bit search loops satisfy
-    this: they build fresh cost vectors per context and never write to
-    ``p``).
-    """
-    h = hashlib.sha1()
-    h.update(np.ascontiguousarray(costs.cost0).tobytes())
-    h.update(np.ascontiguousarray(costs.cost1).tobytes())
-    h.update(np.ascontiguousarray(p).tobytes())
-    return OptMemo((int(costs.k), costs.cost0.shape[0], h.digest()))
 
 
 # ----------------------------------------------------------------------
@@ -574,22 +489,6 @@ class KernelContext:
         return view
 
 
-def _context(
-    costs: BitCosts, p: np.ndarray, n_inputs: int, memo: Optional[OptMemo]
-) -> KernelContext:
-    """The kernel context of ``(costs, p)``, kept on ``memo`` when given.
-
-    A memo binds one ``(costs, p)`` pair for the lifetime of a search
-    context, so its context — gate verdict and weighted grids — is
-    built by the first kernel call and reused by every later one.
-    """
-    if memo is None:
-        return KernelContext(costs, p, n_inputs)
-    if memo.context is None or memo.context.n_inputs != n_inputs:
-        memo.context = KernelContext(costs, p, n_inputs)
-    return memo.context
-
-
 def _engaged_tier(context: KernelContext) -> Optional[str]:
     """Production's gate verdict for ``context``, with telemetry.
 
@@ -864,7 +763,7 @@ def _best_of(
 ) -> OptForPartResult:
     """Pick the best candidate of one item's final alternation state."""
     best = int(totals.argmin())
-    # copies detach the winner from the batch arrays (memo entries must
+    # copies detach the winner from the batch arrays (a result must
     # not pin them); _trusted skips re-validating vectors the exact
     # half-steps produced
     decomposition = DisjointDecomposition._trusted(
@@ -882,17 +781,18 @@ def opt_for_part(
     n_initial_patterns: int = 30,
     rng: Optional[np.random.Generator] = None,
     max_sweeps: int = _DEFAULT_MAX_SWEEPS,
-    memo: Optional[OptMemo] = None,
+    context: Optional[KernelContext] = None,
 ) -> OptForPartResult:
     """Optimise (V, T) for ``partition`` from random initial patterns.
 
     Parameters mirror the paper: ``n_initial_patterns`` is ``Z``.  The
     returned error is exact for the given cost model (no sampling).
-    ``memo`` (from :func:`memo_context`) enables the result memo; the
-    random pattern draw happens regardless, so the generator stream —
-    and therefore every downstream draw — is identical on hit and miss.
+    ``context`` is the :class:`KernelContext` of ``(costs, p)``; a
+    caller that evaluates many partitions of one context passes it so
+    the gate verdict and weighted grids are built once.
     """
-    context = _context(costs, p, n_inputs, memo)
+    if context is None:
+        context = KernelContext(costs, p, n_inputs)
     if rng is None:
         rng = np.random.default_rng()
     if n_initial_patterns < 1:
@@ -900,7 +800,7 @@ def opt_for_part(
     patterns = rng.integers(
         0, 2, size=(n_initial_patterns, partition.n_cols), dtype=np.uint8
     )
-    request = KernelRequest(context, [partition], patterns[None], max_sweeps, memo)
+    request = KernelRequest(context, [partition], patterns[None], max_sweeps)
     hub = current_hub()
     if hub is not None:
         # a fusion party: ship the drawn problem to the hub (telemetry
@@ -915,14 +815,13 @@ def opt_for_part(
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        results, sweeps, hits = _grouped_eval([request], False)[0]
+        results, sweeps = _grouped_eval([request], False)[0]
         result = results[0]
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
         span.set(sweeps=sweeps, error=result.error)
         obs.incr("opt.calls")
-        if not hits:
-            obs.incr("opt.sweeps", sweeps)
+        obs.incr("opt.sweeps", sweeps)
         obs.incr("opt.lut_entries", 2 << (n_inputs - 1))
         return result
 
@@ -936,7 +835,7 @@ def opt_for_part_many(
     n_initial_patterns: int = 30,
     rng: Optional[np.random.Generator] = None,
     max_sweeps: int = _DEFAULT_MAX_SWEEPS,
-    memo: Optional[OptMemo] = None,
+    context: Optional[KernelContext] = None,
     initial_patterns: Optional[Sequence[np.ndarray]] = None,
 ) -> List[OptForPartResult]:
     """Batched :func:`opt_for_part` over same-shape partitions.
@@ -953,9 +852,11 @@ def opt_for_part_many(
     search loops build the stack directly, skipping a re-stack here).
 
     Results are returned in input order; each is bitwise equal to the
-    corresponding single-partition call.
+    corresponding single-partition call.  ``context`` is as in
+    :func:`opt_for_part`.
     """
-    context = _context(costs, p, n_inputs, memo)
+    if context is None:
+        context = KernelContext(costs, p, n_inputs)
     partitions = list(partitions)
     if not partitions:
         return []
@@ -995,7 +896,7 @@ def opt_for_part_many(
                 raise ValueError("initial-pattern arrays must share one shape")
         stacked = np.stack(initial_patterns)
 
-    request = KernelRequest(context, partitions, stacked, max_sweeps, memo)
+    request = KernelRequest(context, partitions, stacked, max_sweeps)
     hub = current_hub()
     if hub is not None:
         # a fusion party: ship the whole batch to the hub (telemetry is
@@ -1011,10 +912,10 @@ def opt_for_part_many(
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        results, total_sweeps, hits = _grouped_eval([request], False)[0]
+        results, total_sweeps = _grouped_eval([request], False)[0]
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
-        span.set(sweeps=total_sweeps, memo_hits=hits)
+        span.set(sweeps=total_sweeps)
         obs.incr("opt.calls", len(partitions))
         obs.incr("opt.sweeps", total_sweeps)
         obs.incr("opt.lut_entries", len(partitions) * (2 << (n_inputs - 1)))
@@ -1026,14 +927,14 @@ class KernelRequest:
 
     Bundles everything :func:`_grouped_eval` consumes — the
     :class:`KernelContext`, the partitions, the pre-drawn ``(N, Z,
-    cols)`` pattern stack, and the optional memo handle — so requests
-    from *different* search or serve contexts can ride one
+    cols)`` pattern stack, and the sweep cap — so requests from
+    *different* search or serve contexts can ride one
     :func:`opt_for_part_grouped` pass.  The pattern stack is captured
     by reference; callers must not mutate it until the request
     resolves.
     """
 
-    __slots__ = ("context", "partitions", "stacked", "max_sweeps", "memo")
+    __slots__ = ("context", "partitions", "stacked", "max_sweeps")
 
     def __init__(
         self,
@@ -1041,13 +942,11 @@ class KernelRequest:
         partitions: Sequence[Partition],
         stacked: np.ndarray,
         max_sweeps: int = _DEFAULT_MAX_SWEEPS,
-        memo: Optional[OptMemo] = None,
     ) -> None:
         self.context = context
         self.partitions = list(partitions)
         self.stacked = stacked
         self.max_sweeps = max_sweeps
-        self.memo = memo
 
 
 def opt_for_part_grouped(
@@ -1056,13 +955,11 @@ def opt_for_part_grouped(
     """Fused evaluation of many callers' batches in one kernel pass.
 
     Items from all requests are grouped by table shape, candidate
-    count, sweep cap, and gate tier, deduplicated by memo
-    digest across requests, and executed in stacked chunks up to
-    ``_BATCH_LIMIT`` wide — each item bitwise equal to its standalone
-    :func:`opt_for_part_many` call (and the memo keeps cross-request
-    duplicates byte-identical to what a serial replay would fetch).
-    Returns one result list per request, in request order.  Telemetry:
-    a single ``opt.for_part_fused`` span covering the pass, the usual
+    count, sweep cap, and gate tier, and executed in stacked chunks up
+    to ``_BATCH_LIMIT`` wide — each item bitwise equal to its
+    standalone :func:`opt_for_part_many` call.  Returns one result
+    list per request, in request order.  Telemetry: a single
+    ``opt.for_part_fused`` span covering the pass, the usual
     ``opt.calls`` / ``opt.sweeps`` / ``opt.lut_entries`` counters, plus
     ``opt.fused_calls`` / ``opt.fused_items`` and an
     ``opt.fused_width`` observation per executed chunk.
@@ -1072,7 +969,7 @@ def opt_for_part_grouped(
         return []
     total = sum(len(request.partitions) for request in requests)
     if not obs.enabled():
-        return [results for results, _, _ in _grouped_eval(requests, False)]
+        return [results for results, _ in _grouped_eval(requests, False)]
     with obs.span(
         "opt.for_part_fused", requests=len(requests), items=total
     ) as span:
@@ -1085,9 +982,8 @@ def opt_for_part_grouped(
         evaluated = _grouped_eval(requests, True)
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
-        total_sweeps = sum(sweeps for _, sweeps, _ in evaluated)
-        hits = sum(h for _, _, h in evaluated)
-        span.set(sweeps=total_sweeps, memo_hits=hits)
+        total_sweeps = sum(sweeps for _, sweeps in evaluated)
+        span.set(sweeps=total_sweeps)
         obs.incr("opt.calls", total)
         obs.incr("opt.sweeps", total_sweeps)
         for request in requests:
@@ -1097,74 +993,38 @@ def opt_for_part_grouped(
             )
         obs.incr("opt.fused_calls")
         obs.incr("opt.fused_items", total)
-        return [results for results, _, _ in evaluated]
+        return [results for results, _ in evaluated]
 
 
 def _grouped_eval(
     requests: List[KernelRequest], observe_fusion: bool
-) -> List[Tuple[List[OptForPartResult], int, int]]:
+) -> List[Tuple[List[OptForPartResult], int]]:
     """Shared engine behind :func:`opt_for_part`, :func:`opt_for_part_many`
     and :func:`opt_for_part_grouped`.
 
-    Returns ``(results, total_sweeps, memo_hits)`` per request.  Items
-    the gate admits run the exact sweep in stacked chunks (with many
-    requests the chunks simply interleave items, which the exact sweep
-    keeps independent); every other item runs the reference on its own.
+    Returns ``(results, total_sweeps)`` per request.  Items the gate
+    admits run the exact sweep in stacked chunks (with many requests
+    the chunks simply interleave items, which the exact sweep keeps
+    independent); every other item runs the reference on its own.
     """
     results: List[List[Optional[OptForPartResult]]] = []
-    keys: List[List[Optional[Tuple]]] = []
     item_sweeps: List[List[int]] = []
-    hits: List[int] = [0] * len(requests)
-    # (rows, cols, Z, max_sweeps, tier) → [(request idx, item idx)]
+    # (rows, cols, Z, max_sweeps, tier) → [(request idx, item idx)];
+    # the tier is the gate verdict: None (reference) / "f64" / "f32"
     groups: dict = {}
-    # memo key → (request idx, item idx) of the first occurrence; later
-    # occurrences across requests alias it (a serial replay would hit
-    # the memo entry the first occurrence just wrote)
-    first_seen: dict = {}
-    aliases: List[Tuple[int, int, Tuple]] = []
-    fresh: dict = {}
-    # per-request gate tier: None (reference) / "f64" / "f32"
-    tiers: List[Optional[str]] = [None] * len(requests)
     for ri, request in enumerate(requests):
         count = len(request.partitions)
-        use_memo = request.memo is not None and caching.fast_paths_enabled()
         results.append([None] * count)
-        keys.append([None] * count)
         item_sweeps.append([0] * count)
-        misses: List[Tuple[int, int]] = []
-        if use_memo:
-            # one pack_bits call per request stack: the memo digests
-            # sha1 the packed rows
-            packed_stack = pack_bits(request.stacked)
-            shape = request.stacked.shape[1:]
-        for ii, partition in enumerate(request.partitions):
-            if use_memo:
-                key = request.memo.normal_key(
-                    partition, packed_stack[ii], shape, request.max_sweeps
-                )
-                cached = _RESULT_MEMO.get(key)
-                if cached is not None:
-                    results[ri][ii] = cached[0]
-                    hits[ri] += 1
-                    continue
-                owner = first_seen.get(key)
-                if owner is not None:
-                    aliases.append((ri, ii, key))
-                    hits[ri] += 1
-                    continue
-                first_seen[key] = (ri, ii)
-                keys[ri][ii] = key
-            misses.append((ri, ii))
-        if misses:
-            tiers[ri] = _engaged_tier(request.context)
+        if count:
             gkey = (
                 request.partitions[0].n_rows,
                 request.partitions[0].n_cols,
                 request.stacked.shape[1],
                 request.max_sweeps,
-                tiers[ri],
+                _engaged_tier(request.context),
             )
-            groups.setdefault(gkey, []).extend(misses)
+            groups.setdefault(gkey, []).extend((ri, ii) for ii in range(count))
 
     for gkey, members in groups.items():
         rows, cols, z, group_sweeps, tier = gkey
@@ -1251,30 +1111,17 @@ def _grouped_eval(
             best_types = fin_types[arange_b, winners]
             best_totals = fin_totals[arange_b, winners].tolist()
             sweeps_list = fin_sweeps.tolist()
-            stores: List[Tuple] = []
             for j, (ri, ii) in enumerate(chunk):
                 decomposition = DisjointDecomposition._trusted(
                     requests[ri].partitions[ii],
                     best_patterns[j],
                     best_types[j],
                 )
-                result = OptForPartResult(best_totals[j], decomposition)
-                results[ri][ii] = result
+                results[ri][ii] = OptForPartResult(best_totals[j], decomposition)
                 item_sweeps[ri][ii] = sweeps_list[j]
-                key = keys[ri][ii]
-                if key is not None:
-                    entry = (result, sweeps_list[j])
-                    stores.append((key, entry))
-                    fresh[key] = entry
-            if stores:
-                # one lock hold per chunk instead of one per item
-                _RESULT_MEMO.put_many(stores)
-
-    for ri, ii, key in aliases:
-        results[ri][ii] = fresh[key][0]
 
     return [
-        (results[ri], sum(item_sweeps[ri]), hits[ri])  # type: ignore[misc]
+        (results[ri], sum(item_sweeps[ri]))  # type: ignore[misc]
         for ri in range(len(requests))
     ]
 
@@ -1285,23 +1132,16 @@ def opt_for_part_bto(
     partition: Partition,
     n_inputs: int,
     *,
-    memo: Optional[OptMemo] = None,
+    context: Optional[KernelContext] = None,
 ) -> OptForPartResult:
     """BTO-restricted ``OptForPart``: all rows are forced to type 3.
 
     With ``T`` fixed, the optimal ``V`` decomposes per column and is
     found exactly — no random restarts, no alternation, no generator
-    use, which is why the memo key needs no pattern digest.
+    use.  ``context`` is as in :func:`opt_for_part`.
     """
-    context = _context(costs, p, n_inputs, memo)
-    key = None
-    if memo is not None and caching.fast_paths_enabled():
-        key = memo.bto_key(partition)
-        cached = _RESULT_MEMO.get(key)
-        if cached is not None:
-            if obs.enabled():
-                obs.incr("opt.bto_calls")
-            return cached
+    if context is None:
+        context = KernelContext(costs, p, n_inputs)
     if obs.enabled():
         # the per-column sums below run on every tier; the verdict
         # only feeds the gate counters
@@ -1316,8 +1156,6 @@ def opt_for_part_bto(
     pattern = (cost_one < cost_zero).astype(np.uint8)
     error = float(np.minimum(cost_zero, cost_one).sum())
     result = OptForPartResult(error, BoundOnlyDecomposition(partition, pattern))
-    if key is not None:
-        _RESULT_MEMO.put(key, result)
     if obs.enabled():
         obs.incr("opt.bto_calls")
     return result
@@ -1328,8 +1166,6 @@ def opt_for_part_exhaustive(
     p: np.ndarray,
     partition: Partition,
     n_inputs: int,
-    *,
-    memo: Optional[OptMemo] = None,
 ) -> OptForPartResult:
     """Global optimum by enumerating every pattern vector.
 
@@ -1338,9 +1174,7 @@ def opt_for_part_exhaustive(
     true optimum often and never reports a better-than-possible error.
     Single-partition view of :func:`opt_for_part_exhaustive_many`.
     """
-    return opt_for_part_exhaustive_many(
-        costs, p, [partition], n_inputs, memo=memo
-    )[0]
+    return opt_for_part_exhaustive_many(costs, p, [partition], n_inputs)[0]
 
 
 def opt_for_part_exhaustive_many(
@@ -1348,13 +1182,11 @@ def opt_for_part_exhaustive_many(
     p: np.ndarray,
     partitions: Sequence[Partition],
     n_inputs: int,
-    *,
-    memo: Optional[OptMemo] = None,
 ) -> List[OptForPartResult]:
     """Batched exhaustive oracle over same-shape partitions.
 
     Accepts the same batched inputs as :func:`opt_for_part_many` (one
-    ``(free, bound)`` shape, results in input order, optional memo) so
+    ``(free, bound)`` shape, results in input order) so
     oracle comparisons in the property suites can evaluate a whole
     partition batch without hand-rolled loops.  The oracle always runs
     the *reference* types half-step — it is the thing the exact sweep
@@ -1377,51 +1209,28 @@ def opt_for_part_exhaustive_many(
                 f"exhaustive search over 2**{partition.n_cols} patterns "
                 "refused; use bound sets of size <= 4"
             )
-    context = _context(costs, p, n_inputs, memo)
-    count = len(partitions)
-    use_memo = memo is not None and caching.fast_paths_enabled()
-    results: List[Optional[OptForPartResult]] = [None] * count
-    keys: List[Optional[Tuple]] = [None] * count
-    misses: List[int] = []
-    for index, partition in enumerate(partitions):
-        if use_memo:
-            key = memo.exhaustive_key(partition)
-            cached = _RESULT_MEMO.get(key)
-            if cached is not None:
-                results[index] = cached
-                continue
-            keys[index] = key
-        misses.append(index)
-
-    if misses:
-        w0, w1 = context.weights()
-        rows, cols = shape
-        n_patterns = 1 << cols
-        shifts = np.arange(cols, dtype=np.int64)
-        patterns = (
-            (np.arange(n_patterns, dtype=np.int64)[:, None] >> shifts) & 1
-        ).astype(np.uint8)
-        # the enumeration axis replaces Z, so the per-item float
-        # footprint is 2**b times larger than a search sweep's; scale
-        # the chunk size down accordingly
-        chunk_size = max(1, (_BATCH_LIMIT * 32) // n_patterns)
-        for start in range(0, len(misses), chunk_size):
-            chunk = misses[start : start + chunk_size]
-            d0 = np.empty((len(chunk), rows, cols))
-            d1 = np.empty_like(d0)
-            for j, i in enumerate(chunk):
-                axes = _partition_axes(partitions[i], n_inputs)
-                np.copyto(d0[j].reshape(w0.shape), w0.transpose(axes))
-                np.copyto(d1[j].reshape(w1.shape), w1.transpose(axes))
-            stacked = np.broadcast_to(
-                patterns, (len(chunk), n_patterns, cols)
-            )
-            types, totals = _optimal_types_core(
-                d0, d1, stacked, *_row_sums(d0, d1)
-            )
-            for j, index in enumerate(chunk):
-                result = _best_of(partitions[index], patterns, types[j], totals[j])
-                results[index] = result
-                if keys[index] is not None:
-                    _RESULT_MEMO.put(keys[index], result)
-    return results  # type: ignore[return-value]
+    w0, w1 = KernelContext(costs, p, n_inputs).weights()
+    rows, cols = shape
+    n_patterns = 1 << cols
+    shifts = np.arange(cols, dtype=np.int64)
+    patterns = (
+        (np.arange(n_patterns, dtype=np.int64)[:, None] >> shifts) & 1
+    ).astype(np.uint8)
+    # the enumeration axis replaces Z, so the per-item float footprint
+    # is 2**b times larger than a search sweep's; scale the chunk size
+    # down accordingly
+    chunk_size = max(1, (_BATCH_LIMIT * 32) // n_patterns)
+    results: List[OptForPartResult] = []
+    for start in range(0, len(partitions), chunk_size):
+        chunk = partitions[start : start + chunk_size]
+        d0 = np.empty((len(chunk), rows, cols))
+        d1 = np.empty_like(d0)
+        for j, partition in enumerate(chunk):
+            axes = _partition_axes(partition, n_inputs)
+            np.copyto(d0[j].reshape(w0.shape), w0.transpose(axes))
+            np.copyto(d1[j].reshape(w1.shape), w1.transpose(axes))
+        stacked = np.broadcast_to(patterns, (len(chunk), n_patterns, cols))
+        types, totals = _optimal_types_core(d0, d1, stacked, *_row_sums(d0, d1))
+        for j, partition in enumerate(chunk):
+            results.append(_best_of(partition, patterns, types[j], totals[j]))
+    return results

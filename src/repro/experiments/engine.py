@@ -58,7 +58,6 @@ from ..core.serialize import setting_from_dict, setting_to_dict
 from ..core.settings import SettingSequence
 from . import reporting
 from .parallel import RunSpec
-from .pool import DEFAULT_MEMO_CAPACITY
 from .store import (
     CAMPAIGN_FILE as _CAMPAIGN_FILE,
     DEFAULT_LEASE_TTL,
@@ -230,10 +229,6 @@ class EngineConfig:
     #: "pool" = persistent warm workers over shared memory (see
     #: repro.experiments.pool) — outputs are byte-identical either way
     backend: str = "spawn"
-    #: directory holding the cross-campaign memo snapshot (pool only)
-    memo_dir: Optional[str] = None
-    #: bound on campaign-shared OptForPart memo entries (pool only)
-    memo_capacity: int = DEFAULT_MEMO_CAPACITY
     #: serve live /metrics + /healthz on this port while the campaign
     #: runs (0 = ephemeral port; None = no server).  Read-only: the
     #: endpoint never changes campaign results.
@@ -264,10 +259,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; choose spawn or pool"
             )
-        if self.memo_dir is not None and self.backend != "pool":
-            raise ValueError("memo_dir requires the pool backend")
-        if self.memo_capacity < 1:
-            raise ValueError("memo_capacity must be >= 1")
         if self.metrics_port is not None and not (
             0 <= self.metrics_port <= 65535
         ):
@@ -1002,8 +993,6 @@ class Engine:
         backlog = len(queue.pending) + len(queue.foreign)
         pool = WorkerPool(
             min(config.n_jobs, max(1, backlog)),
-            memo_capacity=config.memo_capacity,
-            memo_dir=config.memo_dir,
             capture_telemetry=telemetry is not None,
             # stream mid-job counter/histogram snapshots only when a
             # live metrics hub is consuming them

@@ -183,14 +183,13 @@ class RunSpec:
 
     def execute(self, fresh_caches: bool = True) -> ApproximationResult:
         # Fresh caches per run: results are cache-independent by
-        # construction, but the cache hit/miss counters are not — a
-        # warm memo would make worker telemetry depend on which runs
-        # shared a process, breaking serial-vs-parallel counter
-        # equality (see tests/obs/test_integration.py).  The warm-pool
-        # workers pass ``fresh_caches=False``: the campaign-shared
-        # OptForPart memo must survive across jobs, and memo hits are
-        # bit-exact by construction (content-digest keys), so only the
-        # counters — never the results — depend on warmth.
+        # construction, but the cache hit/miss counters are not — warm
+        # truth-table index caches would make worker telemetry depend
+        # on which runs shared a process, breaking serial-vs-parallel
+        # counter equality (see tests/obs/test_integration.py).  The
+        # warm-pool workers pass ``fresh_caches=False`` to keep their
+        # index caches across jobs; only the counters — never the
+        # results — depend on warmth.
         if fresh_caches:
             caching.clear_caches()
         # Re-seed the legacy global NumPy state from the same spawned
@@ -242,8 +241,8 @@ def run_specs_fused(
     the fused benchmark mode.
 
     ``fresh_caches`` clears the process caches once, up front (the
-    specs then share the warm memo exactly as a serial replay of the
-    group would).  Returns one ``("ok", result)`` or ``("error",
+    specs then share the warm index caches exactly as a serial replay
+    of the group would).  Returns one ``("ok", result)`` or ``("error",
     traceback_text)`` outcome per spec, in input order — one spec's
     failure never poisons its groupmates.
     """
@@ -308,11 +307,11 @@ def run_many(
     ``backend``).  ``backend`` selects the multi-process transport:
     ``"spawn"`` is the fault-isolated per-job path (a process pool of
     pickled jobs), ``"pool"`` the warm-pool path of
-    :mod:`repro.experiments.pool` — persistent workers, shared-memory
-    tables, and a campaign-shared OptForPart memo.  Under an active
-    telemetry session, worker telemetry is aggregated into the parent
-    session and a ``run.completed`` event (one progress line on the
-    stderr sink) fires per run.
+    :mod:`repro.experiments.pool` — persistent workers and
+    shared-memory tables.  Under an active telemetry session, worker
+    telemetry is aggregated into the parent session and a
+    ``run.completed`` event (one progress line on the stderr sink)
+    fires per run.
     """
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")

@@ -429,9 +429,6 @@ def render_top(state: Dict[str, Any]) -> str:
         lines.append(
             f"opt cache: {rate:.1f}% hit ({int(hits)}/{int(hits + misses)})"
         )
-    memo_hits = counters.get("pool.memo_hits", 0)
-    if memo_hits:
-        lines.append(f"pool memo hits: {int(memo_hits)}")
 
     serve_requests = counters.get("serve.requests", 0)
     if serve_requests:

@@ -11,7 +11,10 @@ digest over the truth table + full algorithm descriptor — see
 * an optional disk layer (``--artifact-dir``): one
   ``<fingerprint>.json`` per artifact, written atomically, read back
   on a memory miss and promoted into the LRU.  This is what lets a
-  restarted daemon keep serving cache hits.
+  restarted daemon keep serving cache hits.  A file that does not hold
+  its key's artifact — unreadable, not UTF-8, not JSON, nested past
+  the parser's recursion limit, or another fingerprint — is a miss,
+  and the recomputed artifact replaces it.
 
 The memory cache is created with ``register=False`` so the per-run
 ``caching.clear_caches()`` performed by the inline backend's
@@ -62,7 +65,9 @@ class ArtifactCache:
         try:
             with open(self._path(key)) as handle:
                 payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError, RecursionError):
+            # ValueError covers both bad JSON and bytes that are not
+            # UTF-8 (UnicodeDecodeError)
             return None
         # A renamed/corrupted file must never serve the wrong artifact.
         if (
@@ -83,9 +88,7 @@ class ArtifactCache:
             payload = self._read_disk(key)
             if payload is None:
                 return None
-            # Promote without journalling or double-counting the miss
-            # the LruCache just recorded.
-            self._memory.import_entries([(key, payload)])
+            self._memory.put(key, payload)
             self.disk_hits += 1
         if obs.enabled():
             obs.incr("serve.artifact_disk_hit")
@@ -95,12 +98,12 @@ class ArtifactCache:
         wrote = False
         with self._lock:
             self._memory.put(key, payload)
-            if self.artifact_dir is not None:
-                path = self._path(key)
-                if not os.path.exists(path):
-                    atomic_write_json(path, payload)
-                    self.disk_writes += 1
-                    wrote = True
+            # (re)write unless the file already holds this artifact: a
+            # corrupt or foreign file must not outlive the recompute
+            if self.artifact_dir is not None and self._read_disk(key) is None:
+                atomic_write_json(self._path(key), payload)
+                self.disk_writes += 1
+                wrote = True
         if wrote and obs.enabled():
             obs.incr("serve.artifact_disk_write")
 

@@ -11,7 +11,7 @@ shares its result — and otherwise enqueues a new job.
 A single dispatcher thread drains the queue: it gathers up to
 ``max_batch`` jobs inside a ``batch_window`` and executes the batch on
 the backend — the warm :class:`WorkerPool` (jobs fan out across
-persistent workers sharing the ``TableArena`` and OptForPart memo) or
+persistent workers sharing the ``TableArena``) or
 ``"inline"`` (in-process, for tests and single-core hosts).  With
 ``fuse_batches`` on (the default) a gathered batch ships as *fused*
 pool jobs — the batch is split contiguously across the idle workers
@@ -70,7 +70,6 @@ class ServeConfig:
 
     jobs: int = 2
     backend: str = "pool"
-    memo_dir: Optional[str] = None
     artifact_dir: Optional[str] = None
     cache_size: int = 256
     batch_window: float = 0.02
@@ -181,9 +180,7 @@ class CompileService:
         if self._thread is not None:
             raise RuntimeError("service already started")
         if self.config.backend == "pool":
-            self._pool = WorkerPool(
-                self.config.jobs, memo_dir=self.config.memo_dir
-            )
+            self._pool = WorkerPool(self.config.jobs)
         self._campaign_update(state="serving", running=0)
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True

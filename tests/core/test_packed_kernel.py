@@ -21,13 +21,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import caching, workloads
+from repro import caching, compile_api, workloads
 from repro.boolean import Partition, ops, random_partition
 from repro.core import (
     AlgorithmConfig,
     BitCosts,
     cost_vectors_fixed,
-    memo_context,
     opt_for_part,
     opt_for_part_bto,
     opt_for_part_many,
@@ -97,19 +96,29 @@ class TestEligibilityGate:
         costs, _ = _uniform_instance(4, seed=5)
         assert ofp._exact_tier(costs, np.empty(0)) is None
 
-    def test_memo_caches_the_verdict(self):
+    def test_memo_caches_the_verdict(self, monkeypatch):
+        """A search context's KernelContext gates once for every call."""
         costs, p = _uniform_instance(7, seed=6)
-        memo = memo_context(costs, p)
-        assert memo.context is None
-        context = ofp._context(costs, p, 7, memo)
-        assert memo.context is context
-        assert ofp._engaged_tier(context)
-        assert context.tier == ofp._exact_tier(costs, p)
+        verdict = ofp._exact_tier(costs, p)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return verdict
+
+        monkeypatch.setattr(ofp, "_exact_tier", counted)
+        context = KernelContext(costs, p, 7)
+        assert calls == []
+        assert ofp._engaged_tier(context) == verdict
         # later kernel calls reuse the context: the verdict and the
-        # weighted grids are computed once per memo
-        assert ofp._context(costs, p, 7, memo) is context
-        opt_for_part_bto(costs, p, Partition((3, 4, 5, 6), (0, 1, 2)), 7, memo=memo)
-        assert memo.context is context
+        # weighted grids are computed once per context
+        partition = Partition((3, 4, 5, 6), (0, 1, 2))
+        opt_for_part_bto(costs, p, partition, 7, context=context)
+        opt_for_part(
+            costs, p, partition, 7, rng=np.random.default_rng(0), context=context
+        )
+        assert context.tier == verdict
+        assert len(calls) == 1
 
     def test_fast_paths_off_engages_nothing(self):
         costs, p = _uniform_instance(7, seed=6)
@@ -458,6 +467,46 @@ class TestGateVerdicts:
             assert spelled == expected, n_inputs
 
 
+class TestOneVerdictPerContext:
+    """A search gates each ``(costs, p)`` context once, not per call.
+
+    ``find_best_settings`` and DALTA's bit loop each build one
+    :class:`KernelContext` per context and hand it to every kernel
+    call; ND halves inherit their parent's verdict.  The pinned counts
+    are the gate scans of one seed-0 ``fast`` compile of 8-bit cos; a
+    kernel call that builds its own context raises them.
+    """
+
+    @pytest.mark.parametrize(
+        "algorithm,architecture,scans",
+        [
+            ("bs-sa", "bto-normal-nd", 31),
+            ("bs-sa", "dalta", 23),
+            ("dalta", "dalta", 16),
+        ],
+    )
+    def test_gate_scans_of_a_compile(
+        self, monkeypatch, algorithm, architecture, scans
+    ):
+        calls = []
+        gate = ofp._exact_tier
+
+        def counted(costs, p):
+            calls.append(None)
+            return gate(costs, p)
+
+        monkeypatch.setattr(ofp, "_exact_tier", counted)
+        compile_api.compile_one(
+            "cos",
+            bits=8,
+            algorithm=algorithm,
+            architecture=architecture,
+            budget="fast",
+            seed=0,
+        )
+        assert len(calls) == scans
+
+
 class TestKernelByteIdentity:
     """Production vs reference: identical bytes out, identical rng stream."""
 
@@ -527,26 +576,6 @@ class TestKernelByteIdentity:
                 costs, p, partition, 7, rng=np.random.default_rng(9)
             )
         _same_result(on, off)
-
-    def test_memoised_result_matches_reference(self):
-        """A memo warmed in production replays reference-identical bytes."""
-        costs, p = _uniform_instance(8, seed=43)
-        partition = random_partition(8, 4, np.random.default_rng(7))
-        memo = memo_context(costs, p)
-        with caching.fast_paths(True):
-            first = opt_for_part(
-                costs, p, partition, 8, rng=np.random.default_rng(1), memo=memo
-            )
-            replay = opt_for_part(
-                costs, p, partition, 8, rng=np.random.default_rng(1), memo=memo
-            )
-        assert caching.cache_stats()["opt.memo"]["hits"] == 1
-        with caching.fast_paths(False):
-            reference = opt_for_part(
-                costs, p, partition, 8, rng=np.random.default_rng(1)
-            )
-        _same_result(first, replay)
-        _same_result(first, reference)
 
     def test_rejected_batch_wider_than_chunk_loops_the_reference(self):
         """A gate-rejected batch past _BATCH_LIMIT equals serial reference calls."""

@@ -1,13 +1,12 @@
 """Differential equivalence of the campaign execution backends.
 
-One smoke-scale Table-II campaign is executed four ways — (a) serial
-(no engine), (b) per-job spawn engine, (c) warm pool, (d) warm pool
-with a pre-populated disk memo — and must produce byte-identical MEDs
-(every statistic except wall-clock timings) and identical run
-manifests modulo timings and cache-warmth counters.  This is the
-acceptance test of the warm-pool backend: persistent workers, the
-shared-memory table transport, and the campaign-shared OptForPart memo
-may change *when* things are computed, never *what*.
+One smoke-scale Table-II campaign is executed three ways — (a) serial
+(no engine), (b) per-job spawn engine, (c) warm pool — and must
+produce byte-identical MEDs (every statistic except wall-clock
+timings) and identical run manifests modulo timings and cache-warmth
+counters.  This is the acceptance test of the warm-pool backend:
+persistent workers and the shared-memory table transport may change
+*when* things are computed, never *what*.
 
 The kernel implementation adds a second axis: every backend must
 produce the same bytes whether ``REPRO_FAST_PATHS`` is on (production:
@@ -70,10 +69,11 @@ def _manifest(sink):
     """A run manifest modulo timings and cache-warmth counters.
 
     Phase timings and ``cache.*`` / ``opt.*`` / ``pool.*`` counters
-    legitimately differ with backend and memo warmth (a memo hit skips
-    the counted inner work); everything identity-bearing — command,
-    config hash, base seed, every spawned seed record, and the engine
-    job accounting — must match exactly.
+    legitimately differ with backend and cache warmth (warm pool
+    workers keep their truth-table index caches across jobs);
+    everything identity-bearing — command, config hash, base seed,
+    every spawned seed record, and the engine job accounting — must
+    match exactly.
     """
     summary = obs.summarize.summarize(sink.records)
     counters = {
@@ -100,9 +100,7 @@ def _manifest(sink):
 
 
 class TestBackendEquivalence:
-    def test_serial_spawn_pool_and_warm_memo_are_byte_identical(
-        self, tmp_path
-    ):
+    def test_serial_spawn_pool_byte_identical(self, tmp_path):
         serial = run_table2(ExperimentScale.smoke(), base_seed=_BASE_SEED)
 
         spawn_result, spawn_sink = _campaign(
@@ -111,30 +109,15 @@ class TestBackendEquivalence:
         pool_result, pool_sink = _campaign(
             tmp_path, "pool", EngineConfig(n_jobs=2, backend="pool")
         )
-        warm_config = EngineConfig(
-            n_jobs=2, backend="pool", memo_dir=str(tmp_path / "memo")
-        )
-        # first pool campaign with --memo-dir populates the snapshot ...
-        _campaign(tmp_path, "memo-seed", warm_config)
-        # ... the one under test starts from the warm disk memo
-        warm_result, warm_sink = _campaign(tmp_path, "warm", warm_config)
 
         blobs = [
             json.dumps(_strip_times(result.as_dict()), sort_keys=True)
-            for result in (serial, spawn_result, pool_result, warm_result)
+            for result in (serial, spawn_result, pool_result)
         ]
         assert blobs[0] == blobs[1], "spawn engine diverged from serial"
         assert blobs[1] == blobs[2], "warm pool diverged from spawn"
-        assert blobs[2] == blobs[3], "pre-populated memo changed results"
-
-        manifests = [
-            _manifest(sink) for sink in (spawn_sink, pool_sink, warm_sink)
-        ]
-        assert manifests[0] == manifests[1], (
+        assert _manifest(spawn_sink) == _manifest(pool_sink), (
             "spawn vs pool manifests differ beyond timings"
-        )
-        assert manifests[1] == manifests[2], (
-            "cold vs warm pool manifests differ beyond timings"
         )
 
 
@@ -171,20 +154,14 @@ class TestPackedKernelAxis:
                 "pool-off",
                 EngineConfig(n_jobs=2, backend="pool"),
             )
-            warm_config = EngineConfig(
-                n_jobs=2, backend="pool", memo_dir=str(tmp_path / "memo-off")
-            )
-            _campaign(tmp_path, "memo-seed-off", warm_config)
-            warm_off, _ = _campaign(tmp_path, "warm-off", warm_config)
 
         blobs = [
             json.dumps(_strip_times(result.as_dict()), sort_keys=True)
-            for result in (production, serial_off, spawn_off, pool_off, warm_off)
+            for result in (production, serial_off, spawn_off, pool_off)
         ]
         assert blobs[0] == blobs[1], "exact sweep changed serial results"
         assert blobs[1] == blobs[2], "reference spawn diverged from serial"
         assert blobs[2] == blobs[3], "reference pool diverged from spawn"
-        assert blobs[3] == blobs[4], "reference warm memo changed results"
 
 
 _SRC = os.path.join(

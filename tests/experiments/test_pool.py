@@ -1,15 +1,14 @@
 """Unit tests for the warm-pool backend building blocks.
 
-Covers the caching-layer sharing hooks (journal / export / import /
-resize / eviction counters), the shared-memory table arena and memo
-log, the disk snapshot, ``resolve_jobs``, and pool execution through
-``run_many`` and the engine (including fault recovery).  The full
-cross-backend differential is in
-``tests/engine/test_backend_equivalence.py``.
+Covers the cache eviction counters, the shared-memory table arena,
+``resolve_jobs``, and pool execution through ``run_many`` and the
+engine (including fault recovery).  The full cross-backend
+differential is in ``tests/engine/test_backend_equivalence.py``.
 """
 
 import os
-from multiprocessing import shared_memory
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,50 +38,15 @@ def _final_counters(sink):
 
 
 class TestCacheSharingHooks:
-    def test_journal_records_puts(self):
-        cache = caching.LruCache("t.journal", maxsize=4)
-        cache.journal = journal = []
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert journal == [("a", 1), ("b", 2)]
-
-    def test_import_entries_bypasses_journal_and_stats(self):
-        cache = caching.LruCache("t.import", maxsize=4)
-        cache.journal = journal = []
-        assert cache.import_entries([("a", 1), ("b", None), ("c", 3)]) == 2
-        assert journal == []
-        assert cache.get("a") == 1
-        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 0
-
-    def test_export_import_round_trip(self):
-        source = caching.LruCache("t.export", maxsize=4)
-        source.put(("k", 1), "v1")
-        source.put(("k", 2), "v2")
-        clone = caching.LruCache("t.clone", maxsize=4)
-        assert clone.import_entries(source.export_entries()) == 2
-        assert clone.get(("k", 2)) == "v2"
-
-    def test_resize_evicts_oldest(self):
-        cache = caching.LruCache("t.resize", maxsize=4)
-        for index in range(4):
-            cache.put(index, index + 1)
-        cache.resize(2)
-        assert len(cache) == 2
-        assert cache.evictions == 2
-        assert cache.get(3) == 4  # newest survive
-        assert cache.get(0) is None
-
     def test_eviction_counters_emitted(self):
         sink = obs.MemorySink()
         with obs.session(sink):
-            cache = caching.LruCache(
-                "t.evict", maxsize=1, eviction_counter="t.evictions"
-            )
+            cache = caching.LruCache("t.evict", maxsize=1)
             cache.put("a", 1)
             cache.put("b", 2)
         counters = _final_counters(sink)
         assert counters.get("cache.t.evict.eviction") == 1
-        assert counters.get("t.evictions") == 1
+        assert cache.evictions == 1
 
 
 class TestTableArena:
@@ -118,69 +82,6 @@ class TestTableArena:
             for segment in segments.values():
                 segment.close()
             arena.close()
-
-
-class TestMemoLog:
-    def test_publish_dedups_and_reads_back(self):
-        log = pool_mod.MemoLog(capacity=100, initial_bytes=256)
-        try:
-            assert log.publish([(("k", 1), "v1"), (("k", 2), "v2")]) == 2
-            assert log.publish([(("k", 1), "v1"), (("k", 3), "v3")]) == 1
-            name, committed = log.ref
-            attachment = shared_memory.SharedMemory(name=name)
-            entries = pool_mod.read_memo_frames(
-                attachment.buf, 0, committed
-            )
-            attachment.close()
-            assert entries == [
-                (("k", 1), "v1"),
-                (("k", 2), "v2"),
-                (("k", 3), "v3"),
-            ]
-        finally:
-            log.close()
-
-    def test_rotation_preserves_worker_offsets(self):
-        log = pool_mod.MemoLog(capacity=1000, initial_bytes=64)
-        try:
-            log.publish([(("a", i), "x" * 20) for i in range(3)])
-            _, mid = log.ref
-            log.publish([(("b", i), "y" * 200) for i in range(5)])
-            name, committed = log.ref
-            attachment = shared_memory.SharedMemory(name=name)
-            # a worker that had consumed up to `mid` before the
-            # rotation reads only the new frames from the new segment
-            fresh = pool_mod.read_memo_frames(attachment.buf, mid, committed)
-            everything = pool_mod.read_memo_frames(attachment.buf, 0, committed)
-            attachment.close()
-            assert [key for key, _ in fresh] == [("b", i) for i in range(5)]
-            assert len(everything) == 8
-        finally:
-            log.close()
-
-    def test_capacity_bound_drops_excess(self):
-        log = pool_mod.MemoLog(capacity=2, initial_bytes=256)
-        try:
-            stored = log.publish([(("k", i), "v") for i in range(4)])
-            assert stored == 2
-            assert log.dropped == 2
-            assert len(log) == 2
-        finally:
-            log.close()
-
-
-class TestMemoSnapshot:
-    def test_save_load_round_trip(self, tmp_path):
-        entries = [(("k", 1), {"value": 2}), (("k", 2), [3, 4])]
-        path = pool_mod.save_memo_snapshot(str(tmp_path), entries)
-        assert os.path.basename(path) == pool_mod.MEMO_SNAPSHOT_FILE
-        assert pool_mod.load_memo_snapshot(str(tmp_path)) == entries
-
-    def test_load_missing_or_corrupt_is_empty(self, tmp_path):
-        assert pool_mod.load_memo_snapshot(str(tmp_path)) == []
-        bad = tmp_path / pool_mod.MEMO_SNAPSHOT_FILE
-        bad.write_bytes(b"not a pickle")
-        assert pool_mod.load_memo_snapshot(str(tmp_path)) == []
 
 
 class TestResolveJobs:
@@ -240,16 +141,33 @@ class TestPoolExecution:
         assert outcome.results[1] is not None
         assert [f.index for f in outcome.quarantined] == [0]
 
-    def test_memo_dir_snapshot_written_and_warm_run_identical(self, tmp_path):
-        specs = _specs(n_runs=2, algorithm="bs-sa")
-        config = EngineConfig(
-            n_jobs=2, backend="pool", memo_dir=str(tmp_path)
+    def test_workers_share_the_parent_resource_tracker(self):
+        """No worker runs a tracker that unlinks the parent's segments.
+
+        Run in a fresh interpreter, where no resource tracker is running
+        yet: a worker that started its own would, on exit, unlink the
+        table segments it attached and warn about them.
+        """
+        code = (
+            "from repro.experiments.parallel import run_many\n"
+            "from tests.experiments.test_pool import _specs\n"
+            "run_many(_specs(), n_jobs=2, backend='pool')\n"
         )
-        cold = Engine(config=config).run(specs)
-        snapshot = tmp_path / pool_mod.MEMO_SNAPSHOT_FILE
-        assert snapshot.exists()
-        warm = Engine(config=config).run(specs)
-        assert [r.med for r in warm.results] == [r.med for r in cold.results]
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr
 
     def test_pool_counters_recorded(self):
         specs = _specs(n_runs=2)
@@ -267,11 +185,3 @@ class TestEngineConfigValidation:
     def test_backend_validated(self):
         with pytest.raises(ValueError):
             EngineConfig(backend="threads")
-
-    def test_memo_dir_requires_pool(self):
-        with pytest.raises(ValueError, match="pool backend"):
-            EngineConfig(memo_dir="/tmp/x")
-
-    def test_memo_capacity_validated(self):
-        with pytest.raises(ValueError):
-            EngineConfig(backend="pool", memo_capacity=0)

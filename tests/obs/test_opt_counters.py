@@ -14,13 +14,14 @@ import pytest
 
 from repro import caching, obs
 from repro.boolean import Partition
+from repro.boolean.truth_table import table_indices
 from repro.core import (
     cost_vectors_fixed,
-    memo_context,
     opt_for_part,
     opt_for_part_bto,
     run_bssa,
 )
+from repro.core.opt_for_part import KernelContext
 
 from ..conftest import random_bits, random_function
 from ..core.test_fast_paths import TestPipelineBitExact
@@ -47,10 +48,12 @@ class TestDisabled:
         monkeypatch.setattr(obs, "incr", lambda *a, **k: calls.append(a))
         assert not obs.enabled()
         costs, p, partition = _instance()
-        memo = memo_context(costs, p)
-        # compute path, then the memo-hit path — both must stay silent
-        opt_for_part_bto(costs, p, partition, 6, memo=memo)
-        opt_for_part_bto(costs, p, partition, 6, memo=memo)
+        # without a context, then twice with a shared one — every call
+        # must stay silent
+        context = KernelContext(costs, p, 6)
+        opt_for_part_bto(costs, p, partition, 6)
+        opt_for_part_bto(costs, p, partition, 6, context=context)
+        opt_for_part_bto(costs, p, partition, 6, context=context)
         assert calls == []
 
     def test_normal_path_emits_nothing_without_session(self, monkeypatch):
@@ -64,29 +67,24 @@ class TestDisabled:
 
 class TestEnabled:
     def test_bto_counter_counts_hits_and_misses(self):
+        """Every BTO call counts once, whatever context it shares."""
         costs, p, partition = _instance()
-        memo = memo_context(costs, p)
+        context = KernelContext(costs, p, 6)
         sink = obs.MemorySink()
         with obs.session(sink):
-            opt_for_part_bto(costs, p, partition, 6, memo=memo)  # compute
-            opt_for_part_bto(costs, p, partition, 6, memo=memo)  # memo hit
+            opt_for_part_bto(costs, p, partition, 6, context=context)
+            opt_for_part_bto(costs, p, partition, 6, context=context)
         assert sink.counters().get("opt.bto_calls") == 2
 
     def test_cache_counters_surface_in_session(self):
-        costs, p, partition = _instance()
-        memo = memo_context(costs, p)
+        _, _, partition = _instance()
         sink = obs.MemorySink()
         with obs.session(sink):
-            opt_for_part(
-                costs, p, partition, 6, rng=np.random.default_rng(3), memo=memo
-            )
-            opt_for_part(
-                costs, p, partition, 6, rng=np.random.default_rng(3), memo=memo
-            )
+            table_indices(partition, 6)  # miss
+            table_indices(partition, 6)  # hit
         counters = sink.counters()
-        assert counters.get("opt.cache_miss") == 1
-        assert counters.get("opt.cache_hit") == 1
-        assert counters.get("cache.opt.memo.hit") == 1
+        assert counters.get("cache.table_index.miss") == 1
+        assert counters.get("cache.table_index.hit") == 1
 
     def test_gate_counters_of_a_fixed_nd_run(self):
         """One verdict count per kernel request, ND halves included.

@@ -3,6 +3,8 @@
 import json
 import threading
 
+import pytest
+
 from repro import caching
 from repro.serve.cache import ArtifactCache
 
@@ -65,6 +67,26 @@ class TestDiskLayer:
         cache = ArtifactCache(capacity=4, artifact_dir=str(tmp_path))
         assert cache.get("k2") is None
         assert cache.get("k3") is None
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe\x00 not utf-8",
+            b"[" * 100_000,
+            json.dumps(payload_for("other")).encode(),
+        ],
+        ids=["non-utf8", "deep-nesting", "wrong-fingerprint"],
+    )
+    def test_unusable_file_is_a_miss_then_repaired(self, tmp_path, content):
+        path = tmp_path / "k1.json"
+        path.write_bytes(content)
+        cache = ArtifactCache(capacity=4, artifact_dir=str(tmp_path))
+        assert cache.get("k1") is None
+        cache.put("k1", payload_for("k1"))
+        assert cache.stats()["disk_writes"] == 1
+        assert json.loads(path.read_text()) == payload_for("k1")
+        restarted = ArtifactCache(capacity=4, artifact_dir=str(tmp_path))
+        assert restarted.get("k1") == (payload_for("k1"), "disk")
 
     def test_disk_survives_restart_byte_identical(self, tmp_path):
         first = ArtifactCache(capacity=4, artifact_dir=str(tmp_path))

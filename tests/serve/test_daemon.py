@@ -234,6 +234,35 @@ class TestRestart:
         assert telemetry.counters["serve.artifact_disk_hit"] == 1
         assert telemetry.counters["serve.artifact_disk_write"] == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe\x00 not utf-8", b"[" * 100_000],
+        ids=["non-utf8", "deep-nesting"],
+    )
+    def test_corrupt_disk_file_is_recomputed_and_repaired(
+        self, telemetry, tmp_path, content
+    ):
+        artifact_dir = tmp_path / "artifacts"
+        artifact_dir.mkdir()
+        (artifact_dir / f"{BENCH_FINGERPRINT}.json").write_bytes(content)
+        doc = bench_doc()
+        with inline_daemon(artifact_dir=str(artifact_dir)) as daemon:
+            status, first, _ = post_compile(daemon.url, doc)
+            assert status == 200
+            assert first["source"] == "computed"
+            assert get_json(daemon.url, "/state")["serve"]["completed"] == 1
+
+        # the recompute replaced the corrupt file: a restarted daemon
+        # serves the same artifact from disk
+        with inline_daemon(artifact_dir=str(artifact_dir)) as daemon:
+            status, second, _ = post_compile(daemon.url, doc)
+            assert status == 200
+            assert second["source"] == "disk"
+        assert canonical_json(second["artifact"]) == canonical_json(
+            first["artifact"]
+        )
+        assert_served_equals_offline(second, offline_twin(doc))
+
 
 class TestPoolBackend:
     def test_pool_serves_byte_identical_under_concurrency(self, telemetry):

@@ -29,7 +29,6 @@ class TestParser:
         )
         assert args.jobs is None
         assert args.backend == "spawn"
-        assert args.memo_dir is None
 
     def test_jobs_zero_rejected_with_clear_error(self, capsys):
         for argv in (
@@ -44,7 +43,7 @@ class TestParser:
         run_args = build_parser().parse_args(
             [
                 "run", "table2", "--dir", "/tmp/c",
-                "--backend", "pool", "--memo-dir", "/tmp/memo", "--jobs", "4",
+                "--backend", "pool", "--jobs", "4",
             ]
         )
         resume_args = build_parser().parse_args(
@@ -52,7 +51,6 @@ class TestParser:
         )
         assert run_args.backend == resume_args.backend == "pool"
         assert run_args.jobs == resume_args.jobs == 4
-        assert run_args.memo_dir == "/tmp/memo"
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["run", "table2", "--dir", "/tmp/c", "--backend", "threads"]
@@ -212,13 +210,6 @@ class TestCampaignCommands:
         assert main(["resume", campaign]) == 0
         out = capsys.readouterr().out
         assert "8 resumed" in out and "0 executed" in out
-
-    def test_memo_dir_without_pool_is_clean_error(self, capsys, tmp_path):
-        campaign = str(tmp_path / "campaign")
-        assert main(
-            ["run", "table2", "--dir", campaign, "--memo-dir", str(tmp_path)]
-        ) == 2
-        assert "memo_dir requires the pool backend" in capsys.readouterr().err
 
     def test_status_on_missing_campaign(self, capsys, tmp_path):
         assert main(["status", str(tmp_path / "nope")]) == 2
