@@ -279,7 +279,6 @@ def check_packed(
     committed: Dict[str, Any],
     fresh: Dict[str, Any],
     tolerance: float,
-    fusion: bool = False,
 ) -> None:
     _check_provenance(ratchet, "packed", committed, "committed")
     _check_provenance(ratchet, "packed", fresh, "fresh")
@@ -287,7 +286,7 @@ def check_packed(
     ratchet.check(
         "packed: cross-mode byte identity",
         bool(fresh.get("byte_identical")),
-        "packed/reference (+fused) MEDs all match"
+        "packed/reference MEDs all match"
         if fresh.get("byte_identical")
         else "fresh snapshot did not assert byte identity",
     )
@@ -306,72 +305,6 @@ def check_packed(
         fresh.get("speedup", {}).get("opt_phase_vs_reference"),
         tolerance,
     )
-    if fusion:
-        _check_fusion_packed(ratchet, committed, fresh, tolerance)
-
-
-def _check_fusion_packed(
-    ratchet: Ratchet,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    tolerance: float,
-) -> None:
-    """The ``--fusion`` gate over the packed snapshot's fused mode.
-
-    Three ratchets, per the fusion contract: the fused pass must have
-    *merged* kernel calls (engagement ratio — mean items per grouped
-    invocation — holds the committed floor), its MEDs must be byte
-    identical to the serial modes (covered by ``byte_identical``,
-    re-asserted here against the fused block's presence), and its
-    CPU-phase speedup over the packed serial mode must hold 75% of the
-    committed ratio.
-    """
-    fused = fresh.get("fused")
-    ratchet.check(
-        "fusion: fused mode present",
-        bool(fused),
-        "fresh snapshot carries a fused pass"
-        if fused
-        else "fresh snapshot has no fused mode — regenerate with the "
-        "current benchmarks.snapshot_packed",
-    )
-    if not fused:
-        return
-    ratio = fresh.get("fusion", {}).get("engagement_ratio")
-    committed_ratio = committed.get("fusion", {}).get("engagement_ratio")
-    same_suite = committed.get("benchmarks") == fresh.get("benchmarks")
-    if committed_ratio is None or not same_suite:
-        # the ratio is suite-dependent (each benchmark contributes a
-        # different item mix), so subset runs only get the hard floor
-        ratchet.check(
-            "fusion: engagement ratio",
-            bool(ratio and ratio > 1.0),
-            f"mean fused width {ratio:.2f} "
-            + (
-                "(benchmark subsets differ; no committed comparison)"
-                if not same_suite
-                else "(no committed floor yet)"
-            )
-            if ratio
-            else "fused pass never merged kernel calls",
-        )
-    else:
-        _check_ratio(
-            ratchet,
-            "fusion: engagement ratio",
-            committed_ratio,
-            ratio,
-            tolerance,
-        )
-    # the fused tentpole's committed gain may regress at most 25%
-    # (fresh >= committed * 0.75), independent of --tolerance
-    _check_ratio(
-        ratchet,
-        "fusion: speedup [fused_opt_phase_vs_packed]",
-        committed.get("speedup", {}).get("fused_opt_phase_vs_packed"),
-        fresh.get("speedup", {}).get("fused_opt_phase_vs_packed"),
-        0.25,
-    )
 
 
 def check_serve(
@@ -379,7 +312,6 @@ def check_serve(
     committed: Dict[str, Any],
     fresh: Dict[str, Any],
     tolerance: float,
-    fusion: bool = False,
 ) -> None:
     _check_provenance(ratchet, "serve", committed, "committed")
     _check_provenance(ratchet, "serve", fresh, "fresh")
@@ -409,26 +341,6 @@ def check_serve(
         fresh.get("speedup", {}).get("warm_vs_cold"),
         max(tolerance, 0.75),
     )
-    if fusion:
-        fused_batches = fresh.get("fusion", {}).get("fusion_batched")
-        ratchet.check(
-            "fusion: serve fused dispatch engagement",
-            bool(fused_batches),
-            f"{fused_batches} gathered batches ran as fused kernel jobs"
-            if fused_batches
-            else "no batch was dispatched fused — the daemon fell back "
-            "to per-job kernel calls",
-        )
-        committed_ratio = committed.get("fusion", {}).get("ratio")
-        fresh_ratio = fresh.get("fusion", {}).get("ratio")
-        if committed_ratio is not None:
-            _check_ratio(
-                ratchet,
-                "fusion: serve fused-batch ratio",
-                committed_ratio,
-                fresh_ratio,
-                tolerance,
-            )
 
 
 def _generate(kind: str, committed: Dict[str, Any], args, out: Path) -> None:
@@ -556,14 +468,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--skip-serve", action="store_true", help="skip the serve baseline"
     )
-    parser.add_argument(
-        "--fusion",
-        action="store_true",
-        help="also gate kernel fusion: fused-mode engagement ratio, "
-        "byte identity, and the fused CPU-phase speedup (floor "
-        "committed x 0.75) on the packed snapshot, plus fused-dispatch "
-        "engagement on the serve snapshot",
-    )
     args = parser.parse_args(argv)
 
     ratchet = Ratchet()
@@ -594,9 +498,7 @@ def main(argv=None) -> int:
                 out = Path(tmp) / "packed.json"
                 _generate("packed", committed, args, out)
                 fresh = _load(out)
-            check_packed(
-                ratchet, committed, fresh, args.tolerance, fusion=args.fusion
-            )
+            check_packed(ratchet, committed, fresh, args.tolerance)
         if not args.skip_serve:
             committed = _load(Path(args.serve))
             if args.fresh_serve:
@@ -605,9 +507,7 @@ def main(argv=None) -> int:
                 out = Path(tmp) / "serve.json"
                 _generate_serve(committed, args, out)
                 fresh = _load(out)
-            check_serve(
-                ratchet, committed, fresh, args.tolerance, fusion=args.fusion
-            )
+            check_serve(ratchet, committed, fresh, args.tolerance)
 
     print(ratchet.render())
     return 1 if ratchet.failed else 0

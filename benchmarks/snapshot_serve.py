@@ -270,23 +270,6 @@ def main(argv=None) -> int:
         )
         return 1
 
-    # kernel-level fusion: gathered batches dispatched as fused
-    # opt_for_part_many jobs (one per batch inline, one per idle worker
-    # on the pool backend) rather than per-job kernel calls
-    fusion_batched = counters.get("serve.fusion_batched", 0)
-    snapshot["fusion"] = {
-        "fusion_batched": fusion_batched,
-        "ratio": (fusion_batched / batches) if batches else 0.0,
-    }
-    if not fusion_batched:
-        print(
-            "FAIL: no gathered batch was dispatched as a fused kernel "
-            "job — the daemon fell back to per-job dispatch "
-            "(docs/serving.md)",
-            file=sys.stderr,
-        )
-        return 1
-
     snapshot["counters"] = {
         name: value
         for name, value in sorted(counters.items())

@@ -82,11 +82,10 @@ class LruCache:
     """A small least-recently-used map with hit/miss accounting.
 
     Mutations take a private re-entrant lock: the algorithms are
-    single-threaded per process, but the kernel-fusion executor
-    (``repro.core.fusion``) runs a grouped kernel pass while its party
-    threads may still be probing the same caches inline, so the
-    OrderedDict operations must not interleave.  Uncontended, the lock
-    costs ~0.1µs per probe.  When a telemetry session is active, every
+    single-threaded per process, but the serve daemon's HTTP handler
+    threads and its dispatcher thread probe the same artifact cache
+    concurrently, so the OrderedDict operations must not interleave.
+    Uncontended, the lock costs ~0.1µs per probe.  When a telemetry session is active, every
     lookup increments ``cache.<name>.hit`` / ``cache.<name>.miss`` —
     plus the aggregate ``<aggregate>_hit`` / ``<aggregate>_miss``
     counters when an aggregate prefix is given (the serve artifact

@@ -1,181 +1,17 @@
-"""Cross-caller kernel fusion hub for ``OptForPart`` dispatch.
+"""Compatibility stub for the removed cross-run kernel fusion.
 
-The search loops already batch their *own* kernel calls, but a serve
-batch (or a fused benchmark run) executes several independent compile
-bodies concurrently — each emitting its own small ``opt_for_part`` /
-``opt_for_part_many`` batches.  :class:`FusionHub` collects those
-concurrent batches and executes them as one
-:func:`~repro.core.opt_for_part.opt_for_part_grouped` pass, so the
-stacked sweeps run at full width across callers.
-
-Protocol
---------
-An executor (``repro.experiments.parallel.run_specs_fused``) creates
-one hub preset with the number of *parties* (threads) and runs each
-party's compile body under ``with hub.party():`` — which installs the
-hub in thread-local state, where the kernel entry points look it up
-via :func:`current_hub` and route their already-drawn problem through
-:meth:`FusionHub.evaluate` instead of executing inline.  A party
-blocks until its results are ready; the flush fires when every
-still-active party is waiting (full width) or after a short timeout
-(so a party doing long non-kernel work — BTO calls, decomposition
-assembly — cannot stall the rest).  The flushing party becomes the
-executor: it clears its own thread-local hub for the duration, so the
-grouped pass itself runs un-routed, and emits the single fused
-telemetry span.
-
-Because each party's random draws happen *before* routing, and the
-grouped pass is bitwise equal to per-request serial evaluation, a
-fused run returns exactly the results (and RNG streams) of the serial
-one — only the wall-clock and the fusion counters differ.
-
-This module must not import ``opt_for_part`` at module scope (the
-kernel imports :func:`current_hub` from here); the grouped entry point
-is resolved lazily at flush time.
+Kernel calls are batched within a run (one stacked call per BS-SA,
+DALTA or ND generation) and never routed across runs, so there is no
+hub.  :func:`current_hub` remains because ``perfbench/tracer.py``
+imports this module and asks it whether a kernel call was routed
+elsewhere; the answer is always no.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids the cycle
-    from .opt_for_part import KernelRequest, OptForPartResult
-
-__all__ = ["FusionHub", "current_hub"]
-
-_STATE = threading.local()
+__all__ = ["current_hub"]
 
 
-def current_hub() -> Optional["FusionHub"]:
-    """The hub installed for the calling thread, if any."""
-    return getattr(_STATE, "hub", None)
-
-
-class _Pending:
-    """One party's queued request bundle and its eventual outcome."""
-
-    __slots__ = ("requests", "results", "error", "done")
-
-    def __init__(self, requests: List["KernelRequest"]) -> None:
-        self.requests = requests
-        self.results: Optional[List[List["OptForPartResult"]]] = None
-        self.error: Optional[BaseException] = None
-        self.done = False
-
-
-class FusionHub:
-    """Condition-variable rendezvous fusing concurrent kernel batches.
-
-    ``parties`` is the number of threads that will run under
-    :meth:`party`; it is preset so the first caller to arrive does not
-    flush at width 1 before its peers register.  ``flush_timeout`` is
-    the longest a waiting party defers to absent peers before flushing
-    whatever is queued (liveness when peers are busy off-kernel).
-    """
-
-    def __init__(self, parties: int, flush_timeout: float = 0.002) -> None:
-        if parties < 1:
-            raise ValueError("FusionHub needs at least one party")
-        self._cond = threading.Condition()
-        self._active = int(parties)
-        self._waiting = 0
-        self._executing = False
-        self._pending: List[_Pending] = []
-        self._flush_timeout = float(flush_timeout)
-
-    @contextmanager
-    def party(self) -> Iterator["FusionHub"]:
-        """Run the calling thread as one fusion party.
-
-        Installs the hub thread-locally so kernel entry points route
-        here; on exit the party deregisters, letting the remaining
-        parties flush at their (now smaller) full width.
-        """
-        prior = current_hub()
-        _STATE.hub = self
-        try:
-            yield self
-        finally:
-            _STATE.hub = prior
-            with self._cond:
-                self._active -= 1
-                self._cond.notify_all()
-
-    def evaluate(self, request: "KernelRequest") -> List["OptForPartResult"]:
-        """Fused evaluation of one request; blocks until resolved."""
-        return self.evaluate_many([request])[0]
-
-    def evaluate_many(
-        self, requests: Sequence["KernelRequest"]
-    ) -> List[List["OptForPartResult"]]:
-        """Fused evaluation of several requests; one result list each."""
-        entry = _Pending(list(requests))
-        if not entry.requests:
-            return []
-        with self._cond:
-            self._pending.append(entry)
-            self._waiting += 1
-            try:
-                while not entry.done:
-                    if (
-                        not self._executing
-                        and self._pending
-                        and self._waiting >= self._active
-                    ):
-                        self._run_flush()
-                        continue
-                    notified = self._cond.wait(self._flush_timeout)
-                    if (
-                        not notified
-                        and not entry.done
-                        and not self._executing
-                        and self._pending
-                    ):
-                        # peers are off doing non-kernel work: flush
-                        # what is queued rather than stalling
-                        self._run_flush()
-            finally:
-                self._waiting -= 1
-        if entry.error is not None:
-            raise entry.error
-        assert entry.results is not None
-        return entry.results
-
-    def _run_flush(self) -> None:
-        """Execute everything queued; caller holds the condition."""
-        batch = self._pending
-        self._pending = []
-        self._executing = True
-        self._cond.release()
-        error: Optional[BaseException] = None
-        evaluated: Optional[List[List["OptForPartResult"]]] = None
-        try:
-            from .opt_for_part import opt_for_part_grouped
-
-            flat: List["KernelRequest"] = []
-            for entry in batch:
-                flat.extend(entry.requests)
-            # the flushing party executes un-routed: nested kernel
-            # calls inside the grouped pass must not re-enter the hub
-            prior = current_hub()
-            _STATE.hub = None
-            try:
-                evaluated = opt_for_part_grouped(flat)
-            except BaseException as exc:  # noqa: BLE001 - relayed to waiters
-                error = exc
-            finally:
-                _STATE.hub = prior
-        finally:
-            self._cond.acquire()
-            self._executing = False
-            cursor = 0
-            for entry in batch:
-                if error is not None:
-                    entry.error = error
-                else:
-                    entry.results = evaluated[cursor : cursor + len(entry.requests)]
-                cursor += len(entry.requests)
-                entry.done = True
-            self._cond.notify_all()
+def current_hub() -> None:
+    """Always ``None``: no kernel call is routed to a fusion hub."""
+    return None

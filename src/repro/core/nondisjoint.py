@@ -24,7 +24,6 @@ from ..boolean import ops
 from ..boolean.decomposition import MultiSharedDecomposition, NonDisjointDecomposition
 from ..boolean.partition import Partition
 from .cost import BitCosts
-from .fusion import current_hub
 from .opt_for_part import (
     KernelContext,
     KernelRequest,
@@ -73,7 +72,7 @@ def _half_problem(
     ``fixed`` maps each shared bit to its value; the cofactor slices of
     the cost vectors and of the (unnormalised) conditional distribution
     are indexed by the reduced input word.  The serial reference loops
-    solve these copies as standalone problems; the fused loops solve
+    solve these copies as standalone problems; the batched loops solve
     the same halves as :meth:`KernelContext.cofactor` views of the
     parent, bit for bit the same problems.
     """
@@ -154,17 +153,15 @@ def optimize_nondisjoint(
     full bound set, as the paper does).
 
     With the fast paths on and an explicit ``rng``, the whole
-    enumeration is *fused*: the per-half initial patterns are pre-drawn
+    enumeration is *batched*: the per-half initial patterns are pre-drawn
     in exactly the serial call order, every conditional half problem
     becomes a :class:`~repro.core.opt_for_part.KernelRequest` over a
     :meth:`~repro.core.opt_for_part.KernelContext.cofactor` view of the
     parent context (one weighting and one gate verdict for all halves),
     and all ``2 * len(candidates)`` halves run in one
-    :func:`~repro.core.opt_for_part.opt_for_part_grouped` pass (or
-    through the ambient :class:`~repro.core.fusion.FusionHub`, fusing
-    wider still across concurrent callers).  The generator stream and
-    every returned bit match the serial loop; strict ``<`` keeps the
-    first-best tie-breaking.
+    :func:`~repro.core.opt_for_part.opt_for_part_grouped` pass.  The
+    generator stream and every returned bit match the serial loop;
+    strict ``<`` keeps the first-best tie-breaking.
     """
     candidates = (
         tuple(shared_candidates) if shared_candidates is not None else partition.bound
@@ -201,7 +198,7 @@ def _optimize_nondisjoint_fused(
     n_initial_patterns: int,
     rng: np.random.Generator,
 ) -> NonDisjointResult:
-    """Fused shared-bit enumeration; bitwise equal to the serial loop."""
+    """Batched shared-bit enumeration; bitwise equal to the serial loop."""
     if partition.n_bound < 2:
         raise ValueError(
             "non-disjoint decomposition needs a bound set of size >= 2 "
@@ -224,11 +221,7 @@ def _optimize_nondisjoint_fused(
             requests.append(
                 KernelRequest(context.cofactor({shared: j}), [reduced], patterns[None])
             )
-    hub = current_hub()
-    if hub is not None:
-        evaluated = hub.evaluate_many(requests)
-    else:
-        evaluated = opt_for_part_grouped(requests)
+    evaluated = opt_for_part_grouped(requests)
     best: Optional[NonDisjointResult] = None
     for index, shared in enumerate(candidates):
         half0 = evaluated[2 * index][0]
@@ -310,7 +303,7 @@ def optimize_multi_shared(
     types = []
     total_error = 0.0
     if rng is not None and caching.fast_paths_enabled():
-        # fused: pre-draw each cofactor's patterns in the serial call
+        # batched: pre-draw each cofactor's patterns in the serial call
         # order and solve all 2**s conditional problems, as views of
         # the parent context, in one grouped kernel pass — bitwise
         # equal to the loop below
@@ -324,13 +317,7 @@ def optimize_multi_shared(
             requests.append(
                 KernelRequest(context.cofactor(assignment(j)), [reduced], draw[None])
             )
-        hub = current_hub()
-        evaluated = (
-            hub.evaluate_many(requests)
-            if hub is not None
-            else opt_for_part_grouped(requests)
-        )
-        for (result,) in evaluated:
+        for (result,) in opt_for_part_grouped(requests):
             patterns.append(result.decomposition.pattern)
             types.append(result.decomposition.types)
             total_error += result.error

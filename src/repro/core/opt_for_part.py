@@ -48,18 +48,14 @@ the gate verdict and the weighted grids are computed once.  The
 differential suites under ``tests/core`` pin production to the
 reference.
 
-Cross-caller fusion
--------------------
+Grouped dispatch
+----------------
 :func:`opt_for_part_grouped` evaluates a *list* of
 :class:`KernelRequest` batches — possibly from different ``(costs,
-p)`` contexts — in one pass: items are grouped by table shape and
-gate tier and executed in chunks up to ``_BATCH_LIMIT`` wide, each
-item bitwise equal to its standalone call.
-:class:`repro.core.fusion.FusionHub` routes concurrent callers'
-``opt_for_part`` / ``opt_for_part_many`` invocations here so serve
-batches and fused campaign runs share kernel dispatches; engagement is
-visible as ``opt.fused_calls`` / ``opt.fused_items`` and the
-``opt.fused_width`` histogram.
+p)`` contexts, such as the conditional halves of an ND or multi-shared
+decomposition — in one pass: items are grouped by table shape and gate
+tier and executed in chunks up to ``_BATCH_LIMIT`` wide, each item
+bitwise equal to its standalone call.
 """
 
 from __future__ import annotations
@@ -81,7 +77,6 @@ from ..boolean.decomposition import (
 from ..boolean.packed import WeightPlanes, pack_bits
 from ..boolean.partition import Partition
 from .cost import BitCosts
-from .fusion import current_hub
 
 __all__ = [
     "OptForPartResult",
@@ -801,21 +796,16 @@ def opt_for_part(
         0, 2, size=(n_initial_patterns, partition.n_cols), dtype=np.uint8
     )
     request = KernelRequest(context, [partition], patterns[None], max_sweeps)
-    hub = current_hub()
-    if hub is not None:
-        # a fusion party: ship the drawn problem to the hub (telemetry
-        # is emitted once by the executor's fused dispatch)
-        return hub.evaluate(request)[0]
     # Hot path: the disabled-telemetry branch avoids even the no-op
     # span allocation — this function dominates both algorithms.
     if not obs.enabled():
-        return _grouped_eval([request], False)[0][0][0]
+        return _grouped_eval([request])[0][0][0]
     with obs.span(
         "opt.for_part", n_bound=partition.n_bound, n_free=partition.n_free
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        results, sweeps = _grouped_eval([request], False)[0]
+        results, sweeps = _grouped_eval([request])[0]
         result = results[0]
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
@@ -897,13 +887,8 @@ def opt_for_part_many(
         stacked = np.stack(initial_patterns)
 
     request = KernelRequest(context, partitions, stacked, max_sweeps)
-    hub = current_hub()
-    if hub is not None:
-        # a fusion party: ship the whole batch to the hub (telemetry is
-        # emitted once by the executor's fused dispatch)
-        return hub.evaluate(request)
     if not obs.enabled():
-        return _grouped_eval([request], False)[0][0]
+        return _grouped_eval([request])[0][0]
     with obs.span(
         "opt.for_part_many",
         batch=len(partitions),
@@ -912,7 +897,7 @@ def opt_for_part_many(
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        results, total_sweeps = _grouped_eval([request], False)[0]
+        results, total_sweeps = _grouped_eval([request])[0]
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
         span.set(sweeps=total_sweeps)
@@ -923,12 +908,13 @@ def opt_for_part_many(
 
 
 class KernelRequest:
-    """One caller's ``opt_for_part_many`` batch, ready for fused dispatch.
+    """One ``opt_for_part_many`` batch, ready for grouped dispatch.
 
     Bundles everything :func:`_grouped_eval` consumes — the
     :class:`KernelContext`, the partitions, the pre-drawn ``(N, Z,
     cols)`` pattern stack, and the sweep cap — so requests from
-    *different* search or serve contexts can ride one
+    *different* contexts (the cofactor halves of one ND or
+    multi-shared decomposition) can ride one
     :func:`opt_for_part_grouped` pass.  The pattern stack is captured
     by reference; callers must not mutate it until the request
     resolves.
@@ -952,34 +938,28 @@ class KernelRequest:
 def opt_for_part_grouped(
     requests: Sequence[KernelRequest],
 ) -> List[List[OptForPartResult]]:
-    """Fused evaluation of many callers' batches in one kernel pass.
+    """Grouped evaluation of several batches in one kernel pass.
 
     Items from all requests are grouped by table shape, candidate
     count, sweep cap, and gate tier, and executed in stacked chunks up
     to ``_BATCH_LIMIT`` wide — each item bitwise equal to its
     standalone :func:`opt_for_part_many` call.  Returns one result
     list per request, in request order.  Telemetry: a single
-    ``opt.for_part_fused`` span covering the pass, the usual
-    ``opt.calls`` / ``opt.sweeps`` / ``opt.lut_entries`` counters, plus
-    ``opt.fused_calls`` / ``opt.fused_items`` and an
-    ``opt.fused_width`` observation per executed chunk.
+    ``opt.for_part_grouped`` span covering the pass and the usual
+    ``opt.calls`` / ``opt.sweeps`` / ``opt.lut_entries`` counters.
     """
     requests = list(requests)
     if not requests:
         return []
     total = sum(len(request.partitions) for request in requests)
     if not obs.enabled():
-        return [results for results, _ in _grouped_eval(requests, False)]
+        return [results for results, _ in _grouped_eval(requests)]
     with obs.span(
-        "opt.for_part_fused", requests=len(requests), items=total
+        "opt.for_part_grouped", requests=len(requests), items=total
     ) as span:
         start = time.perf_counter()
-        # thread CPU time alongside wall time: a fused pass timeshares
-        # the interpreter with the party threads it serves, so its wall
-        # duration double-counts their non-kernel work — the executor's
-        # CPU seconds are the honest cost of the kernel phase
         cpu_start = time.thread_time()
-        evaluated = _grouped_eval(requests, True)
+        evaluated = _grouped_eval(requests)
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
         total_sweeps = sum(sweeps for _, sweeps in evaluated)
@@ -991,13 +971,11 @@ def opt_for_part_grouped(
                 "opt.lut_entries",
                 len(request.partitions) * (2 << (request.context.n_inputs - 1)),
             )
-        obs.incr("opt.fused_calls")
-        obs.incr("opt.fused_items", total)
         return [results for results, _ in evaluated]
 
 
 def _grouped_eval(
-    requests: List[KernelRequest], observe_fusion: bool
+    requests: List[KernelRequest],
 ) -> List[Tuple[List[OptForPartResult], int]]:
     """Shared engine behind :func:`opt_for_part`, :func:`opt_for_part_many`
     and :func:`opt_for_part_grouped`.
@@ -1098,8 +1076,6 @@ def _grouped_eval(
                     fin_patterns[j], fin_types[j], fin_totals[j] = (
                         pat[0], typ[0], tot[0]
                     )
-            if observe_fusion:
-                obs.observe("opt.fused_width", b)
             # one argmin pass for the whole chunk; ties break exactly
             # like the exhaustive oracle's _best_of (first index wins)
             winners = fin_totals.argmin(axis=1)

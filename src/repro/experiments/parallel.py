@@ -1,9 +1,11 @@
 """Multi-process execution of repeated algorithm runs.
 
 The paper parallelises OptForPart calls over 44 threads; the Python
-port instead parallelises at the coarser repeated-run granularity
-(independent seeds of whole algorithm runs), which needs no shared
-state and keeps every run bit-identical to its serial counterpart.
+port instead batches them within a run (each BS-SA, DALTA or ND
+generation is one stacked kernel call) and parallelises at the coarser
+repeated-run granularity (independent seeds of whole algorithm runs),
+which needs no shared state and keeps every run bit-identical to its
+serial counterpart.
 
 Workers receive plain data (truth table, config, seed) so the jobs
 pickle cleanly on every platform.  Seeding uses
@@ -24,8 +26,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import threading
-import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -36,10 +36,9 @@ from ..boolean.function import BooleanFunction
 from ..core.bs_sa import run_bssa
 from ..core.config import AlgorithmConfig
 from ..core.dalta import run_dalta
-from ..core.fusion import FusionHub
 from ..core.result import ApproximationResult
 
-__all__ = ["RunSpec", "run_many", "run_specs_fused", "seeds_for"]
+__all__ = ["RunSpec", "run_many", "seeds_for"]
 
 
 class RunSpec:
@@ -224,56 +223,6 @@ def _execute_traced(
     with obs.session(sink):
         result = spec.execute()
     return result, sink.records
-
-
-def run_specs_fused(
-    specs: Sequence[RunSpec], fresh_caches: bool = True
-) -> List[Tuple[str, Any]]:
-    """Execute several specs concurrently with fused kernel dispatch.
-
-    One thread per spec runs the ordinary :meth:`RunSpec.execute` body
-    under a shared :class:`repro.core.fusion.FusionHub`, so the specs'
-    independent ``opt_for_part`` / ``opt_for_part_many`` batches fuse
-    into wide grouped kernel passes — while each spec's explicit
-    generator stream, and therefore its result, stays bit-identical to
-    a standalone ``execute()`` (fusion reorders *scheduling*, never
-    draws).  This is the execution body behind fused serve batches and
-    the fused benchmark mode.
-
-    ``fresh_caches`` clears the process caches once, up front (the
-    specs then share the warm index caches exactly as a serial replay
-    of the group would).  Returns one ``("ok", result)`` or ``("error",
-    traceback_text)`` outcome per spec, in input order — one spec's
-    failure never poisons its groupmates.
-    """
-    specs = list(specs)
-    if not specs:
-        return []
-    if fresh_caches:
-        caching.clear_caches()
-    hub = FusionHub(parties=len(specs))
-    outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(specs)
-
-    def body(index: int, spec: RunSpec) -> None:
-        try:
-            with hub.party():
-                result = spec.execute(fresh_caches=False)
-        except Exception:
-            outcomes[index] = ("error", traceback.format_exc(limit=8))
-        else:
-            outcomes[index] = ("ok", result)
-
-    threads = [
-        threading.Thread(
-            target=body, args=(index, spec), name=f"fused-spec-{index}"
-        )
-        for index, spec in enumerate(specs)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return outcomes  # type: ignore[return-value]
 
 
 def seeds_for(n_runs: int, base_seed: Optional[int]) -> List[int]:

@@ -52,7 +52,7 @@ from .. import obs
 from ..obs import exposition
 from ..boolean.packed import PackedTable
 from ..core.config import AlgorithmConfig
-from .parallel import RunSpec, run_specs_fused
+from .parallel import RunSpec
 
 __all__ = ["TableArena", "PoolEvent", "WorkerPool"]
 
@@ -274,6 +274,7 @@ def _stream_telemetry(
 
 def _pool_worker(
     worker_id: int,
+    parent: int,
     tasks,
     results,
     metrics_interval: Optional[float] = None,
@@ -320,7 +321,9 @@ def _pool_worker(
     # ``tasks`` — the write end survives in the other orphans.  Poll
     # with a timeout and watch for re-parenting instead: a worker whose
     # parent died exits on its own rather than lingering forever.
-    parent = os.getppid()
+    # ``parent`` is the pool's pid as the parent saw it: read here, a
+    # parent killed before this line ran would leave the worker
+    # comparing against its new parent and never exiting.
     orphaned = False
     while True:
         try:
@@ -337,58 +340,6 @@ def _pool_worker(
             break
         fault = message["fault"]
         faults_mod.inject_worker_fault(fault)
-        fused_fields = message.get("fused")
-        if fused_fields is not None:
-            # Fused job: several specs share this worker and run under
-            # one FusionHub (run_specs_fused), so their kernel batches
-            # merge into wide grouped passes.  Per-spec failures come
-            # back inside the payload — the job itself replies "ok"
-            # unless the whole group machinery blows up.
-            specs = [
-                _spec_from_message(fields, _table_view(segments, tables, ref))
-                for fields, ref in zip(fused_fields, message["tables"])
-            ]
-            sink = obs.MemorySink()
-            current_job["job"] = (message["index"], message["attempt"])
-            try:
-                with obs.session(sink):
-                    outcomes = run_specs_fused(specs, fresh_caches=False)
-            except Exception:
-                current_job["job"] = None
-                _send(
-                    {
-                        "kind": "error",
-                        "index": message["index"],
-                        "attempt": message["attempt"],
-                        "detail": traceback.format_exc(limit=8),
-                    }
-                )
-                continue
-            current_job["job"] = None
-            raw = None
-            if fault is not None and fault.kind == "corrupt":
-                payload = {}
-                raw = _CORRUPT_PAYLOAD
-            else:
-                entries: List[Dict[str, Any]] = []
-                for spec, (status, value) in zip(specs, outcomes):
-                    if status == "ok":
-                        entries.append({"ok": result_to_payload(spec, value)})
-                    else:
-                        entries.append({"error": value})
-                payload = {"fused": entries}
-                if message["capture"]:
-                    payload["telemetry"] = sink.records
-            _send(
-                {
-                    "kind": "ok",
-                    "index": message["index"],
-                    "attempt": message["attempt"],
-                    "payload": payload,
-                    "raw": raw,
-                }
-            )
-            continue
         table = _table_view(segments, tables, message["table"])
         spec = _spec_from_message(message["spec"], table)
         sink = obs.MemorySink()
@@ -507,6 +458,7 @@ class WorkerPool:
             target=_pool_worker,
             args=(
                 worker_id,
+                os.getpid(),
                 task_recv,
                 result_send,
                 self.metrics_interval,
@@ -588,51 +540,6 @@ class WorkerPool:
         }
         handle.task_send.send(message)
         handle.job = (index, attempt)
-        hub = exposition.active_hub()
-        if hub is not None:
-            hub.worker_seen(handle.worker_id, job=[index, attempt])
-        return handle.worker_id
-
-    def submit_fused(
-        self,
-        index: int,
-        specs: Sequence[RunSpec],
-        attempt: int = 0,
-        fault: Optional[faults_mod.Fault] = None,
-    ) -> int:
-        """Dispatch one *fused* job — several specs on one worker.
-
-        The worker runs the whole group through
-        :func:`repro.experiments.parallel.run_specs_fused`, so the
-        specs' kernel batches merge into wide grouped ``OptForPart``
-        passes while each spec's result stays byte-identical to an
-        individual :meth:`submit`.  The completion arrives as a single
-        ``"ok"`` event whose payload carries one ``{"ok": payload}`` /
-        ``{"error": traceback}`` entry per spec, in input order; only
-        a wholesale group failure surfaces as an ``"error"`` event.
-        """
-        specs = list(specs)
-        if not specs:
-            raise ValueError("submit_fused needs at least one spec")
-        idle = self.idle_workers()
-        if not idle:
-            raise RuntimeError("no idle worker available")
-        handle = idle[0]
-        if not handle.process.is_alive():  # pragma: no cover - defensive
-            self._restart(handle)
-            handle = self.idle_workers()[0]
-        message = {
-            "index": index,
-            "attempt": attempt,
-            "fused": [_spec_message(spec) for spec in specs],
-            "tables": [self.arena.publish(spec.table) for spec in specs],
-            "fault": fault,
-            "capture": self.capture_telemetry,
-        }
-        handle.task_send.send(message)
-        handle.job = (index, attempt)
-        obs.incr("pool.fused_jobs")
-        obs.observe("pool.fused_job_width", len(specs))
         hub = exposition.active_hub()
         if hub is not None:
             hub.worker_seen(handle.worker_id, job=[index, attempt])

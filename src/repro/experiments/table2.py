@@ -13,7 +13,6 @@ lower, its stdev is far lower, and its runtime is lower.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -25,7 +24,7 @@ from ..core.dalta import run_dalta
 from . import reporting
 from .runner import ExperimentScale, build_suite, repeat_specs, repeated_runs
 
-__all__ = ["Table2Row", "Table2Result", "run_table2", "run_table2_fused"]
+__all__ = ["Table2Row", "Table2Result", "run_table2"]
 
 
 @dataclass
@@ -246,45 +245,4 @@ def run_table2(
                     base_seed + 1,
                 )
             result.rows.append(_table2_row(name, dalta_runs, bssa_runs))
-    return result
-
-
-def run_table2_fused(
-    scale: Optional[ExperimentScale] = None, base_seed: int = 0
-) -> Table2Result:
-    """Regenerate Table II with *fused* cross-run kernel dispatch.
-
-    Every run of the campaign (all benchmarks, both algorithms, all
-    repeats) executes concurrently under one
-    :class:`repro.core.fusion.FusionHub` via
-    :func:`repro.experiments.parallel.run_specs_fused`, so the runs'
-    independent ``OptForPart`` batches merge into wide grouped kernel
-    passes.  The specs (and their spawned seeds) are exactly the
-    :func:`run_table2` engine-path job list, and fusion never touches a
-    generator stream, so the result is byte-identical to the serial
-    protocol — ``benchmarks.snapshot_packed`` asserts that on every
-    snapshot.
-    """
-    if scale is None:
-        scale = ExperimentScale.default()
-    suite = build_suite(scale)
-    specs = _table2_specs(scale, suite, base_seed)
-    from .parallel import run_specs_fused
-
-    outcomes = run_specs_fused(specs)
-    failures = [detail for status, detail in outcomes if status != "ok"]
-    if failures:
-        raise RuntimeError(
-            f"{len(failures)} fused Table-II run(s) failed; first:\n"
-            + failures[0]
-        )
-    results = [value for _, value in outcomes]
-    result = Table2Result(scale.name, scale.n_inputs, scale.n_runs)
-    cursor = 0
-    for name in suite:
-        dalta_runs = results[cursor : cursor + scale.n_runs]
-        cursor += scale.n_runs
-        bssa_runs = results[cursor : cursor + scale.n_runs]
-        cursor += scale.n_runs
-        result.rows.append(_table2_row(name, dalta_runs, bssa_runs))
     return result

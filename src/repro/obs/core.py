@@ -244,9 +244,9 @@ class Span:
 class Telemetry:
     """A telemetry session: a span stack, counters, and output sinks.
 
-    The session is process-global, and kernel-fusion party threads
-    (``repro.core.fusion``) mutate it concurrently — a re-entrant lock
-    guards every mutation (span bookkeeping, counters, histograms,
+    The session is process-global, and the serve daemon's HTTP handler
+    threads and dispatcher thread mutate it concurrently — a re-entrant
+    lock guards every mutation (span bookkeeping, counters, histograms,
     sink emission) so increments are never lost and sink lines never
     interleave.  The uncontended acquire is ~0.1µs, far inside the
     documented overhead budget.

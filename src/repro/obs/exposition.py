@@ -422,14 +422,6 @@ def render_top(state: Dict[str, Any]) -> str:
             )
         lines.append(f"workers: {len(workers)} — " + " ".join(parts))
 
-    hits = counters.get("opt.cache_hits", 0)
-    misses = counters.get("opt.cache_misses", 0)
-    if hits or misses:
-        rate = 100.0 * hits / (hits + misses)
-        lines.append(
-            f"opt cache: {rate:.1f}% hit ({int(hits)}/{int(hits + misses)})"
-        )
-
     serve_requests = counters.get("serve.requests", 0)
     if serve_requests:
         lines.append(

@@ -102,8 +102,8 @@ class TraceSummary:
     def pool_stats(self) -> Dict[str, float]:
         """The warm-pool backend counters (``pool.*``).
 
-        Workers started/restarted, jobs, fused jobs, and shared-memory
-        bytes and table segments — empty when the trace never used the
+        Workers started/restarted, jobs, and shared-memory bytes and
+        table segments — empty when the trace never used the
         pool backend.
         """
         return {

@@ -12,17 +12,12 @@ A single dispatcher thread drains the queue: it gathers up to
 ``max_batch`` jobs inside a ``batch_window`` and executes the batch on
 the backend — the warm :class:`WorkerPool` (jobs fan out across
 persistent workers sharing the ``TableArena``) or
-``"inline"`` (in-process, for tests and single-core hosts).  With
-``fuse_batches`` on (the default) a gathered batch ships as *fused*
-pool jobs — the batch is split contiguously across the idle workers
-and each group runs as one ``run_specs_fused`` call, merging the
-specs' kernel batches into wide grouped ``OptForPart`` passes (see
-``docs/performance.md``, "Cross-layer kernel fusion") while every
-result stays byte-identical to individual dispatch.  Worker deaths
-and errors are retried up to ``max_retries`` times; a failed fused
-group falls back to individual submission, each member charged one
-retry — the pool replaces dead workers itself, so a mid-batch kill
-costs retries, not the daemon.
+``"inline"`` (in-process, for tests and single-core hosts).  Every job
+of a batch is dispatched on its own, one pool job per request; the
+kernel batching happens inside each compile (one stacked call per
+search generation).  Worker deaths and errors are retried up to
+``max_retries`` times — the pool replaces dead workers itself, so a
+mid-batch kill costs retries, not the daemon.
 
 Everything the dispatcher computes goes through
 :func:`repro.compile_api.artifact_from_result` — the same code path
@@ -47,7 +42,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .. import compile_api, obs
 from ..experiments.engine import result_from_payload
-from ..experiments.parallel import run_specs_fused
 from ..experiments.pool import WorkerPool
 from ..obs.exposition import MetricsHub
 from .cache import ArtifactCache
@@ -75,7 +69,6 @@ class ServeConfig:
     batch_window: float = 0.02
     max_batch: int = 16
     max_retries: int = 2
-    fuse_batches: bool = True
     rate: Optional[float] = None
     burst: int = 16
     request_timeout: float = 600.0
@@ -332,23 +325,6 @@ class CompileService:
 
     def _run_inline_batch(self, batch: List[_Job]) -> Dict[str, Any]:
         results: Dict[str, Any] = {}
-        if self.config.fuse_batches and len(batch) > 1:
-            obs.incr("serve.fusion_batched")
-            obs.observe("serve.fused_batch_size", len(batch))
-            outcomes = run_specs_fused([job.request.spec for job in batch])
-            for job, (status, value) in zip(batch, outcomes):
-                if status != "ok":
-                    results[job.key] = RuntimeError(value)
-                    continue
-                try:
-                    artifact = compile_api.artifact_from_result(
-                        job.request.spec, value
-                    )
-                    results[job.key] = artifact.payload
-                    obs.incr("serve.executed")
-                except Exception as exc:
-                    results[job.key] = exc
-            return results
         for job in batch:
             try:
                 result = job.request.spec.execute()
@@ -361,14 +337,14 @@ class CompileService:
                 results[job.key] = exc
         return results
 
-    def _absorb_member(
+    def _absorb_payload(
         self, job: _Job, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
         """Worker result payload → cached artifact payload.
 
         Same canonicalising round-trip the campaign engine performs on
-        checkpoint payloads; raises on anything malformed so callers
-        can charge a retry.
+        checkpoint payloads; raises on anything malformed so the
+        caller can charge a retry.
         """
         canonical = json.loads(
             json.dumps(payload, sort_keys=True, default=str)
@@ -377,104 +353,18 @@ class CompileService:
         artifact = compile_api.artifact_from_result(job.request.spec, result)
         return artifact.payload
 
-    def _run_fused_phase(
-        self,
-        batch: List[_Job],
-        results: Dict[str, Any],
-        attempts: List[int],
-    ) -> List[int]:
-        """Ship the gathered batch as fused pool jobs, one per idle worker.
-
-        The batch is split contiguously across the idle workers; each
-        group runs as a single :meth:`WorkerPool.submit_fused` job, so
-        the member specs' kernel batches merge into wide grouped
-        ``OptForPart`` passes inside the worker.  Members the fused
-        pass could not resolve — the group's worker died, the group
-        errored wholesale, or one member raised inside it — are each
-        charged one retry and handed back for individual submission,
-        so a mid-batch worker kill keeps the unfused path's retry
-        accounting.
-        """
-        assert self._pool is not None
-        pool = self._pool
-        idle = len(pool.idle_workers())
-        if idle < 1:  # pragma: no cover - dispatcher drains every batch
-            return list(range(len(batch)))
-        n_groups = min(len(batch), idle)
-        groups: List[List[int]] = []
-        base, extra = divmod(len(batch), n_groups)
-        start = 0
-        for g in range(n_groups):
-            size = base + (1 if g < extra else 0)
-            groups.append(list(range(start, start + size)))
-            start += size
-        leftover: List[int] = []
-
-        def fall_back(member: int, detail: str) -> None:
-            attempts[member] += 1
-            if attempts[member] > self.config.max_retries:
-                results[batch[member].key] = RuntimeError(detail)
-                obs.incr("serve.errors")
-            else:
-                obs.incr("serve.retries")
-                leftover.append(member)
-
-        for g, members in enumerate(groups):
-            pool.submit_fused(g, [batch[i].request.spec for i in members])
-            obs.incr("serve.fusion_batched")
-            obs.observe("serve.fused_batch_size", len(members))
-        outstanding = set(range(n_groups))
-        while outstanding:
-            for event in pool.wait(0.05):
-                outstanding.discard(event.index)
-                members = groups[event.index]
-                entries: Optional[List[Any]] = None
-                if event.kind == "ok" and event.payload is not None:
-                    got = event.payload.get("fused")
-                    if isinstance(got, list) and len(got) == len(members):
-                        entries = got
-                if entries is None:
-                    if event.kind == "error":
-                        detail = f"worker raised: {event.detail}"
-                    elif event.kind == "died":
-                        detail = f"worker died (exit {event.exitcode})"
-                    else:
-                        detail = "worker returned a corrupt payload"
-                    for member in members:
-                        fall_back(member, detail)
-                    continue
-                for member, entry in zip(members, entries):
-                    job = batch[member]
-                    error = entry.get("error")
-                    if error is not None:
-                        fall_back(member, f"worker raised: {error}")
-                        continue
-                    try:
-                        results[job.key] = self._absorb_member(
-                            job, entry["ok"]
-                        )
-                        obs.incr("serve.executed")
-                    except Exception as exc:
-                        fall_back(member, f"invalid worker payload: {exc}")
-        return leftover
-
     def _run_pool_batch(self, batch: List[_Job]) -> Dict[str, Any]:
         assert self._pool is not None
         pool = self._pool
         results: Dict[str, Any] = {}
         attempts = [0] * len(batch)
-        if self.config.fuse_batches and len(batch) > 1:
-            pending = self._run_fused_phase(batch, results, attempts)
-        else:
-            pending = list(range(len(batch)))
+        pending = list(range(len(batch)))
         active: Dict[int, _Job] = {}
-        remaining = len(batch) - len(results)
-        last_error: Dict[int, str] = {}
+        remaining = len(batch)
 
         def retry(index: int, detail: str) -> None:
             nonlocal remaining
             attempts[index] += 1
-            last_error[index] = detail
             if attempts[index] > self.config.max_retries:
                 results[batch[index].key] = RuntimeError(detail)
                 remaining -= 1
@@ -493,9 +383,7 @@ class CompileService:
                 job = active.pop(event.index)
                 if event.kind == "ok" and event.payload is not None:
                     try:
-                        results[job.key] = self._absorb_member(
-                            job, event.payload
-                        )
+                        results[job.key] = self._absorb_payload(job, event.payload)
                         remaining -= 1
                         obs.incr("serve.executed")
                     except Exception as exc:

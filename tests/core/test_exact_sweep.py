@@ -8,8 +8,12 @@ pattern byte, type byte and consumed rng draw identical to the
 reference (``caching.fast_paths(False)``).  These tests pin that
 contract at three levels — single kernel calls across sweep budgets,
 full algorithm runs across all three architectures, and gate-rejected
-batches — plus the gate itself, hardest at its boundaries, and the
-packed shared-memory arena pages.
+batches — plus the gate itself, hardest at its boundaries and under
+general weighted distributions (dyadic weights admitted, everything
+else refused), the exact weighted popcounts behind its certificate,
+the grouped engine (each request of an ``opt_for_part_grouped`` pass
+equal to its own ``opt_for_part_many`` call), and the packed
+shared-memory arena pages.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import caching, compile_api, workloads
 from repro.boolean import Partition, ops, random_partition
+from repro.boolean.packed import WeightPlanes, pack_bits
 from repro.core import (
     AlgorithmConfig,
     BitCosts,
@@ -46,9 +51,10 @@ from repro.metrics import distributions
 
 from ..conftest import random_bits, random_function
 from .test_fast_paths import _run_fingerprint, _same_result
-from .test_fusion import _production_vs_reference
 
 ofp = importlib.import_module("repro.core.opt_for_part")
+
+_SUPPRESS = [HealthCheck.function_scoped_fixture]
 
 
 @pytest.fixture(autouse=True)
@@ -64,6 +70,32 @@ def _uniform_instance(n_inputs, seed):
     bits = random_bits(n_inputs, rng)
     costs = cost_vectors_fixed(bits, np.zeros_like(bits), 0)
     return costs, distributions.uniform(n_inputs)
+
+
+def _integer_costs(n_inputs, seed):
+    rng = np.random.default_rng(seed)
+    bits = random_bits(n_inputs, rng)
+    return cost_vectors_fixed(bits, np.zeros_like(bits), 0)
+
+
+def _production_vs_reference(costs, p, n_inputs, bound, count, seed):
+    """Run the same batch in production and in the reference; return both."""
+    sample = np.random.default_rng(seed)
+    partitions = [random_partition(n_inputs, bound, sample) for _ in range(count)]
+    rng_on = np.random.default_rng(seed + 1)
+    rng_off = np.random.default_rng(seed + 1)
+    caching.clear_caches()
+    with caching.fast_paths(True):
+        on = opt_for_part_many(
+            costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_on
+        )
+    caching.clear_caches()
+    with caching.fast_paths(False):
+        off = opt_for_part_many(
+            costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_off
+        )
+    assert rng_on.bit_generator.state == rng_off.bit_generator.state
+    return on, off
 
 
 class TestEligibilityGate:
@@ -96,7 +128,7 @@ class TestEligibilityGate:
         costs, _ = _uniform_instance(4, seed=5)
         assert ofp._exact_tier(costs, np.empty(0)) is None
 
-    def test_memo_caches_the_verdict(self, monkeypatch):
+    def test_shared_context_caches_the_verdict(self, monkeypatch):
         """A search context's KernelContext gates once for every call."""
         costs, p = _uniform_instance(7, seed=6)
         verdict = ofp._exact_tier(costs, p)
@@ -124,6 +156,91 @@ class TestEligibilityGate:
         costs, p = _uniform_instance(7, seed=6)
         with caching.fast_paths(False):
             assert ofp._engaged_tier(KernelContext(costs, p, 7)) is None
+
+
+class TestWeightedEligibility:
+    """The widened gate: weighted distributions, dyadic certificates."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=_SUPPRESS)
+    @given(data=st.data())
+    def test_dyadic_weighted_instances_engage_packed_byte_identical(self, data):
+        n_inputs = data.draw(st.integers(5, 7), label="n_inputs")
+        entries = 1 << n_inputs
+        costs = _integer_costs(n_inputs, data.draw(st.integers(0, 99), label="f"))
+        mant = np.asarray(
+            data.draw(
+                st.lists(
+                    st.integers(0, 255), min_size=entries, max_size=entries
+                ),
+                label="mantissas",
+            ),
+            dtype=np.float64,
+        )
+        shift = data.draw(st.integers(0, 24), label="shift")
+        p = mant / float(1 << shift)
+        # dyadic weights with a tiny magnitude bound: always provable
+        assert ofp._exact_tier(costs, p)
+        on, off = _production_vs_reference(costs, p, n_inputs, 3, 3, seed=5)
+        for a, b in zip(on, off):
+            _same_result(a, b)
+
+    @settings(max_examples=15, deadline=None, suppress_health_check=_SUPPRESS)
+    @given(data=st.data())
+    def test_arbitrary_distribution_packed_on_off_identical(self, data):
+        """Eligible or not, production must never change a byte."""
+        n_inputs = 6
+        costs = _integer_costs(n_inputs, data.draw(st.integers(0, 99), label="f"))
+        mode = data.draw(
+            st.sampled_from(["dyadic", "random", "sparse", "thirds"]),
+            label="mode",
+        )
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        if mode == "dyadic":
+            p = rng.integers(0, 1 << 12, size=1 << n_inputs).astype(np.float64)
+            p /= 4096.0
+        elif mode == "random":
+            p = rng.random(1 << n_inputs)
+            p /= p.sum()
+        elif mode == "sparse":
+            p = np.zeros(1 << n_inputs)
+            p[rng.integers(0, 1 << n_inputs, size=4)] = 0.25
+        else:
+            p = np.full(1 << n_inputs, 1.0 / 3.0)
+            p[0] = 2.0 / 3.0
+        on, off = _production_vs_reference(costs, p, n_inputs, 3, 3, seed=9)
+        for a, b in zip(on, off):
+            _same_result(a, b)
+
+    def test_non_dyadic_weights_are_refused(self):
+        """1/3 has a 53-bit odd mantissa: no exactness certificate."""
+        costs = _integer_costs(6, seed=3)
+        p = np.full(64, 1.0 / 3.0)
+        p[0] = 2.0 / 3.0
+        assert not ofp._exact_tier(costs, p)
+
+    def test_weighted_overflow_is_refused(self):
+        """Weights whose *scaled* total leaves 2**52 bail out.
+
+        Powers of two are exact at any magnitude (odd part 1), so the
+        overflow probe needs large odd mantissas: (2**50 + 1)-sized
+        weights put the scaled weighted total far beyond 2**52.
+        """
+        costs = _integer_costs(6, seed=4)
+        p = np.full(64, 2.0**50 + 1.0)
+        p[0] = 2.0**50 + 3.0  # non-constant: takes the weighted path
+        assert not ofp._exact_tier(costs, p)
+
+    def test_power_of_two_magnitudes_stay_eligible(self):
+        """Huge but dyadic-unit weights are exact in scaled units."""
+        costs = _integer_costs(6, seed=4)
+        p = np.full(64, float(1 << 50))
+        p[0] = float(1 << 51)
+        assert ofp._exact_tier(costs, p)
+
+    def test_uniform_stays_eligible_via_closed_form(self):
+        costs = _integer_costs(8, seed=5)
+        assert ofp._exact_tier(costs, distributions.uniform(8))
 
 
 # ----------------------------------------------------------------------
@@ -735,6 +852,116 @@ class TestPipelineByteIdentity:
         exact = self._run(algorithm, architecture, production=True)
         reference = self._run(algorithm, architecture, production=False)
         assert _run_fingerprint(exact) == _run_fingerprint(reference)
+
+
+class TestWeightPlanes:
+    @settings(max_examples=50, deadline=None, suppress_health_check=_SUPPRESS)
+    @given(data=st.data())
+    def test_masked_sum_is_exact(self, data):
+        n = data.draw(st.integers(1, 130), label="n")
+        weights = np.asarray(
+            data.draw(
+                st.lists(
+                    st.integers(0, 1 << 45), min_size=n, max_size=n
+                ),
+                label="weights",
+            ),
+            dtype=np.int64,
+        )
+        mask = np.asarray(
+            data.draw(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                label="mask",
+            ),
+            dtype=np.uint8,
+        )
+        planes = WeightPlanes(weights)
+        expected = sum(int(w) for w, b in zip(weights, mask) if b)
+        assert planes.masked_sum(pack_bits(mask)) == expected
+        assert planes.total() == sum(int(w) for w in weights)
+
+    def test_rejects_negative_and_non_integer(self):
+        with pytest.raises(ValueError):
+            WeightPlanes(np.array([1, -1]))
+        with pytest.raises(ValueError):
+            WeightPlanes(np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            WeightPlanes(np.array([], dtype=np.int64))
+
+
+class TestGroupedEngine:
+    """opt_for_part_grouped == each request's own opt_for_part_many."""
+
+    def _request(self, n_inputs, bound, count, seed, z=4):
+        costs = _integer_costs(n_inputs, seed)
+        p = distributions.uniform(n_inputs)
+        sample = np.random.default_rng(seed + 1)
+        partitions = [
+            random_partition(n_inputs, bound, sample) for _ in range(count)
+        ]
+        stacked = np.random.default_rng(seed + 2).integers(
+            0, 2, size=(count, z, partitions[0].n_cols), dtype=np.uint8
+        )
+        return costs, p, partitions, stacked
+
+    def test_mixed_shape_requests_match_serial(self):
+        problems = [
+            self._request(6, 3, 2, seed=10),
+            self._request(6, 3, 5, seed=20),
+            self._request(7, 4, 3, seed=30),  # different table shape
+        ]
+        serial = []
+        for n_inputs, (costs, p, partitions, stacked) in zip(
+            (6, 6, 7), problems
+        ):
+            caching.clear_caches()
+            serial.append(
+                opt_for_part_many(
+                    costs, p, partitions, n_inputs, initial_patterns=stacked
+                )
+            )
+        caching.clear_caches()
+        grouped = opt_for_part_grouped(
+            [
+                KernelRequest(
+                    KernelContext(costs, p, n_inputs), partitions, stacked
+                )
+                for n_inputs, (costs, p, partitions, stacked) in zip(
+                    (6, 6, 7), problems
+                )
+            ]
+        )
+        assert len(grouped) == len(serial)
+        for grouped_results, serial_results in zip(grouped, serial):
+            assert len(grouped_results) == len(serial_results)
+            for a, b in zip(grouped_results, serial_results):
+                _same_result(a, b)
+
+    def test_reference_and_packed_requests_coexist(self):
+        """Ineligible (random-p) and eligible requests share one pass."""
+        costs, _, partitions, stacked = self._request(6, 3, 3, seed=40)
+        raw = np.random.default_rng(41).random(64) + 1e-3
+        random_p = raw / raw.sum()
+        uniform_p = distributions.uniform(6)
+        caching.clear_caches()
+        serial_ref = opt_for_part_many(
+            costs, random_p, partitions, 6, initial_patterns=stacked
+        )
+        caching.clear_caches()
+        serial_packed = opt_for_part_many(
+            costs, uniform_p, partitions, 6, initial_patterns=stacked
+        )
+        caching.clear_caches()
+        grouped = opt_for_part_grouped(
+            [
+                KernelRequest(KernelContext(costs, random_p, 6), partitions, stacked),
+                KernelRequest(KernelContext(costs, uniform_p, 6), partitions, stacked),
+            ]
+        )
+        for a, b in zip(grouped[0], serial_ref):
+            _same_result(a, b)
+        for a, b in zip(grouped[1], serial_packed):
+            _same_result(a, b)
 
 
 class TestArenaPackedPages:

@@ -229,7 +229,7 @@ class TestPipelineBitExact:
         slow = self._run(algorithm, architecture, fast=False)
         assert _run_fingerprint(fast) == _run_fingerprint(slow)
 
-    def test_warm_memo_rerun_is_identical(self):
+    def test_warm_process_rerun_is_identical(self):
         """A same-seed rerun in a warm process repeats the first run."""
         target = random_function(8, 3, np.random.default_rng(5), name="w")
         cold = run_bssa(target, self.CONFIG, rng=np.random.default_rng(31))

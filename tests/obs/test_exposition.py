@@ -238,13 +238,11 @@ class TestTopRendering:
                     "experiment": "table2",
                 },
                 "workers": {"0": {"job": [3, 0]}},
-                "counters": {"opt.cache_hits": 30, "opt.cache_misses": 10},
                 "histograms": {"run.med": hist.to_dict()},
             }
         )
         assert "2/8 done" in frame
         assert "backend=pool" in frame
-        assert "opt cache: 75.0% hit" in frame
         assert "run.med" in frame
 
 

@@ -296,46 +296,10 @@ class TestPoolBackend:
             state = get_json(daemon.url, "/state")
         assert state["serve"]["backend"] == "pool"
         assert telemetry.counters["serve.batched_jobs"] > 0
-        # batches ship as fused pool jobs (one run_specs_fused group
-        # per idle worker) and none fell back to individual retries
-        assert telemetry.counters["serve.fusion_batched"] > 0
+        # a batch wider than the two idle workers still dispatches job
+        # by job: one pool job per distinct request, none retried
+        assert telemetry.counters["pool.jobs"] == len(seeds)
         assert telemetry.counters.get("serve.retries", 0) == 0
-
-    def test_unfused_pool_serves_byte_identical_artifacts(self, telemetry):
-        # fuse_batches=False is the escape hatch; it must address the
-        # same artifacts byte for byte
-        seeds = [0, 1, 2]
-        docs = {seed: bench_doc(seed=seed) for seed in seeds}
-        twins = {seed: offline_twin(docs[seed]) for seed in seeds}
-        config = ServeConfig(
-            backend="pool",
-            jobs=2,
-            batch_window=0.3,
-            max_batch=16,
-            fuse_batches=False,
-        )
-        with ServeDaemon(config, port=0) as daemon:
-            barrier = threading.Barrier(len(seeds))
-            responses = {}
-
-            def client(seed):
-                barrier.wait()
-                responses[seed] = post_compile(daemon.url, docs[seed])
-
-            threads = [
-                threading.Thread(target=client, args=(seed,))
-                for seed in seeds
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-
-            for seed in seeds:
-                status, envelope, _ = responses[seed]
-                assert status == 200
-                assert_served_equals_offline(envelope, twins[seed])
-        assert telemetry.counters.get("serve.fusion_batched", 0) == 0
 
     @pytest.mark.chaos
     def test_worker_kill_mid_batch_still_byte_identical(self, telemetry):
