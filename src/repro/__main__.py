@@ -47,36 +47,19 @@ from typing import List, Optional
 
 from . import compile_api, obs, workloads
 from .core import serialize
-from .experiments import (
-    ExperimentScale,
-    run_ablation,
-    run_fig5,
-    run_fig6,
-    run_shared_bits_study,
-    run_table1,
-    run_table2,
-)
-from .experiments.engine import (
-    CampaignError,
-    EngineConfig,
-    campaign_status,
-    resolve_jobs,
-    resume_campaign,
-    run_experiment_campaign,
-)
-from .experiments.store import DEFAULT_LEASE_TTL, merge_campaigns
+from .experiments.runner import SCALE_NAMES, ExperimentScale
+from .experiments.store import DEFAULT_LEASE_TTL  # stdlib-only
 
-_SCALES = {
-    "smoke": ExperimentScale.smoke,
-    "default": ExperimentScale.default,
-    "paper": ExperimentScale.paper,
-}
+# The harnesses and the campaign engine are imported inside the commands
+# that run them, so ``compile``, ``info`` or ``--help`` never load them.
 
 #: named search budgets (shared with the serve daemon's request knob)
 _CONFIGS = compile_api.BUDGETS
 
 
 def _cmd_list(_args) -> int:
+    from .experiments.table1 import run_table1
+
     print(run_table1(16, build=False).render())
     return 0
 
@@ -110,7 +93,16 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    scale = _SCALES[args.scale]()
+    from .experiments import (
+        run_ablation,
+        run_fig5,
+        run_fig6,
+        run_shared_bits_study,
+        run_table1,
+        run_table2,
+    )
+
+    scale = ExperimentScale.by_name(args.scale)
     runners = {
         "table1": lambda: run_table1(scale.n_inputs),
         "table2": lambda: run_table2(scale, base_seed=args.seed or 0),
@@ -176,7 +168,9 @@ def _shard_arg(text: str):
     return (index, count)
 
 
-def _engine_config(args) -> EngineConfig:
+def _engine_config(args):
+    from .experiments.engine import EngineConfig, resolve_jobs
+
     shard = getattr(args, "shard", None)
     return EngineConfig(
         n_jobs=resolve_jobs(args.jobs),
@@ -224,6 +218,8 @@ def _render_result(result, outcome) -> None:
 
 
 def _cmd_run(args) -> int:
+    from .experiments.engine import run_experiment_campaign
+
     try:
         config = _engine_config(args)
     except ValueError as exc:
@@ -241,6 +237,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
+    from .experiments.engine import CampaignError, resume_campaign
+
     try:
         result, outcome = resume_campaign(args.dir, config=_engine_config(args))
     except ValueError as exc:
@@ -254,6 +252,8 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_status(args) -> int:
+    from .experiments.engine import CampaignError, campaign_status
+
     try:
         print(campaign_status(args.dir).render())
     except CampaignError as exc:
@@ -263,6 +263,8 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_merge(args) -> int:
+    from .experiments.store import CampaignError, merge_campaigns
+
     try:
         outcome = merge_campaigns(args.sources, args.into)
     except CampaignError as exc:
@@ -386,6 +388,7 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .experiments.engine import resolve_jobs
     from .serve import ServeConfig, ServeDaemon
 
     try:
@@ -484,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     experiment_parser.add_argument(
-        "--scale", default="default", choices=sorted(_SCALES)
+        "--scale", default="default", choices=sorted(SCALE_NAMES)
     )
     experiment_parser.add_argument("--seed", type=int)
     experiment_parser.set_defaults(func=_cmd_experiment)
@@ -580,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--dir", required=True, help="campaign checkpoint directory"
     )
-    run_parser.add_argument("--scale", default="smoke", choices=sorted(_SCALES))
+    run_parser.add_argument("--scale", default="smoke", choices=sorted(SCALE_NAMES))
     run_parser.add_argument("--seed", type=int)
     run_parser.set_defaults(func=_cmd_run)
 

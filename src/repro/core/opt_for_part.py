@@ -665,7 +665,9 @@ def _alternate_exact(
     use4, use_vt, totals = _exact_types_core(sweep, patterns)
     out_patterns = np.empty_like(patterns)
     out_types = np.empty((batch, z, diff.shape[1]), dtype=np.int8)
-    out_totals = np.empty_like(totals)
+    # float64 in both tiers, like the reference's totals and the
+    # ``totals + totals_offset`` of the early returns below
+    out_totals = np.empty(totals.shape)
     out_sweeps = np.zeros(batch, dtype=np.int64)
     if max_sweeps < 1:
         types = _exact_types(use4, use_vt, sweep.b01)

@@ -5,59 +5,63 @@
 * :mod:`repro.experiments.fig5` — architecture comparison.
 * :mod:`repro.experiments.fig6` — accuracy-energy trade-off sweep.
 * :mod:`repro.experiments.ablation` — design-choice ablations.
+
+The package imports no submodule itself: each name below is loaded from
+its submodule on first access (PEP 562), so ``repro.compile_api``, which
+needs only :mod:`~repro.experiments.parallel`, does not pay for the
+harnesses, the campaign engine or the checkpoint store.
 """
 
-from .ablation import AblationResult, run_ablation
-from .fig5 import Fig5Metrics, Fig5Result, run_fig5
-from .fig6 import Fig6Point, Fig6Result, per_bit_candidates, run_fig6, sweep_tradeoff
-from .shared_bits import SharedBitsPoint, SharedBitsResult, run_shared_bits_study
-from .distribution_study import DistributionStudyResult, run_distribution_study
-from .engine import (
-    CampaignOutcome,
-    Engine,
-    EngineConfig,
-    campaign_status,
-    resume_campaign,
-    run_experiment_campaign,
-)
-from .parallel import RunSpec, run_many
-from .runner import ExperimentScale, build_suite, repeat_specs, repeated_runs
-from .table1 import Table1Result, run_table1
-from .table2 import Table2Result, Table2Row, run_table2
-from . import reporting
+from importlib import import_module
 
-__all__ = [
-    "AblationResult",
-    "run_ablation",
-    "Fig5Metrics",
-    "Fig5Result",
-    "run_fig5",
-    "Fig6Point",
-    "Fig6Result",
-    "per_bit_candidates",
-    "run_fig6",
-    "sweep_tradeoff",
-    "SharedBitsPoint",
-    "SharedBitsResult",
-    "run_shared_bits_study",
-    "DistributionStudyResult",
-    "run_distribution_study",
-    "RunSpec",
-    "run_many",
-    "CampaignOutcome",
-    "Engine",
-    "EngineConfig",
-    "campaign_status",
-    "resume_campaign",
-    "run_experiment_campaign",
-    "ExperimentScale",
-    "build_suite",
-    "repeat_specs",
-    "repeated_runs",
-    "Table1Result",
-    "run_table1",
-    "Table2Result",
-    "Table2Row",
-    "run_table2",
-    "reporting",
-]
+#: public name -> the submodule that defines it
+_SOURCES = {
+    "AblationResult": "ablation",
+    "run_ablation": "ablation",
+    "Fig5Metrics": "fig5",
+    "Fig5Result": "fig5",
+    "run_fig5": "fig5",
+    "Fig6Point": "fig6",
+    "Fig6Result": "fig6",
+    "per_bit_candidates": "fig6",
+    "run_fig6": "fig6",
+    "sweep_tradeoff": "fig6",
+    "SharedBitsPoint": "shared_bits",
+    "SharedBitsResult": "shared_bits",
+    "run_shared_bits_study": "shared_bits",
+    "DistributionStudyResult": "distribution_study",
+    "run_distribution_study": "distribution_study",
+    "RunSpec": "parallel",
+    "run_many": "parallel",
+    "CampaignOutcome": "engine",
+    "Engine": "engine",
+    "EngineConfig": "engine",
+    "campaign_status": "engine",
+    "resume_campaign": "engine",
+    "run_experiment_campaign": "engine",
+    "ExperimentScale": "runner",
+    "build_suite": "runner",
+    "repeat_specs": "runner",
+    "repeated_runs": "runner",
+    "Table1Result": "table1",
+    "run_table1": "table1",
+    "Table2Result": "table2",
+    "Table2Row": "table2",
+    "run_table2": "table2",
+}
+
+__all__ = [*_SOURCES, "reporting"]
+
+
+def __getattr__(name: str):
+    if name == "reporting":
+        return import_module(f"{__name__}.reporting")
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(f"{__name__}.{source}"), name)
+    globals()[name] = value
+    return value

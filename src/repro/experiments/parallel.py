@@ -30,6 +30,9 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+# numpy 2 loads numpy.random on first use.  Load it with this module, so
+# forked campaign jobs inherit it rather than each importing it again.
+import numpy.random  # noqa: F401
 
 from .. import caching, obs
 from ..boolean.function import BooleanFunction

@@ -24,12 +24,13 @@ See ``docs/observability.md`` for the span taxonomy and sink guide.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from importlib import import_module
 from typing import Optional
 
 from .core import NOOP_SPAN, Histogram, Span, Telemetry
 from .manifest import RunManifest, config_hash, git_revision
 from .sinks import JsonlSink, MemorySink, NullSink, Sink, StderrSink
-from . import exposition, manifest, summarize  # noqa: F401  (re-exported)
+from . import manifest  # noqa: F401  (re-exported)
 
 __all__ = [
     "Telemetry",
@@ -57,6 +58,18 @@ __all__ = [
     "manifest",
     "summarize",
 ]
+
+#: submodules loaded on first attribute access (PEP 562): the HTTP
+#: exposition server alone pulls in ``http.server``, ``socket`` and
+#: ``ssl``, which a compile never needs
+_LAZY_SUBMODULES = ("exposition", "summarize")
+
+
+def __getattr__(name: str):
+    if name in _LAZY_SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: the active session, or None — the module-level enabled flag
 _current: Optional[Telemetry] = None

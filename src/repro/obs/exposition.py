@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import json
 import re
+import selectors
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -468,11 +470,49 @@ class HardenedHTTPServer(ThreadingHTTPServer):
     serve daemon's normal load) must queue, not get connection resets.
     (The per-connection socket timeout lives on the handler class —
     see ``_Handler.timeout``.)
+
+    :meth:`serve_forever` blocks on the listening socket *and* a wake
+    socket instead of polling, so :meth:`shutdown` returns as soon as
+    the loop sees its wake byte rather than after a poll interval.
     """
 
     allow_reuse_address = True
     daemon_threads = True
     request_queue_size = 128
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._loop_done = threading.Event()
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Handle requests until :meth:`shutdown` (``poll_interval`` is
+        accepted for signature compatibility and unused)."""
+        self._loop_done.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_reader, selectors.EVENT_READ)
+                while True:
+                    ready = [key.fileobj for key, _ in selector.select()]
+                    if self._wake_reader in ready:
+                        self._wake_reader.recv(1)
+                        return
+                    self._handle_request_noblock()
+        finally:
+            self._loop_done.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` (running in another thread) and
+        wait until it has returned; a no-op once it has."""
+        if not self._loop_done.is_set():
+            self._wake_writer.send(b"\0")
+            self._loop_done.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
 
 
 class MetricsServer:
@@ -513,7 +553,6 @@ class MetricsServer:
     def start(self) -> "MetricsServer":
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.1},
             name="repro-metrics",
             daemon=True,
         )

@@ -142,6 +142,10 @@ class _Job:
         self.attempts = 0
 
 
+#: queued by :meth:`CompileService.stop` to wake and end the dispatcher
+_STOP = object()
+
+
 class CompileService:
     """Owns the cache, the queue, the dispatcher and the backend."""
 
@@ -153,7 +157,7 @@ class CompileService:
         self.cache = ArtifactCache(
             capacity=config.cache_size, artifact_dir=config.artifact_dir
         )
-        self._queue: "queue.Queue[_Job]" = queue.Queue()
+        self._queue: "queue.Queue[Any]" = queue.Queue()  # _Job or _STOP
         self._inflight: Dict[str, _Job] = {}
         self._lock = threading.Lock()
         self._metrics_lock = threading.Lock()
@@ -185,6 +189,9 @@ class CompileService:
         if self._thread is None:
             return
         self._stopping.set()
+        # Wake the dispatcher now rather than at its next idle tick; it
+        # finishes the jobs queued ahead of the sentinel first.
+        self._queue.put(_STOP)
         self._thread.join(timeout=30)
         self._thread = None
         # Fail anything still queued — handler threads must not hang.
@@ -193,7 +200,8 @@ class CompileService:
                 job = self._queue.get_nowait()
             except queue.Empty:
                 break
-            self._finish_error(job, 503, "server shutting down")
+            if job is not _STOP:
+                self._finish_error(job, 503, "server shutting down")
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -285,10 +293,10 @@ class CompileService:
             try:
                 job = self._queue.get(timeout=0.05)
             except queue.Empty:
-                if self._stopping.is_set():
-                    return
                 self._refresh_pool_stats()
                 continue
+            if job is _STOP:
+                return
             batch = [job]
             deadline = time.monotonic() + self.config.batch_window
             while len(batch) < self.config.max_batch:
@@ -296,9 +304,13 @@ class CompileService:
                 if remaining <= 0:
                     break
                 try:
-                    batch.append(self._queue.get(timeout=remaining))
+                    job = self._queue.get(timeout=remaining)
                 except queue.Empty:
                     break
+                if job is _STOP:
+                    self._execute_batch(batch)
+                    return
+                batch.append(job)
             self._execute_batch(batch)
 
     def _execute_batch(self, batch: List[_Job]) -> None:

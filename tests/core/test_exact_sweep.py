@@ -667,6 +667,30 @@ class TestKernelByteIdentity:
             _same_result(a, b)
         assert rng_exact.bit_generator.state == rng_ref.bit_generator.state
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("max_sweeps", [0, 1, 50])
+    def test_exact_sweep_totals_are_float64(self, dtype, batch, max_sweeps):
+        """Both tiers, with or without the B = 1 shortcut, return the
+        reference's float64 totals, equal to it item by item."""
+        rng = np.random.default_rng(batch * 100 + max_sweeps)
+        rows, cols, z = 8, 16, 4
+        d0 = rng.integers(0, 64, size=(batch, rows, cols)).astype(np.float64)
+        d1 = rng.integers(0, 64, size=(batch, rows, cols)).astype(np.float64)
+        patterns = rng.integers(0, 2, size=(batch, z, cols)).astype(dtype)
+        diff = (d1 - d0).astype(dtype)
+        offsets = d0.sum(axis=(1, 2))
+        _, _, totals, _ = ofp._alternate_exact(
+            diff, diff.sum(axis=2), patterns, max_sweeps, offsets
+        )
+        assert totals.dtype == np.float64
+        for j in range(batch):
+            _, _, want, _ = ofp._alternate_reference(
+                d0[j : j + 1], d1[j : j + 1],
+                patterns[j : j + 1].astype(np.float64), max_sweeps,
+            )
+            assert totals[j].tobytes() == want[0].tobytes()
+
     def test_bto_variant(self):
         costs, p = _uniform_instance(8, seed=37)
         partition = random_partition(8, 4, np.random.default_rng(5))

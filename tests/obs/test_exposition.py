@@ -267,6 +267,27 @@ class TestHardenedServer:
             with urllib.request.urlopen(f"{server.url}/healthz") as response:
                 assert json.load(response)["status"] == "ok"
 
+    def test_shutdown_does_not_wait_out_the_poll_interval(self):
+        import threading
+        import time
+
+        from repro.obs.exposition import HardenedHTTPServer, _Handler
+
+        server = HardenedHTTPServer(("127.0.0.1", 0), _Handler)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 60}, daemon=True
+        )
+        thread.start()
+        try:
+            time.sleep(0.2)  # let the loop block in its select
+            started = time.monotonic()
+            server.shutdown()
+            assert time.monotonic() - started < 10
+        finally:
+            server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
     def test_stalled_client_times_out_without_wedging_server(self):
         import socket
 

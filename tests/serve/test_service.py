@@ -6,6 +6,8 @@ are deterministic: everything submitted up front lands in one batch
 once the dispatcher spins up.
 """
 
+import time
+
 import pytest
 
 from repro.experiments.parallel import RunSpec
@@ -126,6 +128,18 @@ class TestInlineService:
         with pytest.raises(ServiceError) as excinfo:
             future.result(timeout=1)
         assert excinfo.value.status == 503
+
+    def test_stop_wakes_a_gathering_dispatcher(self, telemetry):
+        """stop() cuts a batch window short: the jobs queued ahead of it
+        still run, and the dispatcher ends without waiting out the
+        window."""
+        service = CompileService(inline_config(batch_window=60.0)).start()
+        future = service.submit(parse_compile_request(bench_doc(seed=3)))
+        started = time.monotonic()
+        service.stop()
+        assert time.monotonic() - started < 10
+        _, source = future.result(timeout=1)
+        assert source == "computed"
 
     def test_future_timeout_is_504(self, telemetry):
         service = CompileService(inline_config())

@@ -1,11 +1,33 @@
 """Unit tests for the continuous benchmarks."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from repro.boolean.function import BooleanFunction
 from repro.workloads import CONTINUOUS, build_continuous
+
+#: SHA-256 of the little-endian int64 erf table at each width, built on
+#: ``scipy.special.erf`` before erf moved to ``math.erf``
+ERF_TABLE_SHA256 = {
+    2: "5cce1c2c5058a9ecbe78b360130f5dcf2037e509b9084206c5e816965f5cae2c",
+    3: "ffc9e5f9fea70cce389c420b24e0b3a6843ddb1318fd69b7d5ca4e3de604b88e",
+    4: "4bc1c5ba373408020260834304a7a2b3c4b4ae9ded3e75960a4662efa5ab0a0f",
+    5: "dc42d1147f0016040d8a5efd29a67fbcdd1668b9c1ebc6366e690cfeb420ebb8",
+    6: "1fb234901cbdc77576471499bdc271e3806239137dbc98b0bd59de19893365e2",
+    7: "eeb1277f707b25bf5a848f9ffcaff19f7c063fabf77a31a16b6dee8751c893bb",
+    8: "ba976b8ba7e06755fe0f2b1abebdb24ceff32445bef5d6e7ad13c04c0d5f44ac",
+    9: "5f048009fbb7f08dff492d19ae4ae98c9e961414b7a278d3481f406a48cd6c32",
+    10: "ed7ed70f593951591b649743b5117b63b3f7d703d441d71c10733585446d227f",
+    11: "bdf5e046a0cec2d4709cd5f2cec6a2c2a479244a0e461a27d0b143d341f0740e",
+    12: "ff1b2f8600f539796fe1c540defb0f47526dd9ca39c684040449b7bffe08ec6d",
+    13: "effb877f592a1cca182bd27ec6ef8fe7d7c737cb7904efd11a0d71996531009c",
+    14: "9af9d0fe2058d3365437c41258cc8d0ea5030314dedf1c339bb5ea6c9e3c7b31",
+    15: "20704c611f503a1cb32997c647a80ad46ccdb2e7ee63d189e697c36ec4744eab",
+    16: "0b6e67a7540047cfbc9daffde18c599ec70eb76695650fb5df03fa798a6ab27d",
+}
 
 
 class TestRegistryContents:
@@ -79,3 +101,21 @@ class TestQuantisation:
         xs = np.linspace(0, math.pi / 2, 1 << n)
         analytic = np.cos(xs) * ((1 << n) - 1)
         assert np.max(np.abs(f.table - analytic)) <= 1.0
+
+
+class TestErfTables:
+    """erf is evaluated with ``math.erf``; its tables must not move."""
+
+    @pytest.mark.parametrize("n", sorted(ERF_TABLE_SHA256))
+    def test_pinned_digest(self, n):
+        table = build_continuous("erf", n).table.astype("<i8")
+        assert hashlib.sha256(table.tobytes()).hexdigest() == ERF_TABLE_SHA256[n]
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_scipy(self, n):
+        special = pytest.importorskip("scipy.special")
+        spec = CONTINUOUS["erf"]
+        want = BooleanFunction.from_real_function(
+            special.erf, spec.domain, spec.value_range, n, n
+        )
+        assert build_continuous("erf", n).table.tobytes() == want.table.tobytes()
