@@ -1,9 +1,9 @@
 """Seeded benchmark harnesses and committed performance snapshots.
 
-``snapshot_table2`` / ``snapshot_parallel`` write the committed
-``BENCH_table2.json`` / ``BENCH_parallel.json`` baselines and
-``check_regression`` ratchets fresh runs against them (see
-``docs/performance.md``).
+``snapshot_table2`` / ``snapshot_packed`` / ``snapshot_serve`` write
+the committed ``BENCH_table2.json`` / ``BENCH_packed.json`` /
+``BENCH_serve.json`` baselines and ``check_regression`` ratchets fresh
+runs against them (see ``docs/performance.md``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Perf-regression ratchet: fresh snapshots vs the committed baselines.
 
 Runs the same seeded protocols as ``snapshot_table2`` /
-``snapshot_parallel`` / ``snapshot_packed`` / ``snapshot_serve`` (or
-takes pre-generated snapshots via ``--fresh-*``) and compares them
-against the committed ``BENCH_table2.json`` / ``BENCH_parallel.json``
-/ ``BENCH_packed.json`` / ``BENCH_serve.json``:
+``snapshot_packed`` / ``snapshot_serve`` (or takes pre-generated
+snapshots via ``--fresh-*``) and compares them against the committed
+``BENCH_table2.json`` / ``BENCH_packed.json`` / ``BENCH_serve.json``:
 
 * **MED drift** — every fresh per-benchmark MED row must be
   byte-identical to the committed row.  The per-benchmark seeding is
@@ -12,8 +11,7 @@ against the committed ``BENCH_table2.json`` / ``BENCH_parallel.json``
   run is still comparable row-for-row.  Any drift fails.
 * **Speed ratios** — machine-independent ratios must not regress by
   more than ``--tolerance`` (default 25%): the fast-vs-reference
-  ratio from the table2 snapshot, the pool-vs-spawn campaign speedup
-  from the parallel one, and the exact sweep's OptForPart-phase
+  ratio from the table2 snapshot and the exact sweep's OptForPart-phase
   speedup over the reference from the packed one.
 * **Phase timings** — per-phase call *counts* must match exactly when
   the fresh run covers the committed suite (the protocol is
@@ -249,31 +247,6 @@ def check_table2(
     _check_phase_timings(ratchet, committed, fresh, tolerance)
 
 
-def check_parallel(
-    ratchet: Ratchet,
-    committed: Dict[str, Any],
-    fresh: Dict[str, Any],
-    tolerance: float,
-) -> None:
-    _check_provenance(ratchet, "parallel", committed, "committed")
-    _check_provenance(ratchet, "parallel", fresh, "fresh")
-    _check_meds(ratchet, "parallel", committed, fresh)
-    ratchet.check(
-        "parallel: cross-backend byte identity",
-        bool(fresh.get("byte_identical")),
-        "spawn/pool_cold MEDs all match serial"
-        if fresh.get("byte_identical")
-        else "fresh snapshot did not assert byte identity",
-    )
-    _check_ratio(
-        ratchet,
-        "parallel: speedup [pool_cold_vs_spawn]",
-        committed.get("speedup", {}).get("pool_cold_vs_spawn"),
-        fresh.get("speedup", {}).get("pool_cold_vs_spawn"),
-        tolerance,
-    )
-
-
 def check_packed(
     ratchet: Ratchet,
     committed: Dict[str, Any],
@@ -355,12 +328,8 @@ def _generate(kind: str, committed: Dict[str, Any], args, out: Path) -> None:
     ]
     if kind == "table2":
         from benchmarks.snapshot_table2 import main
-    elif kind == "packed":
-        from benchmarks.snapshot_packed import main
     else:
-        from benchmarks.snapshot_parallel import main
-
-        argv += ["--jobs", str(args.jobs)]
+        from benchmarks.snapshot_packed import main
     print(
         f"[check_regression] generating fresh {kind} snapshot "
         f"({benchmarks}, repeats={args.repeats})...",
@@ -408,19 +377,9 @@ def main(argv=None) -> int:
         help="committed table2 baseline",
     )
     parser.add_argument(
-        "--parallel",
-        default=str(REPO_ROOT / "BENCH_parallel.json"),
-        help="committed parallel baseline",
-    )
-    parser.add_argument(
         "--fresh-table2",
         default=None,
         help="pre-generated fresh table2 snapshot (skips the run)",
-    )
-    parser.add_argument(
-        "--fresh-parallel",
-        default=None,
-        help="pre-generated fresh parallel snapshot (skips the run)",
     )
     parser.add_argument(
         "--packed",
@@ -449,7 +408,6 @@ def main(argv=None) -> int:
         "(default: the committed suite)",
     )
     parser.add_argument("--repeats", type=int, default=1)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -457,10 +415,7 @@ def main(argv=None) -> int:
         help="allowed fractional ratio regression (default 0.25)",
     )
     parser.add_argument(
-        "--skip-table2", action="store_true", help="only check parallel"
-    )
-    parser.add_argument(
-        "--skip-parallel", action="store_true", help="only check table2"
+        "--skip-table2", action="store_true", help="skip the table2 baseline"
     )
     parser.add_argument(
         "--skip-packed", action="store_true", help="skip the packed baseline"
@@ -481,15 +436,6 @@ def main(argv=None) -> int:
                 _generate("table2", committed, args, out)
                 fresh = _load(out)
             check_table2(ratchet, committed, fresh, args.tolerance)
-        if not args.skip_parallel:
-            committed = _load(Path(args.parallel))
-            if args.fresh_parallel:
-                fresh = _load(Path(args.fresh_parallel))
-            else:
-                out = Path(tmp) / "parallel.json"
-                _generate("parallel", committed, args, out)
-                fresh = _load(out)
-            check_parallel(ratchet, committed, fresh, args.tolerance)
         if not args.skip_packed:
             committed = _load(Path(args.packed))
             if args.fresh_packed:

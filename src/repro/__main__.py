@@ -177,7 +177,6 @@ def _engine_config(args):
         job_timeout=args.timeout,
         max_retries=args.retries,
         backoff_base=args.backoff,
-        backend=args.backend,
         metrics_port=args.metrics_port,
         store=getattr(args, "store", "local"),
         shard_index=None if shard is None else shard[0],
@@ -500,16 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "concurrent worker processes "
             "(default: all CPUs, clamped to the job count)"
-        ),
-    )
-    engine_opts.add_argument(
-        "--backend",
-        default="spawn",
-        choices=["spawn", "pool"],
-        help=(
-            "execution backend: spawn = one fault-isolated process per "
-            "job, pool = persistent warm workers over shared-memory "
-            "tables (see docs/performance.md)"
         ),
     )
     engine_opts.add_argument(

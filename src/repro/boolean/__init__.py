@@ -15,7 +15,6 @@ from .analysis import (
 from .function import BooleanFunction
 from .partition import Partition, all_partitions, partition_count, random_partition
 from .packed import (
-    PackedTable,
     cofactor,
     hamming,
     pack_bits,
@@ -55,7 +54,6 @@ __all__ = [
     "all_partitions",
     "partition_count",
     "random_partition",
-    "PackedTable",
     "cofactor",
     "hamming",
     "pack_bits",

@@ -4,27 +4,16 @@ The classic logic-synthesis representation (ABC-style): a truth table
 over ``n`` inputs with ``k`` output bits becomes ``k`` planes of
 ``ceil(2**n / 64)`` machine words, so cofactor extraction and
 error-distance accumulation turn into word-wide bitwise ops plus
-popcounts, and the storage cost drops from 8 bytes per entry
-(``int64``) to ``k`` *bits* per entry — a ``64 / k`` shrink (8x for
-byte-wide outputs, 5.3x for the default 12-bit Table-II functions).
+popcounts.
 
 Layout is fully deterministic and platform-independent: plane ``j``
 word ``w`` bit ``i`` (little-endian within the word) holds output bit
 ``j`` of entry ``64 * w + i``; pad bits beyond the table length are
-always zero, so two packed tables are equal iff their planes are
-byte-equal — which is what lets the shared-memory ``TableArena``
-address packed pages by content.
-
-The module mirrors :mod:`repro.boolean.truth_table` in spirit: pure
-functions plus a small immutable container with a ``_trusted``
-constructor for internal callers that have already validated their
-inputs.
+always zero, so two packed planes are equal iff they are byte-equal.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from typing import Dict, Optional
 
 import numpy as np
@@ -38,7 +27,6 @@ __all__ = [
     "hamming",
     "cofactor",
     "restrict",
-    "PackedTable",
     "WeightPlanes",
 ]
 
@@ -237,131 +225,3 @@ class WeightPlanes:
         """Exact sum of all weights (``masked_sum`` of the full mask)."""
         full = np.full(self.planes.shape[-1], ~np.uint64(0), dtype=np.uint64)
         return self.masked_sum(full)
-
-
-class PackedTable:
-    """An immutable multi-output truth table in bit-plane form.
-
-    ``planes`` has shape ``(n_outputs, n_words(length))``; plane ``j``
-    is output bit ``j`` of every entry, packed little-endian.  Pad bits
-    are guaranteed zero, so :meth:`digest` content-addresses the table.
-    """
-
-    __slots__ = ("length", "n_outputs", "planes")
-
-    def __init__(self, table: np.ndarray, n_outputs: int) -> None:
-        table = np.asarray(table)
-        if table.ndim != 1:
-            raise ValueError("PackedTable expects a flat entry array")
-        if n_outputs < 1:
-            raise ValueError("n_outputs must be >= 1")
-        if table.size and (table.min() < 0 or int(table.max()) >> n_outputs):
-            raise ValueError(
-                f"table entries do not fit in {n_outputs} output bits"
-            )
-        shifts = np.arange(n_outputs, dtype=table.dtype if table.size else np.int64)
-        bits = ((table[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
-        planes = pack_bits(bits)
-        planes.setflags(write=False)
-        object.__setattr__(self, "length", int(table.shape[0]))
-        object.__setattr__(self, "n_outputs", int(n_outputs))
-        object.__setattr__(self, "planes", planes)
-
-    def __setattr__(self, name, value):  # immutability, mirroring _trusted use
-        raise AttributeError("PackedTable is immutable")
-
-    @classmethod
-    def from_table(cls, table: np.ndarray, n_outputs: int) -> "PackedTable":
-        """Pack a flat ``int`` entry array (validating the bit width)."""
-        return cls(table, n_outputs)
-
-    @classmethod
-    def _trusted(
-        cls, length: int, n_outputs: int, planes: np.ndarray
-    ) -> "PackedTable":
-        """Adopt already-packed planes without re-validating.
-
-        Mirrors the ``_trusted`` constructors in
-        :mod:`repro.boolean.decomposition`: internal callers (the
-        shared-memory arena) that produced the planes themselves skip
-        the pack/validate pass.  ``planes``
-        must be ``(n_outputs, n_words(length))`` ``uint64`` with zero
-        pad bits.
-        """
-        instance = object.__new__(cls)
-        planes = np.ascontiguousarray(planes, dtype=_WORD_DTYPE)
-        planes.setflags(write=False)
-        object.__setattr__(instance, "length", int(length))
-        object.__setattr__(instance, "n_outputs", int(n_outputs))
-        object.__setattr__(instance, "planes", planes)
-        return instance
-
-    @property
-    def nbytes(self) -> int:
-        return self.planes.nbytes
-
-    def to_table(self, dtype=np.int64) -> np.ndarray:
-        """Unpack back to the flat entry array (round-trip inverse)."""
-        bits = unpack_bits(self.planes, self.length).astype(dtype)
-        shifts = np.arange(self.n_outputs, dtype=dtype)[:, None]
-        return (bits << shifts).sum(axis=0, dtype=dtype)
-
-    def component(self, k: int) -> np.ndarray:
-        """Output bit ``k`` as an unpacked 0/1 ``uint8`` vector."""
-        return unpack_bits(self.planes[k], self.length)
-
-    def packed_component(self, k: int) -> np.ndarray:
-        """Output bit ``k`` as its packed word plane."""
-        return self.planes[k]
-
-    def component_error_counts(self, other: "PackedTable") -> np.ndarray:
-        """Per-output-bit Hamming distances (word-XOR + popcount)."""
-        if (self.length, self.n_outputs) != (other.length, other.n_outputs):
-            raise ValueError("shape mismatch")
-        return popcount(np.bitwise_xor(self.planes, other.planes), axis=-1)
-
-    def med(self, other: "PackedTable", p: Optional[np.ndarray] = None) -> float:
-        """Exact mean error distance for single-output tables.
-
-        A single output bit's error distance is ``|a - b| = a XOR b``
-        per entry, so under a uniform (or any constant) input
-        distribution the MED is one popcount.  Multi-output tables
-        have carry interactions that a per-plane popcount cannot see,
-        so this deliberately refuses them — use
-        :meth:`component_error_counts` per plane instead.
-        """
-        if self.n_outputs != 1 or other.n_outputs != 1:
-            raise ValueError("med is exact only for single-output tables")
-        count = hamming(self.planes[0], other.planes[0])
-        if p is None:
-            return count / self.length
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape != (self.length,) or (p.size and not np.all(p == p.flat[0])):
-            raise ValueError("packed med needs a constant weight vector")
-        return float(p.flat[0]) * count
-
-    def digest(self) -> str:
-        """Content address: sha1 over layout header + plane bytes."""
-        h = hashlib.sha1()
-        h.update(b"repro-packed-v1")
-        h.update(struct.pack("<qq", self.length, self.n_outputs))
-        h.update(np.ascontiguousarray(self.planes).tobytes())
-        return h.hexdigest()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PackedTable):
-            return NotImplemented
-        return (
-            self.length == other.length
-            and self.n_outputs == other.n_outputs
-            and np.array_equal(self.planes, other.planes)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.n_outputs, self.planes.tobytes()))
-
-    def __repr__(self) -> str:
-        return (
-            f"PackedTable(length={self.length}, n_outputs={self.n_outputs}, "
-            f"words={self.planes.shape[-1]})"
-        )

@@ -1,10 +1,10 @@
 """Fault-tolerant, checkpointed execution of experiment campaigns.
 
 The paper's headline tables come from thousands of independent seeded
-runs; :func:`repro.experiments.parallel.run_many` executes them but a
-single worker crash (OOM, preemption, a poison job) loses the whole
-campaign.  This module subsumes ``run_many`` with a durable job
-engine:
+runs, and a single worker crash (OOM, preemption, a poison job) must
+not lose the whole campaign.  This module is the durable job engine
+every multi-process run goes through (``run_many`` with
+``n_jobs > 1`` is a thin call into it):
 
 * every :class:`~repro.experiments.parallel.RunSpec` becomes a job
   whose result is persisted **atomically** (write to a temp file,
@@ -13,9 +13,10 @@ engine:
   campaign resumes from its checkpoints and completes byte-identical
   to an uninterrupted run — seeds come from the existing
   ``SeedSequence.spawn`` scheme, so resume never re-draws RNG state;
-* each job runs in a supervised worker process with a per-job timeout,
-  bounded retries with deterministic backoff, and quarantine of poison
-  jobs (partial-result reporting instead of campaign abort);
+* jobs run on the warm :class:`~repro.experiments.pool.WorkerPool`
+  under supervision: a per-job timeout, bounded retries with
+  deterministic backoff, and quarantine of poison jobs (partial-result
+  reporting instead of campaign abort);
 * a campaign can be **sharded across hosts**: ``EngineConfig`` carries
   a ``shard_index/shard_count`` identity, jobs are partitioned by
   stable fingerprint hash (:func:`~repro.experiments.store.shard_of`),
@@ -32,8 +33,9 @@ Telemetry (when enabled) gains ``engine.resumed`` / ``engine.retries``
 / ``engine.timeouts`` / ``engine.quarantined`` counters (plus the
 ``engine.shard`` gauge and ``lease.claimed/expired/stolen`` from the
 shared store) and the worker spans are folded into the parent session
-exactly as ``run_many`` does; with telemetry off the engine path's
-outputs are byte-identical to ``run_many`` under the same base seed.
+tagged ``worker=<job index>``; with telemetry off the engine's outputs
+are byte-identical to the serial ``run_many`` loop under the same base
+seed.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import multiprocessing
 import os
 import signal
 import sys
@@ -177,38 +178,6 @@ def result_from_payload(
 
 
 # ======================================================================
-# Worker process entry point
-# ======================================================================
-def _job_worker(
-    spec: RunSpec,
-    path: str,
-    fault: Optional[faults_mod.Fault],
-    capture_telemetry: bool,
-) -> None:
-    """Execute one job and persist its payload atomically.
-
-    Runs in a child process.  The worker itself writes the checkpoint
-    file, so a worker killed at *any* point leaves either no file or a
-    complete one — the parent decides success purely by payload
-    validity.  Injected crash/hang faults fire before the computation;
-    an injected corruption replaces the payload with garbage (the
-    parent must detect and retry it).
-    """
-    faults_mod.inject_worker_fault(fault)
-    sink = obs.MemorySink()
-    with obs.session(sink):
-        result = spec.execute()
-    if fault is not None and fault.kind == "corrupt":
-        with open(path, "w") as handle:
-            handle.write('{"schema": 1, "med": 0.0, "settings": [{"trunc')
-        return
-    payload = result_to_payload(spec, result)
-    if capture_telemetry:
-        payload["telemetry"] = sink.records
-    atomic_write_json(path, payload)
-
-
-# ======================================================================
 # Engine configuration and outcomes
 # ======================================================================
 @dataclass(frozen=True)
@@ -225,10 +194,6 @@ class EngineConfig:
     backoff_base: float = 0.0
     #: supervision poll interval (seconds)
     poll_interval: float = 0.02
-    #: execution backend: "spawn" = one fault-isolated process per job,
-    #: "pool" = persistent warm workers over shared memory (see
-    #: repro.experiments.pool) — outputs are byte-identical either way
-    backend: str = "spawn"
     #: serve live /metrics + /healthz on this port while the campaign
     #: runs (0 = ephemeral port; None = no server).  Read-only: the
     #: endpoint never changes campaign results.
@@ -255,10 +220,6 @@ class EngineConfig:
             raise ValueError("max_retries must be >= 0")
         if self.job_timeout is not None and self.job_timeout <= 0:
             raise ValueError("job_timeout must be positive")
-        if self.backend not in ("spawn", "pool"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose spawn or pool"
-            )
         if self.metrics_port is not None and not (
             0 <= self.metrics_port <= 65535
         ):
@@ -346,17 +307,8 @@ class CampaignOutcome:
 # ======================================================================
 # The engine
 # ======================================================================
-class _Running:
-    __slots__ = ("process", "deadline", "attempt")
-
-    def __init__(self, process, deadline: Optional[float], attempt: int) -> None:
-        self.process = process
-        self.deadline = deadline
-        self.attempt = attempt
-
-
 class _JobQueue:
-    """Claim-aware scheduling state shared by both supervision backends.
+    """Claim-aware scheduling state of the supervision loop.
 
     ``pending`` holds this shard's own jobs (retries re-enter here);
     ``deferred`` holds jobs whose lease claim failed — a live sibling
@@ -551,7 +503,6 @@ class Engine:
         fields: Dict[str, Any] = dict(
             state="running",
             total=total,
-            backend=self.config.backend,
             experiment=invocation.get("experiment"),
             scale=invocation.get("scale"),
         )
@@ -595,7 +546,6 @@ class Engine:
             "engine.run",
             jobs=len(specs),
             n_jobs=config.n_jobs,
-            backend=config.backend,
             shard=config.shard_label,
         ):
             if config.shard_index is not None:
@@ -631,11 +581,7 @@ class Engine:
                 retry_delay = max(
                     config.poll_interval, self.store.lease_ttl / 4.0
                 )
-            queue = _JobQueue(owned, foreign, retry_delay)
-            if config.backend == "pool":
-                self._supervise_pool(specs, queue, outcome)
-            else:
-                self._supervise(specs, queue, outcome)
+            self._supervise(specs, _JobQueue(owned, foreign, retry_delay), outcome)
 
     def _try_resume(
         self, spec: RunSpec, index: int, outcome: CampaignOutcome
@@ -697,7 +643,7 @@ class Engine:
         self._sync_hub(outcome)
         return True
 
-    # -- shared supervision helpers (both backends) --------------------
+    # -- supervision helpers -------------------------------------------
     def _admit(
         self,
         specs: List[RunSpec],
@@ -821,9 +767,9 @@ class Engine:
     ) -> None:
         """Validate and adopt a persisted checkpoint for a finished job.
 
-        Success is decided purely by payload validity on disk — both
-        backends persist before adopting, so a crash at any point
-        leaves a resumable campaign.
+        Success is decided purely by payload validity on disk — the
+        payload is persisted before it is adopted, so a crash at any
+        point leaves a resumable campaign.
         """
         assert self.store is not None
         try:
@@ -877,106 +823,13 @@ class Engine:
         queue: _JobQueue,
         outcome: CampaignOutcome,
     ) -> None:
-        """Per-job-spawn supervision loop with timeout and retry."""
-        config = self.config
-        context = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-        telemetry = obs.current()
-        attempts: Dict[int, int] = {}
-        running: Dict[int, _Running] = {}
-
-        def launch(index: int) -> None:
-            attempt = attempts.get(index, 0)
-            fault = self._prepare_attempt(index, attempt)
-            path = self.store.job_path(index)
-            process = context.Process(
-                target=_job_worker,
-                args=(specs[index], path, fault, telemetry is not None),
-            )
-            process.start()
-            deadline = (
-                time.monotonic() + config.job_timeout
-                if config.job_timeout is not None
-                else None
-            )
-            running[index] = _Running(process, deadline, attempt)
-
-        def fail(index: int, reason: str, detail: str = "") -> None:
-            self._fail_job(
-                specs, attempts, queue, outcome, index, reason, detail
-            )
-
-        try:
-            while queue or running:
-                while len(running) < config.n_jobs:
-                    index = queue.next_index()
-                    if index is None:
-                        break
-                    if self._admit(specs, index, outcome, queue, telemetry):
-                        launch(index)
-                self.store.renew_held()
-                self._sync_hub(outcome, running=len(running))
-                progressed = False
-                for index in list(running):
-                    slot = running[index]
-                    process = slot.process
-                    if process.is_alive():
-                        if (
-                            slot.deadline is not None
-                            and time.monotonic() > slot.deadline
-                        ):
-                            process.kill()
-                            process.join()
-                            process.close()
-                            del running[index]
-                            outcome.timeouts += 1
-                            obs.incr("engine.timeouts")
-                            fail(
-                                index,
-                                "timeout",
-                                detail=f"exceeded {config.job_timeout}s",
-                            )
-                            progressed = True
-                        continue
-                    process.join()
-                    exitcode = process.exitcode
-                    process.close()
-                    del running[index]
-                    progressed = True
-                    if exitcode == 0:
-                        self._finish_job(
-                            specs,
-                            attempts,
-                            queue,
-                            outcome,
-                            telemetry,
-                            index,
-                            slot.attempt,
-                        )
-                    else:
-                        fail(index, f"worker-exit:{exitcode}")
-                if not progressed and (running or queue):
-                    time.sleep(config.poll_interval)
-        finally:
-            self.store.release_all()
-
-    def _supervise_pool(
-        self,
-        specs: List[RunSpec],
-        queue: _JobQueue,
-        outcome: CampaignOutcome,
-    ) -> None:
-        """Warm-pool supervision: same retry/timeout/quarantine semantics.
+        """Run the queue on a warm pool with timeout, retry and quarantine.
 
         Workers ship payloads over their result pipe; the parent writes
-        each checkpoint atomically and then adopts it through the same
-        read-back path as the spawn backend, so checkpoint contents and
-        campaign results are byte-identical across backends.  A timed
-        out or crashed worker is killed and replaced (the pool restarts
-        it); its job is retried like any other failure.
+        each checkpoint atomically and then adopts it by reading it
+        back, so a resumed campaign sees exactly what a live one did.
+        A timed out or crashed worker is killed and replaced (the pool
+        restarts it); its job is retried like any other failure.
         """
         from .pool import WorkerPool
 
@@ -1020,8 +873,8 @@ class Engine:
                     running.pop(event.index, None)
                     if event.kind == "ok":
                         if event.raw is not None:
-                            # injected corruption: persist the same
-                            # garbage the spawn worker writes
+                            # injected corruption: persist the garbage
+                            # so the read-back rejects it
                             self.store.write_job_raw(event.index, event.raw)
                         else:
                             self.store.write_job(event.index, event.payload)

@@ -14,11 +14,12 @@ serial :func:`repro.experiments.runner.repeated_runs` performs — so a
 parallel run is provably bit-identical to the serial one, and
 :meth:`RunSpec.seed_info` exposes the spawned seed for run manifests.
 
-When a telemetry session is active (:mod:`repro.obs`), worker
-processes capture their spans/counters in memory and ship them back
-with each result; the parent folds them into its own session as
-futures complete (a results queue), so one trace file holds the whole
-multi-process run and progress lines appear as runs finish.
+With ``n_jobs > 1`` the runs go through the campaign engine
+(:mod:`repro.experiments.engine`) on the warm worker pool.  When a
+telemetry session is active (:mod:`repro.obs`), workers capture their
+spans/counters in memory and ship them back with each result; the
+parent folds them into its own session as jobs complete, so one trace
+file holds the whole multi-process run.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 # numpy 2 loads numpy.random on first use.  Load it with this module, so
@@ -41,7 +41,7 @@ from ..core.config import AlgorithmConfig
 from ..core.dalta import run_dalta
 from ..core.result import ApproximationResult
 
-__all__ = ["RunSpec", "run_many", "seeds_for"]
+__all__ = ["RunSpec", "run_many"]
 
 
 class RunSpec:
@@ -210,33 +210,54 @@ class RunSpec:
         )
 
 
-def _execute(spec: RunSpec) -> ApproximationResult:
-    return spec.execute()
+def run_many(
+    specs: Sequence[RunSpec],
+    n_jobs: int = 1,
+) -> List[ApproximationResult]:
+    """Execute run specs, serially or across warm pool workers.
 
-
-def _execute_traced(
-    spec: RunSpec,
-) -> Tuple[ApproximationResult, List[Dict[str, Any]]]:
-    """Worker entry point when the parent has telemetry enabled.
-
-    Runs under a fresh in-memory session and returns the captured
-    records (spans, events, final counter snapshot) with the result.
+    Results come back in spec order regardless of completion order, so
+    downstream statistics are independent of ``n_jobs``.  With
+    ``n_jobs > 1`` the specs run as one engine campaign without
+    retries (checkpoints in a discarded temporary directory); a job
+    that fails raises :class:`~repro.experiments.store.CampaignError`.
+    Under an active telemetry session, worker telemetry is aggregated
+    into the parent session and a ``run.completed`` event (one
+    progress line on the stderr sink) fires per run.
     """
-    sink = obs.MemorySink()
-    with obs.session(sink):
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
+    telemetry = obs.current()
+    if n_jobs > 1 and len(specs) > 1:
+        # Imported here: ``compile_api`` uses RunSpec without the engine.
+        from ..faults import FaultPlan
+        from .engine import Engine, EngineConfig
+
+        # No fault plan from the environment: that is for campaigns.
+        # The engine emits run.seeded and observes run.med itself.
+        engine = Engine(
+            config=EngineConfig(n_jobs=n_jobs, max_retries=0),
+            faults=FaultPlan(),
+        )
+        results = engine.run(specs).require_complete()
+        if telemetry is not None:
+            for index, (spec, result) in enumerate(zip(specs, results)):
+                _completed_event(spec, result, worker=index)
+        return results
+    if telemetry is not None:
+        for spec in specs:
+            telemetry.event("run.seeded", **spec.seed_info())
+    results = []
+    for spec in specs:
         result = spec.execute()
-    return result, sink.records
+        if telemetry is not None:
+            obs.observe("run.med", result.med)
+            _completed_event(spec, result)
+        results.append(result)
+    return results
 
 
-def seeds_for(n_runs: int, base_seed: Optional[int]) -> List[int]:
-    """Spawn indices matching the serial :func:`repeated_runs` seeds."""
-    return list(range(n_runs))
-
-
-def _notify_completed(spec: RunSpec, result: ApproximationResult, **attrs) -> None:
-    med = getattr(result, "med", None)
-    if med is not None:
-        obs.observe("run.med", med)
+def _completed_event(spec: RunSpec, result: ApproximationResult, **attrs) -> None:
     obs.event(
         "run.completed",
         benchmark=spec.name,
@@ -245,99 +266,3 @@ def _notify_completed(spec: RunSpec, result: ApproximationResult, **attrs) -> No
         elapsed=result.elapsed_seconds,
         **attrs,
     )
-
-
-def run_many(
-    specs: Sequence[RunSpec],
-    n_jobs: int = 1,
-    backend: str = "spawn",
-) -> List[ApproximationResult]:
-    """Execute run specs, serially or across worker processes.
-
-    Results come back in spec order regardless of completion order, so
-    downstream statistics are independent of ``n_jobs`` (and of
-    ``backend``).  ``backend`` selects the multi-process transport:
-    ``"spawn"`` is the fault-isolated per-job path (a process pool of
-    pickled jobs), ``"pool"`` the warm-pool path of
-    :mod:`repro.experiments.pool` — persistent workers and
-    shared-memory tables.  Under an active telemetry session, worker
-    telemetry is aggregated into the parent session and a
-    ``run.completed`` event (one progress line on the stderr sink)
-    fires per run.
-    """
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
-    if backend not in ("spawn", "pool"):
-        raise ValueError(f"unknown backend {backend!r}; choose spawn or pool")
-    telemetry = obs.current()
-    if telemetry is not None:
-        for spec in specs:
-            telemetry.event("run.seeded", **spec.seed_info())
-    if n_jobs == 1 or len(specs) <= 1:
-        results = []
-        for spec in specs:
-            result = spec.execute()
-            if telemetry is not None:
-                _notify_completed(spec, result)
-            results.append(result)
-        return results
-    if backend == "pool":
-        return _run_many_pool(specs, n_jobs, telemetry)
-
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        if telemetry is None:
-            return list(pool.map(_execute, specs))
-        # Results queue: drain futures as they complete so worker
-        # telemetry and progress surface while later runs still execute.
-        futures = {
-            pool.submit(_execute_traced, spec): index
-            for index, spec in enumerate(specs)
-        }
-        results: List[Optional[ApproximationResult]] = [None] * len(specs)
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = futures[future]
-                result, records = future.result()
-                telemetry.absorb(records, worker=index)
-                results[index] = result
-                _notify_completed(specs[index], result, worker=index)
-        return results  # type: ignore[return-value]
-
-
-def _run_many_pool(
-    specs: Sequence[RunSpec],
-    n_jobs: int,
-    telemetry,
-) -> List[ApproximationResult]:
-    """``run_many`` over the warm-pool backend.
-
-    Workers ship checkpoint payloads rather than pickled results; the
-    payloads are JSON round-tripped before reconstruction so the values
-    are byte-identical to what the engine's checkpoint files would
-    yield (``result_to_payload`` is proven lossless by the engine
-    tests).
-    """
-    from .engine import result_from_payload
-    from .pool import WorkerPool
-
-    pool = WorkerPool(
-        min(n_jobs, len(specs)),
-        capture_telemetry=telemetry is not None,
-    )
-    try:
-        payloads = pool.run(specs)
-    finally:
-        pool.close()
-    results: List[ApproximationResult] = []
-    for index, (spec, payload) in enumerate(zip(specs, payloads)):
-        payload = json.loads(json.dumps(payload, sort_keys=True, default=str))
-        records = payload.pop("telemetry", None)
-        result = result_from_payload(spec, payload)
-        if telemetry is not None:
-            if isinstance(records, list):
-                telemetry.absorb(records, worker=index)
-            _notify_completed(spec, result, worker=index)
-        results.append(result)
-    return results

@@ -1,10 +1,7 @@
-"""Warm-pool execution backend: persistent workers over shared memory.
+"""The warm worker pool: every multi-process job runs here.
 
-The per-job-spawn backend in :mod:`repro.experiments.engine` pays a
-cold interpreter + numpy import per job and pickles every truth table
-over the pipe.  This module provides the throughput-oriented
-alternative the engine and :func:`repro.experiments.parallel.run_many`
-can select per campaign:
+The campaign engine (:mod:`repro.experiments.engine`, and through it
+``run_many``) and the serve daemon run their jobs on:
 
 * a :class:`WorkerPool` of persistent worker processes, started once
   and fed jobs over per-worker pipes (no shared queue, so killing a
@@ -18,18 +15,16 @@ Determinism: workers run :meth:`RunSpec.execute` with
 ``fresh_caches=False`` (their truth-table index caches stay warm
 across jobs) but every run still re-seeds from the same
 ``SeedSequence.spawn`` draw, and the index caches are pure
-equivalences, so results are byte-identical to the serial and
-per-job-spawn backends — the differential test in
-``tests/engine/test_backend_equivalence.py`` pins this.  Worker
-*telemetry counters* (cache hits) legitimately differ with cache
-warmth; manifests are compared modulo timings and cache counters.
+equivalences, so results are byte-identical to the serial loop — the
+differential test in ``tests/engine/test_backend_equivalence.py``
+pins this.  Worker *telemetry counters* (cache hits) legitimately
+differ with cache warmth; manifests are compared modulo timings and
+cache counters.
 
-Fault injection: the pool accepts the same :class:`repro.faults.Fault`
-objects as the spawn backend — ``crash``/``hang`` fire inside the
-worker before computation (the supervisor restarts the worker),
-``corrupt`` makes the worker ship the same truncated payload the spawn
-worker writes.  The spawn backend remains the fault-isolation
-reference and the chaos suite is pinned to it.
+Fault injection: the pool accepts :class:`repro.faults.Fault`
+objects — ``crash``/``hang`` fire inside the worker before
+computation (the supervisor restarts the worker), ``corrupt`` makes
+the worker ship a truncated payload the parent must reject.
 """
 
 from __future__ import annotations
@@ -37,11 +32,11 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
+import time
 import traceback
-from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection, resource_tracker, shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import multiprocessing
 
@@ -50,14 +45,12 @@ import numpy as np
 from .. import faults as faults_mod
 from .. import obs
 from ..obs import exposition
-from ..boolean.packed import PackedTable
 from ..core.config import AlgorithmConfig
 from .parallel import RunSpec
 
 __all__ = ["TableArena", "PoolEvent", "WorkerPool"]
 
-#: the truncated payload an injected ``corrupt`` fault produces — the
-#: same garbage the spawn backend's worker writes to its checkpoint
+#: the truncated payload an injected ``corrupt`` fault produces
 _CORRUPT_PAYLOAD = '{"schema": 1, "med": 0.0, "settings": [{"trunc'
 
 
@@ -76,17 +69,8 @@ class TableArena:
     ``publish`` is idempotent per table content: the eight benchmarks
     of a Table-II campaign occupy eight segments no matter how many
     hundreds of jobs reference them.  Only the parent creates and
-    unlinks segments; workers attach read-only by name.
-
-    Non-negative integer tables are published as
-    :class:`~repro.boolean.packed.PackedTable` bit-planes instead of raw
-    ``int64`` entries whenever that page is smaller — ``n_outputs`` bits
-    per entry rather than 64 (5.3x smaller for the default 12-bit
-    Table-II functions), which directly raises arena capacity.  The ref
-    is still content-addressed by the digest of the *raw* table bytes,
-    so packed and raw pages of the same table share an address, and
-    workers unpack once per digest back to the byte-identical ``int64``
-    array — the algorithms never see the representation.
+    unlinks segments; workers attach read-only by name and read the
+    raw ``int64`` entries in place.
     """
 
     def __init__(self) -> None:
@@ -103,39 +87,16 @@ class TableArena:
         cached = self._segments.get(digest)
         if cached is not None:
             return cached[1]
-        packed = None
-        if table.ndim == 1 and table.size and int(table.min()) >= 0:
-            candidate = PackedTable(
-                table, max(1, int(table.max()).bit_length())
-            )
-            # tiny tables can pack *larger* (one word per plane) — keep
-            # whichever page is smaller
-            if candidate.nbytes < table.nbytes:
-                packed = candidate
-        payload = packed.planes if packed is not None else table
         segment = shared_memory.SharedMemory(
-            create=True, size=max(1, payload.nbytes)
+            create=True, size=max(1, table.nbytes)
         )
-        view = np.ndarray(payload.shape, dtype=payload.dtype, buffer=segment.buf)
-        view[...] = payload
-        ref = {
-            "name": segment.name,
-            "shape": list(table.shape),
-            "dtype": str(table.dtype),
-            "digest": digest,
-        }
-        if packed is not None:
-            ref["packed"] = {
-                "length": packed.length,
-                "n_outputs": packed.n_outputs,
-                "words": int(packed.planes.shape[-1]),
-            }
+        view = np.ndarray(table.shape, dtype=table.dtype, buffer=segment.buf)
+        view[...] = table
+        ref = {"name": segment.name, "shape": list(table.shape), "digest": digest}
         self._segments[digest] = (segment, ref)
-        self.bytes += payload.nbytes
+        self.bytes += table.nbytes
         obs.incr("pool.shm_tables")
-        obs.incr("pool.shm_bytes", payload.nbytes)
-        if packed is not None:
-            obs.incr("pool.shm_packed_pages")
+        obs.incr("pool.shm_bytes", table.nbytes)
         return ref
 
     def close(self) -> None:
@@ -163,35 +124,14 @@ def _table_view(
     tables: Dict[str, np.ndarray],
     ref: Dict[str, Any],
 ) -> np.ndarray:
-    """Materialise a read-only view of a published table.
-
-    Raw pages are zero-copy views of the segment; packed pages are
-    unpacked (once per digest per worker) back to the byte-identical
-    ``int64`` entry array the algorithms expect.
-    """
+    """A zero-copy read-only view of a published table (once per digest)."""
     view = tables.get(ref["digest"])
     if view is None:
-        segment = _attach(segments, ref["name"])
-        packed = ref.get("packed")
-        if packed is not None:
-            planes = np.ndarray(
-                (packed["n_outputs"], packed["words"]),
-                dtype=np.dtype("<u8"),
-                buffer=segment.buf,
-            )
-            view = (
-                PackedTable._trusted(
-                    packed["length"], packed["n_outputs"], np.array(planes)
-                )
-                .to_table(np.dtype(ref["dtype"]))
-                .reshape(tuple(ref["shape"]))
-            )
-        else:
-            view = np.ndarray(
-                tuple(ref["shape"]),
-                dtype=np.dtype(ref["dtype"]),
-                buffer=segment.buf,
-            )
+        view = np.ndarray(
+            tuple(ref["shape"]),
+            dtype=np.int64,
+            buffer=_attach(segments, ref["name"]).buf,
+        )
         view.flags.writeable = False
         tables[ref["digest"]] = view
     return view
@@ -416,10 +356,9 @@ class _WorkerHandle:
 class WorkerPool:
     """Persistent pre-warmed workers with shared-memory tables.
 
-    The lifecycle is ``submit`` / ``wait`` (used by the engine's
-    supervision loop) or the one-shot :meth:`run` (used by
-    ``run_many``), then :meth:`close` — which stops the workers and
-    tears down every shared-memory segment.
+    The lifecycle is ``submit`` / ``wait`` (driven by the engine's
+    supervision loop or the serve dispatcher), then :meth:`close` —
+    which stops the workers and tears down every shared-memory segment.
     """
 
     def __init__(
@@ -546,13 +485,18 @@ class WorkerPool:
         return handle.worker_id
 
     def wait(self, timeout: Optional[float]) -> List[PoolEvent]:
-        """Collect finished jobs (and dead workers) without blocking long.
+        """Collect finished jobs (and dead workers) within ``timeout``.
 
+        With nothing in flight there is nothing to wait on, so the call
+        sleeps out its timeout rather than returning at once — a caller
+        polling for deferred work then idles instead of spinning.
         Results are drained before death checks so a worker that
         replied and then crashed still counts its job as finished.
         """
         busy = [w for w in self._workers if w.job is not None]
         if not busy:
+            if timeout:
+                time.sleep(timeout)
             return []
         waitees: List[Any] = [w.result_recv for w in busy]
         waitees.extend(w.process.sentinel for w in busy)
@@ -662,36 +606,6 @@ class WorkerPool:
                 self._restart(handle)
                 return True
         return False
-
-    # -- one-shot driver for run_many ---------------------------------
-    def run(self, specs: Sequence[RunSpec]) -> List[Any]:
-        """Execute all specs, returning payloads in spec order.
-
-        No retry semantics — a worker error or death raises, matching
-        ``ProcessPoolExecutor`` behaviour in ``run_many``.  Use the
-        engine for supervision.
-        """
-        payloads: List[Optional[Dict[str, Any]]] = [None] * len(specs)
-        pending = deque(range(len(specs)))
-        remaining = len(specs)
-        while remaining:
-            while pending and self.has_idle():
-                index = pending.popleft()
-                self.submit(index, specs[index])
-            for event in self.wait(0.05):
-                if event.kind == "ok":
-                    payloads[event.index] = event.payload
-                    remaining -= 1
-                elif event.kind == "error":
-                    raise RuntimeError(
-                        f"pool job {event.index} raised:\n{event.detail}"
-                    )
-                else:
-                    raise RuntimeError(
-                        f"pool worker died on job {event.index} "
-                        f"(exit {event.exitcode})"
-                    )
-        return payloads  # type: ignore[return-value]
 
     # -- shutdown ------------------------------------------------------
     def close(self) -> None:

@@ -44,10 +44,6 @@ class ExperimentScale:
     #: worker processes for repeated runs (1 = serial; results are
     #: bit-identical either way)
     n_jobs: int = 1
-    #: multi-process transport: "spawn" (per-job, fault-isolated) or
-    #: "pool" (persistent warm workers; see repro.experiments.pool) —
-    #: results are bit-identical either way
-    backend: str = "spawn"
 
     @classmethod
     def paper(cls) -> "ExperimentScale":

@@ -227,12 +227,8 @@ def run_table2(
                 bssa_specs = repeat_specs(
                     "bs-sa", target, scale.bssa_config, scale.n_runs, base_seed + 1
                 )
-                dalta_runs = run_many(
-                    dalta_specs, scale.n_jobs, backend=scale.backend
-                )
-                bssa_runs = run_many(
-                    bssa_specs, scale.n_jobs, backend=scale.backend
-                )
+                dalta_runs = run_many(dalta_specs, scale.n_jobs)
+                bssa_runs = run_many(bssa_specs, scale.n_jobs)
             else:
                 dalta_runs = repeated_runs(
                     lambda rng: run_dalta(target, scale.dalta_config, rng=rng),

@@ -100,11 +100,10 @@ class TraceSummary:
         return rates
 
     def pool_stats(self) -> Dict[str, float]:
-        """The warm-pool backend counters (``pool.*``).
+        """The warm-pool counters (``pool.*``).
 
         Workers started/restarted, jobs, and shared-memory bytes and
-        table segments — empty when the trace never used the
-        pool backend.
+        table segments — empty when the trace never used the pool.
         """
         return {
             name: value

@@ -1,17 +1,15 @@
 """Property tests of the bit-packed truth-table primitives.
 
-The packed representation (one ``uint64`` bit-plane per output bit) is
-the storage tier under the packed kernel and the shared-memory arena,
-so the invariants here are representational, not algorithmic:
+The packed representation (one ``uint64`` bit-plane per output bit)
+underlies the OptForPart exactness gate's ``WeightPlanes``, so the
+invariants here are representational, not algorithmic:
 
 * ``pack_bits``/``unpack_bits`` round-trip every 0/1 array — including
   non-power-of-two lengths and planes spanning multiple words — and
   pad bits are always zero, so byte equality is content equality;
 * popcount-based error counts equal the reference (unpacked numpy)
   error distances bit for bit;
-* ``cofactor``/``restrict`` agree with restricting the unpacked table;
-* ``PackedTable`` round-trips arbitrary integer tables and its digest
-  content-addresses them.
+* ``cofactor``/``restrict`` agree with restricting the unpacked table.
 """
 
 import numpy as np
@@ -19,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.boolean import (
-    PackedTable,
     cofactor,
     hamming,
     pack_bits,
@@ -116,12 +113,11 @@ class TestMedEquivalence:
         rng = np.random.default_rng(seed)
         exact = rng.integers(0, 2, size=1 << n, dtype=np.int64)
         approx = rng.integers(0, 2, size=1 << n, dtype=np.int64)
-        a = PackedTable(exact, 1)
-        b = PackedTable(approx, 1)
         p = distributions.uniform(n)
         reference = float(np.sum(p * np.abs(exact - approx)))
-        assert a.med(b) == reference
-        assert a.med(b, p) == reference
+        count = hamming(pack_bits(exact), pack_bits(approx))
+        assert count / (1 << n) == reference
+        assert float(p[0]) * count == reference
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 2**31 - 1))
@@ -129,23 +125,17 @@ class TestMedEquivalence:
         rng = np.random.default_rng(seed)
         exact = rng.integers(0, 1 << k, size=1 << n, dtype=np.int64)
         approx = rng.integers(0, 1 << k, size=1 << n, dtype=np.int64)
-        counts = PackedTable(exact, k).component_error_counts(
-            PackedTable(approx, k)
+        shifts = np.arange(k)[:, None]
+        counts = popcount(
+            np.bitwise_xor(
+                pack_bits((exact[None, :] >> shifts) & 1),
+                pack_bits((approx[None, :] >> shifts) & 1),
+            ),
+            axis=-1,
         )
         for bit in range(k):
             expected = int(np.sum(((exact >> bit) & 1) != ((approx >> bit) & 1)))
             assert int(counts[bit]) == expected
-
-    def test_med_refuses_multi_output(self):
-        table = np.arange(8, dtype=np.int64)
-        with pytest.raises(ValueError, match="single-output"):
-            PackedTable(table, 3).med(PackedTable(table, 3))
-
-    def test_med_refuses_non_constant_weights(self):
-        bits = np.array([0, 1, 1, 0], dtype=np.int64)
-        a, b = PackedTable(bits, 1), PackedTable(1 - bits, 1)
-        with pytest.raises(ValueError, match="constant"):
-            a.med(b, np.array([0.5, 0.25, 0.125, 0.125]))
 
 
 class TestCofactor:
@@ -179,58 +169,3 @@ class TestCofactor:
             cofactor(plane, 8, 3, 0)
         with pytest.raises(ValueError, match="0 or 1"):
             cofactor(plane, 8, 0, 2)
-
-
-class TestPackedTable:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**31 - 1))
-    def test_table_round_trip(self, n, k, seed):
-        rng = np.random.default_rng(seed)
-        table = rng.integers(0, 1 << k, size=1 << n, dtype=np.int64)
-        packed = PackedTable(table, k)
-        assert np.array_equal(packed.to_table(), table)
-        for bit in range(k):
-            assert np.array_equal(packed.component(bit), (table >> bit) & 1)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 8), st.integers(0, 2**31 - 1))
-    def test_trusted_constructor_is_equivalent(self, n, seed):
-        rng = np.random.default_rng(seed)
-        table = rng.integers(0, 16, size=1 << n, dtype=np.int64)
-        packed = PackedTable(table, 4)
-        adopted = PackedTable._trusted(packed.length, 4, packed.planes)
-        assert adopted == packed
-        assert adopted.digest() == packed.digest()
-        assert hash(adopted) == hash(packed)
-
-    def test_digest_content_addresses(self):
-        a = np.array([0, 1, 2, 3], dtype=np.int64)
-        same = PackedTable(a, 2)
-        assert PackedTable(a.copy(), 2).digest() == same.digest()
-        assert PackedTable(a[::-1].copy(), 2).digest() != same.digest()
-        # layout header: same planes, different declared widths differ
-        b = np.array([0, 1, 0, 1], dtype=np.int64)
-        assert PackedTable(b, 1).digest() != PackedTable(b, 2).digest()
-
-    def test_validates_width_and_shape(self):
-        with pytest.raises(ValueError, match="fit"):
-            PackedTable(np.array([4], dtype=np.int64), 2)
-        with pytest.raises(ValueError, match="fit"):
-            PackedTable(np.array([-1], dtype=np.int64), 2)
-        with pytest.raises(ValueError, match="flat"):
-            PackedTable(np.zeros((2, 2), dtype=np.int64), 2)
-        with pytest.raises(ValueError):
-            PackedTable(np.array([0], dtype=np.int64), 0)
-
-    def test_immutable(self):
-        packed = PackedTable(np.array([1, 0], dtype=np.int64), 1)
-        with pytest.raises(AttributeError):
-            packed.length = 4
-        assert not packed.planes.flags.writeable
-
-    def test_memory_shrink_at_table2_scale(self):
-        """The arena math: 12-bit entries pack 5.3x smaller than int64."""
-        table = np.arange(1 << 12, dtype=np.int64)
-        packed = PackedTable(table, 12)
-        assert packed.nbytes * 5 < table.nbytes
-        assert np.array_equal(packed.to_table(), table)

@@ -11,9 +11,8 @@ full algorithm runs across all three architectures, and gate-rejected
 batches — plus the gate itself, hardest at its boundaries and under
 general weighted distributions (dyadic weights admitted, everything
 else refused), the exact weighted popcounts behind its certificate,
-the grouped engine (each request of an ``opt_for_part_grouped`` pass
-equal to its own ``opt_for_part_many`` call), and the packed
-shared-memory arena pages.
+and the grouped engine (each request of an ``opt_for_part_grouped``
+pass equal to its own ``opt_for_part_many`` call).
 """
 
 from __future__ import annotations
@@ -986,53 +985,3 @@ class TestGroupedEngine:
             _same_result(a, b)
         for a, b in zip(grouped[1], serial_packed):
             _same_result(a, b)
-
-
-class TestArenaPackedPages:
-    def test_packed_page_round_trips_byte_identical(self):
-        from repro.experiments import pool as pool_mod
-
-        arena = pool_mod.TableArena()
-        segments, tables = {}, {}
-        try:
-            table = np.random.default_rng(0).integers(
-                0, 1 << 12, size=1 << 12, dtype=np.int64
-            )
-            ref = arena.publish(table)
-            assert "packed" in ref
-            view = pool_mod._table_view(segments, tables, ref)
-            assert view.dtype == table.dtype
-            assert view.tobytes() == table.tobytes()
-            assert not view.flags.writeable
-            # unpacked once per digest, then cached
-            assert pool_mod._table_view(segments, tables, ref) is view
-        finally:
-            tables.clear()
-            for segment in segments.values():
-                segment.close()
-            arena.close()
-
-    def test_packed_page_is_smaller_and_shares_address(self):
-        from repro.experiments import pool as pool_mod
-
-        arena = pool_mod.TableArena()
-        try:
-            table = np.arange(1 << 12, dtype=np.int64)
-            ref = arena.publish(table)
-            again = arena.publish(table.copy())
-            assert arena.bytes * 5 < table.nbytes
-            # content addressing keys the *raw* bytes: idempotent publish
-            assert again["name"] == ref["name"] and len(arena) == 1
-        finally:
-            arena.close()
-
-    def test_signed_tables_stay_raw(self):
-        from repro.experiments import pool as pool_mod
-
-        arena = pool_mod.TableArena()
-        try:
-            table = np.arange(-32, 32, dtype=np.int64)
-            ref = arena.publish(table)
-            assert "packed" not in ref
-        finally:
-            arena.close()

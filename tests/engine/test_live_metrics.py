@@ -33,6 +33,20 @@ def _specs(n_runs=2, n_inputs=6, base_seed=7):
     )
 
 
+def _run(pool, specs):
+    """Run every spec on ``pool``; the payloads in spec order."""
+    payloads = [None] * len(specs)
+    pending = list(range(len(specs)))
+    while any(payload is None for payload in payloads):
+        while pending and pool.has_idle():
+            index = pending.pop(0)
+            pool.submit(index, specs[index])
+        for event in pool.wait(0.05):
+            assert event.kind == "ok", event
+            payloads[event.index] = event.payload
+    return payloads
+
+
 class TestWorkerStreaming:
     def test_streamed_snapshots_reach_the_hub(self):
         hub = exposition.MetricsHub()
@@ -41,7 +55,7 @@ class TestWorkerStreaming:
                 1, capture_telemetry=True, metrics_interval=0.002
             )
             try:
-                pool.run(_specs(n_runs=3, n_inputs=7))
+                _run(pool, _specs(n_runs=3, n_inputs=7))
             finally:
                 pool.close()
         assert hub.stream_reports > 0
@@ -63,7 +77,7 @@ class TestWorkerStreaming:
                     metrics_interval=metrics_interval,
                 )
                 try:
-                    payloads = pool.run(specs)
+                    payloads = _run(pool, specs)
                 finally:
                     pool.close()
             return [payload["med"] for payload in payloads]
@@ -76,7 +90,7 @@ class TestLiveEndpointMidCampaign:
         specs = _specs(n_runs=6, n_inputs=7, base_seed=11)
         engine = Engine(
             campaign_dir=str(tmp_path / "camp"),
-            config=EngineConfig(n_jobs=1, backend="pool", metrics_port=0),
+            config=EngineConfig(n_jobs=1, metrics_port=0),
         )
         probes = []
         done = threading.Event()
@@ -135,9 +149,7 @@ class TestTelemetryDifferential:
                 "smoke",
                 base_seed=base_seed,
                 campaign_dir=str(tmp_path / "camp"),
-                config=EngineConfig(
-                    n_jobs=2, backend="pool", metrics_port=0
-                ),
+                config=EngineConfig(n_jobs=2, metrics_port=0),
             )
         assert outcome.complete
 

@@ -7,7 +7,7 @@ modulo wall-clock timings.  The same equivalence is then proven for
 the shared-directory deployment (lease-based claiming + work
 stealing), and — chaos-marked — for a four-shard campaign in which one
 shard is SIGKILLed right after claiming its first job and its stale
-lease is reclaimed by a sibling, on both the spawn and pool backends.
+lease is reclaimed by a sibling.
 
 Also here: the ``shard_of`` hypothesis property tests (total stable
 partition for every shard count) and the ``campaign status``
@@ -456,11 +456,10 @@ import sys
 from repro.experiments.engine import EngineConfig, run_experiment_campaign
 config = EngineConfig(
     n_jobs={n_jobs},
-    backend=sys.argv[2],
     store="shared",
     shard_index=0,
     shard_count=4,
-    lease_ttl=float(sys.argv[3]),
+    lease_ttl=float(sys.argv[2]),
 )
 run_experiment_campaign(
     "table2", "smoke", {seed}, campaign_dir=sys.argv[1], config=config
@@ -470,9 +469,8 @@ run_experiment_campaign(
 
 @pytest.mark.chaos
 class TestShardKillAndReclaim:
-    @pytest.mark.parametrize("backend", ["spawn", "pool"])
     def test_killed_shard_is_reclaimed_and_merge_matches_serial(
-        self, tmp_path, baseline, backend
+        self, tmp_path, baseline
     ):
         shared_dir = str(tmp_path / "campaign")
         env = dict(os.environ)
@@ -484,7 +482,6 @@ class TestShardKillAndReclaim:
                 "-c",
                 _CHILD.format(n_jobs=_N_JOBS, seed=_BASE_SEED),
                 shared_dir,
-                backend,
                 str(_TTL),
             ],
             env=env,
@@ -510,7 +507,6 @@ class TestShardKillAndReclaim:
                     base_seed=_BASE_SEED,
                     campaign_dir=shared_dir,
                     config=_config(
-                        backend=backend,
                         store="shared",
                         shard_index=shard,
                         shard_count=4,
@@ -529,13 +525,7 @@ class TestShardKillAndReclaim:
         assert _normalized_checkpoints(merged) == _normalized_checkpoints(
             baseline["dir"]
         )
-        expected = _read_manifest(baseline["dir"])
-        actual = _read_manifest(merged)
-        # backends are proven equivalent in test_backend_equivalence;
-        # the engine record legitimately differs in that one knob
-        assert actual["engine"] == {**expected["engine"], "backend": backend}
-        actual["engine"] = expected["engine"]
-        assert actual == expected
+        assert _read_manifest(merged) == _read_manifest(baseline["dir"])
 
         result, resumed = resume_campaign(merged)
         assert resumed.resumed == 8 and resumed.executed == 0

@@ -1,4 +1,4 @@
-"""Unit tests for the multi-process run executor."""
+"""Unit tests for the run executor (serial loop and warm pool)."""
 
 from dataclasses import replace
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import AlgorithmConfig, run_bssa
 from repro.experiments import ExperimentScale, run_table2
-from repro.experiments.parallel import RunSpec, run_many, seeds_for
+from repro.experiments.parallel import RunSpec, run_many
 from repro.experiments.runner import repeated_runs
 from repro.workloads import get
 
@@ -53,9 +53,6 @@ class TestRunMany:
 
     def test_empty(self):
         assert run_many([], n_jobs=2) == []
-
-    def test_seeds_for(self):
-        assert seeds_for(3, 0) == [0, 1, 2]
 
 
 class TestParallelTable2:

@@ -28,7 +28,6 @@ class TestParser:
             ["run", "table2", "--dir", "/tmp/c"]
         )
         assert args.jobs is None
-        assert args.backend == "spawn"
 
     def test_jobs_zero_rejected_with_clear_error(self, capsys):
         for argv in (
@@ -39,22 +38,17 @@ class TestParser:
                 build_parser().parse_args(argv)
             assert "must be >= 1" in capsys.readouterr().err
 
-    def test_backend_flag_threads_through_run_and_resume(self):
-        run_args = build_parser().parse_args(
-            [
-                "run", "table2", "--dir", "/tmp/c",
-                "--backend", "pool", "--jobs", "4",
-            ]
-        )
-        resume_args = build_parser().parse_args(
-            ["resume", "/tmp/c", "--backend", "pool", "--jobs", "4"]
-        )
-        assert run_args.backend == resume_args.backend == "pool"
-        assert run_args.jobs == resume_args.jobs == 4
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "table2", "--dir", "/tmp/c", "--backend", "threads"]
-            )
+    def test_backend_flag_rejected_by_run_and_resume(self, capsys):
+        """Campaigns have one transport; only ``serve`` keeps --backend."""
+        for argv in (
+            ["run", "table2", "--dir", "/tmp/c", "--backend", "pool"],
+            ["resume", "/tmp/c", "--backend", "spawn"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+            assert "unrecognized arguments: --backend" in capsys.readouterr().err
+        args = build_parser().parse_args(["serve", "--backend", "inline"])
+        assert args.backend == "inline"
 
 
 class TestCommands:
@@ -211,6 +205,24 @@ class TestCampaignCommands:
         out = capsys.readouterr().out
         assert "8 resumed" in out and "0 executed" in out
 
+    def test_resume_accepts_a_manifest_recording_a_backend(
+        self, capsys, tmp_path
+    ):
+        """Campaign dirs written while ``--backend`` existed still resume."""
+        campaign = tmp_path / "campaign"
+        assert main(
+            ["run", "table2", "--dir", str(campaign), "--scale", "smoke"]
+        ) == 0
+        manifest_path = campaign / "campaign.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["engine"]["backend"] = "spawn"
+        manifest_path.write_text(json.dumps(manifest))
+        (campaign / "jobs" / "job-00000.json").unlink()
+        capsys.readouterr()
+
+        assert main(["resume", str(campaign)]) == 0
+        assert "7 resumed" in capsys.readouterr().out
+
     def test_status_on_missing_campaign(self, capsys, tmp_path):
         assert main(["status", str(tmp_path / "nope")]) == 2
         assert "no campaign found" in capsys.readouterr().err
@@ -258,7 +270,7 @@ class TestMetricsCli:
         assert main(
             [
                 "run", "table2", "--dir", str(tmp_path / "camp"),
-                "--scale", "smoke", "--backend", "pool",
+                "--scale", "smoke",
                 "--jobs", "1", "--metrics-port", "0",
             ]
         ) == 0
