@@ -14,14 +14,7 @@ from .analysis import (
 )
 from .function import BooleanFunction
 from .partition import Partition, all_partitions, partition_count, random_partition
-from .packed import (
-    cofactor,
-    hamming,
-    pack_bits,
-    popcount,
-    restrict,
-    unpack_bits,
-)
+from .packed import pack_bits, popcount
 from .truth_table import TwoDimensionalTable, component_matrix, from_matrix, to_matrix
 from .decomposition import (
     BoundOnlyDecomposition,
@@ -54,12 +47,8 @@ __all__ = [
     "all_partitions",
     "partition_count",
     "random_partition",
-    "cofactor",
-    "hamming",
     "pack_bits",
     "popcount",
-    "restrict",
-    "unpack_bits",
     "TwoDimensionalTable",
     "component_matrix",
     "from_matrix",

@@ -1,32 +1,27 @@
-"""Bit-packed truth tables: one ``uint64`` bit-plane per output bit.
+"""Bit-packed 0/1 vectors: one ``uint64`` bit-plane per vector.
 
-The classic logic-synthesis representation (ABC-style): a truth table
-over ``n`` inputs with ``k`` output bits becomes ``k`` planes of
-``ceil(2**n / 64)`` machine words, so cofactor extraction and
-error-distance accumulation turn into word-wide bitwise ops plus
-popcounts.
+The classic logic-synthesis representation (ABC-style): ``k`` 0/1
+vectors of length ``L`` become ``k`` planes of ``ceil(L / 64)`` machine
+words, so masked sums turn into word-wide bitwise ops plus popcounts.
+:class:`WeightPlanes` uses it for the exact weighted sums behind the
+OptForPart exactness gate.
 
 Layout is fully deterministic and platform-independent: plane ``j``
-word ``w`` bit ``i`` (little-endian within the word) holds output bit
-``j`` of entry ``64 * w + i``; pad bits beyond the table length are
+word ``w`` bit ``i`` (little-endian within the word) holds entry
+``64 * w + i`` of vector ``j``; pad bits beyond the vector length are
 always zero, so two packed planes are equal iff they are byte-equal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "WORD_BITS",
     "pack_bits",
-    "unpack_bits",
     "popcount",
-    "popcount_words",
-    "hamming",
-    "cofactor",
-    "restrict",
     "WeightPlanes",
 ]
 
@@ -74,98 +69,12 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(_WORD_DTYPE)
 
 
-def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: ``(..., W)`` words → ``(..., length)``."""
-    arr = np.ascontiguousarray(words, dtype=_WORD_DTYPE)
-    if arr.ndim == 0:
-        raise ValueError("unpack_bits needs at least one axis")
-    if arr.shape[-1] != n_words(length):
-        raise ValueError(
-            f"expected {n_words(length)} words for {length} bits, "
-            f"got {arr.shape[-1]}"
-        )
-    u8 = arr.view(np.uint8)
-    bits = np.unpackbits(u8, axis=-1, bitorder="little")
-    return bits[..., :length]
-
-
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-word set-bit counts (vectorised popcount)."""
-    return _bitwise_count(np.asarray(words, dtype=np.uint64))
-
-
 def popcount(words: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
     """Total set bits in ``words`` (optionally along one axis)."""
-    counts = popcount_words(words)
+    counts = _bitwise_count(np.asarray(words, dtype=np.uint64))
     if axis is None:
         return int(counts.sum(dtype=np.int64))
     return counts.sum(axis=axis, dtype=np.int64)
-
-
-def hamming(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of differing bits between two packed planes."""
-    return popcount(np.bitwise_xor(np.asarray(a, np.uint64), np.asarray(b, np.uint64)))
-
-
-# Periodic compress masks: _PERIOD_MASKS[j] keeps, in every
-# ``2**(j+1)``-bit period, the low ``2**j`` bits — i.e. the positions
-# whose index bit ``j`` is zero.  _PERIOD_MASKS[6] is the low word half.
-def _period_mask(j: int) -> np.uint64:
-    block = (1 << (1 << j)) - 1
-    period = 1 << (j + 1)
-    mask = 0
-    for start in range(0, WORD_BITS, period):
-        mask |= block << start
-    return np.uint64(mask & 0xFFFFFFFFFFFFFFFF)
-
-
-_PERIOD_MASKS = [_period_mask(j) for j in range(7)]
-
-
-def cofactor(words: np.ndarray, length: int, var: int, value: int) -> np.ndarray:
-    """Packed cofactor: restrict a plane to ``input bit var == value``.
-
-    ``words`` is one packed plane of a table over ``n`` inputs
-    (``length == 2**n``); the result is the packed plane of the
-    ``2**(n-1)``-entry cofactor.  For ``var >= 6`` this is pure word
-    block selection; below that, a butterfly compress over the periodic
-    masks — no unpacking in either case.
-    """
-    arr = np.ascontiguousarray(words, dtype=np.uint64)
-    n = length.bit_length() - 1
-    if length != 1 << n or n < 1:
-        raise ValueError("cofactor needs a power-of-two table length >= 2")
-    if not 0 <= var < n:
-        raise ValueError(f"variable {var} out of range for {n} inputs")
-    if value not in (0, 1):
-        raise ValueError("cofactor value must be 0 or 1")
-    if arr.shape != (n_words(length),):
-        raise ValueError("words/length mismatch")
-    if var >= 6:
-        stride = 1 << (var - 6)
-        return np.ascontiguousarray(arr.reshape(-1, 2, stride)[:, value, :].ravel())
-    x = arr.copy()
-    if value:
-        x >>= np.uint64(1 << var)
-    x &= _PERIOD_MASKS[var]
-    for j in range(var, 6):
-        x = (x | (x >> np.uint64(1 << j))) & _PERIOD_MASKS[j + 1]
-    if x.shape[0] == 1:  # result fits a single word's low half
-        return x
-    return np.ascontiguousarray(x[0::2] | (x[1::2] << np.uint64(32)))
-
-
-def restrict(words: np.ndarray, length: int, assignment: Dict[int, int]) -> np.ndarray:
-    """Iterated :func:`cofactor` over ``{var: value}`` assignments.
-
-    Variables are eliminated highest-first so the remaining indices
-    never shift under the caller's feet.
-    """
-    out = np.ascontiguousarray(words, dtype=np.uint64)
-    for var in sorted(assignment, reverse=True):
-        out = cofactor(out, length, var, assignment[var])
-        length //= 2
-    return out
 
 
 class WeightPlanes:

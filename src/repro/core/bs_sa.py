@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .. import caching, obs
+from .. import blas, caching, obs
 from ..boolean.function import BooleanFunction
 from ..boolean.partition import Partition, partition_count, random_partition
 from ..metrics import distributions
@@ -422,6 +422,7 @@ def _nd_setting(
     return best
 
 
+@blas.single_threaded
 def run_bssa(
     target: BooleanFunction,
     config: Optional[AlgorithmConfig] = None,
@@ -447,6 +448,9 @@ def run_bssa(
     partition_search:
         ``"sa"`` (Algorithm 2) or ``"random"`` (DALTA-style sampling
         under the same budget — the SA ablation).
+
+    The whole search runs BLAS on one thread (:mod:`repro.blas`), its
+    cost and MED dot products as well as the kernel.
     """
     start = time.perf_counter()
     if architecture not in ("normal", "bto-normal", "bto-normal-nd"):

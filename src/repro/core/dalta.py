@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .. import caching, obs
+from .. import blas, caching, obs
 from ..boolean.function import BooleanFunction
 from ..boolean.partition import partition_count, random_partition
 from ..metrics import distributions
@@ -28,6 +28,7 @@ from .settings import Setting, SettingBits, SettingSequence
 __all__ = ["run_dalta"]
 
 
+@blas.single_threaded
 def run_dalta(
     target: BooleanFunction,
     config: Optional[AlgorithmConfig] = None,
@@ -48,6 +49,9 @@ def run_dalta(
         Input distribution (uniform when omitted).
     rng:
         Random generator; overrides ``config.seed`` when given.
+
+    The whole search runs BLAS on one thread (:mod:`repro.blas`), its
+    cost and MED dot products as well as the kernel.
     """
     start = time.perf_counter()
     if config is None:

@@ -67,7 +67,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import caching, obs
+from .. import blas, caching, obs
 from ..boolean import ops
 from ..boolean.decomposition import (
     BoundOnlyDecomposition,
@@ -976,6 +976,7 @@ def opt_for_part_grouped(
         return [results for results, _ in evaluated]
 
 
+@blas.single_threaded
 def _grouped_eval(
     requests: List[KernelRequest],
 ) -> List[Tuple[List[OptForPartResult], int]]:
@@ -986,6 +987,10 @@ def _grouped_eval(
     admits run the exact sweep in stacked chunks (with many requests
     the chunks simply interleave items, which the exact sweep keeps
     independent); every other item runs the reference on its own.
+
+    Runs BLAS on one thread (:mod:`repro.blas`): parallelism comes from
+    the process pool, and OpenBLAS helper threads in every pool worker
+    would oversubscribe the cores.  The bits do not depend on it.
     """
     results: List[List[Optional[OptForPartResult]]] = []
     item_sweeps: List[List[int]] = []

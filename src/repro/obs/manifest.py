@@ -3,7 +3,8 @@
 A manifest is one JSON object (written as a JSONL line so several runs
 can share a file next to the benchmark outputs) recording everything
 needed to re-execute or audit a run: a config hash, the spawned seeds,
-the git revision, and per-phase wall-clock totals.
+the git revision, the BLAS threading its kernel timings were taken
+under, and per-phase wall-clock totals.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from .. import blas
 
 __all__ = ["config_hash", "git_revision", "RunManifest"]
 
@@ -60,6 +63,8 @@ class RunManifest:
     #: per-run spawned seed records (see ``RunSpec.seed_info``)
     seeds: List[Dict[str, Any]] = field(default_factory=list)
     git_rev: Optional[str] = None
+    #: BLAS library, version and thread counts (``repro.blas.describe``)
+    blas: Dict[str, Any] = field(default_factory=dict)
     #: span-name -> {"count", "total"} wall-clock rollup
     phase_timings: Dict[str, Dict[str, float]] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
@@ -75,12 +80,14 @@ class RunManifest:
         base_seed: Optional[int] = None,
         **kwargs,
     ) -> "RunManifest":
-        """Construct a manifest, hashing ``config`` and reading git."""
+        """Construct a manifest, hashing ``config``, reading git and
+        recording the BLAS threading."""
         return cls(
             command=command,
             config_hash=None if config is None else config_hash(config),
             base_seed=base_seed,
             git_rev=git_revision(),
+            blas=blas.describe(),
             **kwargs,
         )
 

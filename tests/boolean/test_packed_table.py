@@ -1,30 +1,23 @@
-"""Property tests of the bit-packed truth-table primitives.
+"""Property tests of the bit-packed primitives.
 
-The packed representation (one ``uint64`` bit-plane per output bit)
+The packed representation (one ``uint64`` bit-plane per 0/1 vector)
 underlies the OptForPart exactness gate's ``WeightPlanes``, so the
 invariants here are representational, not algorithmic:
 
-* ``pack_bits``/``unpack_bits`` round-trip every 0/1 array — including
+* ``pack_bits`` lays every 0/1 array out exactly as numpy's
+  ``np.unpackbits(..., bitorder="little")`` reads it back — including
   non-power-of-two lengths and planes spanning multiple words — and
   pad bits are always zero, so byte equality is content equality;
 * popcount-based error counts equal the reference (unpacked numpy)
-  error distances bit for bit;
-* ``cofactor``/``restrict`` agree with restricting the unpacked table.
+  error distances bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.boolean import (
-    cofactor,
-    hamming,
-    pack_bits,
-    popcount,
-    restrict,
-    unpack_bits,
-)
-from repro.boolean.packed import WORD_BITS, n_words, popcount_words
+from repro.boolean import pack_bits, popcount
+from repro.boolean.packed import WORD_BITS, n_words
 from repro.metrics import distributions
 
 
@@ -37,25 +30,14 @@ def bit_arrays(draw):
     return rng.integers(0, 2, size=length, dtype=np.uint8)
 
 
-@st.composite
-def bit_tables(draw):
-    """A power-of-two single-output table plus an input variable."""
-    n = draw(st.integers(1, 9))
-    seed = draw(st.integers(0, 2**31 - 1))
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
-    var = draw(st.integers(0, n - 1))
-    value = draw(st.integers(0, 1))
-    return n, bits, var, value
-
-
 class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(bit_arrays())
     def test_pack_unpack_round_trip(self, bits):
         words = pack_bits(bits)
         assert words.shape == (n_words(bits.shape[0]),)
-        assert np.array_equal(unpack_bits(words, bits.shape[0]), bits)
+        unpacked = np.unpackbits(words.view(np.uint8), bitorder="little")
+        assert np.array_equal(unpacked[: bits.shape[0]], bits)
 
     @settings(max_examples=100, deadline=None)
     @given(bit_arrays())
@@ -80,10 +62,6 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             pack_bits(np.uint8(1))
 
-    def test_unpack_checks_word_count(self):
-        with pytest.raises(ValueError, match="words"):
-            unpack_bits(np.zeros(2, dtype=np.uint64), 64)
-
 
 class TestPopcount:
     @settings(max_examples=100, deadline=None)
@@ -96,13 +74,12 @@ class TestPopcount:
     def test_hamming_equals_unpacked_distance(self, bits, seed):
         rng = np.random.default_rng(seed)
         other = rng.integers(0, 2, size=bits.shape[0], dtype=np.uint8)
-        assert hamming(pack_bits(bits), pack_bits(other)) == int(
-            np.sum(bits != other)
-        )
+        distance = popcount(np.bitwise_xor(pack_bits(bits), pack_bits(other)))
+        assert distance == int(np.sum(bits != other))
 
     def test_popcount_words_per_word(self):
         words = np.array([0, 1, 0xFFFFFFFFFFFFFFFF, 1 << 63], dtype=np.uint64)
-        assert popcount_words(words).tolist() == [0, 1, 64, 1]
+        assert popcount(words[:, None], axis=-1).tolist() == [0, 1, 64, 1]
 
 
 class TestMedEquivalence:
@@ -115,7 +92,7 @@ class TestMedEquivalence:
         approx = rng.integers(0, 2, size=1 << n, dtype=np.int64)
         p = distributions.uniform(n)
         reference = float(np.sum(p * np.abs(exact - approx)))
-        count = hamming(pack_bits(exact), pack_bits(approx))
+        count = popcount(np.bitwise_xor(pack_bits(exact), pack_bits(approx)))
         assert count / (1 << n) == reference
         assert float(p[0]) * count == reference
 
@@ -137,35 +114,3 @@ class TestMedEquivalence:
             expected = int(np.sum(((exact >> bit) & 1) != ((approx >> bit) & 1)))
             assert int(counts[bit]) == expected
 
-
-class TestCofactor:
-    @settings(max_examples=100, deadline=None)
-    @given(bit_tables())
-    def test_cofactor_matches_unpacked(self, case):
-        n, bits, var, value = case
-        length = 1 << n
-        packed = cofactor(pack_bits(bits), length, var, value)
-        index = np.arange(length)
-        expected = bits[((index >> var) & 1) == value]
-        assert np.array_equal(unpack_bits(packed, length // 2), expected)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 9), st.integers(0, 2**31 - 1))
-    def test_restrict_two_vars_matches_unpacked(self, n, seed):
-        rng = np.random.default_rng(seed)
-        bits = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
-        hi, lo = n - 1, int(rng.integers(0, n - 1))
-        v_hi, v_lo = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-        packed = restrict(pack_bits(bits), 1 << n, {hi: v_hi, lo: v_lo})
-        index = np.arange(1 << n)
-        keep = (((index >> hi) & 1) == v_hi) & (((index >> lo) & 1) == v_lo)
-        assert np.array_equal(unpack_bits(packed, 1 << (n - 2)), bits[keep])
-
-    def test_cofactor_validates_arguments(self):
-        plane = pack_bits(np.zeros(8, dtype=np.uint8))
-        with pytest.raises(ValueError, match="power-of-two"):
-            cofactor(plane, 7, 0, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            cofactor(plane, 8, 3, 0)
-        with pytest.raises(ValueError, match="0 or 1"):
-            cofactor(plane, 8, 0, 2)
