@@ -24,7 +24,9 @@ else whatever OpenBLAS numpy's extension module links against.  Without
 one, the scope does nothing.  Scopes are counted under a lock, so nested
 scopes and threads entering at once share one pin and the last one out
 restores the count.  The setting is process-wide: code outside a scope
-in another thread runs on one BLAS thread too while any scope is open.
+in another thread runs on one BLAS thread too while any scope is open,
+and a process forked inside a scope (every ``WorkerPool`` worker) runs
+on one BLAS thread throughout.
 """
 
 from __future__ import annotations
@@ -163,11 +165,13 @@ def single_threaded(function: _F) -> _F:
 
 def _after_fork() -> None:
     """A forked child has none of the parent's other threads, so no scope
-    is open in it: drop their count and restore the parent's default."""
+    is open in it: drop their count.  A child forked inside a scope keeps
+    one BLAS thread as its default.  It inherits none of OpenBLAS's helper
+    threads, and raising the count would start one that spins for about
+    a tenth of a second of CPU; the pool forks its workers inside a scope
+    for that reason."""
     global _lock, _depth
     _lock = threading.Lock()
-    if _depth and _library not in (None, _UNSET) and _saved != 1:
-        _library.set(_saved)
     _depth = 0
 
 

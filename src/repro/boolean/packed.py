@@ -89,7 +89,7 @@ class WeightPlanes:
 
     This is the per-output-bit weighted-popcount primitive behind the
     OptForPart exactness gate
-    (:func:`repro.core.opt_for_part._exact_tier`): the gate needs
+    (:func:`repro.core.opt_for_part._gate`): the gate needs
     the *exact* integer total ``sum_i cost_i * w_i`` for weight vectors
     scaled out of a general (non-constant) input distribution, and the
     plane fold accumulates it without ever rounding — every partial is

@@ -28,7 +28,7 @@ Two implementations (see ``docs/performance.md``)
   for instances the exactness gate rejects.
 * **The exact sweep** (:func:`_alternate_exact`, :class:`_ExactSweep`):
   production's kernel for every instance that passes the
-  *dyadic-exactness* gate of :func:`_exact_tier` — integer-valued,
+  *dyadic-exactness* gate of :func:`_gate` — integer-valued,
   non-negative cost vectors together with an input distribution whose
   weights all scale to integers on one dyadic unit ``2**U``, small
   enough that every intermediate the kernel forms is an integer
@@ -40,7 +40,9 @@ Two implementations (see ``docs/performance.md``)
   reference's patterns, types, and totals while running a fraction of
   its work.  It evaluates a whole stacked batch of same-shape
   partitions at once and freezes each item at exactly the sweep where
-  the serial loop would stop.
+  the serial loop would stop.  Its matmuls run in float32 wherever the
+  gate's bounds prove every partial sum on the table's shape exact in
+  float32 (:meth:`KernelContext.sweep_dtypes`).
 
 Both read one :class:`KernelContext` per ``(costs, p)`` pair: the
 search loops build it once per context and pass it to every call, so
@@ -53,9 +55,10 @@ Grouped dispatch
 :func:`opt_for_part_grouped` evaluates a *list* of
 :class:`KernelRequest` batches — possibly from different ``(costs,
 p)`` contexts, such as the conditional halves of an ND or multi-shared
-decomposition — in one pass: items are grouped by table shape and gate
-tier and executed in chunks up to ``_BATCH_LIMIT`` wide, each item
-bitwise equal to its standalone call.
+decomposition — in one pass: items are grouped by table shape and the
+sweep's dtypes (:meth:`KernelContext.sweep_dtypes`) and executed in
+chunks up to ``_BATCH_LIMIT`` wide, each item bitwise equal to its
+standalone call.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -261,11 +264,39 @@ def _alternate_reference(
 # ----------------------------------------------------------------------
 
 
-def _exact_tier(costs: BitCosts, p: np.ndarray) -> Optional[str]:
+class _Verdict(NamedTuple):
+    """What the one gate scan of a ``(costs, p)`` context found.
+
+    ``tier`` is ``"f32"``, ``"f64"`` or ``None`` (the reference runs).
+    ``reason`` says why a rejected context failed, and is counted once
+    per context as ``opt.packed_rejected_<reason>``: ``"cost"`` (a
+    fractional, negative or non-finite cost), ``"weight"`` (a weight
+    that is negative, non-finite or wider than 52 bits on the common
+    unit), ``"total"`` (``T >= 2**52``) or ``"unit"`` (``U < -1073``, or
+    ``T * 2**U`` past the float64 range).  For an admitted context
+    ``unit`` is the common dyadic unit ``U`` and ``bound`` the largest
+    ``|w1 - w0|`` in units of ``2**U``, an exact integer: each entry's
+    ``|cost1 - cost0| * w_i`` is at most its share of ``T``.
+    """
+
+    tier: Optional[str]
+    reason: Optional[str] = None
+    bound: int = 0
+    unit: int = 0
+
+
+#: the exact sweep's (matmul, totals) dtypes: the "f32" tier, an "f64"
+#: context whose table shape keeps its partial sums float32-exact, and
+#: the "f64" tier
+_F32_TIER = (np.float32, np.float32)
+_F32_SUMS = (np.float32, np.float64)
+_F64_TIER = (np.float64, np.float64)
+
+
+def _gate(costs: BitCosts, p: np.ndarray) -> _Verdict:
     """Dyadic-exactness gate: the exact sweep's precision tier.
 
-    Returns ``"f32"``, ``"f64"``, or ``None`` (the reference runs).  A
-    tier is admitted when every float the alternation forms is
+    A tier is admitted when every float the alternation forms is
     *exactly representable* in it.  The cost vectors must be
     non-negative integers, and every supported weight must be a finite
     non-negative ``p_i = w_i * 2**U`` with an integer ``w_i`` of at
@@ -274,15 +305,22 @@ def _exact_tier(costs: BitCosts, p: np.ndarray) -> Optional[str]:
     every partial sum the kernel (exact sweep *or* reference) can
     form: they lie in ``[-T, T]`` in units of ``2**U``, and the msign
     half-step's in ``[-T, T]`` in units of ``2**(U-1)``.  So
-    ``T < 2**52`` with ``U >= -1073`` makes every intermediate an exact
-    float64 (the half-step's unit ``2**(U-1)`` must itself be a float,
-    and the least subnormal is ``2**-1074``), and ``T < 2**24`` with
-    ``U >= -37`` an exact float32 — that bound on ``U`` keeps the
-    convergence test's ``1e-12`` slack resolving to the same verdict in
-    both precisions (totals are spaced ``2**U`` apart, far wider than
-    the slack or either tier's rounding radius).
+    ``T < 2**52`` with ``U >= -1073`` and ``T * 2**U < 2**1024`` makes
+    every intermediate an exact, finite float64 (the half-step's unit
+    ``2**(U-1)`` must itself be a float, and the least subnormal is
+    ``2**-1074``), and ``T < 2**24`` with ``U >= -37`` and
+    ``T * 2**U < 2**128`` an exact, finite float32 — the bound on ``U``
+    keeps the convergence test's ``1e-12`` slack resolving to the same
+    verdict in both precisions (totals are spaced ``2**U`` apart, far
+    wider than the slack or either tier's rounding radius).  Every
+    bound is on ``T``, ``T * 2**U`` or ``U`` from below, and a
+    cofactor's ``T * 2**U`` can only fall while its ``U`` only rises,
+    so a cofactor never gates slower than its parent.
     Under the gate the tier's arithmetic is exact in any association
-    order, so the exact sweep is bit-identical to the reference.
+    order, so the exact sweep is bit-identical to the reference.  An
+    ``"f64"`` context may still form its partial sums in float32 on a
+    small enough table (:meth:`KernelContext.sweep_dtypes`), which is
+    what the verdict's ``bound`` is for.
 
     ``T`` is accumulated in Python integers, so the verdict never
     rounds.  A constant distribution (the protocol default) has one
@@ -295,45 +333,49 @@ def _exact_tier(costs: BitCosts, p: np.ndarray) -> Optional[str]:
     """
     p = np.asarray(p, dtype=np.float64)
     if p.size == 0:
-        return None
+        return _Verdict(None, "weight")
     c0, c1 = costs.cost0, costs.cost1
     # integer-valued (floor == value rejects NaN; infinities die below)
     if not (np.all(np.floor(c0) == c0) and np.all(np.floor(c1) == c1)):
-        return None
+        return _Verdict(None, "cost")
     hi = float(c0.max()) + float(c1.max())
     if not math.isfinite(hi) or float(c0.min()) < 0.0 or float(c1.min()) < 0.0:
-        return None
+        return _Verdict(None, "cost")
     p0 = float(p.flat[0])
     if bool(np.all(p == p0)):
         # constant distribution (the protocol default): one weight
         if not (math.isfinite(p0) and p0 >= 0.0):
-            return None
+            return _Verdict(None, "weight")
         # a float sum of non-negative integers is exact below 2**53, and
         # it reaches 2**52 exactly when the true sum does
         comb_sum = float(c0.sum()) + float(c1.sum())
         if p0 == 0.0 or comb_sum == 0.0:
-            return "f32"
+            return _Verdict("f32")
         if comb_sum >= float(1 << 52):
-            return None
+            return _Verdict(None, "total")
         # p0 = m_int * 2**(exponent - 53), exact by construction of frexp
         mantissa, exponent = math.frexp(p0)
         m_int = int(mantissa * (1 << 53))
         trailing = (m_int & -m_int).bit_length() - 1
         unit = exponent - 53 + trailing
         # a weight of 53 bits or more makes T >= 2**52 on its own
-        total = (m_int >> trailing) * int(comb_sum)
+        weight = m_int >> trailing
+        total = weight * int(comb_sum)
+        if total >= (1 << 52):
+            return _Verdict(None, "total")
+        bound = weight * int(np.abs(c1 - c0).max())
     else:
         if not bool(np.all(np.isfinite(p))) or float(p.min()) < 0.0:
-            return None
+            return _Verdict(None, "weight")
         combined = np.asarray(c0, dtype=np.float64) + np.asarray(
             c1, dtype=np.float64
         )
         support = (p > 0.0) & (combined > 0.0)
         if not bool(support.any()):
-            return "f32"
+            return _Verdict("f32")
         comb = combined[support]
         if float(comb.max()) >= float(1 << 52):
-            return None
+            return _Verdict(None, "total")
         # p_i = m_int_i * 2**(exp_i - 53) with m_int in [2**52, 2**53) —
         # exact by construction of frexp/ldexp
         mant, exp = np.frexp(p[support])
@@ -348,23 +390,34 @@ def _exact_tier(costs: BitCosts, p: np.ndarray) -> Optional[str]:
         # both to avoid int64 overflow and to keep T's terms bounded
         odd_bits = np.frexp(odd.astype(np.float64))[1]
         if int((odd_bits + shift).max()) > 52:
-            return None
+            return _Verdict(None, "weight")
+        weights = odd << shift
         comb_int = comb.astype(np.int64)
-        planes = WeightPlanes(odd << shift)
+        planes = WeightPlanes(weights)
         total = 0
         for bit in range(int(comb_int.max()).bit_length()):
             mask = pack_bits(((comb_int >> np.int64(bit)) & 1).astype(np.uint8))
             total += planes.masked_sum(mask) << bit
             if total >= (1 << 52):
-                return None
-    if total >= (1 << 52):
-        return None
-    if total < (1 << 24) and unit >= -37:
-        return "f32"
-    if unit < -1073:
-        # the half-step's unit 2**(U-1) is below the least subnormal
-        return None
-    return "f64"
+                return _Verdict(None, "total")
+        # each product is at most its entry's term of T < 2**52: exact
+        # in int64
+        spread = np.abs(c1[support] - c0[support]).astype(np.int64)
+        bound = int((spread * weights).max())
+    # every partial sum is at most T * 2**U < 2**(T.bit_length() + U)
+    magnitude = total.bit_length() + unit
+    if unit < -1073 or magnitude > 1024:
+        # the half-step's unit 2**(U-1) is below the least subnormal,
+        # or a sum could pass the largest float64
+        return _Verdict(None, "unit")
+    if total < (1 << 24) and unit >= -37 and magnitude <= 128:
+        return _Verdict("f32", None, bound, unit)
+    return _Verdict("f64", None, bound, unit)
+
+
+def _exact_tier(costs: BitCosts, p: np.ndarray) -> Optional[str]:
+    """The gate's tier alone: ``"f32"``, ``"f64"`` or ``None``."""
+    return _gate(costs, p).tier
 
 
 class KernelContext:
@@ -376,12 +429,12 @@ class KernelContext:
     ``i`` on axis ``n-1-i`` (the axis convention of
     :func:`repro.boolean.ops.cofactor`):
 
-    * :attr:`tier` — the gate verdict (:func:`_exact_tier`);
+    * :attr:`verdict` / :attr:`tier` — the gate scan (:func:`_gate`);
     * :meth:`weights` — the float64 grids ``cost0 * p`` / ``cost1 * p``
       that the reference, the BTO variant and the exhaustive oracle
       read;
-    * :meth:`exact_weights` — ``w1 - w0`` in the tier's dtype and the
-      total zero cost ``w0.sum()``, all the exact sweep reads.
+    * :meth:`exact_weights` — ``w1 - w0`` in the sweep's matmul dtype
+      and the total zero cost ``w0.sum()``, all the exact sweep reads.
 
     :meth:`cofactor` restricts a context to fixed input bits as views
     of those grids, so the ``2 * |candidates|`` half problems of a
@@ -389,8 +442,8 @@ class KernelContext:
     """
 
     __slots__ = (
-        "n_inputs", "_costs", "_p", "_gated", "_tier",
-        "_w0", "_w1", "_wdiff", "_zero_total",
+        "n_inputs", "_costs", "_p", "_verdict",
+        "_w0", "_w1", "_wdiff", "_zero_total", "_parent", "_index",
     )
 
     def __init__(self, costs: BitCosts, p: np.ndarray, n_inputs: int) -> None:
@@ -408,20 +461,61 @@ class KernelContext:
         self.n_inputs = n_inputs
         self._costs = costs
         self._p = p
-        self._gated = False
-        self._tier: Optional[str] = None
+        self._verdict: Optional[_Verdict] = None
         self._w0: Optional[np.ndarray] = None
         self._w1: Optional[np.ndarray] = None
-        self._wdiff: Optional[np.ndarray] = None
+        # w1 - w0 per matmul dtype
+        self._wdiff: dict = {}
         self._zero_total: Optional[float] = None
+        # a cofactor's parent context and its index into the parent grids
+        self._parent: Optional[KernelContext] = None
+        self._index: tuple = ()
+
+    @property
+    def verdict(self) -> _Verdict:
+        """The gate scan, whatever the fast-path switch says.
+
+        Counted once per scanned context when telemetry is on: a
+        rejection as ``opt.packed_rejected_<reason>``.
+        """
+        if self._verdict is None:
+            self._verdict = _gate(self._costs, self._p)
+            if self._verdict.reason and obs.enabled():
+                obs.incr(f"opt.packed_rejected_{self._verdict.reason}")
+        return self._verdict
 
     @property
     def tier(self) -> Optional[str]:
-        """The gate verdict, whatever the fast-path switch says."""
-        if not self._gated:
-            self._tier = _exact_tier(self._costs, self._p)
-            self._gated = True
-        return self._tier
+        """The gate's tier: ``"f32"``, ``"f64"`` or ``None``."""
+        return self.verdict.tier
+
+    def sweep_dtypes(self, rows: int, cols: int) -> Tuple[type, type]:
+        """``(matmul dtype, totals dtype)`` of the exact sweep on a
+        ``rows x cols`` table of this (admitted) context.
+
+        An ``"f32"`` context runs everything in float32.  On an
+        ``"f64"`` one, with ``M`` the verdict's bound, the sweep's
+        partial sums are ``diff`` entries (at most ``M`` units of
+        ``2**U``), row sums and pattern costs (at most ``M * cols``
+        units) and sign products (at most ``M * rows`` units of
+        ``2**(U-1)``).  When ``S = M * max(rows, cols) < 2**24``,
+        ``2**(U-1)`` is a float32 (``U >= -148``) and
+        ``S * 2**U < 2**128`` each is an exact, finite float32, so the
+        matmuls run in float32.  Only the per-candidate totals reach
+        ``T``; they accumulate in float64, exact below ``2**52``, so the
+        convergence test compares the reference's own float64 totals.
+        """
+        verdict = self.verdict
+        if verdict.tier == "f32":
+            return _F32_TIER
+        span = verdict.bound * max(rows, cols)
+        if (
+            span < (1 << 24)
+            and verdict.unit >= -148
+            and span.bit_length() + verdict.unit <= 128
+        ):
+            return _F32_SUMS
+        return _F64_TIER
 
     def weights(self) -> Tuple[np.ndarray, np.ndarray]:
         """The weighted cost grids ``(w0, w1)``, float64."""
@@ -431,25 +525,31 @@ class KernelContext:
             self._w0, self._w1 = w0.reshape(grid), w1.reshape(grid)
         return self._w0, self._w1
 
-    def _diff(self) -> np.ndarray:
-        if self._wdiff is None:
-            w0, w1 = self.weights()
-            # exact under the gate; the f32 cast too (the gate bounds
-            # every value below 2**24 units), and it halves the bytes
-            # the per-item transposes move
-            wdiff = w1 - w0
-            self._wdiff = wdiff.astype(np.float32) if self.tier == "f32" else wdiff
-        return self._wdiff
+    def _diff(self, dtype: type) -> np.ndarray:
+        wdiff = self._wdiff.get(dtype)
+        if wdiff is None:
+            if self._parent is not None:
+                wdiff = self._parent._diff(dtype)[self._index]
+            else:
+                # exact under the gate, and so is the float32 cast
+                # wherever sweep_dtypes picks float32; it halves the
+                # bytes the per-item transposes move
+                w0, w1 = self.weights()
+                wdiff = (w1 - w0).astype(dtype, copy=False)
+            self._wdiff[dtype] = wdiff
+        return wdiff
 
-    def exact_weights(self) -> Tuple[np.ndarray, float]:
+    def exact_weights(self, dtype: type) -> Tuple[np.ndarray, float]:
         """``(w1 - w0, w0.sum())`` for the exact sweep (gated tiers only).
 
-        ``w0.sum()`` is exact under the gate (an integer multiple of the
-        common dyadic unit below the overflow bound), in any order.
+        ``w1 - w0`` comes in ``dtype``, the matmul dtype
+        :meth:`sweep_dtypes` picked.  ``w0.sum()`` is exact under the
+        gate (an integer multiple of the common dyadic unit below the
+        overflow bound), in any order.
         """
         if self._zero_total is None:
             self._zero_total = float(self.weights()[0].sum())
-        return self._diff(), self._zero_total
+        return self._diff(dtype), self._zero_total
 
     def cofactor(self, fixed: Mapping[int, int]) -> "KernelContext":
         """The context restricted to ``fixed`` bits, over views of this one.
@@ -460,27 +560,30 @@ class KernelContext:
         order.  Its grids are basic slices of this context's: the
         products are elementwise, so a slice of ``cost * p`` equals the
         product of the slices bit for bit, and so does a slice of
-        ``w1 - w0``.
+        ``w1 - w0`` in either dtype.
 
-        The cofactor inherits this context's verdict.  Its supported
-        weights are a subset of the parent's on the same costs, so its
-        least dyadic unit ``U`` can only rise and its exact total ``T``
-        only fall: every bound the parent's tier passed, the cofactor
-        passes too.  An ``"f32"`` parent has exact f32 cofactors and an
-        ``"f64"`` parent exact f64 ones; a rejected parent sends its
-        cofactors to the reference.  The only loss is a cofactor that
-        could have run f32 under an f64 parent.
+        The cofactor inherits this context's verdict, bound and unit
+        included.  Its supported weights are a subset of the parent's on
+        the same costs, so its least dyadic unit ``U`` can only rise and
+        its exact total ``T`` and largest ``|w1 - w0|`` only fall: its
+        entries are multiples of the parent's ``2**U`` within the
+        parent's bound, so every limit the parent's verdict passed, the
+        cofactor passes too.  An ``"f32"`` parent has exact f32
+        cofactors and an ``"f64"`` parent exact f64 ones (float32
+        partial sums where the half's table shape allows); a rejected
+        parent sends its cofactors to the reference.  The only loss is a
+        cofactor that could have run a narrower tier than its parent.
         """
         index = ops.cofactor_index(self.n_inputs, fixed)
-        tier = self.tier
         w0, w1 = self.weights()
         view = KernelContext.__new__(KernelContext)
         view.n_inputs = self.n_inputs - len(fixed)
         view._costs = view._p = None
-        view._gated, view._tier = True, tier
+        view._verdict = self.verdict
         view._w0, view._w1 = w0[index], w1[index]
-        view._wdiff = self._diff()[index] if tier else None
+        view._wdiff = {}
         view._zero_total = None
+        view._parent, view._index = self, index
         return view
 
 
@@ -498,6 +601,21 @@ def _engaged_tier(context: KernelContext) -> Optional[str]:
         if tier == "f32":
             obs.incr("opt.packed_f32_calls")
     return tier
+
+
+def _sweep_dispatch(
+    context: KernelContext, rows: int, cols: int
+) -> Optional[Tuple[type, type]]:
+    """Production's ``(matmul, totals)`` dtypes for one request of
+    ``context`` on a ``rows x cols`` table, or ``None`` for the
+    reference.  Counts ``opt.packed_f32_sums_calls`` for an ``"f64"``
+    context whose matmuls run in float32."""
+    if not _engaged_tier(context):
+        return None
+    dtypes = context.sweep_dtypes(rows, cols)
+    if dtypes is _F32_SUMS and obs.enabled():
+        obs.incr("opt.packed_f32_sums_calls")
+    return dtypes
 
 
 class _ExactSweep:
@@ -527,7 +645,9 @@ class _ExactSweep:
         "v", "pat", "comp", "m4", "g", "u4", "uvt",
     )
 
-    def __init__(self, diff: np.ndarray, row_sums: np.ndarray, z: int) -> None:
+    def __init__(
+        self, diff: np.ndarray, row_sums: np.ndarray, z: int, totals_dtype: type
+    ) -> None:
         batch, rows, cols = diff.shape
         self.diff = diff
         self.diff_t = diff.transpose(0, 2, 1)
@@ -545,11 +665,13 @@ class _ExactSweep:
         )[:, None, :]
         # exact-sum reduction vector: under the gate a gemv against ones
         # is bitwise equal to ``pat.sum(axis=2)`` in any association
-        # order, and roughly halves the dispatch.  All scratch follows
-        # diff's dtype — float64, or float32 when the gate proved the
-        # narrower significand exact too.
+        # order, and roughly halves the dispatch.  Its dtype is the
+        # totals' (float64 unless the whole context is "f32": an "f64"
+        # context's totals can pass 2**24).  All other scratch follows
+        # diff's dtype — float64, or float32 when the gate's bounds
+        # prove the narrower significand exact too.
         dtype = diff.dtype
-        self.ones = np.ones(rows, dtype=dtype)
+        self.ones = np.ones(rows, dtype=totals_dtype)
         self.v = np.empty((batch, z, cols), dtype=dtype)
         self.pat = np.empty((batch, z, rows), dtype=dtype)
         self.comp = np.empty((batch, z, rows), dtype=dtype)
@@ -602,7 +724,8 @@ def _exact_types_core(
     use_vt = np.less(pat, sweep.m01, out=sweep.uvt)
     # min() selects the same value that where(use_vt, ...) would
     np.minimum(pat, sweep.m01, out=pat)
-    # dgemv against ones == pat.sum(axis=2), exact under the gate
+    # gemv against ones == pat.sum(axis=2), exact under the gate; a
+    # float32 pat meets float64 ones where the totals can pass 2**24
     return use4, use_vt, np.matmul(pat, sweep.ones)
 
 
@@ -645,6 +768,7 @@ def _alternate_exact(
     patterns: np.ndarray,
     max_sweeps: int,
     totals_offset: np.ndarray,
+    totals_dtype: type,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The exact sweep over a stacked batch of partitions.
 
@@ -652,6 +776,8 @@ def _alternate_exact(
     ``row_sums`` its per-row sums and ``totals_offset`` each item's
     total zero cost (an exact dyadic-integer scalar), which re-bases
     the relative totals to the reference's absolute ones bit for bit.
+    The matmuls run in ``diff``'s dtype and the per-candidate totals
+    accumulate in ``totals_dtype`` (:meth:`KernelContext.sweep_dtypes`).
     Each item converges (or hits ``max_sweeps``) independently and is
     frozen with exactly the state :func:`_alternate_reference` would
     return for it: the convergence test runs the reference's op order,
@@ -661,11 +787,11 @@ def _alternate_exact(
     ``(B, Z, cols)``, ``(B, Z, rows)``, ``(B, Z)``, ``(B,)``.
     """
     batch, z = diff.shape[0], patterns.shape[1]
-    sweep = _ExactSweep(diff, row_sums, z)
+    sweep = _ExactSweep(diff, row_sums, z, totals_dtype)
     use4, use_vt, totals = _exact_types_core(sweep, patterns)
     out_patterns = np.empty_like(patterns)
     out_types = np.empty((batch, z, diff.shape[1]), dtype=np.int8)
-    # float64 in both tiers, like the reference's totals and the
+    # float64 in every dispatch, like the reference's totals and the
     # ``totals + totals_offset`` of the early returns below
     out_totals = np.empty(totals.shape)
     out_sweeps = np.zeros(batch, dtype=np.int64)
@@ -943,7 +1069,7 @@ def opt_for_part_grouped(
     """Grouped evaluation of several batches in one kernel pass.
 
     Items from all requests are grouped by table shape, candidate
-    count, sweep cap, and gate tier, and executed in stacked chunks up
+    count, sweep cap, and the sweep's dtypes, and executed in stacked chunks up
     to ``_BATCH_LIMIT`` wide — each item bitwise equal to its
     standalone :func:`opt_for_part_many` call.  Returns one result
     list per request, in request order.  Telemetry: a single
@@ -994,25 +1120,26 @@ def _grouped_eval(
     """
     results: List[List[Optional[OptForPartResult]]] = []
     item_sweeps: List[List[int]] = []
-    # (rows, cols, Z, max_sweeps, tier) → [(request idx, item idx)];
-    # the tier is the gate verdict: None (reference) / "f64" / "f32"
+    # (rows, cols, Z, max_sweeps, dtypes) → [(request idx, item idx)];
+    # dtypes is the sweep's (matmul, totals) pair, None for the reference
     groups: dict = {}
     for ri, request in enumerate(requests):
         count = len(request.partitions)
         results.append([None] * count)
         item_sweeps.append([0] * count)
         if count:
+            rows, cols = request.partitions[0].n_rows, request.partitions[0].n_cols
             gkey = (
-                request.partitions[0].n_rows,
-                request.partitions[0].n_cols,
+                rows,
+                cols,
                 request.stacked.shape[1],
                 request.max_sweeps,
-                _engaged_tier(request.context),
+                _sweep_dispatch(request.context, rows, cols),
             )
             groups.setdefault(gkey, []).extend((ri, ii) for ii in range(count))
 
     for gkey, members in groups.items():
-        rows, cols, z, group_sweeps, tier = gkey
+        rows, cols, z, group_sweeps, dtypes = gkey
         for start in range(0, len(members), _BATCH_LIMIT):
             chunk = members[start : start + _BATCH_LIMIT]
             b = len(chunk)
@@ -1030,17 +1157,17 @@ def _grouped_eval(
                 )
                 for j, (ri, ii) in enumerate(chunk):
                     patterns[j] = requests[ri].stacked[ii]
-            if tier:
+            if dtypes:
                 # the exact sweep consumes only diff = d1 - d0 plus each
                 # item's *total* zero cost — a single scalar, since the
                 # per-row zero costs cancel out of every comparison and
                 # re-enter the totals as one exact offset
-                dtype = np.float32 if tier == "f32" else np.float64
+                dtype, totals_dtype = dtypes
                 diff = np.empty((b, rows, cols), dtype=dtype)
                 offsets = np.empty(b)
                 for j, (ri, ii) in enumerate(chunk):
                     context = requests[ri].context
-                    wdiff, offsets[j] = context.exact_weights()
+                    wdiff, offsets[j] = context.exact_weights(dtype)
                     axes = _partition_axes(
                         requests[ri].partitions[ii], context.n_inputs
                     )
@@ -1051,7 +1178,12 @@ def _grouped_eval(
                 # each item's total zero cost re-bases its final totals
                 fin_patterns, fin_types, fin_totals, fin_sweeps = (
                     _alternate_exact(
-                        diff, diff.sum(axis=2), patterns, group_sweeps, offsets
+                        diff,
+                        diff.sum(axis=2),
+                        patterns,
+                        group_sweeps,
+                        offsets,
+                        totals_dtype,
                     )
                 )
             else:

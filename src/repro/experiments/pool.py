@@ -42,8 +42,8 @@ import multiprocessing
 
 import numpy as np
 
+from .. import blas, obs
 from .. import faults as faults_mod
-from .. import obs
 from ..obs import exposition
 from ..core.config import AlgorithmConfig
 from .parallel import RunSpec
@@ -404,7 +404,11 @@ class WorkerPool:
             ),
             daemon=True,
         )
-        process.start()
+        # forked on one BLAS thread, the worker keeps one (repro.blas):
+        # raising the count in the child would start an OpenBLAS helper
+        # that spins for about a tenth of a second of CPU
+        with blas.single_thread():
+            process.start()
         # the parent keeps only its ends; the worker holds the others
         task_recv.close()
         result_send.close()

@@ -20,6 +20,7 @@ import importlib
 import os
 import sys
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -180,16 +181,68 @@ class TestScope:
         assert blas.thread_count() == 2
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_starts_unpinned(self, two_threads):
-        """A child forked while a scope is open runs no scope: it gets the
-        parent's default back, not a pin nobody will release."""
+    def test_forked_child_keeps_one_thread(self, two_threads):
+        """A child forked while a scope is open runs no scope, and keeps
+        one BLAS thread as its default: its own scopes leave the count
+        alone, so OpenBLAS never starts a helper thread in it."""
         with blas.single_thread():
             pid = os.fork()
             if pid == 0:  # pragma: no cover - runs in the child
-                os._exit(0 if blas.thread_count() == 2 else 1)
+                ok = blas.thread_count() == 1 and blas._depth == 0
+                with blas.single_thread():
+                    ok = ok and blas.thread_count() == 1
+                ok = ok and blas.thread_count() == 1 and blas._depth == 0
+                os._exit(0 if ok else 1)
             _, status = os.waitpid(pid, 0)
             assert blas.thread_count() == 1
         assert os.waitstatus_to_exitcode(status) == 0
+        assert blas.thread_count() == 2
+
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/stat"), reason="needs /proc"
+    )
+    def test_pool_worker_does_not_spin(self, two_threads):
+        """A pool worker's CPU after a tiny job shows no OpenBLAS spin.
+
+        A worker forked on the parent's two threads starts a helper
+        thread when its first scope restores that count, and the helper
+        spins about a tenth of a second of CPU beside the job's own
+        thread.  The pool forks its workers inside a scope, so they never
+        raise the count: no thread but the worker's main one runs.
+        """
+        from repro.experiments.pool import WorkerPool
+        from repro.experiments.runner import repeat_specs
+
+        (spec,) = repeat_specs(
+            "dalta", workloads.get("cos", 6), AlgorithmConfig.fast(), 1, 7
+        )
+        tick = os.sysconf("SC_CLK_TCK")
+
+        def helper_cpu_seconds(pid):
+            """CPU of every thread of ``pid`` but its main one."""
+            total = 0
+            for tid in os.listdir(f"/proc/{pid}/task"):
+                if int(tid) == pid:
+                    continue
+                try:
+                    with open(f"/proc/{pid}/task/{tid}/stat") as handle:
+                        fields = handle.read().rsplit(")", 1)[1].split()
+                except FileNotFoundError:  # the thread exited meanwhile
+                    continue
+                total += int(fields[11]) + int(fields[12])
+            return total / tick
+
+        with WorkerPool(1) as pool:
+            pool.submit(0, spec)
+            events = []
+            deadline = time.monotonic() + 60.0
+            while not events and time.monotonic() < deadline:
+                events = pool.wait(1.0)
+            assert [event.kind for event in events] == ["ok"]
+            # a spinning helper would be done within half a second
+            time.sleep(0.5)
+            spun = helper_cpu_seconds(pool._workers[0].process.pid)
+        assert spun < 0.02
         assert blas.thread_count() == 2
 
     def test_missing_library_is_a_no_op(self, monkeypatch, two_threads):

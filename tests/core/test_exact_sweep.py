@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import caching, compile_api, workloads
+from repro import caching, compile_api, obs, workloads
 from repro.boolean import Partition, ops, random_partition
 from repro.boolean.packed import WeightPlanes, pack_bits
 from repro.core import (
@@ -130,17 +130,17 @@ class TestEligibilityGate:
     def test_shared_context_caches_the_verdict(self, monkeypatch):
         """A search context's KernelContext gates once for every call."""
         costs, p = _uniform_instance(7, seed=6)
-        verdict = ofp._exact_tier(costs, p)
+        verdict = ofp._gate(costs, p)
         calls = []
 
         def counted(*args):
             calls.append(args)
             return verdict
 
-        monkeypatch.setattr(ofp, "_exact_tier", counted)
+        monkeypatch.setattr(ofp, "_gate", counted)
         context = KernelContext(costs, p, 7)
         assert calls == []
-        assert ofp._engaged_tier(context) == verdict
+        assert ofp._engaged_tier(context) == verdict.tier
         # later kernel calls reuse the context: the verdict and the
         # weighted grids are computed once per context
         partition = Partition((3, 4, 5, 6), (0, 1, 2))
@@ -148,7 +148,7 @@ class TestEligibilityGate:
         opt_for_part(
             costs, p, partition, 7, rng=np.random.default_rng(0), context=context
         )
-        assert context.tier == verdict
+        assert context.tier == verdict.tier
         assert len(calls) == 1
 
     def test_fast_paths_off_engages_nothing(self):
@@ -283,6 +283,15 @@ _BOUNDARIES = [
     # (the least subnormal), not at U = -1074
     (1000, -1073, "f64"),
     (1000, -1074, None),
+    # the f32 tier's 1e-12 convergence slack with totals near 2**24
+    # units, where a float32 total's spacing is the unit itself
+    ((1 << 24) - 1, -37, "f32"),
+    ((1 << 24) - 1, -38, "f64"),
+    # every sum is at most T * 2**U: below 2**128 in float32, below
+    # 2**1024 in float64
+    ((1 << 24) - 1, 104, "f32"),
+    ((1 << 24) - 1, 105, "f64"),
+    ((1 << 52) - 1, 972, "f64"),
 ]
 
 
@@ -410,6 +419,12 @@ class TestGateBoundaries:
                 ), (seed, name)
 
     @pytest.mark.parametrize("shape", sorted(_WEIGHTS))
+    def test_float64_overflow_is_rejected(self, shape):
+        """``T * 2**U >= 2**1024``: a sum could pass the largest float."""
+        costs, p = _instance(1000, _WEIGHTS[shape], 1015)
+        assert ofp._gate(costs, p) == ofp._Verdict(None, "unit")
+
+    @pytest.mark.parametrize("shape", sorted(_WEIGHTS))
     @pytest.mark.parametrize(
         "bad", ["fractional", "negative", "nan", "inf"]
     )
@@ -419,6 +434,231 @@ class TestGateBoundaries:
         cost0[3] = {"fractional": cost0[3] + 0.5, "negative": -1.0,
                     "nan": np.nan, "inf": np.inf}[bad]
         assert ofp._exact_tier(BitCosts(0, cost0, costs.cost1), p) is None
+
+
+class TestConvergenceSlack:
+    """The f32 tier compares float32 totals against ``totals - 1e-12``.
+
+    The subtraction rounds to float32, so it only gives the reference's
+    float64 verdict while the rounding cannot reach a whole unit
+    ``2**U``.  That holds from ``U = -38`` up; the gate's f32 floor is
+    ``U = -37``, one unit of margin.  Probes sit where a float32 total's
+    spacing is the unit itself (``2**23`` to ``2**24`` units): the last
+    sweep improved by one unit, tied, or (never in the alternation, but
+    a sharper probe) worsened by one.
+    """
+
+    @staticmethod
+    def _disagreements(unit):
+        steps = np.arange(-3, 4, dtype=np.int64)
+        units = np.concatenate(
+            [(1 << 23) + steps[3:], (1 << 24) - 1 - steps[3:]]
+        )
+        old = np.ldexp(units.astype(np.float64), unit)
+        flips = 0
+        for delta in (-1, 0, 1):
+            new = np.ldexp((units + delta).astype(np.float64), unit)
+            want = new >= old - 1e-12
+            got = new.astype(np.float32) >= old.astype(np.float32) - 1e-12
+            flips += int(np.count_nonzero(want != got))
+        return flips
+
+    @pytest.mark.parametrize("unit,tier", [(-37, "f32"), (-38, "f64")])
+    def test_slack_verdicts_at_the_floor(self, unit, tier):
+        costs, p = _instance((1 << 24) - 1, (1,), unit)
+        assert ofp._exact_tier(costs, p) == tier
+        assert self._disagreements(unit) == 0
+        for seed in range(4):
+            _same_as_reference(costs, p, seed=seed)
+
+    def test_slack_flips_below_the_margin(self):
+        """Two units lower the float32 slack rounds a one-unit
+        improvement into a tie: the probes can see a wrong floor."""
+        assert self._disagreements(-39) > 0
+
+
+# ----------------------------------------------------------------------
+# The shape rule: an "f64" context runs the sweep's matmuls in float32 on
+# a rows x cols table when M * max(rows, cols) < 2**24, with M its
+# largest |w1 - w0| in units of 2**U, 2**(U-1) a float32 (U >= -148) and
+# M * max(rows, cols) * 2**U below 2**128.  Only the per-candidate totals
+# stay float64.  Tables are 2**free x 2**bound, so the nearest products
+# either side of the bound are 2**24 - max(rows, cols) and 2**24.
+# ----------------------------------------------------------------------
+
+
+def _spread_instance(spread, n_inputs, unit, weights=(1,), seed=0):
+    """Integer costs whose largest ``|cost1 - cost0| * w_i`` is ``spread``.
+
+    ``p_i = w_i * 2**unit`` with ``weights[0] == 1``; entry 0 carries the
+    spread.  With ``2**n_inputs`` entries of random costs up to the
+    spread, ``T`` passes ``2**24`` for spreads of ``2**16`` and up.
+    """
+    rng = np.random.default_rng(seed)
+    size = 1 << n_inputs
+    w = np.resize(np.asarray(weights, dtype=np.int64), size)
+    assert w[0] == 1
+    top = spread // w
+    cost0 = (rng.random(size) * (top + 1)).astype(np.int64)
+    cost1 = (rng.random(size) * (top + 1)).astype(np.int64)
+    cost0[0], cost1[0] = spread, 0
+    costs = BitCosts(0, cost0.astype(np.float64), cost1.astype(np.float64))
+    return costs, np.ldexp(w.astype(np.float64), unit)
+
+
+def _dispatched_vs_reference(costs, p, n_inputs, bound, seed=3, count=3):
+    """Production against the reference, byte for byte; returns how many
+    production requests ran float32 partial sums."""
+    sink = obs.MemorySink()
+    with obs.session(sink):
+        on, off = _production_vs_reference(costs, p, n_inputs, bound, count, seed)
+    for a, b in zip(on, off):
+        _same_result(a, b)
+    return sink.counters().get("opt.packed_f32_sums_calls", 0)
+
+
+class TestShapeRule:
+    @pytest.mark.parametrize("bound", [3, 6], ids=["rows", "cols"])
+    @pytest.mark.parametrize(
+        "spread,dtypes",
+        [
+            ((1 << 18) - 1, ofp._F32_SUMS),  # M * 64 = 2**24 - 64
+            (1 << 18, ofp._F64_TIER),  # M * 64 = 2**24
+            (1 << 20, ofp._F64_TIER),  # sums past 2**24 units
+        ],
+        ids=["below", "at", "past"],
+    )
+    def test_span_boundary(self, bound, spread, dtypes):
+        """9 inputs: 64 x 8 tables (b = 3) and 8 x 64 ones (b = 6)."""
+        costs, p = _spread_instance(spread, 9, -9)
+        context = KernelContext(costs, p, 9)
+        assert context.verdict == ofp._Verdict("f64", None, spread, -9)
+        rows, cols = 1 << (9 - bound), 1 << bound
+        assert context.sweep_dtypes(rows, cols) == dtypes
+        used = _dispatched_vs_reference(costs, p, 9, bound)
+        assert used == (1 if dtypes == ofp._F32_SUMS else 0)
+
+    @pytest.mark.parametrize(
+        "unit,dtypes",
+        [(-148, ofp._F32_SUMS), (-149, ofp._F64_TIER)],
+        ids=["f32-sums", "f64"],
+    )
+    def test_unit_floor(self, unit, dtypes):
+        """At ``U = -148`` the sign products' unit ``2**-149`` is the least
+        float32 subnormal; one step lower it is not a float32.  Costs of
+        0-3 make one-unit column ties common, which a float32 sign
+        product at ``U = -149`` would round to zero."""
+        for seed in range(12):
+            costs, p = _spread_instance(3, 7, unit, seed=seed)
+            context = KernelContext(costs, p, 7)
+            assert context.verdict == ofp._Verdict("f64", None, 3, unit)
+            assert context.sweep_dtypes(16, 8) == dtypes
+            used = _dispatched_vs_reference(costs, p, 7, 3, seed=seed)
+            assert used == (1 if dtypes == ofp._F32_SUMS else 0)
+
+    @pytest.mark.parametrize(
+        "unit,dtypes",
+        [(104, ofp._F32_SUMS), (105, ofp._F64_TIER)],
+        ids=["f32-sums", "f64"],
+    )
+    def test_unit_ceiling(self, unit, dtypes):
+        """``M * max(rows, cols) = 2**24 - 64`` units of ``2**U`` stays
+        below ``2**128``, finite in float32, up to ``U = 104``."""
+        spread = (1 << 18) - 1
+        costs, p = _spread_instance(spread, 9, unit)
+        context = KernelContext(costs, p, 9)
+        assert context.verdict == ofp._Verdict("f64", None, spread, unit)
+        assert context.sweep_dtypes(64, 8) == dtypes
+        used = _dispatched_vs_reference(costs, p, 9, 3)
+        assert used == (1 if dtypes == ofp._F32_SUMS else 0)
+
+    def test_half_of_a_narrowed_parent(self):
+        """An ND half runs float32 sums on the parent's bound.
+
+        The 7-input parent's 4 x 32 table has ``M * 32 = 2**24`` (float64
+        sums); each 6-input half's 4 x 16 table has ``M * 16 = 2**23``, so
+        the halves run float32 partial sums under the parent's ``M`` and
+        ``U``, byte for byte as the reference.
+        """
+        n_inputs, spread = 7, 1 << 19
+        partition = Partition((5, 6), (0, 1, 2, 3, 4))
+        used = []
+        for seed in range(6):
+            costs, p = _spread_instance(spread, n_inputs, -7, (1, 3), seed=seed)
+            context = KernelContext(costs, p, n_inputs)
+            assert context.verdict == ofp._Verdict("f64", None, spread, -7)
+            assert context.sweep_dtypes(4, 32) == ofp._F64_TIER
+            assert context.cofactor({0: 1}).sweep_dtypes(4, 16) == ofp._F32_SUMS
+            def solve():
+                caching.clear_caches()
+                return optimize_nondisjoint(
+                    costs,
+                    p,
+                    partition,
+                    n_inputs,
+                    n_initial_patterns=4,
+                    rng=np.random.default_rng(seed + 1),
+                    shared_candidates=(0,),
+                )
+
+            sink = obs.MemorySink()
+            with caching.fast_paths(True), obs.session(sink):
+                on = solve()
+            with caching.fast_paths(False):
+                off = solve()
+            used.append(sink.counters().get("opt.packed_f32_sums_calls", 0))
+            assert on.error == off.error, seed
+            for name in ("pattern0", "types0", "pattern1", "types1"):
+                assert (
+                    getattr(on.decomposition, name).tobytes()
+                    == getattr(off.decomposition, name).tobytes()
+                ), (seed, name)
+        assert min(used) > 0
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=_SUPPRESS)
+    @given(data=st.data())
+    def test_drawn_near_the_edges(self, data):
+        """``(M, shape, U)`` drawn around every edge of the rule."""
+        n_inputs = data.draw(st.integers(4, 8), label="n_inputs")
+        bound = data.draw(st.integers(1, n_inputs - 1), label="bound")
+        side = 1 << max(bound, n_inputs - bound)
+        edge = (1 << 24) // side
+        spread = edge + data.draw(st.integers(-2, 1), label="offset")
+        weights = data.draw(st.sampled_from([(1,), (1, 2), (1, 3)]), label="w")
+        unit = data.draw(
+            st.sampled_from([-9, -37, -38, -148, -149, 104, 105])
+            | st.integers(-150, 106),
+            label="unit",
+        )
+        costs, p = _spread_instance(
+            spread, n_inputs, unit, weights, seed=data.draw(st.integers(0, 99))
+        )
+        verdict = ofp._gate(costs, p)
+        assert verdict.bound == spread
+        if verdict.tier is not None:
+            assert verdict.unit == unit
+        _dispatched_vs_reference(costs, p, n_inputs, bound, seed=5, count=2)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_float32_sums_keep_float64_totals(self, batch):
+        """Row sums of 2**22 units, totals past 2**24: float32 partial
+        sums and float64 totals give the reference's totals exactly."""
+        rng = np.random.default_rng(batch)
+        rows, cols, z = 32, 16, 4
+        d0 = rng.integers(0, 1 << 17, size=(batch, rows, cols)).astype(np.float64)
+        d1 = rng.integers(0, 1 << 17, size=(batch, rows, cols)).astype(np.float64)
+        patterns = rng.integers(0, 2, size=(batch, z, cols)).astype(np.uint8)
+        diff = (d1 - d0).astype(np.float32)
+        assert diff.astype(np.float64).tobytes() == (d1 - d0).tobytes()
+        _, _, totals, _ = ofp._alternate_exact(
+            diff, diff.sum(axis=2), patterns, 50, d0.sum(axis=(1, 2)), np.float64
+        )
+        for j in range(batch):
+            _, _, want, _ = ofp._alternate_reference(
+                d0[j : j + 1], d1[j : j + 1], patterns[j : j + 1], 50
+            )
+            assert np.abs(want).max() >= 1 << 24
+            assert totals[j].tobytes() == want[0].tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -481,10 +721,12 @@ def _assert_cofactors_inherit(costs, p, n_inputs):
             for got, want in zip(view.weights(), copied.weights()):
                 assert got.tobytes() == want.tobytes()
             if parent:
-                got_diff, got_zero = view.exact_weights()
-                want_diff, want_zero = copied.exact_weights()
-                assert got_diff.astype(want_diff.dtype).tobytes() == want_diff.tobytes()
-                assert got_zero == want_zero
+                # the sweep's matmul dtype on the smallest table, and float64
+                for dtype in {view.sweep_dtypes(1, 1)[0], np.float64}:
+                    got_diff, got_zero = view.exact_weights(dtype)
+                    want_diff, want_zero = copied.exact_weights(dtype)
+                    assert got_diff.tobytes() == want_diff.tobytes()
+                    assert got_zero == want_zero
 
 
 @st.composite
@@ -605,13 +847,13 @@ class TestOneVerdictPerContext:
         self, monkeypatch, algorithm, architecture, scans
     ):
         calls = []
-        gate = ofp._exact_tier
+        gate = ofp._gate
 
         def counted(costs, p):
             calls.append(None)
             return gate(costs, p)
 
-        monkeypatch.setattr(ofp, "_exact_tier", counted)
+        monkeypatch.setattr(ofp, "_gate", counted)
         compile_api.compile_one(
             "cos",
             bits=8,
@@ -680,7 +922,7 @@ class TestKernelByteIdentity:
         diff = (d1 - d0).astype(dtype)
         offsets = d0.sum(axis=(1, 2))
         _, _, totals, _ = ofp._alternate_exact(
-            diff, diff.sum(axis=2), patterns, max_sweeps, offsets
+            diff, diff.sum(axis=2), patterns, max_sweeps, offsets, dtype
         )
         assert totals.dtype == np.float64
         for j in range(batch):

@@ -16,6 +16,7 @@ from repro import caching, obs
 from repro.boolean import Partition
 from repro.boolean.truth_table import table_indices
 from repro.core import (
+    BitCosts,
     cost_vectors_fixed,
     opt_for_part,
     opt_for_part_bto,
@@ -107,3 +108,69 @@ class TestEnabled:
         assert counters.get("opt.packed_calls") == 140
         assert counters.get("opt.packed_f32_calls") == 140
         assert counters.get("opt.packed_ineligible", 0) == 0
+
+
+def _rejected(reason):
+    """A 6-input ``(costs, p)`` the gate rejects for ``reason``."""
+    costs, p, _ = _instance()
+    if reason == "cost":
+        return BitCosts(costs.k, costs.cost0 + 0.5, costs.cost1), p
+    if reason == "weight":
+        # 1/3 has a 53-bit odd mantissa
+        thirds = np.full(64, 1.0 / 3.0)
+        thirds[0] = 2.0 / 3.0
+        return costs, thirds
+    if reason == "total":
+        return BitCosts(costs.k, costs.cost0 + 2.0**53, costs.cost1), p
+    assert reason == "unit"
+    # the half-step's unit 2**-1075 is no float64
+    return costs, np.full(64, 2.0**-1074)
+
+
+class TestGateReasons:
+    """Why the gate decided: one count per scanned context."""
+
+    @pytest.mark.parametrize("reason", ["cost", "weight", "total", "unit"])
+    def test_one_count_per_rejected_context(self, reason):
+        costs, p = _rejected(reason)
+        _, _, partition = _instance()
+        context = KernelContext(costs, p, 6)
+        sink = obs.MemorySink()
+        with obs.session(sink):
+            for seed in range(2):
+                opt_for_part(
+                    costs, p, partition, 6,
+                    rng=np.random.default_rng(seed), context=context,
+                )
+        counters = sink.counters()
+        rejected = {
+            name: value
+            for name, value in counters.items()
+            if name.startswith("opt.packed_rejected_")
+        }
+        assert rejected == {f"opt.packed_rejected_{reason}": 1}
+        assert counters.get("opt.packed_ineligible") == 2
+        assert counters.get("opt.packed_calls", 0) == 0
+
+    def test_float32_sums_dispatch_is_counted(self):
+        """An "f64" context (``T = 2**25`` units) whose 16 x 4 tables
+        keep ``M * 16 = 2**23``: float32 partial sums, one count per
+        kernel request."""
+        costs, p, partition = _instance()
+        assert np.all(costs.cost0 + costs.cost1 == 1.0)
+        scaled = BitCosts(costs.k, costs.cost0 * 2.0**19, costs.cost1 * 2.0**19)
+        context = KernelContext(scaled, p, 6)
+        assert context.tier == "f64"
+        assert context.sweep_dtypes(16, 4) == (np.float32, np.float64)
+        sink = obs.MemorySink()
+        with obs.session(sink):
+            for seed in range(2):
+                opt_for_part(
+                    scaled, p, partition, 6,
+                    rng=np.random.default_rng(seed), context=context,
+                )
+        counters = sink.counters()
+        assert counters.get("opt.packed_calls") == 2
+        assert counters.get("opt.packed_f32_sums_calls") == 2
+        assert counters.get("opt.packed_f32_calls", 0) == 0
+        assert not any(name.startswith("opt.packed_rejected_") for name in counters)
