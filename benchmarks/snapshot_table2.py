@@ -2,17 +2,16 @@
 
 The snapshot runs the full Table-II protocol (``run_table2``: every
 benchmark × both algorithms × ``n_runs`` independent seeds, serially in
-one process — the shape the caches amortise over) and records
+one process) and records
 
-* wall-clock of the current tree (fast paths on, cold caches),
+* wall-clock of the current tree (fast paths on),
 * wall-clock of the in-tree reference mode (``fast_paths(False)``:
   serial single-partition calls),
 * optionally, wall-clock of a *baseline checkout* (``--baseline``
   points at an older tree's ``src``; both sides run as interleaved
   subprocesses so machine drift hits them equally),
-* the cache hit/miss statistics and per-phase wall-clock breakdown
-  (``phase_timings``: span name -> count/total seconds) of a cold
-  fast pass run under telemetry, and
+* the per-phase wall-clock breakdown (``phase_timings``: span name ->
+  count/total seconds) of one fast pass run under telemetry, and
 * the per-benchmark MEDs of every mode, asserted **byte-identical** —
   the performance layer must never change a single output bit.
 
@@ -71,8 +70,7 @@ def _meds(result) -> list:
 
 
 def _run_protocol(scale, base_seed: int):
-    """One cold protocol execution; returns (elapsed, result)."""
-    caching.clear_caches()
+    """One protocol execution; returns (elapsed, result)."""
     start = time.perf_counter()
     result = run_table2(scale, base_seed=base_seed)
     return time.perf_counter() - start, result
@@ -138,7 +136,7 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
     }
 
-    # -- current tree, fast paths on (cold) + reference mode (cold) ----
+    # -- current tree, fast paths on + reference mode -------------------
     fast_times, reference_times = [], []
     fast_result = reference_result = None
     for _ in range(args.repeats):
@@ -162,13 +160,12 @@ def main(argv=None) -> int:
         "byte_identical": True,
     }
 
-    # -- cache statistics + per-phase wall clock of one cold fast pass --
+    # -- per-phase wall clock of one fast pass --------------------------
     # (this pass runs under telemetry, so it is not used for the timed
     # wall-clock numbers above)
     memory = obs.MemorySink()
     with obs.session(memory):
         _run_protocol(scale, args.base_seed)
-    snapshot["cache_stats"] = caching.cache_stats()
     summary = obs.summarize.summarize(memory.records)
     snapshot["phase_timings"] = summary.phase_timings()
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import ops
 from .function import BooleanFunction
 from .partition import Partition, all_partitions
-from .truth_table import row_col_indices, to_matrix
+from .truth_table import from_matrix, to_matrix
 
 __all__ = [
     "RowType",
@@ -155,15 +155,8 @@ class DisjointDecomposition(Decomposition):
         return apply_types(self.types, self.pattern)
 
     def evaluate(self, n_inputs: int) -> np.ndarray:
-        self.partition.validate_for(n_inputs)
-        rows, cols = row_col_indices(self.partition, n_inputs)
-        phi = self.pattern[cols]
-        return self._apply_free(rows, phi)
-
-    def _apply_free(self, rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Evaluate ``F(φ, A)`` given row indices and φ bits."""
-        table = self.free_table()
-        return table[rows, phi.astype(np.int64)]
+        # the (rows x cols) table F(φ(c), r), scattered back per input
+        return from_matrix(self.matrix(), self.partition, n_inputs)
 
     # ------------------------------------------------------------------
     def bound_table(self) -> np.ndarray:

@@ -119,6 +119,22 @@ class Partition:
         """Inverse of :meth:`row_col_of`."""
         return ops.deposit_bits(rows, self.free) | ops.deposit_bits(cols, self.bound)
 
+    def table_axes(self, n_inputs: int) -> Tuple[int, ...]:
+        """Transpose axes from the flat ``(2,) * n`` grid to the 2D table.
+
+        A per-input vector reshaped to ``(2,) * n_inputs`` (axis 0 = the
+        most significant input bit) and transposed by these axes reads
+        out, when flattened, the partition's ``(n_rows, n_cols)`` table
+        in row-major order: the first ``n_free`` axes enumerate rows,
+        the rest columns.  The transpose is a view, so moving a vector
+        into the table (or back) is one strided copy with no index
+        array.  The axes are a permutation only for a partition that
+        covers ``n_inputs`` exactly; callers outside the kernel check
+        that with :meth:`validate_for`.
+        """
+        order = (*reversed(self.free), *reversed(self.bound))
+        return tuple(n_inputs - 1 - bit for bit in order)
+
     def scatter_index(self, n_inputs: int) -> np.ndarray:
         """Permutation ``idx`` with ``matrix.flat[idx[x]] = value[x]``.
 

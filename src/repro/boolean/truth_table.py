@@ -3,101 +3,25 @@
 Theorem 1 of the paper (Ashenhurst) is stated on a 2D truth table whose
 rows are indexed by the free set ``A`` and columns by the bound set
 ``B``.  This module reshapes per-input vectors (function bits, input
-probabilities, per-input costs) into that layout and back.
+probabilities, per-input costs) into that layout and back.  Both
+directions are one strided copy through the transpose view of
+:meth:`Partition.table_axes` -- the same view the OptForPart kernel
+gathers its cost tables through -- so no index array is built or kept.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from ..caching import LruCache
 from .function import BooleanFunction
 from .partition import Partition
 
 __all__ = [
-    "table_indices",
-    "gather_index",
-    "row_col_indices",
     "to_matrix",
     "from_matrix",
     "component_matrix",
     "TwoDimensionalTable",
 ]
-
-#: cached (scatter, gather) permutation pairs keyed by (partition, n).
-#: One entry costs two int64 vectors of length 2**n.  The size must
-#: clear the working set of a search run: the Table-II default scale
-#: (n = 12, b = 7) can visit all C(12, 7) = 792 partitions, and a
-#: smaller cache thrashes — every miss reruns the bit-extraction that
-#: the cache exists to amortise.
-_INDEX_CACHE = LruCache("table_index", maxsize=1024)
-
-#: cached (rows, cols) coordinate vectors, same keying as above
-_ROWCOL_CACHE = LruCache("table_rowcol", maxsize=1024)
-
-
-def table_indices(
-    partition: Partition, n_inputs: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cached (scatter, gather) index pair for a partition's 2D layout.
-
-    ``scatter`` satisfies ``matrix.flat[scatter[x]] = values[x]`` (it is
-    :meth:`Partition.scatter_index`); ``gather`` is its inverse
-    permutation, ``matrix.flat = values[gather]``.  Both arrays are
-    marked read-only because they are shared across callers.
-    """
-    key = (partition, n_inputs)
-    cached = _INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    partition.validate_for(n_inputs)
-    # The gather permutation is a pure bit reordering of 0..2**n-1, so
-    # it falls out of a reshape/transpose of ``arange`` directly: axis
-    # ``k`` of the (2,)*n grid is word bit ``n-1-k``, and laying the
-    # free bits (most significant first) ahead of the bound bits walks
-    # the 2D table in row-major order.  Equal to inverting
-    # ``partition.scatter_index`` — an order of magnitude cheaper than
-    # the per-bit extraction (covered by a unit test).
-    order = (*reversed(partition.free), *reversed(partition.bound))
-    axes = [n_inputs - 1 - bit for bit in order]
-    grid = np.arange(1 << n_inputs, dtype=np.int64).reshape((2,) * n_inputs)
-    gather = np.ascontiguousarray(grid.transpose(axes)).reshape(-1)
-    scatter = np.empty_like(gather)
-    scatter[gather] = np.arange(gather.size, dtype=np.int64)
-    scatter.setflags(write=False)
-    gather.setflags(write=False)
-    pair = (scatter, gather)
-    _INDEX_CACHE.put(key, pair)
-    return pair
-
-
-def gather_index(partition: Partition, n_inputs: int) -> np.ndarray:
-    """Cached gather permutation: ``matrix.flat = values[gather]``."""
-    return table_indices(partition, n_inputs)[1]
-
-
-def row_col_indices(
-    partition: Partition, n_inputs: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Cached ``(rows, cols)`` of every input word under ``partition``.
-
-    Equal to ``partition.row_col_of(all_inputs(n_inputs))`` — recovered
-    from the cached scatter permutation (``scatter = rows * n_cols +
-    cols`` with ``cols < n_cols``), so no bit extraction runs on a hit.
-    """
-    key = (partition, n_inputs)
-    cached = _ROWCOL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    scatter = table_indices(partition, n_inputs)[0]
-    rows, cols = np.divmod(scatter, partition.n_cols)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    pair = (rows, cols)
-    _ROWCOL_CACHE.put(key, pair)
-    return pair
 
 
 def to_matrix(values: np.ndarray, partition: Partition, n_inputs: int) -> np.ndarray:
@@ -105,14 +29,20 @@ def to_matrix(values: np.ndarray, partition: Partition, n_inputs: int) -> np.nda
 
     Entry ``(r, c)`` of the result is ``values[x]`` for the unique input
     word ``x`` whose free bits spell ``r`` and bound bits spell ``c``.
+    One strided copy through :meth:`Partition.table_axes`; the result
+    never shares memory with ``values``.
     """
     values = np.asarray(values)
     if values.shape != (1 << n_inputs,):
         raise ValueError(
             f"values has shape {values.shape}, expected ({1 << n_inputs},)"
         )
-    idx = gather_index(partition, n_inputs)
-    return values[idx].reshape(partition.n_rows, partition.n_cols)
+    partition.validate_for(n_inputs)
+    grid = values.reshape((2,) * n_inputs)
+    matrix = np.empty((partition.n_rows, partition.n_cols), dtype=values.dtype)
+    axes = partition.table_axes(n_inputs)
+    np.copyto(matrix.reshape(grid.shape), grid.transpose(axes))
+    return matrix
 
 
 def from_matrix(
@@ -123,8 +53,12 @@ def from_matrix(
     expected = (partition.n_rows, partition.n_cols)
     if matrix.shape != expected:
         raise ValueError(f"matrix has shape {matrix.shape}, expected {expected}")
-    idx = table_indices(partition, n_inputs)[0]
-    return matrix.reshape(-1)[idx]
+    partition.validate_for(n_inputs)
+    values = np.empty(1 << n_inputs, dtype=matrix.dtype)
+    grid = values.reshape((2,) * n_inputs)
+    axes = partition.table_axes(n_inputs)
+    np.copyto(grid.transpose(axes), matrix.reshape(grid.shape))
+    return values
 
 
 def component_matrix(

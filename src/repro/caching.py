@@ -1,23 +1,19 @@
-"""Process-local caches and the fast-path switch for the hot kernels.
+"""The fast-path switch for the hot kernels, and a small LRU map.
 
-:class:`LruCache` is the bounded map behind the 2D-table *index
-caches* in :mod:`repro.boolean.truth_table` (gather/scatter
-permutations keyed by ``(partition, n_inputs)``) and the serve
-daemon's in-memory artifact cache.  None of them changes an output bit
-(see ``docs/performance.md``).
-
-Everything here is **per process**: worker processes spawned by
-:mod:`repro.experiments.parallel` each hold their own caches, and
-:meth:`RunSpec.execute` clears them at run start so telemetry counters
-are independent of run order and of serial-vs-parallel execution.
+:class:`LruCache` is the bounded map behind the serve daemon's
+in-memory artifact cache (:mod:`repro.serve.cache`) and the
+always-empty ``opt.memo`` stub of :mod:`repro.core.opt_for_part`.  The
+kernels keep no cache of their own: a partition's 2D table is one
+strided copy through :meth:`repro.boolean.Partition.table_axes`, so
+there is no per-partition state to warm, clear or retain between runs.
 
 ``fast_paths_enabled()`` is the one switch between production (the
 exact sweep where its gate admits, and batched search generations)
-and the serial reference ``OptForPart`` (the index caches are a pure
-equivalence and stay on).  Disable globally with ``REPRO_FAST_PATHS=0``
-in the environment, or locally with the :func:`fast_paths` context
-manager — the reference is kept intact precisely so the differential
-test suites (and ``perfbench/make_expected.py``) can compare both.
+and the serial reference ``OptForPart``.  Disable globally with
+``REPRO_FAST_PATHS=0`` in the environment, or locally with the
+:func:`fast_paths` context manager — the reference is kept intact
+precisely so the differential test suites (and
+``perfbench/make_expected.py``) can compare both.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, Optional
 
 from . import obs
 
@@ -35,12 +31,7 @@ __all__ = [
     "fast_paths_enabled",
     "set_fast_paths",
     "fast_paths",
-    "clear_caches",
-    "cache_stats",
 ]
-
-#: every LruCache instance ever created, for clear_caches()/cache_stats()
-_REGISTRY: List["LruCache"] = []
 
 
 def _env_default() -> bool:
@@ -91,13 +82,6 @@ class LruCache:
     counters when an aggregate prefix is given (the serve artifact
     cache uses ``serve.cache``) — and every eviction increments
     ``cache.<name>.eviction``.
-
-    ``register=False`` keeps the instance out of the process-wide
-    registry, exempting it from :func:`clear_caches`.  The per-run
-    cache clearing in :meth:`RunSpec.execute` exists to isolate the
-    *kernel* caches between runs; caches that must outlive individual
-    runs — the serve daemon's compiled-artifact cache runs in the same
-    process as its inline backend — opt out here.
     """
 
     def __init__(
@@ -105,7 +89,6 @@ class LruCache:
         name: str,
         maxsize: int,
         aggregate: Optional[str] = None,
-        register: bool = True,
     ) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
@@ -117,8 +100,6 @@ class LruCache:
         self.evictions = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.RLock()
-        if register:
-            _REGISTRY.append(self)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -154,14 +135,6 @@ class LruCache:
                 if obs.enabled():
                     obs.incr(f"cache.{self.name}.eviction")
 
-    def clear(self) -> None:
-        """Drop all entries and reset the hit/miss/eviction counters."""
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
     def stats(self) -> Dict[str, float]:
         total = self.hits + self.misses
         return {
@@ -173,13 +146,3 @@ class LruCache:
             "hit_rate": self.hits / total if total else 0.0,
         }
 
-
-def clear_caches() -> None:
-    """Empty every registered cache (per-run isolation, tests)."""
-    for cache in _REGISTRY:
-        cache.clear()
-
-
-def cache_stats() -> Dict[str, Dict[str, float]]:
-    """Current statistics of every registered cache, by name."""
-    return {cache.name: cache.stats() for cache in _REGISTRY}

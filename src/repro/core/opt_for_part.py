@@ -111,21 +111,7 @@ _T_COMPLEMENT = int(RowType.COMPLEMENT)
 #: always empty: no kernel result is cached.  ``perfbench/tracer.py``
 #: reads its hit/miss counts on every traced search call for the
 #: ``kernel.memo_hit_ratio`` metric, which therefore reports 0
-_EMPTY_MEMO = caching.LruCache("opt.memo", maxsize=1, register=False)
-
-
-def _partition_axes(partition: Partition, n_inputs: int) -> Tuple[int, ...]:
-    """Transpose axes mapping the flat weight grid to ``partition``'s table.
-
-    A weight vector reshaped to ``(2,) * n_inputs`` (axis 0 = the most
-    significant input bit) and transposed by these axes reads out, when
-    flattened, exactly the ``gather_index`` permutation of the vector:
-    the first ``n_free`` axes enumerate rows, the rest columns.  Unlike
-    a fancy ``take`` over a precomputed index array, the transpose is a
-    view — the gather is a single strided copy with no index traffic.
-    """
-    order = (*reversed(partition.free), *reversed(partition.bound))
-    return tuple(n_inputs - 1 - bit for bit in order)
+_EMPTY_MEMO = caching.LruCache("opt.memo", maxsize=1)
 
 
 def result_memo() -> caching.LruCache:
@@ -754,9 +740,11 @@ def _exact_patterns_core(
     # msign = ((types == COMPLEMENT) - (types == PATTERN)) / 2, built
     # in two ops as use_vt * (use4 - 0.5).  The half-scale factors out
     # of the matmul *exactly* (every product and sum stays dyadic and
-    # within the gate's bound), so the sign test below is unchanged
+    # within the gate's bound), so the sign test below is unchanged.
+    # The half is a scalar of msign's own dtype: a Python float would
+    # make numpy compute in float64 and cast into a float32 buffer
     msign = sweep.m4
-    np.subtract(use4, 0.5, out=msign)
+    np.subtract(use4, msign.dtype.type(0.5), out=msign)
     msign *= use_vt
     np.matmul(msign, sweep.diff, out=sweep.g)
     return np.greater(sweep.g, 0.0, out=sweep.v, casting="unsafe")
@@ -1168,8 +1156,8 @@ def _grouped_eval(
                 for j, (ri, ii) in enumerate(chunk):
                     context = requests[ri].context
                     wdiff, offsets[j] = context.exact_weights(dtype)
-                    axes = _partition_axes(
-                        requests[ri].partitions[ii], context.n_inputs
+                    axes = requests[ri].partitions[ii].table_axes(
+                        context.n_inputs
                     )
                     np.copyto(diff[j].reshape(wdiff.shape), wdiff.transpose(axes))
                 # the diff row sums are the only per-row state the
@@ -1201,8 +1189,8 @@ def _grouped_eval(
                     w0, w1 = context.weights()
                     # the transposed grid, flattened, is the partition's
                     # (rows x cols) table: one strided copy per matrix
-                    axes = _partition_axes(
-                        requests[ri].partitions[ii], context.n_inputs
+                    axes = requests[ri].partitions[ii].table_axes(
+                        context.n_inputs
                     )
                     np.copyto(d0.reshape(w0.shape), w0.transpose(axes))
                     np.copyto(d1.reshape(w1.shape), w1.transpose(axes))
@@ -1262,7 +1250,7 @@ def opt_for_part_bto(
         # only feeds the gate counters
         _engaged_tier(context)
     w0, w1 = context.weights()
-    axes = _partition_axes(partition, n_inputs)
+    axes = partition.table_axes(n_inputs)
     table = (partition.n_rows, partition.n_cols)
     # summed as C-contiguous tables, row after row: outside the gate
     # the sums are not exact, so the order of addition sets the bits
@@ -1341,7 +1329,7 @@ def opt_for_part_exhaustive_many(
         d0 = np.empty((len(chunk), rows, cols))
         d1 = np.empty_like(d0)
         for j, partition in enumerate(chunk):
-            axes = _partition_axes(partition, n_inputs)
+            axes = partition.table_axes(n_inputs)
             np.copyto(d0[j].reshape(w0.shape), w0.transpose(axes))
             np.copyto(d1[j].reshape(w1.shape), w1.transpose(axes))
         stacked = np.broadcast_to(patterns, (len(chunk), n_patterns, cols))

@@ -34,7 +34,7 @@ import numpy as np
 # forked campaign jobs inherit it rather than each importing it again.
 import numpy.random  # noqa: F401
 
-from .. import caching, obs
+from .. import obs
 from ..boolean.function import BooleanFunction
 from ..core.bs_sa import run_bssa
 from ..core.config import AlgorithmConfig
@@ -183,17 +183,7 @@ class RunSpec:
             return np.random.default_rng(self.direct_seed)
         return np.random.default_rng(self.seed_sequence())
 
-    def execute(self, fresh_caches: bool = True) -> ApproximationResult:
-        # Fresh caches per run: results are cache-independent by
-        # construction, but the cache hit/miss counters are not — warm
-        # truth-table index caches would make worker telemetry depend
-        # on which runs shared a process, breaking serial-vs-parallel
-        # counter equality (see tests/obs/test_integration.py).  The
-        # warm-pool workers pass ``fresh_caches=False`` to keep their
-        # index caches across jobs; only the counters — never the
-        # results — depend on warmth.
-        if fresh_caches:
-            caching.clear_caches()
+    def execute(self) -> ApproximationResult:
         # Re-seed the legacy global NumPy state from the same spawned
         # sequence: the algorithms only use the explicit generator, but
         # this pins down any incidental np.random.* use in workloads.

@@ -11,15 +11,13 @@ The campaign engine (:mod:`repro.experiments.engine`, and through it
   digest — workers attach once per distinct table and hand the
   algorithms a zero-copy read-only numpy view instead of a pickle.
 
-Determinism: workers run :meth:`RunSpec.execute` with
-``fresh_caches=False`` (their truth-table index caches stay warm
-across jobs) but every run still re-seeds from the same
-``SeedSequence.spawn`` draw, and the index caches are pure
-equivalences, so results are byte-identical to the serial loop — the
-differential test in ``tests/engine/test_backend_equivalence.py``
-pins this.  Worker *telemetry counters* (cache hits) legitimately
-differ with cache warmth; manifests are compared modulo timings and
-cache counters.
+Determinism: workers run :meth:`RunSpec.execute` exactly as the
+serial loop does, and every run re-seeds from the same
+``SeedSequence.spawn`` draw, so results are byte-identical to the
+serial loop — the differential test in
+``tests/engine/test_backend_equivalence.py`` pins this.  A run leaves
+no per-partition state behind in the worker, so a warm worker's memory
+does not grow with the jobs it has run.
 
 Fault injection: the pool accepts :class:`repro.faults.Fault`
 objects — ``crash``/``hang`` fire inside the worker before
@@ -286,7 +284,7 @@ def _pool_worker(
         current_job["job"] = (message["index"], message["attempt"])
         try:
             with obs.session(sink):
-                result = spec.execute(fresh_caches=False)
+                result = spec.execute()
         except Exception:
             current_job["job"] = None
             _send(

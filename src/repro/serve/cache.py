@@ -16,9 +16,9 @@ digest over the truth table + full algorithm descriptor — see
   the parser's recursion limit, or another fingerprint — is a miss,
   and the recomputed artifact replaces it.
 
-The memory cache is created with ``register=False`` so the per-run
-``caching.clear_caches()`` performed by the inline backend's
-:meth:`RunSpec.execute` cannot wipe it between requests.
+The memory cache lives as long as the daemon: nothing outside this
+class clears it, so entries survive every request the inline or pool
+backend executes in between.
 
 Artifacts are deterministic JSON documents (see
 :mod:`repro.compile_api`), so a disk entry loaded by a later daemon is
@@ -50,7 +50,6 @@ class ArtifactCache:
             "serve.artifacts",
             capacity,
             aggregate="serve.cache",
-            register=False,
         )
         self.artifact_dir = artifact_dir
         self.disk_hits = 0

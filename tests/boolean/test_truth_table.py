@@ -5,10 +5,13 @@ import pytest
 
 from repro.boolean import (
     BooleanFunction,
+    DisjointDecomposition,
     Partition,
     TwoDimensionalTable,
     component_matrix,
     from_matrix,
+    ops,
+    random_partition,
     to_matrix,
 )
 
@@ -77,3 +80,78 @@ class TestTwoDimensionalTable:
         p = Partition((2, 3), (0, 1))
         table = TwoDimensionalTable(np.arange(16) % 2, p, 4)
         assert table.row(0).tolist() == [0, 1, 0, 1]
+
+
+def _view_cases():
+    """Random partitions at every n from 2 to 16, |A| = 1 and |B| = 1 included."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for n_inputs in range(2, 17):
+        for bound in sorted({1, n_inputs - 1, int(rng.integers(1, n_inputs))}):
+            partition = random_partition(n_inputs, bound, rng)
+            cases.append(
+                pytest.param(n_inputs, partition, id=f"n{n_inputs}-b{bound}")
+            )
+    return cases
+
+
+@pytest.mark.parametrize("n_inputs,partition", _view_cases())
+class TestTableViewMatchesBitExtraction:
+    """The transpose view against the per-bit ``row_col_of`` reference."""
+
+    def test_to_matrix(self, n_inputs, partition):
+        rows, cols = partition.row_col_of(ops.all_inputs(n_inputs))
+        values = np.random.default_rng(n_inputs).permutation(1 << n_inputs)
+        expected = np.empty((partition.n_rows, partition.n_cols), values.dtype)
+        expected[rows, cols] = values
+        matrix = to_matrix(values, partition, n_inputs)
+        assert matrix.dtype == values.dtype
+        assert matrix.tobytes() == expected.tobytes()
+        assert not np.shares_memory(matrix, values)
+
+    def test_from_matrix(self, n_inputs, partition):
+        rows, cols = partition.row_col_of(ops.all_inputs(n_inputs))
+        matrix = np.random.default_rng(n_inputs).random(
+            (partition.n_rows, partition.n_cols)
+        )
+        values = from_matrix(matrix, partition, n_inputs)
+        assert values.tobytes() == matrix[rows, cols].tobytes()
+        # flattening the word grid back spells the per-bit scatter index
+        index = np.arange(matrix.size).reshape(matrix.shape)
+        np.testing.assert_array_equal(
+            from_matrix(index, partition, n_inputs),
+            partition.scatter_index(n_inputs),
+        )
+
+    def test_evaluate(self, n_inputs, partition):
+        rows, cols = partition.row_col_of(ops.all_inputs(n_inputs))
+        rng = np.random.default_rng(n_inputs)
+        decomposition = DisjointDecomposition(
+            partition,
+            rng.integers(0, 2, partition.n_cols),
+            rng.integers(1, 5, partition.n_rows),
+        )
+        phi = decomposition.pattern[cols].astype(np.int64)
+        expected = decomposition.free_table()[rows, phi]
+        bits = decomposition.evaluate(n_inputs)
+        assert bits.dtype == expected.dtype == np.uint8
+        assert bits.tobytes() == expected.tobytes()
+
+
+class TestTableViewValidation:
+    def test_identity_axes_still_copy(self):
+        # free = the high bits: the view is the identity permutation
+        p = Partition((2, 3), (0, 1))
+        assert p.table_axes(4) == (0, 1, 2, 3)
+        values = np.arange(16)
+        assert not np.shares_memory(to_matrix(values, p, 4), values)
+
+    def test_partition_must_cover_exactly(self):
+        # axes (2, 1, 0, -1) would be a valid permutation to numpy
+        p = Partition((3, 4), (1, 2))
+        with pytest.raises(ValueError, match="covers variables"):
+            to_matrix(np.zeros(16), p, 4)
+        with pytest.raises(ValueError, match="covers variables"):
+            from_matrix(np.zeros((4, 4)), p, 4)
+        with pytest.raises(ValueError, match="covers variables"):
+            DisjointDecomposition(p, np.zeros(4), np.ones(4)).evaluate(4)

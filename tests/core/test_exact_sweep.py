@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro import caching, compile_api, obs, workloads
 from repro.boolean import Partition, ops, random_partition
@@ -56,13 +58,6 @@ ofp = importlib.import_module("repro.core.opt_for_part")
 _SUPPRESS = [HealthCheck.function_scoped_fixture]
 
 
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    caching.clear_caches()
-    yield
-    caching.clear_caches()
-
-
 def _uniform_instance(n_inputs, seed):
     """Integer costs + uniform p: the gate's eligible regime."""
     rng = np.random.default_rng(seed)
@@ -83,12 +78,10 @@ def _production_vs_reference(costs, p, n_inputs, bound, count, seed):
     partitions = [random_partition(n_inputs, bound, sample) for _ in range(count)]
     rng_on = np.random.default_rng(seed + 1)
     rng_off = np.random.default_rng(seed + 1)
-    caching.clear_caches()
     with caching.fast_paths(True):
         on = opt_for_part_many(
             costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_on
         )
-    caching.clear_caches()
     with caching.fast_paths(False):
         off = opt_for_part_many(
             costs, p, partitions, n_inputs, n_initial_patterns=4, rng=rng_off
@@ -397,7 +390,6 @@ class TestGateBoundaries:
             )
             results = []
             for fast in (True, False):
-                caching.clear_caches()
                 with caching.fast_paths(fast):
                     results.append(
                         optimize_nondisjoint(
@@ -434,6 +426,125 @@ class TestGateBoundaries:
         cost0[3] = {"fractional": cost0[3] + 0.5, "negative": -1.0,
                     "nan": np.nan, "inf": np.inf}[bad]
         assert ofp._exact_tier(BitCosts(0, cost0, costs.cost1), p) is None
+
+
+# ----------------------------------------------------------------------
+# Drawn edges of the gate.  The strategy aims at each edge the hand-made
+# boundaries above pin one point of -- T at 2**24 and 2**52, weights 52
+# and 53 bits wide on the common unit, T * 2**U at 2**128 and 2**1024 --
+# under constant and non-constant distributions.  The expected verdict
+# comes from the drawn integers by the gate's documented contract, in
+# Python integers and fractions, not from the gate's own scan.
+# ----------------------------------------------------------------------
+
+
+def _fill_total(total, weights, rng):
+    """Integer costs with ``sum(comb * weights) == total``; entry 0 (weight
+    1) absorbs the remainder."""
+    comb = [0] * len(weights)
+    top = total // (4 * sum(weights))
+    for i in range(1, len(weights)):
+        comb[i] = int(rng.integers(0, top + 1))
+    comb[0] = total - sum(c * w for c, w in zip(comb[1:], weights[1:]))
+    return comb
+
+
+@st.composite
+def _gate_edge(draw):
+    """``(comb, weights, unit)`` at one edge: ``p_i = weights[i] * 2**unit``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    size = 1 << _N
+    constant = draw(st.booleans(), label="constant")
+    weights = [1] * size
+    if not constant:
+        weights[1:] = [int(w) for w in rng.integers(1, 4, size - 1)]
+    edge = draw(st.sampled_from(["total", "width", "range"]), label="edge")
+    if edge == "total":
+        total = draw(
+            st.sampled_from([(1 << 24) - 1, 1 << 24, (1 << 52) - 1, 1 << 52]),
+            label="T",
+        )
+        unit = draw(
+            st.sampled_from([0, -9, -37, -38, -1073, -1074, 104, 105, 972, 973])
+            | st.integers(-1074, 971),
+            label="unit",
+        )
+        comb = _fill_total(total, weights, rng)
+    elif edge == "width":
+        bits = draw(st.sampled_from([52, 53]), label="bits")
+        # the width comes from the odd part, or from a shift onto the
+        # common unit (3 * 2**50 is 52 bits wide on a 2**0 unit)
+        shift = 0 if constant else draw(st.sampled_from([0, bits - 2]))
+        odd = (1 << (bits - shift - 1)) | 1
+        odd |= int(rng.integers(0, 1 << min(bits - shift - 1, 62))) | 1
+        if constant:
+            weights = [odd] * size
+        else:
+            weights[int(rng.integers(1, size))] = odd << shift
+        comb = [int(c) for c in rng.integers(0, 3, size)]
+        comb[int(np.argmax(weights))] = 1
+        unit = draw(st.integers(-1000, 0), label="unit")
+    else:
+        # T * 2**U just below (side 0) or at (side 1) 2**128 or 2**1024
+        edge_bits = draw(st.sampled_from([128, 1024]), label="edge_bits")
+        k = draw(st.sampled_from([12, 23, 24, 25, 40, 52]), label="T_bits")
+        total = draw(st.sampled_from([1 << (k - 1), (1 << k) - 1]), label="T")
+        unit = edge_bits - k + draw(st.sampled_from([0, 1]), label="side")
+        comb = _fill_total(total, weights, rng)
+    return comb, weights, unit
+
+
+def _contract_verdict(comb, weights, unit):
+    """The gate's verdict ``(tier, reason)`` from the exact integers."""
+    p = [math.ldexp(w, unit) for w in weights]
+    if not all(math.isfinite(x) for x in p):
+        return None, "weight"
+    support = [(c, w) for c, w in zip(comb, weights) if c and w]
+    if not support:
+        return "f32", None
+    # the least common dyadic unit of the supported weights
+    trailing = min((w & -w).bit_length() - 1 for _, w in support)
+    support = [(c, w >> trailing) for c, w in support]
+    unit += trailing
+    total = sum(c * w for c, w in support)
+    widest = max(w.bit_length() for _, w in support)
+    constant = len(set(p)) == 1
+    # a weight past 52 bits makes T >= 2**52 by itself; the weighted
+    # scan names the weight unless one entry's cost alone reaches 2**52
+    if not constant and widest > 52 and max(c for c, _ in support) < 1 << 52:
+        return None, "weight"
+    if total >= 1 << 52:
+        return None, "total"
+    scaled = Fraction(total) * Fraction(2) ** unit
+    if unit < -1073 or scaled >= 2**1024:
+        return None, "unit"
+    if total < 1 << 24 and unit >= -37 and scaled < 2**128:
+        return "f32", None
+    return "f64", None
+
+
+class TestDrawnGateEdges:
+    @settings(max_examples=120, deadline=None)
+    @given(_gate_edge())
+    def test_verdict_and_bytes_at_the_edges(self, drawn):
+        comb, weights, unit = drawn
+        rng = np.random.default_rng(abs(unit))
+        comb_f = np.asarray(comb, dtype=np.float64)
+        cost1 = np.floor(comb_f * rng.random(comb_f.size))
+        costs = BitCosts(0, comb_f - cost1, cost1)
+        p = np.array([math.ldexp(w, unit) for w in weights])
+        verdict = ofp._gate(costs, p)
+        kind = "constant" if len(set(weights)) == 1 else "weighted"
+        event(f"{kind}: {verdict.tier or verdict.reason}")
+        assert (verdict.tier, verdict.reason) == _contract_verdict(
+            comb, weights, unit
+        )
+        on, off = _production_vs_reference(costs, p, _N, 2, 3, seed=3)
+        for a, b in zip(on, off):
+            # byte-level: a rejected context may total to inf or nan
+            assert np.float64(a.error).tobytes() == np.float64(b.error).tobytes()
+            assert a.pattern.tobytes() == b.pattern.tobytes()
+            assert a.decomposition.types.tobytes() == b.decomposition.types.tobytes()
 
 
 class TestConvergenceSlack:
@@ -590,7 +701,6 @@ class TestShapeRule:
             assert context.sweep_dtypes(4, 32) == ofp._F64_TIER
             assert context.cofactor({0: 1}).sweep_dtypes(4, 16) == ofp._F32_SUMS
             def solve():
-                caching.clear_caches()
                 return optimize_nondisjoint(
                     costs,
                     p,
@@ -986,7 +1096,6 @@ class TestKernelByteIdentity:
             many = opt_for_part_many(
                 costs, p, partitions, n_inputs, initial_patterns=stacked
             )
-            caching.clear_caches()
             half = count // 2
             grouped = opt_for_part_grouped(
                 [
@@ -1045,7 +1154,6 @@ def _layout_digest(kind, n_inputs, distribution):
     partition = _LAYOUT_PARTITIONS[n_inputs]
     digest = hashlib.sha256()
     for seed in range(8):
-        caching.clear_caches()
         rng = np.random.default_rng(seed)
         costs = BitCosts(
             0,
@@ -1097,7 +1205,6 @@ class TestPipelineByteIdentity:
         rng = np.random.default_rng(2024)
         target = random_function(8, 4, np.random.default_rng(77), name="t")
         with caching.fast_paths(production):
-            caching.clear_caches()
             if algorithm == "dalta":
                 return run_dalta(target, self.CONFIG, rng=rng)
             return run_bssa(
@@ -1179,13 +1286,11 @@ class TestGroupedEngine:
         for n_inputs, (costs, p, partitions, stacked) in zip(
             (6, 6, 7), problems
         ):
-            caching.clear_caches()
             serial.append(
                 opt_for_part_many(
                     costs, p, partitions, n_inputs, initial_patterns=stacked
                 )
             )
-        caching.clear_caches()
         grouped = opt_for_part_grouped(
             [
                 KernelRequest(
@@ -1208,15 +1313,12 @@ class TestGroupedEngine:
         raw = np.random.default_rng(41).random(64) + 1e-3
         random_p = raw / raw.sum()
         uniform_p = distributions.uniform(6)
-        caching.clear_caches()
         serial_ref = opt_for_part_many(
             costs, random_p, partitions, 6, initial_patterns=stacked
         )
-        caching.clear_caches()
         serial_packed = opt_for_part_many(
             costs, uniform_p, partitions, 6, initial_patterns=stacked
         )
-        caching.clear_caches()
         grouped = opt_for_part_grouped(
             [
                 KernelRequest(KernelContext(costs, random_p, 6), partitions, stacked),

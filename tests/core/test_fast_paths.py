@@ -1,7 +1,7 @@
 """Differential tests for the OptForPart performance layer.
 
-Every fast path (cached gather indices, batched ``opt_for_part_many``,
-the exact sweep) must be *bit-exact*: identical errors, identical
+Every fast path (batched ``opt_for_part_many``, the exact sweep) must
+be *bit-exact*: identical errors, identical
 pattern/type bytes, identical downstream generator streams.  These
 tests pin that contract against the serial reference implementation
 (``caching.fast_paths(False)``).
@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro import caching
-from repro.boolean import Partition, ops, random_partition
-from repro.boolean.truth_table import row_col_indices, table_indices
+from repro.boolean import Partition, random_partition
 from repro.core import (
     AlgorithmConfig,
     cost_vectors_fixed,
@@ -25,14 +24,6 @@ from repro.core import (
 )
 
 from ..conftest import random_bits, random_function
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    """Isolate every test from cross-test cache state."""
-    caching.clear_caches()
-    yield
-    caching.clear_caches()
 
 
 def _instance(n_inputs, seed):
@@ -75,39 +66,6 @@ def _run_fingerprint(result):
                 entry.append((name, vector.tobytes()))
         out.append(tuple(entry))
     return out
-
-
-class TestIndexCache:
-    def test_matches_bit_extraction(self):
-        rng = np.random.default_rng(0)
-        for n_inputs in (4, 6, 9):
-            for bound in (1, 2, n_inputs - 2):
-                partition = random_partition(n_inputs, bound, rng)
-                scatter, gather = table_indices(partition, n_inputs)
-                reference = partition.scatter_index(n_inputs)
-                np.testing.assert_array_equal(scatter, reference)
-                # gather is the inverse permutation
-                np.testing.assert_array_equal(
-                    gather[scatter], np.arange(1 << n_inputs)
-                )
-
-    def test_row_col_matches_extraction(self):
-        rng = np.random.default_rng(1)
-        partition = random_partition(8, 3, rng)
-        rows, cols = row_col_indices(partition, 8)
-        ref_rows, ref_cols = partition.row_col_of(ops.all_inputs(8))
-        np.testing.assert_array_equal(rows, ref_rows)
-        np.testing.assert_array_equal(cols, ref_cols)
-
-    def test_cached_arrays_are_shared_and_readonly(self):
-        partition = Partition((2, 3), (0, 1))
-        first = table_indices(partition, 4)
-        second = table_indices(partition, 4)
-        assert first[0] is second[0] and first[1] is second[1]
-        assert not first[0].flags.writeable
-        assert not first[1].flags.writeable
-        with pytest.raises(ValueError):
-            first[1][0] = 7
 
 
 class TestNeighbourSampling:
@@ -208,7 +166,6 @@ class TestPipelineBitExact:
         rng = np.random.default_rng(2024)
         target = random_function(8, 4, np.random.default_rng(77), name="t")
         with caching.fast_paths(fast):
-            caching.clear_caches()
             if algorithm == "dalta":
                 return run_dalta(target, self.CONFIG, rng=rng)
             return run_bssa(
@@ -233,7 +190,5 @@ class TestPipelineBitExact:
         """A same-seed rerun in a warm process repeats the first run."""
         target = random_function(8, 3, np.random.default_rng(5), name="w")
         cold = run_bssa(target, self.CONFIG, rng=np.random.default_rng(31))
-        # same seed again, the truth-table index caches still warm
         warm = run_bssa(target, self.CONFIG, rng=np.random.default_rng(31))
         assert _run_fingerprint(cold) == _run_fingerprint(warm)
-        assert any(stats["hits"] for stats in caching.cache_stats().values())

@@ -232,7 +232,6 @@ def run_fused_and_serial(solve):
     """
     results, states = [], []
     for fast in (True, False):
-        caching.clear_caches()
         rng = np.random.default_rng(11)
         with caching.fast_paths(fast):
             results.append(solve(rng))

@@ -6,7 +6,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import caching
 from repro.boolean import BoundOnlyDecomposition, DisjointDecomposition, Partition
 from repro.boolean.decomposition import (
     MultiSharedDecomposition,
@@ -173,7 +172,6 @@ class TestEvaluateOncePerRun:
     def test_each_setting_evaluated_at_most_once(self, architecture, evaluations):
         rng = np.random.default_rng(2024)
         target = random_function(8, 4, np.random.default_rng(77), name="t")
-        caching.clear_caches()
         if architecture == "dalta":
             result = run_dalta(target, TestPipelineBitExact.CONFIG, rng=rng)
         else:

@@ -115,14 +115,12 @@ class TestPackedKernelAxis:
         self, tmp_path, monkeypatch
     ):
         with caching.fast_paths(True):
-            caching.clear_caches()
             production = run_table2(
                 ExperimentScale.smoke(), base_seed=_BASE_SEED
             )
 
         monkeypatch.setenv("REPRO_FAST_PATHS", "0")
         with caching.fast_paths(False):
-            caching.clear_caches()
             serial_off = run_table2(
                 ExperimentScale.smoke(), base_seed=_BASE_SEED
             )
@@ -181,13 +179,11 @@ class TestPackedKillResume:
         assert len(status.done) == _KILL_AFTER_JOB + 1
 
         with caching.fast_paths(True):
-            caching.clear_caches()
             result, outcome = resume_campaign(campaign_dir, faults=FaultPlan())
         assert outcome.complete
         assert outcome.resumed == _KILL_AFTER_JOB + 1
 
         with caching.fast_paths(False):
-            caching.clear_caches()
             reference = run_table2(
                 ExperimentScale.smoke(), base_seed=_BASE_SEED
             )

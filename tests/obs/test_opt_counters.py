@@ -14,7 +14,6 @@ import pytest
 
 from repro import caching, obs
 from repro.boolean import Partition
-from repro.boolean.truth_table import table_indices
 from repro.core import (
     BitCosts,
     cost_vectors_fixed,
@@ -26,13 +25,6 @@ from repro.core.opt_for_part import KernelContext
 
 from ..conftest import random_bits, random_function
 from ..core.test_fast_paths import TestPipelineBitExact
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    caching.clear_caches()
-    yield
-    caching.clear_caches()
 
 
 def _instance(n_inputs=6, seed=17):
@@ -78,14 +70,15 @@ class TestEnabled:
         assert sink.counters().get("opt.bto_calls") == 2
 
     def test_cache_counters_surface_in_session(self):
-        _, _, partition = _instance()
+        cache = caching.LruCache("t.local", maxsize=1)
         sink = obs.MemorySink()
         with obs.session(sink):
-            table_indices(partition, 6)  # miss
-            table_indices(partition, 6)  # hit
+            assert cache.get("k") is None  # miss
+            cache.put("k", 1)
+            assert cache.get("k") == 1  # hit
         counters = sink.counters()
-        assert counters.get("cache.table_index.miss") == 1
-        assert counters.get("cache.table_index.hit") == 1
+        assert counters.get("cache.t.local.miss") == 1
+        assert counters.get("cache.t.local.hit") == 1
 
     def test_gate_counters_of_a_fixed_nd_run(self):
         """One verdict count per kernel request, ND halves included.

@@ -5,7 +5,6 @@ import threading
 
 import pytest
 
-from repro import caching
 from repro.serve.cache import ArtifactCache
 
 
@@ -30,14 +29,6 @@ class TestMemoryLayer:
         assert cache.get("a") is None  # oldest evicted
         assert cache.get("c") is not None
         assert cache.stats()["evictions"] == 1
-
-    def test_survives_clear_caches(self):
-        # the inline backend's RunSpec.execute clears all *registered*
-        # caches per run; the artifact cache must not be among them
-        cache = ArtifactCache(capacity=4)
-        cache.put("k1", payload_for("k1"))
-        caching.clear_caches()
-        assert cache.get("k1") is not None
 
 
 class TestDiskLayer:
