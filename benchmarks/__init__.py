@@ -23,12 +23,6 @@ def snapshot_provenance() -> Dict[str, Any]:
     Records the git revision, creation time, host CPU count, and Python
     version so a snapshot can be traced back to the tree and machine
     that produced it (``repro summarize BENCH_*.json`` prints these).
-
-    ``shard`` is non-null when the producing process was one shard of
-    a sharded campaign (the engine exports ``REPRO_SHARD=i/n`` while a
-    ``--shard`` run is in flight): numbers from a partial, unmerged
-    shard run are not comparable to whole-campaign baselines, and
-    ``benchmarks/check_regression.py`` rejects such snapshots.
     """
     from repro.obs import git_revision
 
@@ -41,5 +35,4 @@ def snapshot_provenance() -> Dict[str, Any]:
         ).isoformat(timespec="seconds"),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
-        "shard": os.environ.get("REPRO_SHARD"),
     }

@@ -79,29 +79,6 @@ def _load(path: Path) -> Dict[str, Any]:
         return json.load(handle)
 
 
-def _check_provenance(
-    ratchet: Ratchet, tag: str, snapshot: Dict[str, Any], role: str
-) -> None:
-    """Reject snapshots produced from a partial (unmerged) shard run.
-
-    A ``--shard i/n`` process exports ``REPRO_SHARD`` and
-    ``snapshot_provenance()`` stamps it: such numbers cover only one
-    shard's partition, so they are not comparable to whole-campaign
-    baselines.  Merge the shard directories and regenerate instead.
-    """
-    shard = (snapshot.get("provenance") or {}).get("shard")
-    ratchet.check(
-        f"{tag}: {role} provenance",
-        shard is None,
-        "whole-campaign snapshot"
-        if shard is None
-        else (
-            f"produced by shard {shard} of a sharded campaign — "
-            "merge the shards and regenerate the snapshot"
-        ),
-    )
-
-
 def _med_rows(snapshot: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
     return {row["benchmark"]: row for row in snapshot.get("meds", [])}
 
@@ -226,8 +203,6 @@ def check_table2(
     fresh: Dict[str, Any],
     tolerance: float,
 ) -> None:
-    _check_provenance(ratchet, "table2", committed, "committed")
-    _check_provenance(ratchet, "table2", fresh, "fresh")
     _check_meds(ratchet, "table2", committed, fresh)
 
     def ratio(snapshot: Dict[str, Any]) -> Optional[float]:
@@ -253,8 +228,6 @@ def check_packed(
     fresh: Dict[str, Any],
     tolerance: float,
 ) -> None:
-    _check_provenance(ratchet, "packed", committed, "committed")
-    _check_provenance(ratchet, "packed", fresh, "fresh")
     _check_meds(ratchet, "packed", committed, fresh)
     ratchet.check(
         "packed: cross-mode byte identity",
@@ -286,8 +259,6 @@ def check_serve(
     fresh: Dict[str, Any],
     tolerance: float,
 ) -> None:
-    _check_provenance(ratchet, "serve", committed, "committed")
-    _check_provenance(ratchet, "serve", fresh, "fresh")
     _check_meds(ratchet, "serve", committed, fresh)
     ratchet.check(
         "serve: served-vs-offline byte identity",

@@ -16,11 +16,8 @@ Commands
 ``resume``
     Resume an interrupted campaign from its checkpoint directory.
 ``status``
-    Show a campaign directory's progress (done / running / pending /
-    quarantined, with per-shard breakdown for sharded campaigns).
-``merge-campaign``
-    Join shard campaign directories (``repro run --shard i/n``) into
-    one campaign byte-identical to an unsharded run.
+    Show a campaign directory's progress (done / pending /
+    quarantined).
 ``info``
     Describe a saved configuration file.
 ``summarize``
@@ -48,7 +45,6 @@ from typing import List, Optional
 from . import compile_api, obs, workloads
 from .core import serialize
 from .experiments.runner import SCALE_NAMES, ExperimentScale
-from .experiments.store import DEFAULT_LEASE_TTL  # stdlib-only
 
 # The harnesses and the campaign engine are imported inside the commands
 # that run them, so ``compile``, ``info`` or ``--help`` never load them.
@@ -152,37 +148,23 @@ def _jobs_arg(text: str) -> int:
     return value
 
 
-def _shard_arg(text: str):
-    """argparse type for ``--shard``: ``i/n`` with 0 <= i < n."""
-    index_text, _, count_text = text.partition("/")
-    try:
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected i/n (e.g. 2/4), got {text!r}"
-        )
-    if count < 1 or not (0 <= index < count):
-        raise argparse.ArgumentTypeError(
-            f"shard index must be in [0, n) with n >= 1; got {text!r}"
-        )
-    return (index, count)
+def _campaign_setup(args):
+    """Engine config and ``REPRO_FAULTS`` plan of ``run``/``resume``.
 
-
-def _engine_config(args):
+    Raises ``ValueError`` for a bad option or fault plan, which the
+    commands report as a configuration error (exit 2).
+    """
+    from . import faults
     from .experiments.engine import EngineConfig, resolve_jobs
 
-    shard = getattr(args, "shard", None)
-    return EngineConfig(
+    config = EngineConfig(
         n_jobs=resolve_jobs(args.jobs),
         job_timeout=args.timeout,
         max_retries=args.retries,
         backoff_base=args.backoff,
         metrics_port=args.metrics_port,
-        store=getattr(args, "store", "local"),
-        shard_index=None if shard is None else shard[0],
-        shard_count=None if shard is None else shard[1],
-        lease_ttl=getattr(args, "lease_ttl", DEFAULT_LEASE_TTL),
     )
+    return config, faults.from_env()
 
 
 def _report_outcome(outcome) -> int:
@@ -197,30 +179,11 @@ def _report_outcome(outcome) -> int:
     return 0
 
 
-def _render_result(result, outcome) -> None:
-    """Print the experiment report, unless this was a partial shard run.
-
-    A strictly partitioned ``--shard i/n`` run holds only its own
-    slice of the campaign — rendering the full table from it would be
-    misleading (and some benchmarks may have no completed runs at
-    all), so point at ``merge-campaign`` instead.
-    """
-    if outcome.skipped:
-        print(
-            f"shard run complete: {outcome.skipped} job(s) belong to "
-            "other shards; join the shard directories with "
-            "`repro merge-campaign <dirs...> --into <dir>` and resume "
-            "or summarize the merged campaign"
-        )
-        return
-    print(result.render())
-
-
 def _cmd_run(args) -> int:
     from .experiments.engine import run_experiment_campaign
 
     try:
-        config = _engine_config(args)
+        config, plan = _campaign_setup(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -230,8 +193,9 @@ def _cmd_run(args) -> int:
         base_seed=args.seed or 0,
         campaign_dir=args.dir,
         config=config,
+        faults=plan,
     )
-    _render_result(result, outcome)
+    print(result.render())
     return _report_outcome(outcome)
 
 
@@ -239,14 +203,12 @@ def _cmd_resume(args) -> int:
     from .experiments.engine import CampaignError, resume_campaign
 
     try:
-        result, outcome = resume_campaign(args.dir, config=_engine_config(args))
-    except ValueError as exc:
+        config, plan = _campaign_setup(args)
+        result, outcome = resume_campaign(args.dir, config=config, faults=plan)
+    except (ValueError, CampaignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _render_result(result, outcome)
+    print(result.render())
     return _report_outcome(outcome)
 
 
@@ -259,18 +221,6 @@ def _cmd_status(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _cmd_merge(args) -> int:
-    from .experiments.store import CampaignError, merge_campaigns
-
-    try:
-        outcome = merge_campaigns(args.sources, args.into)
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(outcome.render())
-    return 0 if outcome.complete else 3
 
 
 def _render_bench_snapshot(path: str, payload: dict) -> str:
@@ -530,38 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
             "with `repro top`)"
         ),
     )
-    engine_opts.add_argument(
-        "--shard",
-        type=_shard_arg,
-        default=None,
-        metavar="I/N",
-        help=(
-            "run only shard I of N (jobs partitioned by stable "
-            "fingerprint hash — byte-identical membership on every "
-            "host); join shard dirs with `repro merge-campaign`"
-        ),
-    )
-    engine_opts.add_argument(
-        "--store",
-        default="local",
-        choices=["local", "shared"],
-        help=(
-            "checkpoint store: local = one engine per directory, "
-            "shared = concurrent shards on one shared-filesystem "
-            "directory with lease-based work claiming"
-        ),
-    )
-    engine_opts.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=DEFAULT_LEASE_TTL,
-        metavar="SECONDS",
-        help=(
-            "seconds a shared-store lease stays valid without a "
-            "heartbeat; a dead shard's jobs are reclaimed by a "
-            "sibling after this long (default %(default)s)"
-        ),
-    )
 
     run_parser = sub.add_parser(
         "run",
@@ -589,19 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     status_parser.add_argument("dir", help="campaign checkpoint directory")
     status_parser.set_defaults(func=_cmd_status)
-
-    merge_parser = sub.add_parser(
-        "merge-campaign",
-        help="join shard campaign directories into one campaign",
-        parents=[telemetry],
-    )
-    merge_parser.add_argument(
-        "sources", nargs="+", help="shard campaign directories to merge"
-    )
-    merge_parser.add_argument(
-        "--into", required=True, help="destination campaign directory"
-    )
-    merge_parser.set_defaults(func=_cmd_merge)
 
     info_parser = sub.add_parser(
         "info", help="describe a saved configuration", parents=[telemetry]

@@ -72,6 +72,20 @@ def apply_types(types: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _cofactor_table(
+    cofactor: np.ndarray, phi: np.ndarray, free_tables: Tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """The ``(rows x cols)`` table ``F_j(φ(c), r)`` with ``j = cofactor[c]``.
+
+    ``phi`` is the merged bound table and ``cofactor`` the shared-bit
+    value of each bound-set column; the shared bits sit in the bound
+    set, so each column reads one free table.
+    """
+    bank = np.stack(free_tables)  # (2**s, rows, 2)
+    rows = np.arange(bank.shape[1])[:, None]
+    return bank[cofactor, rows, phi]
+
+
 class Decomposition:
     """Common interface of all decomposition flavours."""
 
@@ -285,16 +299,15 @@ class NonDisjointDecomposition(Decomposition):
         )
 
     def evaluate(self, n_inputs: int) -> np.ndarray:
-        self.partition.validate_for(n_inputs)
-        xs = ops.all_inputs(n_inputs)
-        rows = ops.extract_bits(xs, self.partition.free)
-        cols = ops.extract_bits(xs, self.reduced_bound)
-        sel = ops.bit_of(xs, self.shared)
-        phi = np.where(sel, self.pattern1[cols], self.pattern0[cols])
-        half0, half1 = self.halves()
-        f0 = half0.free_table()[rows, phi.astype(np.int64)]
-        f1 = half1.free_table()[rows, phi.astype(np.int64)]
-        return np.where(sel, f1, f0).astype(np.uint8)
+        table = _cofactor_table(
+            self._column_cofactor(), self.bound_table(), self.free_tables()
+        )
+        return from_matrix(table, self.partition, n_inputs)
+
+    def _column_cofactor(self) -> np.ndarray:
+        """``x_s`` in each bound-set column (sorted bound order)."""
+        shared_pos = self.partition.bound.index(self.shared)
+        return ops.bit_of(ops.all_inputs(self.partition.n_bound), shared_pos)
 
     # ------------------------------------------------------------------
     def bound_table(self) -> np.ndarray:
@@ -303,12 +316,11 @@ class NonDisjointDecomposition(Decomposition):
         Indexed by the full bound set ``B`` (sorted order), matching the
         single physical bound table of the BTO-Normal-ND architecture.
         """
-        b = self.partition.n_bound
-        cols = ops.all_inputs(b)
-        positions = {v: i for i, v in enumerate(self.partition.bound)}
-        shared_pos = positions[self.shared]
-        reduced_pos = [positions[v] for v in self.reduced_bound]
-        sel = ops.bit_of(cols, shared_pos)
+        cols = ops.all_inputs(self.partition.n_bound)
+        reduced_pos = [
+            self.partition.bound.index(v) for v in self.reduced_bound
+        ]
+        sel = self._column_cofactor()
         reduced_idx = ops.extract_bits(cols, reduced_pos)
         return np.where(
             sel, self.pattern1[reduced_idx], self.pattern0[reduced_idx]
@@ -421,25 +433,22 @@ class MultiSharedDecomposition(Decomposition):
         )
 
     def evaluate(self, n_inputs: int) -> np.ndarray:
-        self.partition.validate_for(n_inputs)
-        xs = ops.all_inputs(n_inputs)
-        rows = ops.extract_bits(xs, self.partition.free)
-        cols = ops.extract_bits(xs, self.reduced_bound)
-        select = ops.extract_bits(xs, self.shared)
-        halves = self.halves()
-        free_tables = np.stack([h.free_table() for h in halves])  # (2^s, rows, 2)
-        pattern_bank = np.stack(self.patterns)  # (2^s, reduced_cols)
-        phi = pattern_bank[select, cols]
-        return free_tables[select, rows, phi.astype(np.int64)]
+        table = _cofactor_table(
+            self._column_cofactor(), self.bound_table(), self.free_tables()
+        )
+        return from_matrix(table, self.partition, n_inputs)
+
+    def _column_cofactor(self) -> np.ndarray:
+        """The shared bits' value ``j`` in each bound-set column."""
+        positions = [self.partition.bound.index(v) for v in self.shared]
+        return ops.extract_bits(ops.all_inputs(self.partition.n_bound), positions)
 
     def bound_table(self) -> np.ndarray:
         """Merged bound table over the full bound set (sorted order)."""
-        b = self.partition.n_bound
-        cols = ops.all_inputs(b)
-        positions = {v: i for i, v in enumerate(self.partition.bound)}
-        select = ops.extract_bits(cols, [positions[v] for v in self.shared])
+        cols = ops.all_inputs(self.partition.n_bound)
+        select = self._column_cofactor()
         reduced_idx = ops.extract_bits(
-            cols, [positions[v] for v in self.reduced_bound]
+            cols, [self.partition.bound.index(v) for v in self.reduced_bound]
         )
         pattern_bank = np.stack(self.patterns)
         return pattern_bank[select, reduced_idx].astype(np.uint8)

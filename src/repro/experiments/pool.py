@@ -491,7 +491,7 @@ class WorkerPool:
 
         With nothing in flight there is nothing to wait on, so the call
         sleeps out its timeout rather than returning at once — a caller
-        polling for deferred work then idles instead of spinning.
+        polling in a loop then idles instead of spinning.
         Results are drained before death checks so a worker that
         replied and then crashed still counts its job as finished.
         """

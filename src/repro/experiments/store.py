@@ -1,82 +1,43 @@
-"""Pluggable checkpoint persistence for sharded campaigns.
+"""Crash-safe checkpoint persistence for one campaign directory.
 
-The checkpointed engine (:mod:`repro.experiments.engine`) originally
-wrote its fingerprint-keyed job checkpoints straight into a local
-campaign directory.  That layout is one *store* among several: this
-module abstracts it behind :class:`CheckpointStore` so a campaign can
-also run **sharded across hosts** over a shared filesystem.
+The checkpointed engine (:mod:`repro.experiments.engine`) keeps each
+campaign in one directory, laid out by :class:`LocalStore`::
 
-Two stores ship today:
+    campaign.json               manifest: engine config, invocation, jobs
+    jobs/job-XXXXX.json         one checkpoint per finished job
+    quarantine/job-XXXXX.json   why a poison job was given up
 
-:class:`LocalStore`
-    The original single-writer layout (``campaign.json`` + ``jobs/`` +
-    ``quarantine/``).  Claiming is trivial — there is exactly one
-    engine per directory.
-
-:class:`SharedDirStore`
-    The same layout plus a ``leases/`` directory, safe for concurrent
-    writers on a shared filesystem.  Work is claimed through
-    ``O_CREAT|O_EXCL`` lease files with a TTL; a live engine renews
-    its leases (heartbeat) from inside its supervision loop, so an
-    engine that dies — or hangs — simply stops renewing and its jobs
-    become reclaimable by a sibling shard instead of blocking the
-    campaign.  Checkpoint writes stay atomic (write-temp + ``fsync``
-    + ``rename``), so two racing writers can only ever produce a
-    complete file, and duplicated work is bit-identical by
-    construction (jobs are deterministic in their fingerprint).
-
-Deterministic sharding lives here too: :func:`shard_of` maps a
-:meth:`RunSpec.fingerprint` to a shard by stable content hash
-(sha256, never Python's randomised ``hash()``), so the partition of a
-campaign into ``n`` shards is byte-identical on every host and every
-run.  :func:`merge_campaigns` joins shard directories back into one
-campaign whose checkpoints and manifest match an unsharded run.
+Every write goes through :func:`atomic_write_json` (write a temp file,
+``fsync``, ``rename``), so a reader sees either the old state or the
+complete new one, even after a SIGKILL or power loss at any point.
+One engine writes a directory at a time.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import socket
 import tempfile
-import time
-import uuid
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 __all__ = [
     "CAMPAIGN_FILE",
     "JOBS_DIR",
     "QUARANTINE_DIR",
-    "LEASES_DIR",
-    "DEFAULT_LEASE_TTL",
     "CampaignError",
     "CampaignMismatch",
-    "CheckpointStore",
     "LocalStore",
-    "SharedDirStore",
-    "LeaseInfo",
-    "MergeOutcome",
     "atomic_write_json",
-    "merge_campaigns",
-    "normalized_job_payload",
-    "shard_of",
-    "shard_indices",
 ]
 
 SCHEMA = 1
 CAMPAIGN_FILE = "campaign.json"
 JOBS_DIR = "jobs"
 QUARANTINE_DIR = "quarantine"
-LEASES_DIR = "leases"
-
-#: seconds a lease stays valid without a heartbeat renewal
-DEFAULT_LEASE_TTL = 30.0
 
 
 class CampaignError(RuntimeError):
-    """A campaign could not run, resume, or merge."""
+    """A campaign could not run or resume."""
 
 
 class CampaignMismatch(CampaignError):
@@ -102,8 +63,7 @@ def atomic_write_json(path: str, payload: Any) -> None:
 
     A reader never observes a partially-written file — either the old
     state exists or the complete new one does, even across SIGKILL or
-    power loss at any point.  On a shared filesystem this also means
-    two concurrent writers can only ever race whole files, never bytes.
+    power loss at any point.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(
@@ -124,95 +84,11 @@ def atomic_write_json(path: str, payload: Any) -> None:
     _fsync_dir(directory)
 
 
-def _copy_file_atomic(src: str, dst: str) -> None:
-    """Copy ``src`` to ``dst`` byte-for-byte, atomically at ``dst``."""
-    with open(src, "rb") as handle:
-        blob = handle.read()
-    directory = os.path.dirname(os.path.abspath(dst))
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(dst) + ".tmp-", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, dst)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(directory)
-
-
 # ======================================================================
-# Deterministic sharding
+# The store
 # ======================================================================
-def shard_of(fingerprint: str, shard_count: int) -> int:
-    """Deterministic shard of a job fingerprint, for ``shard_count`` shards.
-
-    Hashes the fingerprint *content* with sha256 — never Python's
-    process-randomised ``hash()`` — so membership is byte-identical
-    across hosts, interpreter restarts, and ``PYTHONHASHSEED``
-    settings, and every fingerprint lands in exactly one shard.
-    """
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
-    digest = hashlib.sha256(str(fingerprint).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % shard_count
-
-
-def shard_indices(
-    fingerprints: Sequence[str], shard_index: int, shard_count: int
-) -> List[int]:
-    """Positions of the jobs shard ``shard_index`` owns, in job order."""
-    if not (0 <= shard_index < shard_count):
-        raise ValueError(
-            f"shard_index must be in [0, {shard_count}); got {shard_index}"
-        )
-    return [
-        position
-        for position, fingerprint in enumerate(fingerprints)
-        if shard_of(fingerprint, shard_count) == shard_index
-    ]
-
-
-# ======================================================================
-# Lease bookkeeping
-# ======================================================================
-@dataclass(frozen=True)
-class LeaseInfo:
-    """Decoded contents of one lease file."""
-
-    owner: str
-    acquired: float
-    expires: float
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        return (now if now is not None else time.time()) >= self.expires
-
-
-def default_owner() -> str:
-    """Globally-unique-enough lease owner id for this engine process."""
-    return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-
-
-# ======================================================================
-# The store interface
-# ======================================================================
-class CheckpointStore:
-    """Persistence + work-claiming backend of one campaign directory.
-
-    The base class implements the shared on-disk layout (manifest,
-    ``jobs/``, ``quarantine/``) and the *single-writer* claiming
-    policy: every claim succeeds and leases do not exist.  Subclasses
-    override the lease surface for concurrent writers.
-    """
-
-    #: whether :meth:`try_claim` arbitrates between concurrent engines
-    supports_leases = False
+class LocalStore:
+    """The on-disk layout of one campaign directory (one writer)."""
 
     def __init__(self, root: str) -> None:
         self.root = root
@@ -271,451 +147,3 @@ class CheckpointStore:
 
     def write_quarantine(self, index: int, payload: Dict[str, Any]) -> None:
         atomic_write_json(self.quarantine_path(index), payload)
-
-    # -- claiming (single-writer defaults) -----------------------------
-    def try_claim(self, index: int) -> bool:
-        """Claim job ``index`` for this engine.  Single writer: always."""
-        return True
-
-    def renew_held(self) -> None:
-        """Heartbeat: refresh the TTL of every lease this engine holds."""
-
-    def release(self, index: int) -> None:
-        """Drop the claim on job ``index`` (done or quarantined)."""
-
-    def release_all(self) -> None:
-        """Drop every claim this engine still holds (engine shutdown)."""
-
-    def lease_info(self, index: int) -> Optional[LeaseInfo]:
-        """Decoded lease of job ``index``, or ``None``."""
-        return None
-
-    def plant_stale_lease(self, index: int) -> None:
-        """Fault-injection hook: simulate a dead sibling's stale lease."""
-
-    def describe(self) -> str:
-        return f"{type(self).__name__}({self.root})"
-
-
-class LocalStore(CheckpointStore):
-    """The original local-directory layout: one engine, no leases."""
-
-
-class SharedDirStore(CheckpointStore):
-    """Concurrent-writer store for a shared filesystem.
-
-    Claiming creates ``leases/job-XXXXX.lease`` with ``O_CREAT|O_EXCL``
-    — exactly one engine can win.  A lease carries its owner id and an
-    expiry ``ttl`` seconds out; :meth:`renew_held` (called from the
-    engine's supervision loop) rewrites held leases at one third of
-    the TTL, so an engine that stops making progress — killed, hung,
-    or partitioned away — stops renewing and its leases expire.  An
-    expired lease is *stolen*: the claimant takes a short-lived
-    ``.steal`` lock (``O_EXCL``, so exactly one stealer arbitrates at
-    a time), re-checks that the lease is still stale under the lock,
-    and overwrites it in place — a straggler's jobs are re-run by a
-    sibling instead of blocking the campaign, and a job can never end
-    up with two claim winners.
-
-    Telemetry: ``lease.claimed`` / ``lease.expired`` / ``lease.stolen``
-    counters fire on the respective transitions.
-    """
-
-    supports_leases = True
-
-    def __init__(
-        self,
-        root: str,
-        owner: Optional[str] = None,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-    ) -> None:
-        super().__init__(root)
-        if lease_ttl <= 0:
-            raise ValueError("lease_ttl must be positive")
-        self.owner = owner or default_owner()
-        self.lease_ttl = float(lease_ttl)
-        #: job index -> monotonic-ish wall time of the next renewal
-        self._held: Dict[int, float] = {}
-
-    # -- layout --------------------------------------------------------
-    def prepare(self) -> None:
-        super().prepare()
-        os.makedirs(os.path.join(self.root, LEASES_DIR), exist_ok=True)
-
-    def lease_path(self, index: int) -> str:
-        return os.path.join(self.root, LEASES_DIR, f"job-{index:05d}.lease")
-
-    # -- lease primitives ----------------------------------------------
-    def _lease_payload(self, now: float) -> Dict[str, Any]:
-        return {
-            "owner": self.owner,
-            "acquired": now,
-            "expires": now + self.lease_ttl,
-        }
-
-    def _create_exclusive(self, path: str, payload: Dict[str, Any]) -> bool:
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except BaseException:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            raise
-        return True
-
-    def lease_info(self, index: int) -> Optional[LeaseInfo]:
-        path = self.lease_path(index)
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            return LeaseInfo(
-                owner=str(payload["owner"]),
-                acquired=float(payload["acquired"]),
-                expires=float(payload["expires"]),
-            )
-        except (OSError, ValueError, KeyError, TypeError):
-            # Missing, torn (O_EXCL writer mid-write), or garbage: the
-            # claim path treats it as claimable once it is stale.
-            return None
-
-    def try_claim(self, index: int) -> bool:
-        from .. import obs
-
-        path = self.lease_path(index)
-        now = time.time()
-        if self._create_exclusive(path, self._lease_payload(now)):
-            self._held[index] = now + self.lease_ttl / 3.0
-            obs.incr("lease.claimed")
-            return True
-        info = self.lease_info(index)
-        if info is not None and info.owner == self.owner:
-            # Re-claim across retries of our own job: refresh in place.
-            atomic_write_json(path, self._lease_payload(now))
-            self._held[index] = now + self.lease_ttl / 3.0
-            return True
-        if info is not None and not info.expired(now):
-            return False  # a live sibling holds it
-        if info is None and not self._torn_lease_stale(path, now):
-            return False  # a concurrent winner mid-flush; retry later
-        # Stale (expired) or old-torn: steal.  Arbitrate through a lock
-        # file so the staleness re-check and the overwrite are atomic
-        # w.r.t. other stealers — renaming the lease itself aside would
-        # re-target whatever is at the path by then, letting a slow
-        # stealer yank a *freshly re-created* live lease and hand the
-        # job two winners.
-        if not self._acquire_steal_lock(path, now):
-            return False  # another stealer is arbitrating; retry later
-        try:
-            current = self.lease_info(index)
-            if current is not None and not current.expired(time.time()):
-                return False  # a fresh claim landed before we locked
-            if current is None and not os.path.exists(path):
-                # Released while we arbitrated: an ordinary fresh claim.
-                if self._create_exclusive(path, self._lease_payload(now)):
-                    self._held[index] = now + self.lease_ttl / 3.0
-                    obs.incr("lease.claimed")
-                    return True
-                return False
-            if current is None and not self._torn_lease_stale(
-                path, time.time()
-            ):
-                return False  # unreadable but fresh: a writer mid-flush
-            # Expired or old-torn lease still on disk.  Overwriting in
-            # place is safe: fresh claimants need the path absent (it
-            # is not) and other stealers need the lock (we hold it).
-            obs.incr("lease.expired")
-            atomic_write_json(path, self._lease_payload(now))
-            self._held[index] = now + self.lease_ttl / 3.0
-            obs.incr("lease.stolen")
-            obs.incr("lease.claimed")
-            return True
-        finally:
-            self._release_steal_lock(path)
-
-    def _torn_lease_stale(self, path: str, now: float) -> bool:
-        """Is an unparseable lease file steal-eligible?
-
-        A lease that exists but cannot be parsed is either a concurrent
-        winner between ``O_EXCL`` create and its JSON flush (treat as
-        live — it resolves in microseconds) or debris from an engine
-        that crashed mid-write (steal it once older than the TTL).
-        """
-        try:
-            return now - os.stat(path).st_mtime > self.lease_ttl
-        except OSError:
-            return False  # vanished: released; the next claim is fresh
-
-    def _steal_lock_path(self, path: str) -> str:
-        return path + ".steal"
-
-    def _acquire_steal_lock(self, path: str, now: float) -> bool:
-        lock = self._steal_lock_path(path)
-        payload = {"owner": self.owner, "acquired": now}
-        if self._create_exclusive(lock, payload):
-            return True
-        # A crashed stealer may have left its lock behind.  A live
-        # steal holds the lock for microseconds, so a lock older than
-        # the TTL is junk; rename it aside (one reaper can win) before
-        # taking a fresh one.
-        try:
-            age = now - os.stat(lock).st_mtime
-        except OSError:
-            return False  # holder just released it; retry next poll
-        if age <= self.lease_ttl:
-            return False
-        tombstone = lock + f".reaped-{self.owner}-{uuid.uuid4().hex[:8]}"
-        try:
-            os.rename(lock, tombstone)
-        except OSError:
-            return False
-        try:
-            os.unlink(tombstone)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        return self._create_exclusive(lock, payload)
-
-    def _release_steal_lock(self, path: str) -> None:
-        try:
-            os.unlink(self._steal_lock_path(path))
-        except OSError:  # pragma: no cover - lock reaped as stale
-            pass
-
-    def renew_held(self) -> None:
-        if not self._held:
-            return
-        now = time.time()
-        for index, due in list(self._held.items()):
-            if now < due:
-                continue
-            atomic_write_json(
-                self.lease_path(index), self._lease_payload(now)
-            )
-            self._held[index] = now + self.lease_ttl / 3.0
-
-    def release(self, index: int) -> None:
-        if self._held.pop(index, None) is None:
-            return
-        info = self.lease_info(index)
-        if info is not None and info.owner != self.owner:
-            return  # stolen from us while we were presumed dead
-        try:
-            os.unlink(self.lease_path(index))
-        except OSError:
-            pass
-
-    def release_all(self) -> None:
-        for index in list(self._held):
-            self.release(index)
-
-    def plant_stale_lease(self, index: int) -> None:
-        """Write an already-expired ghost lease, as a dead sibling would.
-
-        Only plants when no lease exists, so the deterministic
-        ``stale-lease@job`` fault cannot clobber real arbitration.
-        """
-        now = time.time()
-        self._create_exclusive(
-            self.lease_path(index),
-            {"owner": "ghost-injected", "acquired": now - 2.0, "expires": now - 1.0},
-        )
-
-
-# ======================================================================
-# Merging shard directories
-# ======================================================================
-#: checkpoint fields legitimately different between two executions of
-#: the same job (wall clock + captured telemetry) — everything else is
-#: deterministic in the job fingerprint
-TIMING_PAYLOAD_FIELDS = ("elapsed_seconds", "telemetry")
-
-
-def normalized_job_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """A checkpoint payload with its timing-derived fields stripped.
-
-    Two executions of the same fingerprint must agree on *this* —
-    MEDs, settings, seeds, stats — byte for byte; only wall clock and
-    captured telemetry may differ.
-    """
-    return {
-        key: value
-        for key, value in payload.items()
-        if key not in TIMING_PAYLOAD_FIELDS
-    }
-
-
-@dataclass
-class MergeOutcome:
-    """What ``merge_campaigns`` produced."""
-
-    dest: str
-    sources: List[str]
-    total: int
-    merged: int = 0
-    duplicates: int = 0
-    quarantined: int = 0
-    missing: List[str] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        return not self.missing and self.quarantined == 0
-
-    def render(self) -> str:
-        lines = [
-            f"merged {len(self.sources)} shard dir(s) into {self.dest}: "
-            f"{self.merged}/{self.total} job(s) "
-            f"({self.duplicates} duplicate(s) deduplicated, "
-            f"{self.quarantined} quarantined)"
-        ]
-        if self.missing:
-            lines.append(
-                f"  partial shard set: {len(self.missing)} job(s) missing "
-                f"from every shard — resume the merged campaign to finish: "
-                + ", ".join(self.missing[:8])
-                + (" ..." if len(self.missing) > 8 else "")
-            )
-        if self.quarantined:
-            lines.append(
-                f"  {self.quarantined} job(s) quarantined in every shard "
-                "that ran them — resume the merged campaign to retry"
-            )
-        return "\n".join(lines)
-
-
-def _manifest_or_raise(directory: str) -> Dict[str, Any]:
-    path = os.path.join(directory, CAMPAIGN_FILE)
-    if not os.path.isdir(directory) or not os.path.exists(path):
-        raise CampaignError(
-            f"{directory} is not a campaign directory (no {CAMPAIGN_FILE}); "
-            "an empty or wrong shard directory cannot be merged"
-        )
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def merge_campaigns(sources: Sequence[str], dest: str) -> MergeOutcome:
-    """Join shard campaign directories into one merged campaign.
-
-    Every source must describe the *same* campaign (byte-identical job
-    fingerprint sequence).  Checkpoints are copied verbatim; a job
-    checkpointed in several shards (lease hand-offs legitimately
-    duplicate work) is deduplicated after asserting the payloads agree
-    on every non-timing byte.  A job quarantined in one shard but
-    completed in another counts as completed.  The merged manifest is
-    the unsharded form (``shard: null``), so the destination is
-    byte-comparable to — and resumable exactly like — a 1-shard run.
-    """
-    if not sources:
-        raise CampaignError("merge-campaign needs at least one source directory")
-    manifests = [_manifest_or_raise(directory) for directory in sources]
-    jobs = manifests[0].get("jobs", [])
-    fingerprints = [job["fingerprint"] for job in jobs]
-    for directory, manifest in zip(sources[1:], manifests[1:]):
-        theirs = [job["fingerprint"] for job in manifest.get("jobs", [])]
-        if theirs != fingerprints:
-            raise CampaignMismatch(
-                f"{directory} holds a different campaign than {sources[0]} "
-                f"({len(theirs)} vs {len(fingerprints)} job(s); "
-                "fingerprints differ)"
-            )
-
-    dest_store = LocalStore(dest)
-    dest_store.prepare()
-    existing = dest_store.read_manifest()
-    if existing is not None:
-        recorded = [job["fingerprint"] for job in existing.get("jobs", [])]
-        if recorded != fingerprints:
-            raise CampaignMismatch(
-                f"{dest} already holds a different campaign; refusing to merge"
-            )
-
-    engine_config = dict(manifests[0].get("engine") or {})
-    # the merged campaign is the unsharded one: normalise the identity
-    # fields so the result is indistinguishable from a 1-shard run
-    engine_config.update(shard_index=None, shard_count=None, store="local")
-    merged_manifest = {
-        "schema": manifests[0].get("schema", SCHEMA),
-        "created": time.time(),
-        "engine": engine_config,
-        "invocation": manifests[0].get("invocation"),
-        "shard": None,
-        "jobs": jobs,
-    }
-
-    outcome = MergeOutcome(
-        dest=dest, sources=[str(s) for s in sources], total=len(jobs)
-    )
-    for index, job in enumerate(jobs):
-        candidates = []  # (source dir, path, payload)
-        for directory in sources:
-            path = os.path.join(directory, JOBS_DIR, f"job-{index:05d}.json")
-            if not os.path.exists(path):
-                continue
-            try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError) as exc:
-                raise CampaignError(
-                    f"unreadable checkpoint {path}: {exc}"
-                ) from exc
-            if payload.get("fingerprint") != job["fingerprint"]:
-                raise CampaignMismatch(
-                    f"{path} holds fingerprint {payload.get('fingerprint')!r}"
-                    f" but the campaign records {job['fingerprint']!r} "
-                    f"for job {index}"
-                )
-            candidates.append((directory, path, payload))
-        if candidates:
-            reference = json.dumps(
-                normalized_job_payload(candidates[0][2]), sort_keys=True
-            )
-            for directory, path, payload in candidates[1:]:
-                other = json.dumps(
-                    normalized_job_payload(payload), sort_keys=True
-                )
-                if other != reference:
-                    raise CampaignError(
-                        f"job {index} ({job.get('label', '?')}) differs "
-                        f"between {candidates[0][0]} and {directory} beyond "
-                        "timings — the shards did not run the same campaign"
-                    )
-            outcome.duplicates += len(candidates) - 1
-            _copy_file_atomic(candidates[0][1], dest_store.job_path(index))
-            outcome.merged += 1
-            continue
-        quarantine_sources = [
-            os.path.join(directory, QUARANTINE_DIR, f"job-{index:05d}.json")
-            for directory in sources
-        ]
-        quarantine_sources = [p for p in quarantine_sources if os.path.exists(p)]
-        if quarantine_sources:
-            _copy_file_atomic(
-                quarantine_sources[0], dest_store.quarantine_path(index)
-            )
-            outcome.quarantined += 1
-            continue
-        outcome.missing.append(job.get("label", f"job-{index:05d}"))
-
-    dest_store.write_manifest(merged_manifest)
-    return outcome
-
-
-def make_store(
-    root: str,
-    kind: str = "local",
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-    owner: Optional[str] = None,
-) -> CheckpointStore:
-    """Build the checkpoint store named by ``kind`` over ``root``."""
-    if kind == "local":
-        return LocalStore(root)
-    if kind == "shared":
-        return SharedDirStore(root, owner=owner, lease_ttl=lease_ttl)
-    raise ValueError(f"unknown checkpoint store {kind!r}; choose local or shared")

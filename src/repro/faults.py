@@ -14,14 +14,6 @@ A plan is a ``;``-separated list of fault specs::
     crash@4#1           fires on retry attempt 1 instead of attempt 0
     crash@4#*           fires on *every* attempt (makes job 4 poison)
     abort@3             SIGKILL the *engine* right after job 3 persists
-    kill-shard@1        SIGKILL the engine running shard 1 right after
-                        it *claims* its first job (kill-shard@1#2 waits
-                        for its third claim) — leaving a stale lease and
-                        no checkpoint, the textbook straggler the
-                        shard-chaos suites prove a sibling reclaims
-    stale-lease@5       plant an expired ghost lease on job 5 before it
-                        is claimed, forcing the claim path through the
-                        expire/steal reclaim (shared-dir stores only)
 
 Plans come from the ``REPRO_FAULTS`` environment variable (the CLI and
 CI chaos job) or are passed programmatically to the engine.  With no
@@ -40,8 +32,6 @@ __all__ = [
     "ENV_VAR",
     "WORKER_KINDS",
     "ENGINE_KINDS",
-    "SHARD_KINDS",
-    "STORE_KINDS",
     "CRASH_EXIT_CODE",
     "Fault",
     "FaultPlan",
@@ -57,13 +47,6 @@ WORKER_KINDS = ("crash", "hang", "corrupt")
 
 #: faults executed by the engine (parent) process
 ENGINE_KINDS = ("abort",)
-
-#: faults keyed by *shard index* rather than job index: the engine
-#: running that shard SIGKILLs itself after persisting N+1 jobs
-SHARD_KINDS = ("kill-shard",)
-
-#: faults executed by the checkpoint store's claim path
-STORE_KINDS = ("stale-lease",)
 
 #: exit status of a worker killed by an injected crash
 CRASH_EXIT_CODE = 66
@@ -86,7 +69,7 @@ class Fault:
     attempt: Optional[int] = 0
 
     def __post_init__(self) -> None:
-        known = WORKER_KINDS + ENGINE_KINDS + SHARD_KINDS + STORE_KINDS
+        known = WORKER_KINDS + ENGINE_KINDS
         if self.kind not in known:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; choose from {known}"
@@ -112,13 +95,18 @@ class Fault:
                 f"bad fault spec {text!r}: expected kind@jobindex[#attempt]"
             )
         kind, _, rest = spec.partition("@")
+        index_text, hash_mark, attempt_text = rest.partition("#")
         attempt: Optional[int] = 0
-        if "#" in rest:
-            index_text, _, attempt_text = rest.partition("#")
-            attempt = None if attempt_text == "*" else int(attempt_text)
-        else:
-            index_text = rest
-        return cls(kind.strip(), int(index_text), attempt)
+        try:
+            index = int(index_text)
+            if hash_mark:
+                attempt = None if attempt_text == "*" else int(attempt_text)
+        except ValueError:
+            raise ValueError(
+                f"bad fault spec {text!r}: job index and attempt must be "
+                "integers (kind@jobindex[#attempt|#*])"
+            ) from None
+        return cls(kind.strip(), index, attempt)
 
 
 @dataclass(frozen=True)
@@ -167,36 +155,6 @@ class FaultPlan:
         """The engine-side fault that fires once this job has persisted."""
         for fault in self.faults:
             if fault.kind in ENGINE_KINDS and fault.job_index == job_index:
-                return fault
-        return None
-
-    def shard_kill(
-        self, shard_index: Optional[int], claimed: int
-    ) -> Optional[Fault]:
-        """The ``kill-shard`` fault due now, if any.
-
-        ``shard_index`` is the engine's shard identity (``None`` =
-        unsharded, never killed); ``claimed`` counts the jobs this
-        engine has successfully claimed so far.  ``kill-shard@i``
-        fires right after shard ``i``'s first claim — a stale lease
-        and no checkpoint, the textbook straggler; ``kill-shard@i#k``
-        fires after the ``k+1``-th claim (``#*`` behaves like the
-        default ``#0``).
-        """
-        if shard_index is None:
-            return None
-        for fault in self.faults:
-            if fault.kind not in SHARD_KINDS or fault.job_index != shard_index:
-                continue
-            after = (fault.attempt or 0) + 1
-            if claimed == after:
-                return fault
-        return None
-
-    def lease_fault(self, job_index: int) -> Optional[Fault]:
-        """The store-side fault to inject before claiming this job."""
-        for fault in self.faults:
-            if fault.kind in STORE_KINDS and fault.job_index == job_index:
                 return fault
         return None
 

@@ -403,11 +403,9 @@ def render_top(state: Dict[str, Any]) -> str:
     )
     backend = campaign.get("backend")
     experiment = campaign.get("experiment")
-    shard = campaign.get("shard")
     detail = [
         f"backend={backend}" if backend else "",
         f"experiment={experiment}" if experiment else "",
-        f"shard={shard}" if shard else "",
     ]
     detail = [part for part in detail if part]
     if detail:

@@ -5,9 +5,7 @@ digest over the truth table + full algorithm descriptor — see
 :meth:`RunSpec.fingerprint`):
 
 * an in-memory :class:`repro.caching.LruCache` (``serve.artifacts``,
-  aggregate counters ``serve.cache_hit`` / ``serve.cache_miss``),
-  guarded by a lock because HTTP handler threads and the dispatcher
-  all read it — the LRU itself is single-threaded by design;
+  aggregate counters ``serve.cache_hit`` / ``serve.cache_miss``);
 * an optional disk layer (``--artifact-dir``): one
   ``<fingerprint>.json`` per artifact, written atomically, read back
   on a memory miss and promoted into the LRU.  This is what lets a
@@ -15,6 +13,16 @@ digest over the truth table + full algorithm descriptor — see
   its key's artifact — unreadable, not UTF-8, not JSON, nested past
   the parser's recursion limit, or another fingerprint — is a miss,
   and the recomputed artifact replaces it.
+
+Two locks guard it, because HTTP handler threads and the dispatcher
+all use the cache.  The ``LruCache`` takes its own ``RLock`` on every
+``get``/``put``, which keeps each single LRU operation consistent.
+:class:`ArtifactCache` holds a second lock around each whole lookup
+or store: a memory miss, the disk read and the promotion into memory
+are one step, as are a store's memory insert and its disk write, and
+the ``disk_hits``/``disk_writes`` counters move with them.  Without
+it, two threads could both miss, both read or write the same file,
+and count it twice.
 
 The memory cache lives as long as the daemon: nothing outside this
 class clears it, so entries survive every request the inline or pool

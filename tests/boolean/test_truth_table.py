@@ -6,6 +6,8 @@ import pytest
 from repro.boolean import (
     BooleanFunction,
     DisjointDecomposition,
+    MultiSharedDecomposition,
+    NonDisjointDecomposition,
     Partition,
     TwoDimensionalTable,
     component_matrix,
@@ -95,6 +97,23 @@ def _view_cases():
     return cases
 
 
+def _cofactored_oracle(n_inputs, partition, shared, patterns, types):
+    """``f(x) = F_j(V_j(c'), r)`` by per-bit extraction of every input.
+
+    ``j`` spells the shared bits, ``c'`` the bound bits without them and
+    ``r`` the free bits; a type-1/2/3/4 row outputs 0, 1, ``V`` or its
+    complement.
+    """
+    xs = ops.all_inputs(n_inputs)
+    reduced = [v for v in partition.bound if v not in shared]
+    select = ops.extract_bits(xs, shared)
+    rows = ops.extract_bits(xs, partition.free)
+    phi = np.stack(patterns)[select, ops.extract_bits(xs, reduced)]
+    row_type = np.stack(types)[select, rows]
+    bits = np.where(row_type == 3, phi, np.where(row_type == 4, 1 - phi, row_type - 1))
+    return bits.astype(np.uint8)
+
+
 @pytest.mark.parametrize("n_inputs,partition", _view_cases())
 class TestTableViewMatchesBitExtraction:
     """The transpose view against the per-bit ``row_col_of`` reference."""
@@ -135,6 +154,44 @@ class TestTableViewMatchesBitExtraction:
         expected = decomposition.free_table()[rows, phi]
         bits = decomposition.evaluate(n_inputs)
         assert bits.dtype == expected.dtype == np.uint8
+        assert bits.tobytes() == expected.tobytes()
+
+    def test_evaluate_non_disjoint(self, n_inputs, partition):
+        if partition.n_bound < 2:
+            return  # the halves need a non-empty reduced bound set
+        rng = np.random.default_rng(n_inputs)
+        shared = int(rng.choice(partition.bound))
+        patterns = rng.integers(0, 2, (2, partition.n_cols // 2))
+        types = rng.integers(1, 5, (2, partition.n_rows))
+        decomposition = NonDisjointDecomposition(
+            partition, shared, patterns[0], types[0], patterns[1], types[1]
+        )
+        expected = _cofactored_oracle(
+            n_inputs, partition, [shared], patterns, types
+        )
+        bits = decomposition.evaluate(n_inputs)
+        assert bits.dtype == np.uint8
+        assert bits.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_shared", [1, 2])
+    def test_evaluate_multi_shared(self, n_inputs, partition, n_shared):
+        if partition.n_bound <= n_shared:
+            return  # |C| < |B| leaves a bound table
+        rng = np.random.default_rng(n_inputs + n_shared)
+        shared = sorted(
+            int(v) for v in rng.choice(partition.bound, n_shared, replace=False)
+        )
+        count = 1 << n_shared
+        patterns = rng.integers(0, 2, (count, partition.n_cols >> n_shared))
+        types = rng.integers(1, 5, (count, partition.n_rows))
+        decomposition = MultiSharedDecomposition(
+            partition, tuple(shared), tuple(patterns), tuple(types)
+        )
+        expected = _cofactored_oracle(
+            n_inputs, partition, shared, patterns, types
+        )
+        bits = decomposition.evaluate(n_inputs)
+        assert bits.dtype == np.uint8
         assert bits.tobytes() == expected.tobytes()
 
 

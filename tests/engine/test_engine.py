@@ -1,5 +1,6 @@
 """Unit tests for the checkpointed experiment engine and fault plans."""
 
+import dataclasses
 import json
 import os
 
@@ -18,9 +19,12 @@ from repro.experiments.engine import (
     campaign_status,
     result_from_payload,
     result_to_payload,
+    resume_campaign,
+    run_experiment_campaign,
 )
 from repro.experiments.parallel import RunSpec, run_many
-from repro.experiments.runner import ExperimentScale, repeat_specs
+from repro.experiments.runner import ExperimentScale, build_suite, repeat_specs
+from repro.experiments.table2 import _table2_specs
 
 
 def _specs(n_runs=2, n_inputs=6, base_seed=7):
@@ -107,6 +111,16 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             faults.Fault("crash", -1)
 
+    def test_removed_kinds_rejected(self):
+        for text in ("kill-shard@1", "stale-lease@5"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                faults.FaultPlan.parse(text)
+
+    def test_malformed_index_and_attempt_rejected(self):
+        for text in ("crash@x", "crash@", "crash@1#y", "crash@1#"):
+            with pytest.raises(ValueError, match="bad fault spec"):
+                faults.FaultPlan.parse(text)
+
 
 class TestEngineConfig:
     def test_validation(self):
@@ -116,6 +130,16 @@ class TestEngineConfig:
             EngineConfig(max_retries=-1)
         with pytest.raises(ValueError):
             EngineConfig(job_timeout=0)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "n_jobs",
+            "job_timeout",
+            "max_retries",
+            "backoff_base",
+            "poll_interval",
+            "metrics_port",
+        ]
 
 
 class TestPayloadRoundTrip:
@@ -228,6 +252,101 @@ class TestCampaignStatus:
         assert status.pending == []
         rendered = status.render()
         assert "table2" in rendered and "quarantined" in rendered
+
+
+class TestLegacyCampaignDirs:
+    """Directories written while campaigns could be split over hosts.
+
+    Such a manifest records a shard identity or a shared store, and
+    may sit next to a stale ``leases/`` file.  The engine reads only
+    the invocation and the job fingerprints, so the directory resumes
+    as an ordinary campaign: every missing job runs, and each MED
+    equals a serial run of the same specs.
+    """
+
+    _SEED = 3
+
+    @pytest.fixture(scope="class")
+    def serial_meds(self):
+        scale = ExperimentScale.by_name("smoke")
+        specs = _table2_specs(scale, build_suite(scale), self._SEED)
+        return [result.med for result in run_many(specs)]
+
+    def _campaign(self, tmp_path, engine_fields, shard, keep):
+        campaign = tmp_path / "campaign"
+        run_experiment_campaign(
+            "table2",
+            "smoke",
+            self._SEED,
+            str(campaign),
+            EngineConfig(n_jobs=2),
+            faults.FaultPlan(),
+        )
+        manifest_path = campaign / "campaign.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["engine"].update(engine_fields)
+        manifest["shard"] = shard
+        manifest_path.write_text(json.dumps(manifest))
+        for index in range(len(manifest["jobs"])):
+            if not keep(index):
+                (campaign / "jobs" / f"job-{index:05d}.json").unlink()
+        return campaign
+
+    def _resume_matches_serial(self, campaign, serial_meds, missing):
+        status = campaign_status(str(campaign))
+        assert len(status.pending) == missing
+        assert status.render().splitlines()[0] == (
+            f"campaign {campaign} — table2 (scale=smoke, seed={self._SEED})"
+        )
+        _, outcome = resume_campaign(
+            str(campaign), EngineConfig(n_jobs=2), faults.FaultPlan()
+        )
+        assert outcome.executed == missing
+        assert outcome.resumed == len(serial_meds) - missing
+        assert [result.med for result in outcome.results] == serial_meds
+        status = campaign_status(str(campaign))
+        assert len(status.done) == len(serial_meds) and not status.pending
+
+    def test_per_shard_directory_resumes_unsharded(self, tmp_path, serial_meds):
+        engine_fields = {
+            "store": "local",
+            "shard_index": 1,
+            "shard_count": 3,
+            "lease_ttl": 30.0,
+            "adopt": True,
+        }
+        campaign = self._campaign(
+            tmp_path,
+            engine_fields,
+            {"index": 1, "count": 3},
+            keep=lambda index: index % 3 == 1,
+        )
+        missing = sum(1 for i in range(len(serial_meds)) if i % 3 != 1)
+        self._resume_matches_serial(campaign, serial_meds, missing)
+
+    def test_shared_directory_with_stale_lease_resumes(
+        self, tmp_path, serial_meds
+    ):
+        engine_fields = {
+            "store": "shared",
+            "shard_index": None,
+            "shard_count": 2,
+            "lease_ttl": 30.0,
+            "adopt": True,
+        }
+        campaign = self._campaign(
+            tmp_path,
+            engine_fields,
+            {"index": None, "count": 2},
+            keep=lambda index: index % 2 == 1,
+        )
+        leases = campaign / "leases"
+        leases.mkdir()
+        (leases / "job-00000.lease").write_text(
+            json.dumps({"owner": "dead-host", "acquired": 0.0, "expires": 1.0})
+        )
+        missing = sum(1 for i in range(len(serial_meds)) if i % 2 != 1)
+        self._resume_matches_serial(campaign, serial_meds, missing)
 
 
 class TestSpecIdentity:

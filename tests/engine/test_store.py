@@ -1,99 +1,16 @@
-"""Unit tests for the pluggable checkpoint store and its lease protocol.
+"""Unit tests for the campaign checkpoint store.
 
-Covers the pure sharding helpers (``shard_of`` / ``shard_indices``),
-the :class:`LocalStore` checkpoint layout, and the
-:class:`SharedDirStore` lease primitives — O_EXCL claiming, expiry,
-steal arbitration, renewal, release, and the injected ghost lease used
-by the ``stale-lease@job`` fault.  Multi-process claim contention and
-whole-campaign equivalence live in ``test_sharding.py``.
+Covers the :class:`LocalStore` directory layout, checkpoint
+round-trips, the raw write the ``corrupt`` fault uses, and quarantine
+records.  Crash safety across a SIGKILL lives in ``test_resume_kill.py``.
 """
 
 import json
 import os
-import threading
-import time
 
 import pytest
 
-from repro import obs
-from repro.experiments.store import (
-    DEFAULT_LEASE_TTL,
-    LocalStore,
-    SharedDirStore,
-    default_owner,
-    make_store,
-    shard_indices,
-    shard_of,
-)
-
-
-class TestShardOf:
-    def test_pinned_values(self):
-        # sha256-based: these literals must never change, or resuming a
-        # sharded campaign from an older tree would repartition it.
-        assert [shard_of("deadbeefcafef00d", n) for n in (1, 2, 3, 4, 8)] == [
-            0, 0, 2, 2, 2,
-        ]
-        assert [shard_of("0123456789abcdef", n) for n in (1, 2, 3, 4, 8)] == [
-            0, 0, 0, 0, 0,
-        ]
-        assert [shard_of("a" * 16, n) for n in (1, 2, 3, 4, 8)] == [
-            0, 1, 2, 3, 7,
-        ]
-
-    def test_single_shard_owns_everything(self):
-        for fp in ("x", "y", "0" * 16):
-            assert shard_of(fp, 1) == 0
-
-    def test_rejects_nonpositive_count(self):
-        with pytest.raises(ValueError):
-            shard_of("abc", 0)
-        with pytest.raises(ValueError):
-            shard_of("abc", -3)
-
-    def test_independent_of_python_hash_seed(self):
-        # str.__hash__ is randomized per process; shard_of must not be.
-        import subprocess
-        import sys
-
-        script = (
-            "from repro.experiments.store import shard_of;"
-            "print([shard_of('deadbeefcafef00d', n) for n in (2, 4, 8)])"
-        )
-        outputs = set()
-        for seed in ("0", "424242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(sys.path)
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            outputs.add(proc.stdout.strip())
-        assert outputs == {"[0, 2, 2]"}
-
-
-class TestShardIndices:
-    def test_partitions_positions(self):
-        fps = [f"fp-{i}" for i in range(20)]
-        seen = []
-        for shard in range(4):
-            seen.extend(shard_indices(fps, shard, 4))
-        assert sorted(seen) == list(range(20))
-
-    def test_every_shard_sorted(self):
-        fps = [f"fp-{i}" for i in range(20)]
-        for shard in range(3):
-            positions = shard_indices(fps, shard, 3)
-            assert positions == sorted(positions)
-
-    def test_rejects_out_of_range_shard(self):
-        with pytest.raises(ValueError):
-            shard_indices(["a"], 2, 2)
-        with pytest.raises(ValueError):
-            shard_indices(["a"], -1, 2)
+from repro.experiments.store import LocalStore
 
 
 class TestLocalStore:
@@ -115,222 +32,9 @@ class TestLocalStore:
         with pytest.raises(ValueError):
             store.read_job(0)
 
-    def test_leases_are_noops(self, tmp_path):
-        store = LocalStore(str(tmp_path))
-        store.prepare()
-        assert not store.supports_leases
-        assert store.try_claim(0)
-        assert store.try_claim(0)  # no exclusivity without leases
-        assert store.lease_info(0) is None
-        store.renew_held()
-        store.release(0)
-        store.release_all()
-
     def test_quarantine_write(self, tmp_path):
         store = LocalStore(str(tmp_path))
         store.prepare()
         store.write_quarantine(1, {"reason": "crash", "attempts": 3})
         with open(store.quarantine_path(1)) as handle:
             assert json.load(handle)["reason"] == "crash"
-
-
-class TestSharedDirStoreLeases:
-    def _store(self, tmp_path, owner, ttl=DEFAULT_LEASE_TTL):
-        store = SharedDirStore(str(tmp_path), owner=owner, lease_ttl=ttl)
-        store.prepare()
-        return store
-
-    def test_claim_creates_lease_file(self, tmp_path):
-        store = self._store(tmp_path, "alpha")
-        assert store.try_claim(0)
-        info = store.lease_info(0)
-        assert info is not None
-        assert info.owner == "alpha"
-        assert not info.expired()
-        assert info.expires == pytest.approx(
-            info.acquired + DEFAULT_LEASE_TTL
-        )
-
-    def test_live_foreign_lease_blocks_claim(self, tmp_path):
-        alpha = self._store(tmp_path, "alpha")
-        beta = self._store(tmp_path, "beta")
-        assert alpha.try_claim(0)
-        assert not beta.try_claim(0)
-        # the loser must not have recorded the lease as held
-        beta.release(0)
-        assert alpha.lease_info(0).owner == "alpha"
-
-    def test_own_lease_reclaim_refreshes(self, tmp_path):
-        store = self._store(tmp_path, "alpha")
-        assert store.try_claim(0)
-        first = store.lease_info(0)
-        time.sleep(0.02)
-        assert store.try_claim(0)  # retry of our own job
-        second = store.lease_info(0)
-        assert second.owner == "alpha"
-        assert second.expires > first.expires
-
-    def test_expired_lease_is_stolen_with_counters(self, tmp_path):
-        alpha = self._store(tmp_path, "alpha", ttl=0.05)
-        beta = self._store(tmp_path, "beta")
-        sink = obs.MemorySink()
-        with obs.session(sink):
-            assert alpha.try_claim(0)
-            time.sleep(0.1)
-            assert beta.try_claim(0)
-        assert beta.lease_info(0).owner == "beta"
-        counters = sink.counters()
-        assert counters["lease.claimed"] == 2
-        assert counters["lease.expired"] == 1
-        assert counters["lease.stolen"] == 1
-
-    def test_release_after_steal_keeps_thiefs_lease(self, tmp_path):
-        alpha = self._store(tmp_path, "alpha", ttl=0.05)
-        beta = self._store(tmp_path, "beta")
-        assert alpha.try_claim(0)
-        time.sleep(0.1)
-        assert beta.try_claim(0)
-        alpha.release(0)  # presumed-dead holder coming back
-        info = alpha.lease_info(0)
-        assert info is not None and info.owner == "beta"
-
-    def test_release_unlinks_own_lease(self, tmp_path):
-        store = self._store(tmp_path, "alpha")
-        assert store.try_claim(0)
-        store.release(0)
-        assert store.lease_info(0) is None
-        assert not os.path.exists(store.lease_path(0))
-
-    def test_release_all(self, tmp_path):
-        store = self._store(tmp_path, "alpha")
-        for index in range(3):
-            assert store.try_claim(index)
-        store.release_all()
-        for index in range(3):
-            assert store.lease_info(index) is None
-
-    def test_renew_held_extends_due_leases(self, tmp_path):
-        store = self._store(tmp_path, "alpha", ttl=0.09)
-        assert store.try_claim(0)
-        deadline = time.time() + 5.0
-        # keep renewing past several TTLs: the lease must never expire
-        while time.time() < deadline and time.time() < deadline - 4.5:
-            store.renew_held()
-            time.sleep(0.01)
-        store.renew_held()
-        info = store.lease_info(0)
-        assert info is not None
-        assert not info.expired()
-
-    def test_garbage_lease_file_reads_as_none(self, tmp_path):
-        store = self._store(tmp_path, "alpha")
-        with open(store.lease_path(0), "w") as handle:
-            handle.write("{torn write")
-        assert store.lease_info(0) is None
-
-    def test_fresh_torn_lease_is_not_stolen(self, tmp_path):
-        # An unparseable lease could be a concurrent winner between
-        # O_EXCL create and its JSON flush — never steal it while young.
-        store = self._store(tmp_path, "alpha")
-        with open(store.lease_path(0), "w") as handle:
-            handle.write("{torn write")
-        assert not store.try_claim(0)
-
-    def test_old_torn_lease_is_stolen(self, tmp_path):
-        store = self._store(tmp_path, "alpha", ttl=0.05)
-        path = store.lease_path(0)
-        with open(path, "w") as handle:
-            handle.write("{torn write")
-        old = time.time() - 1.0
-        os.utime(path, (old, old))
-        assert store.try_claim(0)
-        assert store.lease_info(0).owner == "alpha"
-
-    def test_plant_stale_lease_only_when_absent(self, tmp_path):
-        store = self._store(tmp_path, "alpha")
-        store.plant_stale_lease(0)
-        ghost = store.lease_info(0)
-        assert ghost.owner == "ghost-injected"
-        assert ghost.expired()
-        # claiming over the ghost is a steal
-        sink = obs.MemorySink()
-        with obs.session(sink):
-            assert store.try_claim(0)
-        assert sink.counters()["lease.stolen"] == 1
-        # planting over a live lease is a no-op
-        store.plant_stale_lease(0)
-        assert store.lease_info(0).owner == "alpha"
-
-    def test_rejects_nonpositive_ttl(self, tmp_path):
-        with pytest.raises(ValueError):
-            SharedDirStore(str(tmp_path), lease_ttl=0.0)
-
-    def test_default_owner_is_unique(self):
-        assert default_owner() != default_owner()
-
-
-class TestClaimContention:
-    def test_each_job_claimed_exactly_once(self, tmp_path):
-        """N workers race over M jobs; every lease has exactly one winner."""
-        n_workers, n_jobs = 8, 25
-        barrier = threading.Barrier(n_workers)
-        wins = [[] for _ in range(n_workers)]
-
-        def worker(worker_id: int) -> None:
-            store = SharedDirStore(str(tmp_path), owner=f"w{worker_id}")
-            store.prepare()
-            barrier.wait()
-            for index in range(n_jobs):
-                if store.try_claim(index):
-                    wins[worker_id].append(index)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,))
-            for i in range(n_workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        claimed = sorted(index for per in wins for index in per)
-        assert claimed == list(range(n_jobs))  # no dup, no gap
-
-    def test_stale_steal_has_exactly_one_winner(self, tmp_path):
-        """All contenders see the same expired lease; one rename wins."""
-        planted = SharedDirStore(str(tmp_path), owner="ghost")
-        planted.prepare()
-        planted.plant_stale_lease(0)
-        n_workers = 8
-        barrier = threading.Barrier(n_workers)
-        results = [None] * n_workers
-
-        def worker(worker_id: int) -> None:
-            store = SharedDirStore(str(tmp_path), owner=f"w{worker_id}")
-            barrier.wait()
-            results[worker_id] = store.try_claim(0)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,))
-            for i in range(n_workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert sum(1 for won in results if won) == 1
-
-
-class TestMakeStore:
-    def test_local_default(self, tmp_path):
-        store = make_store(str(tmp_path))
-        assert isinstance(store, LocalStore)
-        assert not store.supports_leases
-
-    def test_shared(self, tmp_path):
-        store = make_store(str(tmp_path), "shared", lease_ttl=5.0)
-        assert isinstance(store, SharedDirStore)
-        assert store.lease_ttl == 5.0
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            make_store(str(tmp_path), "s3")

@@ -251,6 +251,54 @@ class TestCampaignCommands:
         assert main(["resume", campaign]) == 0
         assert "0 quarantined" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ("kill-shard@1", "error: unknown fault kind 'kill-shard'"),
+            ("stale-lease@0", "error: unknown fault kind 'stale-lease'"),
+            ("bogus@1", "error: unknown fault kind 'bogus'"),
+            ("crash@x", "error: bad fault spec 'crash@x'"),
+        ],
+    )
+    def test_bad_fault_plan_is_a_config_error(
+        self, capsys, tmp_path, monkeypatch, plan, message
+    ):
+        from repro.faults import ENV_VAR
+
+        campaign = tmp_path / "campaign"
+        assert main(
+            ["run", "table2", "--dir", str(campaign), "--scale", "smoke"]
+        ) == 0
+        (campaign / "jobs" / "job-00000.json").unlink()
+        capsys.readouterr()
+
+        monkeypatch.setenv(ENV_VAR, plan)
+        fresh = tmp_path / "fresh"
+        assert main(
+            ["run", "table2", "--dir", str(fresh), "--scale", "smoke"]
+        ) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not fresh.exists()  # rejected before any work started
+        assert main(["resume", str(campaign)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not (campaign / "jobs" / "job-00000.json").exists()
+
+    def test_sharding_options_are_gone(self, capsys):
+        for argv in (
+            ["run", "table2", "--dir", "/tmp/c", "--shard", "0/2"],
+            ["run", "table2", "--dir", "/tmp/c", "--store", "shared"],
+            ["resume", "/tmp/c", "--lease-ttl", "5"],
+            ["merge-campaign", "/tmp/a", "--into", "/tmp/b"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--jobs" in help_text
+        for flag in ("--shard", "--store", "--lease-ttl"):
+            assert flag not in help_text
+
 
 class TestMetricsCli:
     """`--metrics-port`, `repro top`, and bench-snapshot summaries."""
@@ -323,69 +371,3 @@ class TestMetricsCli:
     def test_top_unreachable_endpoint_is_an_error(self, capsys):
         assert main(["top", "127.0.0.1:1", "--once"]) == 2
         assert "cannot reach" in capsys.readouterr().err
-
-
-class TestShardFlags:
-    def test_shard_parses_to_index_count(self):
-        args = build_parser().parse_args(
-            ["run", "table2", "--dir", "/tmp/c", "--shard", "2/4"]
-        )
-        assert args.shard == (2, 4)
-        assert args.store == "local"
-        assert args.lease_ttl == 30.0
-
-    def test_store_and_lease_ttl_flags(self):
-        args = build_parser().parse_args(
-            [
-                "run", "table2", "--dir", "/tmp/c",
-                "--shard", "0/2", "--store", "shared", "--lease-ttl", "5",
-            ]
-        )
-        assert args.store == "shared"
-        assert args.lease_ttl == 5.0
-
-    def test_resume_accepts_shard_flags(self):
-        args = build_parser().parse_args(
-            ["resume", "/tmp/c", "--shard", "1/3", "--store", "shared"]
-        )
-        assert args.shard == (1, 3)
-
-    def test_malformed_shard_rejected(self, capsys):
-        for bad in ("2", "x/4", "2/x", "2-4", "/4", "2/"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(
-                    ["run", "table2", "--dir", "/tmp/c", "--shard", bad]
-                )
-            assert "expected i/n" in capsys.readouterr().err
-
-    def test_out_of_range_shard_rejected(self, capsys):
-        for bad in ("4/4", "5/4", "-1/4", "0/0", "0/-2"):
-            with pytest.raises(SystemExit):
-                # --shard=-1/4 form: a leading dash must not read as a flag
-                build_parser().parse_args(
-                    ["run", "table2", "--dir", "/tmp/c", f"--shard={bad}"]
-                )
-            assert "shard index must be in [0, n)" in capsys.readouterr().err
-
-    def test_unknown_store_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "table2", "--dir", "/tmp/c", "--store", "s3"]
-            )
-
-
-class TestMergeCampaignParser:
-    def test_requires_into(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["merge-campaign", "/tmp/a"])
-
-    def test_accepts_many_sources(self):
-        args = build_parser().parse_args(
-            ["merge-campaign", "/a", "/b", "/c", "--into", "/out"]
-        )
-        assert args.sources == ["/a", "/b", "/c"]
-        assert args.into == "/out"
-
-    def test_requires_at_least_one_source(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["merge-campaign", "--into", "/out"])
