@@ -255,6 +255,11 @@ class NonDisjointDecomposition(Decomposition):
                 f"shared variable {self.shared} is not in the bound set "
                 f"{self.partition.bound}"
             )
+        if self.partition.n_bound < 2:
+            raise ValueError(
+                "sharing the only bound variable leaves no bound table; "
+                "|B| must be >= 2"
+            )
         reduced_cols = self.partition.n_cols // 2
         rows = self.partition.n_rows
         for name, vec, size in (

@@ -42,6 +42,7 @@ from .modes import select_mode
 from .nondisjoint import optimize_nondisjoint
 from .opt_for_part import (
     KernelContext,
+    draw_patterns,
     opt_for_part,
     opt_for_part_bto,
     opt_for_part_many,
@@ -110,29 +111,6 @@ def _collect_neighbours(
             fresh_set.add(neighbour)
         scan.append(neighbour)
     return scan, fresh
-
-
-def _draw_patterns(
-    partitions: List[Partition], config: AlgorithmConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Initial-pattern draws for a batch, stacked, in serial call order.
-
-    Taking the draws here — one per partition, in encounter order —
-    consumes the generator stream exactly as a loop of single
-    ``opt_for_part`` calls would, which is what keeps every later draw
-    (SA acceptance tests, subsequent bits) bit-identical.  The draws
-    land directly in one preallocated ``(N, Z, cols)`` stack, so the
-    whole generation is materialised once per batch instead of once
-    per item.
-    """
-    z = config.n_initial_patterns
-    cols = partitions[0].n_cols if partitions else 0
-    stacked = np.empty((len(partitions), z, cols), dtype=np.uint8)
-    for index, partition in enumerate(partitions):
-        stacked[index] = rng.integers(
-            0, 2, size=(z, partition.n_cols), dtype=np.uint8
-        )
-    return stacked
 
 
 def find_best_settings(
@@ -244,16 +222,10 @@ def find_best_settings(
                     continue
                 sampled.add(partition)
                 order.append(partition)
-                # one direct draw per accepted partition (the stream
-                # interleaves with partition sampling, so the batch
-                # stack cannot be preallocated up front)
+                # one draw per accepted partition: the stream
+                # interleaves with partition sampling
                 drawn.append(
-                    rng.integers(
-                        0,
-                        2,
-                        size=(config.n_initial_patterns, partition.n_cols),
-                        dtype=np.uint8,
-                    )
+                    draw_patterns(rng, [partition], config.n_initial_patterns)[0]
                 )
             visit_batch(order, drawn)
         else:
@@ -320,7 +292,8 @@ def find_best_settings(
                         neighbours, visited, budget
                     )
                     errors = visit_batch(
-                        fresh, _draw_patterns(fresh, config, rng)
+                        fresh,
+                        draw_patterns(rng, fresh, config.n_initial_patterns),
                     )
                     for neighbour, error in zip(fresh, errors):
                         visited[neighbour] = error

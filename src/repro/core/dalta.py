@@ -21,7 +21,12 @@ from ..boolean.partition import partition_count, random_partition
 from ..metrics import distributions
 from .config import AlgorithmConfig
 from .cost import apply_objective, cost_vectors_fixed
-from .opt_for_part import KernelContext, opt_for_part, opt_for_part_many
+from .opt_for_part import (
+    KernelContext,
+    draw_patterns,
+    opt_for_part,
+    opt_for_part_many,
+)
 from .result import ApproximationResult, SearchStats
 from .settings import Setting, SettingBits, SettingSequence
 
@@ -113,15 +118,11 @@ def run_dalta(
                                 seen.add(partition)
                                 order.append(partition)
                                 drawn.append(
-                                    rng.integers(
-                                        0,
-                                        2,
-                                        size=(
-                                            config.n_initial_patterns,
-                                            partition.n_cols,
-                                        ),
-                                        dtype=np.uint8,
-                                    )
+                                    draw_patterns(
+                                        rng,
+                                        [partition],
+                                        config.n_initial_patterns,
+                                    )[0]
                                 )
                             results = opt_for_part_many(
                                 costs,

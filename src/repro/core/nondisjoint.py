@@ -15,7 +15,7 @@ enumerates every bound variable and keeps the best.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .cost import BitCosts
 from .opt_for_part import (
     KernelContext,
     KernelRequest,
+    draw_patterns,
     opt_for_part,
     opt_for_part_grouped,
 )
@@ -207,21 +208,24 @@ def _optimize_nondisjoint_fused(
     for shared in candidates:
         if shared not in partition.bound:
             raise ValueError(f"shared variable {shared} not in bound set")
-    if n_initial_patterns < 1:
-        raise ValueError("n_initial_patterns must be >= 1")
-    requests: List[KernelRequest] = []
-    for shared in candidates:
-        reduced = _reduced_partition(partition, shared)
-        for j in (0, 1):
-            # the serial loop's opt_for_part draws happen candidate-
-            # major, half-minor — replicate that exact stream here
-            patterns = rng.integers(
-                0, 2, size=(n_initial_patterns, reduced.n_cols), dtype=np.uint8
+    # the serial loop's opt_for_part draws happen candidate-major,
+    # half-minor; every reduced partition has the same shape
+    halves = [
+        (shared, j, _reduced_partition(partition, shared))
+        for shared in candidates
+        for j in (0, 1)
+    ]
+    draws = draw_patterns(
+        rng, [reduced for _, _, reduced in halves], n_initial_patterns
+    )
+    evaluated = opt_for_part_grouped(
+        [
+            KernelRequest(
+                context.cofactor({shared: j}), [reduced], draws[i : i + 1]
             )
-            requests.append(
-                KernelRequest(context.cofactor({shared: j}), [reduced], patterns[None])
-            )
-    evaluated = opt_for_part_grouped(requests)
+            for i, (shared, j, reduced) in enumerate(halves)
+        ]
+    )
     best: Optional[NonDisjointResult] = None
     for index, shared in enumerate(candidates):
         half0 = evaluated[2 * index][0]
@@ -307,16 +311,12 @@ def optimize_multi_shared(
         # order and solve all 2**s conditional problems, as views of
         # the parent context, in one grouped kernel pass — bitwise
         # equal to the loop below
-        if n_initial_patterns < 1:
-            raise ValueError("n_initial_patterns must be >= 1")
-        requests = []
-        for j in range(1 << len(shared)):
-            draw = rng.integers(
-                0, 2, size=(n_initial_patterns, reduced.n_cols), dtype=np.uint8
-            )
-            requests.append(
-                KernelRequest(context.cofactor(assignment(j)), [reduced], draw[None])
-            )
+        count = 1 << len(shared)
+        draws = draw_patterns(rng, [reduced] * count, n_initial_patterns)
+        requests = [
+            KernelRequest(context.cofactor(assignment(j)), [reduced], draws[j : j + 1])
+            for j in range(count)
+        ]
         for (result,) in opt_for_part_grouped(requests):
             patterns.append(result.decomposition.pattern)
             types.append(result.decomposition.types)

@@ -52,13 +52,20 @@ reference.
 
 Grouped dispatch
 ----------------
-:func:`opt_for_part_grouped` evaluates a *list* of
-:class:`KernelRequest` batches — possibly from different ``(costs,
-p)`` contexts, such as the conditional halves of an ND or multi-shared
-decomposition — in one pass: items are grouped by table shape and the
-sweep's dtypes (:meth:`KernelContext.sweep_dtypes`) and executed in
-chunks up to ``_BATCH_LIMIT`` wide, each item bitwise equal to its
-standalone call.
+The three entry points only build :class:`KernelRequest` batches — a
+context, same-shape partitions and their initial patterns — for one
+engine (:func:`_evaluate`), which owns the kernel's telemetry and runs
+every request of a pass together: :func:`opt_for_part` sends one
+partition, :func:`opt_for_part_many` one batch, and
+:func:`opt_for_part_grouped` a *list* of batches, possibly from
+different ``(costs, p)`` contexts such as the conditional halves of an
+ND or multi-shared decomposition.  Items are grouped by table shape,
+candidate count and the sweep's dtypes
+(:meth:`KernelContext.sweep_dtypes`) and executed in chunks up to
+``_BATCH_LIMIT`` wide, each item bitwise equal to its standalone call.
+Every search takes its initial patterns from :func:`draw_patterns`,
+one uint8 ``(Z, cols)`` draw per partition in serial order, so a
+batched search consumes its generator exactly as the serial one does.
 """
 
 from __future__ import annotations
@@ -86,6 +93,7 @@ __all__ = [
     "KernelContext",
     "KernelRequest",
     "result_memo",
+    "draw_patterns",
     "opt_for_part",
     "opt_for_part_many",
     "opt_for_part_grouped",
@@ -95,7 +103,7 @@ __all__ = [
 ]
 
 #: safety cap on alternation sweeps; convergence is typically < 10
-_DEFAULT_MAX_SWEEPS = 60
+_MAX_SWEEPS = 60
 
 #: stacked-batch size cap: bounds peak memory of the (B, rows, cols)
 #: cost stacks without measurably hurting the amortisation
@@ -399,11 +407,6 @@ def _gate(costs: BitCosts, p: np.ndarray) -> _Verdict:
     if total < (1 << 24) and unit >= -37 and magnitude <= 128:
         return _Verdict("f32", None, bound, unit)
     return _Verdict("f64", None, bound, unit)
-
-
-def _exact_tier(costs: BitCosts, p: np.ndarray) -> Optional[str]:
-    """The gate's tier alone: ``"f32"``, ``"f64"`` or ``None``."""
-    return _gate(costs, p).tier
 
 
 class KernelContext:
@@ -883,6 +886,30 @@ def _best_of(
     return OptForPartResult(float(totals[best]), decomposition)
 
 
+def draw_patterns(
+    rng: np.random.Generator, partitions: Sequence[Partition], z: int
+) -> np.ndarray:
+    """The initial patterns of ``partitions``, as one ``(N, Z, cols)`` stack.
+
+    This is the one draw rule every search keeps: one uint8 ``(Z,
+    cols)`` draw per partition, in order — the stream a loop of single
+    :func:`opt_for_part` calls takes, which is what keeps a batched
+    search, and every later draw of its generator, bit-identical to the
+    serial one.  The partitions must share one column count.  A search
+    that interleaves other generator use (partition sampling) draws one
+    partition at a time.
+    """
+    if z < 1:
+        raise ValueError("n_initial_patterns must be >= 1")
+    cols = partitions[0].n_cols if partitions else 0
+    stacked = np.empty((len(partitions), z, cols), dtype=np.uint8)
+    for index, partition in enumerate(partitions):
+        stacked[index] = rng.integers(
+            0, 2, size=(z, partition.n_cols), dtype=np.uint8
+        )
+    return stacked
+
+
 def opt_for_part(
     costs: BitCosts,
     p: np.ndarray,
@@ -891,7 +918,6 @@ def opt_for_part(
     *,
     n_initial_patterns: int = 30,
     rng: Optional[np.random.Generator] = None,
-    max_sweeps: int = _DEFAULT_MAX_SWEEPS,
     context: Optional[KernelContext] = None,
 ) -> OptForPartResult:
     """Optimise (V, T) for ``partition`` from random initial patterns.
@@ -904,32 +930,11 @@ def opt_for_part(
     """
     if context is None:
         context = KernelContext(costs, p, n_inputs)
-    if rng is None:
-        rng = np.random.default_rng()
-    if n_initial_patterns < 1:
-        raise ValueError("n_initial_patterns must be >= 1")
-    patterns = rng.integers(
-        0, 2, size=(n_initial_patterns, partition.n_cols), dtype=np.uint8
+    patterns = draw_patterns(
+        rng or np.random.default_rng(), [partition], n_initial_patterns
     )
-    request = KernelRequest(context, [partition], patterns[None], max_sweeps)
-    # Hot path: the disabled-telemetry branch avoids even the no-op
-    # span allocation — this function dominates both algorithms.
-    if not obs.enabled():
-        return _grouped_eval([request])[0][0][0]
-    with obs.span(
-        "opt.for_part", n_bound=partition.n_bound, n_free=partition.n_free
-    ) as span:
-        start = time.perf_counter()
-        cpu_start = time.thread_time()
-        results, sweeps = _grouped_eval([request])[0]
-        result = results[0]
-        obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
-        obs.observe("opt.for_part_seconds", time.perf_counter() - start)
-        span.set(sweeps=sweeps, error=result.error)
-        obs.incr("opt.calls")
-        obs.incr("opt.sweeps", sweeps)
-        obs.incr("opt.lut_entries", 2 << (n_inputs - 1))
-        return result
+    request = KernelRequest(context, [partition], patterns)
+    return _evaluate("opt.for_part", [request])[0][0]
 
 
 def opt_for_part_many(
@@ -940,7 +945,6 @@ def opt_for_part_many(
     *,
     n_initial_patterns: int = 30,
     rng: Optional[np.random.Generator] = None,
-    max_sweeps: int = _DEFAULT_MAX_SWEEPS,
     context: Optional[KernelContext] = None,
     initial_patterns: Optional[Sequence[np.ndarray]] = None,
 ) -> List[OptForPartResult]:
@@ -948,14 +952,12 @@ def opt_for_part_many(
 
     Every partition must induce the same ``(rows, cols)`` table shape
     (SA neighbours and fixed-``b`` random samples always do).  When
-    ``initial_patterns`` is omitted, one ``(Z, cols)`` uint8 draw is
-    taken from ``rng`` per partition *in order* — exactly the draws a
-    loop of single calls would take, which is what makes a batched
-    search bit-identical to the serial one.  Callers that interleave
-    other generator use (partition sampling, SA acceptance) pre-draw
-    the patterns themselves and pass them in — either as a sequence of
-    ``(Z, cols)`` arrays or as one stacked ``(N, Z, cols)`` array (the
-    search loops build the stack directly, skipping a re-stack here).
+    ``initial_patterns`` is omitted the patterns come from ``rng``
+    through :func:`draw_patterns`, exactly the draws a loop of single
+    calls would take.  Callers that interleave other generator use
+    (partition sampling) draw the patterns themselves and pass them in,
+    as one ``(N, Z, cols)`` stack or a sequence of ``(Z, cols)`` arrays;
+    either is taken as uint8 and must match the partitions' shape.
 
     Results are returned in input order; each is bitwise equal to the
     corresponding single-partition call.  ``context`` is as in
@@ -974,81 +976,49 @@ def opt_for_part_many(
                 f"shape; got {(partition.n_rows, partition.n_cols)} and {shape}"
             )
     if initial_patterns is None:
-        if n_initial_patterns < 1:
-            raise ValueError("n_initial_patterns must be >= 1")
-        if rng is None:
-            rng = np.random.default_rng()
-        # one preallocated stack, one rng draw per partition *in order*
-        # — the same generator stream as a loop of single calls
-        stacked = np.empty(
-            (len(partitions), n_initial_patterns, shape[1]), dtype=np.uint8
+        stacked = draw_patterns(
+            rng or np.random.default_rng(), partitions, n_initial_patterns
         )
-        for index, partition in enumerate(partitions):
-            stacked[index] = rng.integers(
-                0, 2, size=(n_initial_patterns, partition.n_cols), dtype=np.uint8
-            )
-    elif isinstance(initial_patterns, np.ndarray):
-        if initial_patterns.ndim != 3 or len(initial_patterns) != len(partitions):
-            raise ValueError(
-                "stacked initial patterns must have shape (n_partitions, Z, cols)"
-            )
-        stacked = initial_patterns
     else:
-        initial_patterns = list(initial_patterns)
-        if len(initial_patterns) != len(partitions):
-            raise ValueError("one initial-pattern array is required per partition")
-        for patterns in initial_patterns:
-            if patterns.shape != initial_patterns[0].shape:
-                raise ValueError("initial-pattern arrays must share one shape")
-        stacked = np.stack(initial_patterns)
-
-    request = KernelRequest(context, partitions, stacked, max_sweeps)
-    if not obs.enabled():
-        return _grouped_eval([request])[0][0]
-    with obs.span(
-        "opt.for_part_many",
-        batch=len(partitions),
-        n_bound=partitions[0].n_bound,
-        n_free=partitions[0].n_free,
-    ) as span:
-        start = time.perf_counter()
-        cpu_start = time.thread_time()
-        results, total_sweeps = _grouped_eval([request])[0]
-        obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
-        obs.observe("opt.for_part_seconds", time.perf_counter() - start)
-        span.set(sweeps=total_sweeps)
-        obs.incr("opt.calls", len(partitions))
-        obs.incr("opt.sweeps", total_sweeps)
-        obs.incr("opt.lut_entries", len(partitions) * (2 << (n_inputs - 1)))
-        return results
+        # a ragged sequence fails here too, as numpy's ValueError
+        stacked = np.asarray(initial_patterns, dtype=np.uint8)
+        if (
+            stacked.ndim != 3
+            or stacked.shape[0] != len(partitions)
+            or stacked.shape[1] < 1
+            or stacked.shape[2] != shape[1]
+        ):
+            raise ValueError(
+                f"initial patterns have shape {stacked.shape}, expected "
+                f"({len(partitions)}, Z >= 1, {shape[1]})"
+            )
+    request = KernelRequest(context, partitions, stacked)
+    return _evaluate("opt.for_part_many", [request])[0]
 
 
 class KernelRequest:
-    """One ``opt_for_part_many`` batch, ready for grouped dispatch.
+    """One batch of same-shape partitions, ready for grouped dispatch.
 
     Bundles everything :func:`_grouped_eval` consumes — the
-    :class:`KernelContext`, the partitions, the pre-drawn ``(N, Z,
-    cols)`` pattern stack, and the sweep cap — so requests from
-    *different* contexts (the cofactor halves of one ND or
-    multi-shared decomposition) can ride one
-    :func:`opt_for_part_grouped` pass.  The pattern stack is captured
-    by reference; callers must not mutate it until the request
+    :class:`KernelContext`, the partitions and their ``(N, Z, cols)``
+    uint8 pattern stack — so requests from *different* contexts (the
+    cofactor halves of one ND or multi-shared decomposition) can ride
+    one :func:`opt_for_part_grouped` pass.  The pattern stack is
+    captured by reference; callers must not mutate it until the request
     resolves.
     """
 
-    __slots__ = ("context", "partitions", "stacked", "max_sweeps")
+    __slots__ = ("context", "partitions", "stacked")
 
     def __init__(
         self,
         context: KernelContext,
         partitions: Sequence[Partition],
         stacked: np.ndarray,
-        max_sweeps: int = _DEFAULT_MAX_SWEEPS,
     ) -> None:
         self.context = context
         self.partitions = list(partitions)
         self.stacked = stacked
-        self.max_sweeps = max_sweeps
 
 
 def opt_for_part_grouped(
@@ -1057,77 +1027,98 @@ def opt_for_part_grouped(
     """Grouped evaluation of several batches in one kernel pass.
 
     Items from all requests are grouped by table shape, candidate
-    count, sweep cap, and the sweep's dtypes, and executed in stacked chunks up
-    to ``_BATCH_LIMIT`` wide — each item bitwise equal to its
-    standalone :func:`opt_for_part_many` call.  Returns one result
-    list per request, in request order.  Telemetry: a single
-    ``opt.for_part_grouped`` span covering the pass and the usual
-    ``opt.calls`` / ``opt.sweeps`` / ``opt.lut_entries`` counters.
+    count and the sweep's dtypes, and executed in stacked chunks up to
+    ``_BATCH_LIMIT`` wide — each item bitwise equal to its standalone
+    :func:`opt_for_part_many` call.  Returns one result list per
+    request, in request order.
     """
     requests = list(requests)
     if not requests:
         return []
-    total = sum(len(request.partitions) for request in requests)
+    return _evaluate("opt.for_part_grouped", requests)
+
+
+def _evaluate(
+    span_name: str, requests: List[KernelRequest]
+) -> List[List[OptForPartResult]]:
+    """The kernel entry points' one engine: :func:`_grouped_eval` plus
+    its telemetry.
+
+    With a session open it emits the caller-named span (``requests``,
+    ``items``, the first item's ``n_bound``/``n_free``, and ``sweeps``),
+    one ``opt.for_part_seconds`` and one ``opt.for_part_cpu_seconds``
+    observation, and the ``opt.calls``/``opt.sweeps``/``opt.lut_entries``
+    counters.  Without one it does not touch the telemetry layer at
+    all: this runs inside the innermost search loops.
+    """
     if not obs.enabled():
-        return [results for results, _ in _grouped_eval(requests)]
+        return _grouped_eval(requests)[0]
+    items = sum(len(request.partitions) for request in requests)
+    first = next(
+        (request.partitions[0] for request in requests if request.partitions),
+        None,
+    )
     with obs.span(
-        "opt.for_part_grouped", requests=len(requests), items=total
+        span_name,
+        requests=len(requests),
+        items=items,
+        n_bound=first.n_bound if first else None,
+        n_free=first.n_free if first else None,
     ) as span:
         start = time.perf_counter()
         cpu_start = time.thread_time()
-        evaluated = _grouped_eval(requests)
+        results, sweeps = _grouped_eval(requests)
         obs.observe("opt.for_part_cpu_seconds", time.thread_time() - cpu_start)
         obs.observe("opt.for_part_seconds", time.perf_counter() - start)
-        total_sweeps = sum(sweeps for _, sweeps in evaluated)
-        span.set(sweeps=total_sweeps)
-        obs.incr("opt.calls", total)
-        obs.incr("opt.sweeps", total_sweeps)
-        for request in requests:
-            obs.incr(
-                "opt.lut_entries",
-                len(request.partitions) * (2 << (request.context.n_inputs - 1)),
-            )
-        return [results for results, _ in evaluated]
+        span.set(sweeps=sweeps)
+        obs.incr("opt.calls", items)
+        obs.incr("opt.sweeps", sweeps)
+        obs.incr(
+            "opt.lut_entries",
+            sum(
+                len(request.partitions) << request.context.n_inputs
+                for request in requests
+            ),
+        )
+        return results
 
 
 @blas.single_threaded
 def _grouped_eval(
     requests: List[KernelRequest],
-) -> List[Tuple[List[OptForPartResult], int]]:
-    """Shared engine behind :func:`opt_for_part`, :func:`opt_for_part_many`
-    and :func:`opt_for_part_grouped`.
+) -> Tuple[List[List[OptForPartResult]], int]:
+    """The kernel pass behind :func:`_evaluate`.
 
-    Returns ``(results, total_sweeps)`` per request.  Items the gate
-    admits run the exact sweep in stacked chunks (with many requests
-    the chunks simply interleave items, which the exact sweep keeps
-    independent); every other item runs the reference on its own.
+    Returns the results per request and the sweeps all items ran.
+    Items the gate admits run the exact sweep in stacked chunks (with
+    many requests the chunks simply interleave items, which the exact
+    sweep keeps independent); every other item runs the reference on
+    its own.  Every item runs at most ``_MAX_SWEEPS`` sweeps.
 
     Runs BLAS on one thread (:mod:`repro.blas`): parallelism comes from
     the process pool, and OpenBLAS helper threads in every pool worker
     would oversubscribe the cores.  The bits do not depend on it.
     """
     results: List[List[Optional[OptForPartResult]]] = []
-    item_sweeps: List[List[int]] = []
-    # (rows, cols, Z, max_sweeps, dtypes) → [(request idx, item idx)];
-    # dtypes is the sweep's (matmul, totals) pair, None for the reference
+    total_sweeps = 0
+    # (rows, cols, Z, dtypes) → [(request idx, item idx)]; dtypes is the
+    # sweep's (matmul, totals) pair, None for the reference
     groups: dict = {}
     for ri, request in enumerate(requests):
         count = len(request.partitions)
         results.append([None] * count)
-        item_sweeps.append([0] * count)
         if count:
             rows, cols = request.partitions[0].n_rows, request.partitions[0].n_cols
             gkey = (
                 rows,
                 cols,
                 request.stacked.shape[1],
-                request.max_sweeps,
                 _sweep_dispatch(request.context, rows, cols),
             )
             groups.setdefault(gkey, []).extend((ri, ii) for ii in range(count))
 
     for gkey, members in groups.items():
-        rows, cols, z, group_sweeps, dtypes = gkey
+        rows, cols, z, dtypes = gkey
         for start in range(0, len(members), _BATCH_LIMIT):
             chunk = members[start : start + _BATCH_LIMIT]
             b = len(chunk)
@@ -1169,7 +1160,7 @@ def _grouped_eval(
                         diff,
                         diff.sum(axis=2),
                         patterns,
-                        group_sweeps,
+                        _MAX_SWEEPS,
                         offsets,
                         totals_dtype,
                     )
@@ -1198,7 +1189,7 @@ def _grouped_eval(
                         d0,
                         d1,
                         patterns[j : j + 1],
-                        group_sweeps,
+                        _MAX_SWEEPS,
                     )
                     fin_patterns[j], fin_types[j], fin_totals[j] = (
                         pat[0], typ[0], tot[0]
@@ -1213,7 +1204,7 @@ def _grouped_eval(
             best_patterns = fin_patterns[arange_b, winners]
             best_types = fin_types[arange_b, winners]
             best_totals = fin_totals[arange_b, winners].tolist()
-            sweeps_list = fin_sweeps.tolist()
+            total_sweeps += int(fin_sweeps.sum())
             for j, (ri, ii) in enumerate(chunk):
                 decomposition = DisjointDecomposition._trusted(
                     requests[ri].partitions[ii],
@@ -1221,12 +1212,8 @@ def _grouped_eval(
                     best_types[j],
                 )
                 results[ri][ii] = OptForPartResult(best_totals[j], decomposition)
-                item_sweeps[ri][ii] = sweeps_list[j]
 
-    return [
-        (results[ri], sum(item_sweeps[ri]))  # type: ignore[misc]
-        for ri in range(len(requests))
-    ]
+    return results, total_sweeps  # type: ignore[return-value]
 
 
 def opt_for_part_bto(

@@ -195,6 +195,18 @@ class TestNonDisjoint:
                 np.full(4, 3, dtype=np.int8),
             )
 
+    def test_single_bound_variable_rejected(self):
+        """|B| = 1 leaves no reduced bound table once x_s is shared."""
+        with pytest.raises(ValueError, match="no bound table"):
+            NonDisjointDecomposition(
+                Partition((0, 1), (2,)),
+                2,
+                np.zeros(1, dtype=np.uint8),
+                np.full(4, 3, dtype=np.int8),
+                np.zeros(1, dtype=np.uint8),
+                np.full(4, 3, dtype=np.int8),
+            )
+
     def test_eq1_cofactor_identity(self, rng):
         """Eq. (1): f|xs=j equals the j-th conditional decomposition."""
         dec = self._make(rng)

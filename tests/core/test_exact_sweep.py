@@ -93,32 +93,32 @@ def _production_vs_reference(costs, p, n_inputs, bound, count, seed):
 class TestEligibilityGate:
     def test_uniform_integer_instance_is_eligible(self):
         costs, p = _uniform_instance(8, seed=0)
-        assert ofp._exact_tier(costs, p) is not None
+        assert ofp._gate(costs, p).tier is not None
 
     def test_non_uniform_distribution_is_rejected(self):
         costs, _ = _uniform_instance(6, seed=1)
         raw = np.random.default_rng(1).random(1 << 6) + 1e-3
-        assert ofp._exact_tier(costs, raw / raw.sum()) is None
+        assert ofp._gate(costs, raw / raw.sum()).tier is None
 
     def test_fractional_costs_are_rejected(self):
         costs, p = _uniform_instance(5, seed=2)
         fractional = BitCosts(costs.k, costs.cost0 + 0.5, costs.cost1)
-        assert ofp._exact_tier(fractional, p) is None
+        assert ofp._gate(fractional, p).tier is None
 
     def test_negative_costs_are_rejected(self):
         costs, p = _uniform_instance(5, seed=3)
         negative = BitCosts(costs.k, costs.cost0 - 1.0, costs.cost1)
-        assert ofp._exact_tier(negative, p) is None
+        assert ofp._gate(negative, p).tier is None
 
     def test_magnitude_overflow_is_rejected(self):
         """Sums that could leave the exact-integer float range bail out."""
         costs, p = _uniform_instance(5, seed=4)
         huge = BitCosts(costs.k, costs.cost0 + 2.0**53, costs.cost1)
-        assert ofp._exact_tier(huge, p) is None
+        assert ofp._gate(huge, p).tier is None
 
     def test_empty_distribution_is_rejected(self):
         costs, _ = _uniform_instance(4, seed=5)
-        assert ofp._exact_tier(costs, np.empty(0)) is None
+        assert ofp._gate(costs, np.empty(0)).tier is None
 
     def test_shared_context_caches_the_verdict(self, monkeypatch):
         """A search context's KernelContext gates once for every call."""
@@ -171,7 +171,7 @@ class TestWeightedEligibility:
         shift = data.draw(st.integers(0, 24), label="shift")
         p = mant / float(1 << shift)
         # dyadic weights with a tiny magnitude bound: always provable
-        assert ofp._exact_tier(costs, p)
+        assert ofp._gate(costs, p).tier
         on, off = _production_vs_reference(costs, p, n_inputs, 3, 3, seed=5)
         for a, b in zip(on, off):
             _same_result(a, b)
@@ -209,7 +209,7 @@ class TestWeightedEligibility:
         costs = _integer_costs(6, seed=3)
         p = np.full(64, 1.0 / 3.0)
         p[0] = 2.0 / 3.0
-        assert not ofp._exact_tier(costs, p)
+        assert not ofp._gate(costs, p).tier
 
     def test_weighted_overflow_is_refused(self):
         """Weights whose *scaled* total leaves 2**52 bail out.
@@ -221,18 +221,18 @@ class TestWeightedEligibility:
         costs = _integer_costs(6, seed=4)
         p = np.full(64, 2.0**50 + 1.0)
         p[0] = 2.0**50 + 3.0  # non-constant: takes the weighted path
-        assert not ofp._exact_tier(costs, p)
+        assert not ofp._gate(costs, p).tier
 
     def test_power_of_two_magnitudes_stay_eligible(self):
         """Huge but dyadic-unit weights are exact in scaled units."""
         costs = _integer_costs(6, seed=4)
         p = np.full(64, float(1 << 50))
         p[0] = float(1 << 51)
-        assert ofp._exact_tier(costs, p)
+        assert ofp._gate(costs, p).tier
 
     def test_uniform_stays_eligible_via_closed_form(self):
         costs = _integer_costs(8, seed=5)
-        assert ofp._exact_tier(costs, distributions.uniform(8))
+        assert ofp._gate(costs, distributions.uniform(8)).tier
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +299,7 @@ class TestGateBoundaries:
     @pytest.mark.parametrize("total,unit,tier", _BOUNDARIES)
     def test_total_and_unit_boundaries(self, shape, total, unit, tier):
         costs, p = _instance(total, _WEIGHTS[shape], unit)
-        assert ofp._exact_tier(costs, p) == tier
+        assert ofp._gate(costs, p).tier == tier
         _same_as_reference(costs, p)
 
     @pytest.mark.parametrize(
@@ -313,7 +313,7 @@ class TestGateBoundaries:
         cost0 = np.zeros(1 << _N)
         cost0[5] = 1.0
         costs = BitCosts(0, cost0, np.zeros(1 << _N))
-        assert ofp._exact_tier(costs, np.full(1 << _N, p0)) == tier
+        assert ofp._gate(costs, np.full(1 << _N, p0)).tier == tier
         _same_as_reference(costs, np.full(1 << _N, p0))
 
     @pytest.mark.parametrize(
@@ -328,7 +328,7 @@ class TestGateBoundaries:
         cost0 = np.zeros(1 << _N)
         cost0[:2] = [1.0, 5.0]
         costs = BitCosts(0, cost0, np.zeros(1 << _N))
-        assert ofp._exact_tier(costs, p) == tier
+        assert ofp._gate(costs, p).tier == tier
         _same_as_reference(costs, p)
 
     def test_zero_weight_supports_are_ignored(self):
@@ -337,7 +337,7 @@ class TestGateBoundaries:
         cost0 = np.resize([3.0, 2.0**60, 1.0, 0.0], 1 << _N)
         cost1 = np.resize([1.0, 0.0, 4.0, 0.0], 1 << _N)
         costs = BitCosts(0, cost0, cost1)
-        assert ofp._exact_tier(costs, p) == "f32"
+        assert ofp._gate(costs, p).tier == "f32"
         _same_as_reference(costs, p)
 
     @pytest.mark.parametrize("p0", [1.0 / 3.0, 0.0])
@@ -354,7 +354,7 @@ class TestGateBoundaries:
                 rng.integers(0, 9, 1 << _N).astype(np.float64),
             )
             p = np.zeros(1 << _N)
-        assert ofp._exact_tier(costs, p) == "f32"
+        assert ofp._gate(costs, p).tier == "f32"
         _same_as_reference(costs, p)
 
     @pytest.mark.parametrize("unit", [-1073, -1074])
@@ -425,7 +425,7 @@ class TestGateBoundaries:
         cost0 = costs.cost0.copy()
         cost0[3] = {"fractional": cost0[3] + 0.5, "negative": -1.0,
                     "nan": np.nan, "inf": np.inf}[bad]
-        assert ofp._exact_tier(BitCosts(0, cost0, costs.cost1), p) is None
+        assert ofp._gate(BitCosts(0, cost0, costs.cost1), p).tier is None
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +577,7 @@ class TestConvergenceSlack:
     @pytest.mark.parametrize("unit,tier", [(-37, "f32"), (-38, "f64")])
     def test_slack_verdicts_at_the_floor(self, unit, tier):
         costs, p = _instance((1 << 24) - 1, (1,), unit)
-        assert ofp._exact_tier(costs, p) == tier
+        assert ofp._gate(costs, p).tier == tier
         assert self._disagreements(unit) == 0
         for seed in range(4):
             _same_as_reference(costs, p, seed=seed)
@@ -811,7 +811,7 @@ def _boundary_contexts():
 
 def _assert_cofactors_inherit(costs, p, n_inputs):
     """Each one-bit cofactor: gated at least as fast, views equal copies."""
-    parent = ofp._exact_tier(costs, p)
+    parent = ofp._gate(costs, p).tier
     context = KernelContext(costs, p, n_inputs)
     for bit in range(n_inputs):
         for value in (0, 1):
@@ -822,7 +822,7 @@ def _assert_cofactors_inherit(costs, p, n_inputs):
                 ops.cofactor(costs.cost1, n_inputs, fixed),
             )
             half_p = ops.cofactor(p, n_inputs, fixed)
-            assert _SPEED[ofp._exact_tier(half_costs, half_p)] >= _SPEED[parent], (
+            assert _SPEED[ofp._gate(half_costs, half_p).tier] >= _SPEED[parent], (
                 fixed
             )
             view = context.cofactor(fixed)
@@ -920,13 +920,15 @@ class TestGateVerdicts:
             target = workloads.get("cos", n_inputs)
             p = _make_distribution(distribution, n_inputs)
             spelled = "".join(
-                code[ofp._exact_tier(
-                    apply_objective(
-                        cost_vectors_fixed(target, rest_word(target.table, k), k),
-                        objective,
-                    ),
-                    p,
-                )]
+                code[
+                    ofp._gate(
+                        apply_objective(
+                            cost_vectors_fixed(target, rest_word(target.table, k), k),
+                            objective,
+                        ),
+                        p,
+                    ).tier
+                ]
                 for k in range(target.n_outputs)
             )
             expected = _VERDICTS.get(
@@ -980,7 +982,8 @@ class TestKernelByteIdentity:
 
     @pytest.mark.parametrize("max_sweeps", [1, 2, 50])
     @pytest.mark.parametrize("n_inputs,bound", [(6, 3), (9, 4), (10, 6)])
-    def test_single_call(self, n_inputs, bound, max_sweeps):
+    def test_single_call(self, monkeypatch, n_inputs, bound, max_sweeps):
+        monkeypatch.setattr(ofp, "_MAX_SWEEPS", max_sweeps)
         costs, p = _uniform_instance(n_inputs, seed=17)
         partition = random_partition(n_inputs, bound, np.random.default_rng(3))
         rng_exact = np.random.default_rng(23)
@@ -988,12 +991,12 @@ class TestKernelByteIdentity:
         with caching.fast_paths(True):
             exact = opt_for_part(
                 costs, p, partition, n_inputs,
-                n_initial_patterns=6, max_sweeps=max_sweeps, rng=rng_exact,
+                n_initial_patterns=6, rng=rng_exact,
             )
         with caching.fast_paths(False):
             reference = opt_for_part(
                 costs, p, partition, n_inputs,
-                n_initial_patterns=6, max_sweeps=max_sweeps, rng=rng_ref,
+                n_initial_patterns=6, rng=rng_ref,
             )
         _same_result(exact, reference)
         assert rng_exact.bit_generator.state == rng_ref.bit_generator.state
@@ -1074,7 +1077,7 @@ class TestKernelByteIdentity:
         n_inputs, count, z = 9, ofp._BATCH_LIMIT + 6, 5
         costs, _ = _uniform_instance(n_inputs, seed=47)
         p = distributions.truncated_gaussian(n_inputs, mean=0.45, std=0.2)
-        assert ofp._exact_tier(costs, p) is None
+        assert ofp._gate(costs, p).tier is None
         sample = np.random.default_rng(13)
         partitions = [random_partition(n_inputs, 4, sample) for _ in range(count)]
         with caching.fast_paths(False):
@@ -1160,7 +1163,7 @@ def _layout_digest(kind, n_inputs, distribution):
             rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
             rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
         )
-        assert ofp._exact_tier(costs, p) is None
+        assert ofp._gate(costs, p).tier is None
         if kind == "bto":
             result = opt_for_part_bto(costs, p, partition, n_inputs)
         else:

@@ -9,6 +9,8 @@ tests pin that contract against the serial reference implementation
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,12 @@ from repro.core import (
     run_dalta,
 )
 
+from repro.core.opt_for_part import draw_patterns
+
 from ..conftest import random_bits, random_function
+
+# the package re-exports the function under the module's name
+kernel = importlib.import_module("repro.core.opt_for_part")
 
 
 def _instance(n_inputs, seed):
@@ -119,10 +126,6 @@ class TestBatchedMatchesSerial:
         assert rng_serial.bit_generator.state == rng_batched.bit_generator.state
 
     def test_many_spans_multiple_chunks(self, monkeypatch):
-        import importlib
-
-        # the package re-exports the function under the module's name
-        kernel = importlib.import_module("repro.core.opt_for_part")
         monkeypatch.setattr(kernel, "_BATCH_LIMIT", 3)
         costs, p = _instance(7, seed=8)
         sample_rng = np.random.default_rng(2)
@@ -148,6 +151,89 @@ class TestBatchedMatchesSerial:
         with pytest.raises(ValueError, match="one .* shape"):
             opt_for_part_many(costs, p, parts, 6, rng=np.random.default_rng(0))
 
+
+
+class TestDrawContract:
+    """``draw_patterns`` is the one draw rule; every stack form of
+    ``opt_for_part_many`` is taken through one uint8 shape check."""
+
+    def _batch(self):
+        costs, p = _instance(7, seed=12)
+        sample_rng = np.random.default_rng(6)
+        return costs, p, [random_partition(7, 3, sample_rng) for _ in range(5)]
+
+    def test_draw_equals_successive_draws(self):
+        _, _, partitions = self._batch()
+        rng_loop = np.random.default_rng(9)
+        loop = [
+            rng_loop.integers(0, 2, size=(4, pt.n_cols), dtype=np.uint8)
+            for pt in partitions
+        ]
+        rng_stack = np.random.default_rng(9)
+        stacked = draw_patterns(rng_stack, partitions, 4)
+        assert stacked.dtype == np.uint8
+        assert stacked.tobytes() == np.stack(loop).tobytes()
+        assert rng_loop.bit_generator.state == rng_stack.bit_generator.state
+
+    def test_draw_rejects_no_candidates(self):
+        _, _, partitions = self._batch()
+        with pytest.raises(ValueError, match="n_initial_patterns"):
+            draw_patterns(np.random.default_rng(0), partitions, 0)
+
+    def test_rng_sequence_and_stack_forms_agree(self):
+        costs, p, partitions = self._batch()
+        drawn = opt_for_part_many(
+            costs, p, partitions, 7, n_initial_patterns=4,
+            rng=np.random.default_rng(3),
+        )
+        stacked = draw_patterns(np.random.default_rng(3), partitions, 4)
+        from_stack = opt_for_part_many(
+            costs, p, partitions, 7, initial_patterns=stacked
+        )
+        from_sequence = opt_for_part_many(
+            costs, p, partitions, 7, initial_patterns=list(stacked)
+        )
+        for a, b, c in zip(drawn, from_stack, from_sequence):
+            _same_result(a, b)
+            _same_result(a, c)
+
+    @pytest.mark.parametrize(
+        "case", ["wrong-columns", "ragged", "too-few", "no-candidates", "flat"]
+    )
+    def test_malformed_stack_rejected_before_any_sweep(self, monkeypatch, case):
+        costs, p, partitions = self._batch()
+        cols = partitions[0].n_cols
+        patterns = {
+            "wrong-columns": np.zeros((5, 4, cols + 1), dtype=np.uint8),
+            "ragged": [np.zeros((4, cols), dtype=np.uint8)] * 4
+            + [np.zeros((3, cols), dtype=np.uint8)],
+            "too-few": np.zeros((4, 4, cols), dtype=np.uint8),
+            "no-candidates": np.zeros((5, 0, cols), dtype=np.uint8),
+            "flat": np.zeros((5, cols), dtype=np.uint8),
+        }[case]
+
+        def no_sweep(requests):
+            raise AssertionError("a malformed stack reached the kernel")
+
+        monkeypatch.setattr(kernel, "_grouped_eval", no_sweep)
+        with pytest.raises(ValueError):
+            opt_for_part_many(costs, p, partitions, 7, initial_patterns=patterns)
+
+    @pytest.mark.parametrize("dtype", [np.int64, bool])
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_wide_stack_returns_uint8_patterns(self, dtype, fast):
+        costs, p, partitions = self._batch()
+        stacked = draw_patterns(np.random.default_rng(5), partitions, 4)
+        with caching.fast_paths(fast):
+            want = opt_for_part_many(
+                costs, p, partitions, 7, initial_patterns=stacked
+            )
+            got = opt_for_part_many(
+                costs, p, partitions, 7, initial_patterns=stacked.astype(dtype)
+            )
+        for a, b in zip(want, got):
+            assert b.pattern.dtype == np.uint8
+            _same_result(a, b)
 
 class TestPipelineBitExact:
     """Full algorithm runs are byte-identical with fast paths on/off."""

@@ -218,7 +218,7 @@ def nd_context(name):
     """``(costs, p, n_inputs, partition)`` of an ``ND_CONTEXTS`` entry."""
     build, n_inputs, tier = ND_CONTEXTS[name]
     costs, p = build()
-    assert ofp._exact_tier(costs, p) == tier
+    assert ofp._gate(costs, p).tier == tier
     bound = min(5, n_inputs - 2)
     partition = random_partition(n_inputs, bound, np.random.default_rng(n_inputs))
     return costs, p, n_inputs, partition
@@ -283,7 +283,7 @@ def layout_context(distribution, seed):
         rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
         rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
     )
-    assert ofp._exact_tier(costs, p) is None
+    assert ofp._gate(costs, p).tier is None
     return costs, p, n_inputs, Partition((0, 1, 2), (3, 4, 5, 6))
 
 

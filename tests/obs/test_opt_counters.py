@@ -20,8 +20,10 @@ from repro.core import (
     opt_for_part,
     opt_for_part_bto,
     run_bssa,
+    run_dalta,
 )
 from repro.core.opt_for_part import KernelContext
+from repro.obs.summarize import summarize
 
 from ..conftest import random_bits, random_function
 from ..core.test_fast_paths import TestPipelineBitExact
@@ -102,6 +104,74 @@ class TestEnabled:
         assert counters.get("opt.packed_f32_calls") == 140
         assert counters.get("opt.packed_ineligible", 0) == 0
 
+
+
+class TestTelemetryPin:
+    """The kernel's span, counter and histogram counts on fixed runs.
+
+    ``BENCH_*.json``, ``repro summarize`` and ``perfbench/tracer.py``
+    read these names and per-call counts, so a refactor of the kernel
+    entry points must leave every one of them unchanged.  The runs are
+    TestPipelineBitExact's seeded 8-bit ones.
+    """
+
+    @pytest.mark.parametrize(
+        "algorithm,architecture,spans,counters,observations",
+        [
+            (
+                "dalta",
+                "normal",
+                {"opt.for_part_many": 8},
+                (64, 261, 16384, 0),
+                8,
+            ),
+            (
+                "bs-sa",
+                "bto-normal",
+                {"opt.for_part": 11, "opt.for_part_many": 33},
+                (88, 344, 22528, 32),
+                44,
+            ),
+            (
+                "bs-sa",
+                "bto-normal-nd",
+                {
+                    "opt.for_part": 11,
+                    "opt.for_part_many": 33,
+                    "opt.for_part_grouped": 8,
+                },
+                (152, 521, 30720, 32),
+                52,
+            ),
+        ],
+    )
+    def test_seeded_run(self, algorithm, architecture, spans, counters, observations):
+        target = random_function(8, 4, np.random.default_rng(77), name="t")
+        rng = np.random.default_rng(2024)
+        sink = obs.MemorySink()
+        with obs.session(sink):
+            if algorithm == "dalta":
+                run_dalta(target, TestPipelineBitExact.CONFIG, rng=rng)
+            else:
+                run_bssa(
+                    target,
+                    TestPipelineBitExact.CONFIG,
+                    rng=rng,
+                    architecture=architecture,
+                )
+        seen = {}
+        for span in sink.spans():
+            if span["name"].startswith("opt.for_part"):
+                seen[span["name"]] = seen.get(span["name"], 0) + 1
+        assert seen == spans
+        totals = sink.counters()
+        assert tuple(
+            totals.get(name, 0)
+            for name in ("opt.calls", "opt.sweeps", "opt.lut_entries", "opt.bto_calls")
+        ) == counters
+        histograms = summarize(sink.records).histograms
+        for name in ("opt.for_part_seconds", "opt.for_part_cpu_seconds"):
+            assert histograms[name].count == observations
 
 def _rejected(reason):
     """A 6-input ``(costs, p)`` the gate rejects for ``reason``."""
