@@ -1,38 +1,6 @@
-"""Seeded benchmark harnesses and committed performance snapshots.
+"""Seeded pytest-benchmark harnesses for the paper's experiments.
 
-``snapshot_table2`` / ``snapshot_packed`` / ``snapshot_serve`` write
-the committed ``BENCH_table2.json`` / ``BENCH_packed.json`` /
-``BENCH_serve.json`` baselines and ``check_regression`` ratchets fresh
-runs against them (see ``docs/performance.md``).
+Speed is judged by the layered benchmark in ``perfbench/``; these
+modules time the experiment drivers and kernel entry points (see
+``docs/performance.md``).
 """
-
-from __future__ import annotations
-
-import datetime
-import os
-import platform
-import time
-from typing import Any, Dict
-
-__all__ = ["snapshot_provenance"]
-
-
-def snapshot_provenance() -> Dict[str, Any]:
-    """Where/when/what stamp for a committed ``BENCH_*.json`` snapshot.
-
-    Records the git revision, creation time, host CPU count, and Python
-    version so a snapshot can be traced back to the tree and machine
-    that produced it (``repro summarize BENCH_*.json`` prints these).
-    """
-    from repro.obs import git_revision
-
-    now = time.time()
-    return {
-        "git_rev": git_revision(),
-        "created": now,
-        "created_iso": datetime.datetime.fromtimestamp(
-            now, tz=datetime.timezone.utc
-        ).isoformat(timespec="seconds"),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-    }

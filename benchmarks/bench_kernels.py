@@ -76,10 +76,9 @@ def test_opt_for_part_many_neighbourhood(benchmark):
 def test_opt_for_part_many_reference(benchmark):
     """The same batch on the serial reference (all fast paths off).
 
-    The committed ``BENCH_packed.json`` ratchet divides this phase by
-    the production one (the exact sweep); keeping both shapes here
-    lets a local run cross-check the snapshot's kernel-level ratio
-    against :func:`test_opt_for_part_many_neighbourhood`.
+    Timed beside :func:`test_opt_for_part_many_neighbourhood` (the
+    exact sweep) so a local run shows the two tiers' kernel-level
+    ratio.
     """
     costs, p, _, n = _cost_setup(12, 7)
     sample_rng = np.random.default_rng(1)

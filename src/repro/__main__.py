@@ -21,8 +21,7 @@ Commands
 ``info``
     Describe a saved configuration file.
 ``summarize``
-    Per-phase breakdown of a telemetry trace file, or the provenance
-    and headline numbers of a ``BENCH_*.json`` snapshot.
+    Per-phase breakdown of a JSONL telemetry trace file.
 ``top``
     Live terminal view of a running ``--metrics-port`` campaign.
 ``serve``
@@ -223,73 +222,18 @@ def _cmd_status(args) -> int:
     return 0
 
 
-def _render_bench_snapshot(path: str, payload: dict) -> str:
-    """Human summary of a ``benchmarks/snapshot_*.py`` JSON file."""
-    lines = [f"benchmark snapshot: {path}"]
-    provenance = payload.get("provenance") or {}
-    if provenance:
-        git_rev = provenance.get("git_rev") or "unknown"
-        lines.append(
-            "provenance: git={git} created={created} cpus={cpus} "
-            "python={python}".format(
-                git=str(git_rev)[:12],
-                created=provenance.get("created_iso", "?"),
-                cpus=provenance.get("cpu_count", "?"),
-                python=provenance.get("python", "?"),
-            )
-        )
-    else:
-        lines.append("provenance: (not stamped — regenerate the snapshot)")
-    scope = [
-        f"{key}={payload[key]}"
-        for key in ("scale", "n_inputs", "n_runs", "base_seed", "repeats", "jobs")
-        if key in payload
-    ]
-    if payload.get("benchmarks"):
-        scope.append("benchmarks=" + ",".join(payload["benchmarks"]))
-    if scope:
-        lines.append("scope: " + " ".join(scope))
-    if "fast" in payload and "reference" in payload:
-        lines.append(
-            f"table2 wall-clock: fast {payload['fast'].get('min', 0):.2f}s, "
-            f"reference {payload['reference'].get('min', 0):.2f}s"
-        )
-    warm = payload.get("warm_rerun")
-    if warm:
-        lines.append(f"warm rerun speedup: {warm.get('speedup', 0):.2f}x")
-    speedup = payload.get("speedup")
-    if isinstance(speedup, dict):
-        for name in sorted(speedup):
-            lines.append(f"speedup {name}: {speedup[name]:.2f}x")
-    meds = payload.get("meds")
-    if isinstance(meds, list):
-        lines.append(f"MED rows: {len(meds)} (byte-compared by check_regression)")
-    return "\n".join(lines)
-
-
 def _cmd_summarize(args) -> int:
-    import json
-
-    # A bench snapshot (BENCH_*.json) is one whole-file JSON object;
-    # a telemetry trace is JSONL.  Dispatch on what the file actually
-    # parses as.
-    try:
-        with open(args.path) as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        print(f"error: trace file not found: {args.path}", file=sys.stderr)
-        return 2
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        payload = None
-    if isinstance(payload, dict) and "protocol" in payload:
-        print(_render_bench_snapshot(args.path, payload))
-        return 0
     try:
         records, bad_lineno = obs.summarize.load_trace_tolerant(args.path)
     except FileNotFoundError:
         print(f"error: trace file not found: {args.path}", file=sys.stderr)
+        return 2
+    if bad_lineno is not None and not records:
+        # the first non-blank line is no JSON record: a whole-file JSON
+        # document or some other file, not a truncated trace
+        print(
+            f"error: {args.path} is not a JSONL telemetry trace", file=sys.stderr
+        )
         return 2
     if bad_lineno is not None:
         print(
@@ -516,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     summarize_parser = sub.add_parser(
         "summarize",
-        help="per-phase breakdown of a trace file (or a BENCH snapshot)",
+        help="per-phase breakdown of a JSONL telemetry trace file",
     )
     summarize_parser.add_argument("path")
     summarize_parser.set_defaults(func=_cmd_summarize)

@@ -73,7 +73,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -769,7 +769,7 @@ def _alternate_exact(
     the relative totals to the reference's absolute ones bit for bit.
     The matmuls run in ``diff``'s dtype and the per-candidate totals
     accumulate in ``totals_dtype`` (:meth:`KernelContext.sweep_dtypes`).
-    Each item converges (or hits ``max_sweeps``) independently and is
+    Each item converges (or hits ``max_sweeps >= 1``) independently and is
     frozen with exactly the state :func:`_alternate_reference` would
     return for it: the convergence test runs the reference's op order,
     and every item's trajectory is independent of its batchmates.
@@ -783,13 +783,9 @@ def _alternate_exact(
     out_patterns = np.empty_like(patterns)
     out_types = np.empty((batch, z, diff.shape[1]), dtype=np.int8)
     # float64 in every dispatch, like the reference's totals and the
-    # ``totals + totals_offset`` of the early returns below
+    # ``totals + totals_offset`` of the batch-of-one return below
     out_totals = np.empty(totals.shape)
     out_sweeps = np.zeros(batch, dtype=np.int64)
-    if max_sweeps < 1:
-        types = _exact_types(use4, use_vt, sweep.b01)
-        return patterns.copy(), types, totals + totals_offset[:, None], out_sweeps
-
     if batch == 1:
         # one item: skip the freeze/compaction bookkeeping below — the
         # sequence of core calls is identical, so the bits are too
@@ -904,6 +900,11 @@ def draw_patterns(
     cols = partitions[0].n_cols if partitions else 0
     stacked = np.empty((len(partitions), z, cols), dtype=np.uint8)
     for index, partition in enumerate(partitions):
+        if partition.n_cols != cols:
+            raise ValueError(
+                "draw_patterns needs partitions of one bound-set shape; "
+                f"got {partition.n_cols} and {cols} columns"
+            )
         stacked[index] = rng.integers(
             0, 2, size=(z, partition.n_cols), dtype=np.uint8
         )
@@ -968,31 +969,11 @@ def opt_for_part_many(
     partitions = list(partitions)
     if not partitions:
         return []
-    shape = (partitions[0].n_rows, partitions[0].n_cols)
-    for partition in partitions:
-        if (partition.n_rows, partition.n_cols) != shape:
-            raise ValueError(
-                "opt_for_part_many needs partitions of one (free, bound) "
-                f"shape; got {(partition.n_rows, partition.n_cols)} and {shape}"
-            )
     if initial_patterns is None:
-        stacked = draw_patterns(
+        initial_patterns = draw_patterns(
             rng or np.random.default_rng(), partitions, n_initial_patterns
         )
-    else:
-        # a ragged sequence fails here too, as numpy's ValueError
-        stacked = np.asarray(initial_patterns, dtype=np.uint8)
-        if (
-            stacked.ndim != 3
-            or stacked.shape[0] != len(partitions)
-            or stacked.shape[1] < 1
-            or stacked.shape[2] != shape[1]
-        ):
-            raise ValueError(
-                f"initial patterns have shape {stacked.shape}, expected "
-                f"({len(partitions)}, Z >= 1, {shape[1]})"
-            )
-    request = KernelRequest(context, partitions, stacked)
+    request = KernelRequest(context, partitions, initial_patterns)
     return _evaluate("opt.for_part_many", [request])[0]
 
 
@@ -1003,9 +984,14 @@ class KernelRequest:
     :class:`KernelContext`, the partitions and their ``(N, Z, cols)``
     uint8 pattern stack — so requests from *different* contexts (the
     cofactor halves of one ND or multi-shared decomposition) can ride
-    one :func:`opt_for_part_grouped` pass.  The pattern stack is
-    captured by reference; callers must not mutate it until the request
-    resolves.
+    one :func:`opt_for_part_grouped` pass.
+
+    This is the one home of the request checks, made before any sweep:
+    the partitions must share one ``(rows, cols)`` shape, and the
+    patterns (one ``(N, Z, cols)`` stack or a sequence of ``(Z, cols)``
+    arrays) are taken as uint8 with ``Z >= 1``; a ragged sequence
+    fails as numpy's ``ValueError``.  A uint8 stack is captured by
+    reference; callers must not mutate it until the request resolves.
     """
 
     __slots__ = ("context", "partitions", "stacked")
@@ -1014,10 +1000,29 @@ class KernelRequest:
         self,
         context: KernelContext,
         partitions: Sequence[Partition],
-        stacked: np.ndarray,
+        stacked: Union[np.ndarray, Sequence[np.ndarray]],
     ) -> None:
+        partitions = list(partitions)
+        shapes = {(pt.n_rows, pt.n_cols) for pt in partitions}
+        if len(shapes) > 1:
+            raise ValueError(
+                "a kernel request needs partitions of one (free, bound) "
+                f"shape; got {sorted(shapes)}"
+            )
+        stacked = np.asarray(stacked, dtype=np.uint8)
+        cols = partitions[0].n_cols if partitions else 0
+        if (
+            stacked.ndim != 3
+            or stacked.shape[0] != len(partitions)
+            or stacked.shape[1] < 1
+            or stacked.shape[2] != cols
+        ):
+            raise ValueError(
+                f"initial patterns have shape {stacked.shape}, expected "
+                f"({len(partitions)}, Z >= 1, {cols})"
+            )
         self.context = context
-        self.partitions = list(partitions)
+        self.partitions = partitions
         self.stacked = stacked
 
 

@@ -210,19 +210,23 @@ def load_trace_tolerant(path: str):
     A trace written by a process that crashed or was killed mid-write
     can end in a truncated line; this reads every parseable record and
     reports where parsing stopped.  Returns ``(records, bad_lineno)``
-    where ``bad_lineno`` is the 1-based line number of the first
-    unparseable line (``None`` for a clean file).
+    where ``bad_lineno`` is the 1-based line number of the first line
+    that is not one JSON object (``None`` for a clean file).
     """
     records: List[Dict[str, Any]] = []
-    with open(path) as handle:
+    # traces are ASCII JSON; undecodable bytes make a line unparseable
+    with open(path, encoding="utf-8", errors="replace") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
+                record = json.loads(line)
+            except (json.JSONDecodeError, RecursionError):
                 return records, lineno
+            if not isinstance(record, dict):
+                return records, lineno
+            records.append(record)
     return records, None
 
 

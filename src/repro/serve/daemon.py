@@ -122,7 +122,9 @@ class ServeHandler(exposition._Handler):
             return
         try:
             document = json.loads(self.rfile.read(length))
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (ValueError, RecursionError):
+            # ValueError covers bad JSON and bytes that are not UTF-8;
+            # a deeply nested body overflows the decoder's recursion
             self._send_json(400, {"error": "request body is not valid JSON"})
             return
         try:

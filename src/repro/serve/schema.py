@@ -113,6 +113,17 @@ def _int_knob(
     return value
 
 
+def _seed_knob(
+    document: Dict[str, Any], key: str, default: Optional[int]
+) -> Optional[int]:
+    # numpy's SeedSequence takes no negative entropy; reject it here
+    # rather than fail the compile
+    value = _int_knob(document, key, default)
+    if value is not None and value < 0:
+        raise RequestError(f"{key!r} must be a non-negative integer")
+    return value
+
+
 def _reject_unknown(document: Dict[str, Any], form: str) -> None:
     unknown = sorted(set(document) - _FORM_KEYS[form])
     if unknown:
@@ -158,7 +169,7 @@ def _common_knobs(document: Dict[str, Any]) -> Dict[str, Any]:
             f"unknown budget {budget!r}; "
             f"choose from {sorted(compile_api.BUDGETS)}"
         )
-    seed = _int_knob(document, "seed", 0)
+    seed = _seed_knob(document, "seed", 0)
     if seed is None:
         raise RequestError("seed must be an integer")
     return {
@@ -272,8 +283,8 @@ def _parse_spec_form(document: Dict[str, Any]) -> CompileRequest:
         )
     n_outputs = _require(fields, "n_outputs", int, "spec")
     name = _check_name(fields.get("name")) or ""
-    base_seed = _int_knob(fields, "base_seed", None)
-    direct_seed = _int_knob(fields, "direct_seed", None)
+    base_seed = _seed_knob(fields, "base_seed", None)
+    direct_seed = _seed_knob(fields, "direct_seed", None)
     if base_seed is None and direct_seed is None:
         # SeedSequence(None) draws OS entropy — a request that cannot
         # reproduce (or be content-addressed) is a caller bug.

@@ -1023,7 +1023,7 @@ class TestKernelByteIdentity:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 5])
-    @pytest.mark.parametrize("max_sweeps", [0, 1, 50])
+    @pytest.mark.parametrize("max_sweeps", [1, 50])
     def test_exact_sweep_totals_are_float64(self, dtype, batch, max_sweeps):
         """Both tiers, with or without the B = 1 shortcut, return the
         reference's float64 totals, equal to it item by item."""

@@ -25,7 +25,12 @@ from repro.core import (
     run_dalta,
 )
 
-from repro.core.opt_for_part import draw_patterns
+from repro.core.opt_for_part import (
+    KernelContext,
+    KernelRequest,
+    draw_patterns,
+    opt_for_part_grouped,
+)
 
 from ..conftest import random_bits, random_function
 
@@ -155,7 +160,8 @@ class TestBatchedMatchesSerial:
 
 class TestDrawContract:
     """``draw_patterns`` is the one draw rule; every stack form of
-    ``opt_for_part_many`` is taken through one uint8 shape check."""
+    ``opt_for_part_many`` and ``opt_for_part_grouped`` is taken through
+    ``KernelRequest``'s one uint8 shape check."""
 
     def _batch(self):
         costs, p = _instance(7, seed=12)
@@ -179,6 +185,12 @@ class TestDrawContract:
         _, _, partitions = self._batch()
         with pytest.raises(ValueError, match="n_initial_patterns"):
             draw_patterns(np.random.default_rng(0), partitions, 0)
+
+    def test_draw_rejects_mixed_column_counts(self):
+        rng = np.random.default_rng(0)
+        partitions = [random_partition(7, 3, rng), random_partition(7, 4, rng)]
+        with pytest.raises(ValueError, match="one bound-set shape"):
+            draw_patterns(np.random.default_rng(1), partitions, 4)
 
     def test_rng_sequence_and_stack_forms_agree(self):
         costs, p, partitions = self._batch()
@@ -218,6 +230,47 @@ class TestDrawContract:
         monkeypatch.setattr(kernel, "_grouped_eval", no_sweep)
         with pytest.raises(ValueError):
             opt_for_part_many(costs, p, partitions, 7, initial_patterns=patterns)
+
+    @pytest.mark.parametrize(
+        "case", ["wrong-columns", "too-few", "no-candidates", "flat", "mixed-shapes"]
+    )
+    def test_grouped_request_rejected_before_any_sweep(self, monkeypatch, case):
+        costs, p, partitions = self._batch()
+        cols = partitions[0].n_cols
+        patterns = {
+            "wrong-columns": np.zeros((1, 3, cols + 1), dtype=np.uint8),
+            "too-few": np.zeros((0, 3, cols), dtype=np.uint8),
+            "no-candidates": np.zeros((1, 0, cols), dtype=np.uint8),
+            "flat": np.zeros((3, cols), dtype=np.uint8),
+            "mixed-shapes": np.zeros((2, 3, cols), dtype=np.uint8),
+        }[case]
+        chosen = partitions[:1]
+        if case == "mixed-shapes":
+            chosen = [partitions[0], random_partition(7, 4, np.random.default_rng(2))]
+
+        def no_sweep(requests):
+            raise AssertionError("a malformed request reached the kernel")
+
+        monkeypatch.setattr(kernel, "_grouped_eval", no_sweep)
+        with pytest.raises(ValueError):
+            opt_for_part_grouped(
+                [KernelRequest(KernelContext(costs, p, 7), chosen, patterns)]
+            )
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_grouped_int64_stack_returns_uint8_patterns(self, fast):
+        costs, p, partitions = self._batch()
+        stacked = draw_patterns(np.random.default_rng(5), partitions, 4)
+        context = KernelContext(costs, p, 7)
+        with caching.fast_paths(fast):
+            # one pass each: a shared pass would stack both into one buffer
+            [want], [got] = (
+                opt_for_part_grouped([KernelRequest(context, partitions, stack)])
+                for stack in (stacked, stacked.astype(np.int64))
+            )
+        for a, b in zip(want, got):
+            assert b.pattern.dtype == np.uint8
+            _same_result(a, b)
 
     @pytest.mark.parametrize("dtype", [np.int64, bool])
     @pytest.mark.parametrize("fast", [True, False])

@@ -109,8 +109,8 @@ class TestEnabled:
 class TestTelemetryPin:
     """The kernel's span, counter and histogram counts on fixed runs.
 
-    ``BENCH_*.json``, ``repro summarize`` and ``perfbench/tracer.py``
-    read these names and per-call counts, so a refactor of the kernel
+    ``repro summarize`` and ``perfbench/tracer.py`` read these names
+    and per-call counts, so a refactor of the kernel
     entry points must leave every one of them unchanged.  The runs are
     TestPipelineBitExact's seeded 8-bit ones.
     """

@@ -22,16 +22,16 @@ from repro.compile_api import artifact_from_result, canonical_json
 from repro.serve.schema import parse_compile_request
 
 #: the canonical tiny request used across the suite
-BENCH_DOC = {"benchmark": "cos", "bits": 6, "budget": "fast", "seed": 7}
+BENCHMARK_DOC = {"benchmark": "cos", "bits": 6, "budget": "fast", "seed": 7}
 
-#: fingerprint of BENCH_DOC — pinned so accidental drift in the
+#: fingerprint of BENCHMARK_DOC — pinned so accidental drift in the
 #: content-addressing scheme (table digest + algorithm descriptor)
 #: fails loudly instead of silently invalidating every cache
-BENCH_FINGERPRINT = "7de0a211319dfa71"
+BENCHMARK_FINGERPRINT = "7de0a211319dfa71"
 
 
 def bench_doc(seed: int = 7, **overrides: Any) -> Dict[str, Any]:
-    doc = dict(BENCH_DOC, seed=seed)
+    doc = dict(BENCHMARK_DOC, seed=seed)
     doc.update(overrides)
     return doc
 

@@ -23,7 +23,7 @@ from repro.compile_api import (
 )
 from repro.core import serialize
 
-from .conftest import BENCH_FINGERPRINT
+from .conftest import BENCHMARK_FINGERPRINT
 
 
 class TestBuilders:
@@ -81,7 +81,7 @@ class TestCompileOne:
         assert artifact.payload["med"] == lut.med
         assert artifact.payload["verilog"] == lut.to_verilog()
         assert artifact.payload["config"] == json.loads(serialize.dumps(lut))
-        assert artifact.fingerprint == BENCH_FINGERPRINT
+        assert artifact.fingerprint == BENCHMARK_FINGERPRINT
 
     def test_dalta_matches_direct_approximate(self, fast_config):
         artifact = compile_one(

@@ -22,7 +22,7 @@ from repro.serve.daemon import ServeDaemon
 from repro.serve.service import ServeConfig
 
 from .conftest import (
-    BENCH_FINGERPRINT,
+    BENCHMARK_FINGERPRINT,
     assert_served_equals_offline,
     bench_doc,
     get_json,
@@ -64,7 +64,7 @@ class TestGoldenResponses:
         assert_served_equals_offline(envelope, twin)
         assert envelope["cached"] is False
         assert envelope["source"] == "computed"
-        assert envelope["fingerprint"] == BENCH_FINGERPRINT
+        assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT
         assert envelope["artifact"]["med"] == twin["med"]
         assert envelope["artifact"]["verilog"] == twin["verilog"]
         # stable field order: the body is exactly the sorted-key dump
@@ -142,6 +142,17 @@ class TestHttpSurface:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
             assert excinfo.value.code == 404
+
+    def test_deeply_nested_body_is_a_400_and_the_daemon_serves_on(
+        self, telemetry
+    ):
+        # json.loads raises RecursionError, not a ValueError, on this
+        with inline_daemon() as daemon:
+            status, body, _ = post_compile(daemon.url, None, raw=b"[" * 200_000)
+            assert status == 400 and "JSON" in body["error"]
+            status, envelope, _ = post_compile(daemon.url, bench_doc())
+            assert status == 200
+            assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT
 
     def test_rate_limit_429_with_retry_after(self, telemetry):
         with inline_daemon(rate=0.001, burst=1) as daemon:
@@ -244,7 +255,7 @@ class TestRestart:
     ):
         artifact_dir = tmp_path / "artifacts"
         artifact_dir.mkdir()
-        (artifact_dir / f"{BENCH_FINGERPRINT}.json").write_bytes(content)
+        (artifact_dir / f"{BENCHMARK_FINGERPRINT}.json").write_bytes(content)
         doc = bench_doc()
         with inline_daemon(artifact_dir=str(artifact_dir)) as daemon:
             status, first, _ = post_compile(daemon.url, doc)

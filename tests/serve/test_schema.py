@@ -72,6 +72,11 @@ class TestBenchmarkForm:
         with pytest.raises(RequestError, match="seed"):
             parse_compile_request(bench_doc(seed="seven"))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(RequestError, match="non-negative") as excinfo:
+            parse_compile_request(bench_doc(seed=-1))
+        assert excinfo.value.status == 400
+
     def test_seed_selects_distinct_artifacts(self):
         first = parse_compile_request(bench_doc(seed=0))
         second = parse_compile_request(bench_doc(seed=1))
@@ -111,6 +116,13 @@ class TestTableForm:
                 {"table": [0, 1], "n_outputs": 1, "name": "no spaces!"}
             )
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(RequestError, match="non-negative") as excinfo:
+            parse_compile_request(
+                {"table": [0, 1, 3, 2], "n_outputs": 2, "seed": -1}
+            )
+        assert excinfo.value.status == 400
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(RequestError, match="power of two"):
             parse_compile_request({"table": [0, 1, 1], "n_outputs": 1})
@@ -147,6 +159,19 @@ class TestSpecForm:
             spec_doc(direct_seed=None, base_seed=42, spawn_index=3)
         )
         assert request.spec.base_seed == 42
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            {"direct_seed": -1},
+            {"direct_seed": None, "base_seed": -1},
+            {"direct_seed": 7, "base_seed": -1},
+        ],
+    )
+    def test_negative_seed_rejected(self, seeds):
+        with pytest.raises(RequestError, match="non-negative") as excinfo:
+            parse_compile_request(spec_doc(**seeds))
+        assert excinfo.value.status == 400
 
     def test_spawn_index_must_be_non_negative(self):
         with pytest.raises(RequestError, match="spawn_index"):

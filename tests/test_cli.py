@@ -301,7 +301,7 @@ class TestCampaignCommands:
 
 
 class TestMetricsCli:
-    """`--metrics-port`, `repro top`, and bench-snapshot summaries."""
+    """`--metrics-port`, `repro top`, and `repro summarize` on a non-trace."""
 
     def test_metrics_port_flag_parses(self):
         args = build_parser().parse_args(
@@ -324,37 +324,25 @@ class TestMetricsCli:
         ) == 0
         assert "live metrics: http://127.0.0.1:" in capsys.readouterr().err
 
-    def test_summarize_renders_bench_snapshot_provenance(
-        self, capsys, tmp_path
+    @pytest.mark.parametrize(
+        "content",
+        [
+            json.dumps({"protocol": "table2", "meds": []}, indent=2).encode(),
+            b"[1, 2]\n",
+            b"[" * 100_000 + b"\n",
+            b"\xff\xfe\x00binary\n",
+        ],
+        ids=["whole-file-document", "non-object-line", "deeply-nested", "binary"],
+    )
+    def test_summarize_rejects_a_file_that_is_not_a_trace(
+        self, capsys, tmp_path, content
     ):
-        snapshot = {
-            "protocol": "table2",
-            "provenance": {
-                "git_rev": "abcdef0123456789",
-                "created_iso": "2026-08-08T00:00:00+00:00",
-                "cpu_count": 4,
-                "python": "3.11.7",
-            },
-            "scale": "default",
-            "benchmarks": ["cos"],
-            "meds": [{"benchmark": "cos"}],
-            "fast": {"min": 10.0},
-            "reference": {"min": 13.0},
-        }
-        path = tmp_path / "BENCH_table2.json"
-        path.write_text(json.dumps(snapshot))
-        assert main(["summarize", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "provenance: git=abcdef012345 " in out
-        assert "created=2026-08-08T00:00:00+00:00" in out
-        assert "cpus=4" in out
-        assert "MED rows: 1" in out
-
-    def test_summarize_flags_unstamped_snapshot(self, capsys, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps({"protocol": "table2"}))
-        assert main(["summarize", str(path)]) == 0
-        assert "not stamped" in capsys.readouterr().out
+        path = tmp_path / "expected.json"
+        path.write_bytes(content)
+        assert main(["summarize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path} is not a JSONL telemetry trace\n"
+        assert captured.out == ""
 
     def test_top_once_renders_a_frame(self, capsys):
         from repro.obs import exposition
