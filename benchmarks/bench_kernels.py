@@ -74,7 +74,7 @@ def test_opt_for_part_many_neighbourhood(benchmark):
 
 
 def test_opt_for_part_many_reference(benchmark):
-    """The same batch on the serial reference (all fast paths off).
+    """The same batch on the reference kernel (fast paths off).
 
     Timed beside :func:`test_opt_for_part_many_neighbourhood` (the
     exact sweep) so a local run shows the two tiers' kernel-level

@@ -1,4 +1,4 @@
-"""The fast-path switch for the hot kernels, and a small LRU map.
+"""The fast-path switch for the OptForPart kernel, and a small LRU map.
 
 :class:`LruCache` is the bounded map behind the serve daemon's
 in-memory artifact cache (:mod:`repro.serve.cache`) and the
@@ -7,12 +7,13 @@ kernels keep no cache of their own: a partition's 2D table is one
 strided copy through :meth:`repro.boolean.Partition.table_axes`, so
 there is no per-partition state to warm, clear or retain between runs.
 
-``fast_paths_enabled()`` is the one switch between production (the
-exact sweep where its gate admits, and batched search generations)
-and the serial reference ``OptForPart``.  Disable globally with
+``fast_paths_enabled()`` selects the OptForPart kernel, and nothing
+else: on, production's exact sweep runs wherever its gate admits; off,
+the paper-literal reference alternation runs everything.  The searches
+run the same batched generations either way.  Disable globally with
 ``REPRO_FAST_PATHS=0`` in the environment, or locally with the
-:func:`fast_paths` context manager — the reference is kept intact
-precisely so the differential test suites (and
+:func:`fast_paths` context manager — the reference kernel is kept
+intact precisely so the differential test suites (and
 ``perfbench/make_expected.py``) can compare both.
 """
 
@@ -47,7 +48,7 @@ _fast_paths: bool = _env_default()
 
 
 def fast_paths_enabled() -> bool:
-    """True when production kernels run; False selects the reference."""
+    """True when production's kernel runs; False selects the reference."""
     return _fast_paths
 
 

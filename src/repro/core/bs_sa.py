@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .. import blas, caching, obs
+from .. import blas, obs
 from ..boolean.function import BooleanFunction
 from ..boolean.partition import Partition, partition_count, random_partition
 from ..metrics import distributions
@@ -46,6 +46,7 @@ from .opt_for_part import (
     opt_for_part,
     opt_for_part_bto,
     opt_for_part_many,
+    sample_partitions,
 )
 from .result import ApproximationResult, SearchStats
 from .settings import Setting, SettingBits, SettingSequence
@@ -91,14 +92,15 @@ class _Beam:
 def _collect_neighbours(
     neighbours: List[Partition], visited: dict, budget: int
 ) -> Tuple[List[Partition], List[Partition]]:
-    """Split one SA iteration's neighbour list for batched evaluation.
+    """Split one SA iteration's neighbour list into ``(scan, fresh)``.
 
-    Mirrors the serial scan exactly: the walk stops at the first
-    unvisited neighbour that would exceed the ``P`` budget, and
-    neighbours past that point are excluded from the move-selection
-    scan too.  Returns ``(scan, fresh)`` — the neighbours the serial
-    loop would have considered, and the subset needing an OptForPart
-    call, both in encounter order.
+    This is Algorithm 2's budget rule: the walk stops at the first
+    unvisited neighbour that would take the visited set past ``budget``
+    partitions, and the neighbours from that point on, visited or not,
+    are left out of the move-selection scan too.  ``scan`` holds the
+    neighbours considered, repeats included, and ``fresh`` the unvisited
+    ones that need an OptForPart call, each once; both keep encounter
+    order.
     """
     scan: List[Partition] = []
     fresh: List[Partition] = []
@@ -181,13 +183,12 @@ def find_best_settings(
     def visit_batch(
         partitions: List[Partition], patterns: Union[np.ndarray, List[np.ndarray]]
     ) -> List[float]:
-        """Batched OptForPart over same-shape partitions, serial order.
+        """One stacked OptForPart call over same-shape partitions.
 
-        ``patterns`` must have been drawn from ``rng`` in exactly the
-        order a loop of ``visit`` calls would draw them; the batch then
-        evaluates through the stacked kernel, and every result is
-        bitwise equal to its serial counterpart (see
-        ``opt_for_part_many``).
+        ``patterns`` come from ``draw_patterns`` or
+        ``sample_partitions``, so the batch takes the generator stream
+        of a loop of ``visit`` calls and returns bitwise their results
+        (see ``opt_for_part_many``).
         """
         if not partitions:
             return []
@@ -206,37 +207,11 @@ def find_best_settings(
         ]
 
     if partition_search == "random":
-        # Ablation mode: DALTA-style independent random sampling.
-        sampled = set()
-        if caching.fast_paths_enabled():
-            # Take every generator draw (partition, then its initial
-            # patterns) in serial order, but defer the evaluation to one
-            # batch — all partitions share the (b, n-b) shape.
-            order: List[Partition] = []
-            drawn: List[np.ndarray] = []
-            attempts = 0
-            while len(sampled) < budget and attempts < 20 * budget:
-                attempts += 1
-                partition = random_partition(n_inputs, config.bound_size, rng)
-                if partition in sampled:
-                    continue
-                sampled.add(partition)
-                order.append(partition)
-                # one draw per accepted partition: the stream
-                # interleaves with partition sampling
-                drawn.append(
-                    draw_patterns(rng, [partition], config.n_initial_patterns)[0]
-                )
-            visit_batch(order, drawn)
-        else:
-            attempts = 0
-            while len(sampled) < budget and attempts < 20 * budget:
-                attempts += 1
-                partition = random_partition(n_inputs, config.bound_size, rng)
-                if partition in sampled:
-                    continue
-                sampled.add(partition)
-                visit(partition)
+        # Ablation mode: DALTA-style independent random sampling, one batch.
+        sampled, patterns = sample_partitions(
+            rng, n_inputs, config.bound_size, budget, config.n_initial_patterns
+        )
+        visit_batch(sampled, patterns)
         stats.partitions_visited += len(sampled)
         return FindBestSettingsResult(beam.items, best_bto)
 
@@ -282,42 +257,22 @@ def find_best_settings(
                 obs.incr("sa.iterations")
                 best_nb: Optional[Partition] = None
                 best_nb_error = math.inf
-                if caching.fast_paths_enabled():
-                    # All of this iteration's unvisited neighbours go
-                    # through one stacked OptForPart call.  No generator
-                    # use happens between the (already completed)
-                    # neighbour sampling and the pattern draws, so the
-                    # stream matches the serial walk exactly.
-                    scan, fresh = _collect_neighbours(
-                        neighbours, visited, budget
-                    )
-                    errors = visit_batch(
-                        fresh,
-                        draw_patterns(rng, fresh, config.n_initial_patterns),
-                    )
-                    for neighbour, error in zip(fresh, errors):
-                        visited[neighbour] = error
-                        changed = True
-                        if error < best_error:
-                            best_error = error
-                    for neighbour in scan:
-                        error = visited[neighbour]
-                        if error < best_nb_error:
-                            best_nb, best_nb_error = neighbour, error
-                else:
-                    for neighbour in neighbours:
-                        if neighbour not in visited:
-                            if len(visited) >= budget:
-                                break
-                            error = visit(neighbour)
-                            visited[neighbour] = error
-                            changed = True
-                            if error < best_error:
-                                best_error = error
-                        else:
-                            error = visited[neighbour]
-                        if error < best_nb_error:
-                            best_nb, best_nb_error = neighbour, error
+                # All of this iteration's unvisited neighbours go through
+                # one stacked OptForPart call.  No generator use happens
+                # between the neighbour sampling and the pattern draws.
+                scan, fresh = _collect_neighbours(neighbours, visited, budget)
+                errors = visit_batch(
+                    fresh, draw_patterns(rng, fresh, config.n_initial_patterns)
+                )
+                for neighbour, error in zip(fresh, errors):
+                    visited[neighbour] = error
+                    changed = True
+                    if error < best_error:
+                        best_error = error
+                for neighbour in scan:
+                    error = visited[neighbour]
+                    if error < best_nb_error:
+                        best_nb, best_nb_error = neighbour, error
 
                 if best_nb is not None:
                     if best_nb_error <= chain["error"]:

@@ -15,18 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .. import blas, caching, obs
+from .. import blas, obs
 from ..boolean.function import BooleanFunction
-from ..boolean.partition import partition_count, random_partition
+from ..boolean.partition import partition_count
 from ..metrics import distributions
 from .config import AlgorithmConfig
 from .cost import apply_objective, cost_vectors_fixed
-from .opt_for_part import (
-    KernelContext,
-    draw_patterns,
-    opt_for_part,
-    opt_for_part_many,
-)
+from .opt_for_part import opt_for_part_many, sample_partitions
 from .result import ApproximationResult, SearchStats
 from .settings import Setting, SettingBits, SettingSequence
 
@@ -74,7 +69,10 @@ def run_dalta(
     history = []
     # every setting's truth table is evaluated once per run
     bits = SettingBits(target.n_inputs)
-    max_partitions = partition_count(target.n_inputs, config.bound_size)
+    budget = min(
+        config.partition_limit,
+        partition_count(target.n_inputs, config.bound_size),
+    )
 
     with obs.span(
         "dalta.run",
@@ -95,84 +93,38 @@ def run_dalta(
                             config.objective,
                         )
 
-                        best_setting: Optional[Setting] = None
-                        seen = set()
-                        budget = min(config.partition_limit, max_partitions)
-                        attempts = 0
-                        context = KernelContext(costs, p, target.n_inputs)
-                        if caching.fast_paths_enabled():
-                            # Take every generator draw (partition, then
-                            # its initial patterns) in the order the
-                            # serial loop would, then evaluate the whole
-                            # sample through one stacked OptForPart call
-                            # — results are bitwise identical per item.
-                            order = []
-                            drawn = []
-                            while len(seen) < budget and attempts < 20 * budget:
-                                attempts += 1
-                                partition = random_partition(
-                                    target.n_inputs, config.bound_size, rng
-                                )
-                                if partition in seen:
-                                    continue
-                                seen.add(partition)
-                                order.append(partition)
-                                drawn.append(
-                                    draw_patterns(
-                                        rng,
-                                        [partition],
-                                        config.n_initial_patterns,
-                                    )[0]
-                                )
-                            results = opt_for_part_many(
-                                costs,
-                                p,
-                                order,
-                                target.n_inputs,
-                                context=context,
-                                initial_patterns=drawn,
+                        # the whole sample is drawn first (partition, then
+                        # its initial patterns), then evaluated in one
+                        # stacked OptForPart call
+                        partitions, patterns = sample_partitions(
+                            rng,
+                            target.n_inputs,
+                            config.bound_size,
+                            budget,
+                            config.n_initial_patterns,
+                        )
+                        results = opt_for_part_many(
+                            costs,
+                            p,
+                            partitions,
+                            target.n_inputs,
+                            initial_patterns=patterns,
+                        )
+                        if partitions:
+                            obs.incr(
+                                "dalta.partitions_evaluated", len(partitions)
                             )
-                            if order:
-                                obs.incr(
-                                    "dalta.partitions_evaluated", len(order)
+                        stats.opt_for_part_calls += len(partitions)
+                        stats.partitions_visited += len(partitions)
+                        best_setting: Optional[Setting] = None
+                        for result in results:
+                            if (
+                                best_setting is None
+                                or result.error < best_setting.error
+                            ):
+                                best_setting = Setting(
+                                    result.error, result.decomposition
                                 )
-                            stats.opt_for_part_calls += len(order)
-                            for result in results:
-                                if (
-                                    best_setting is None
-                                    or result.error < best_setting.error
-                                ):
-                                    best_setting = Setting(
-                                        result.error, result.decomposition
-                                    )
-                        else:
-                            while len(seen) < budget and attempts < 20 * budget:
-                                attempts += 1
-                                partition = random_partition(
-                                    target.n_inputs, config.bound_size, rng
-                                )
-                                if partition in seen:
-                                    continue
-                                seen.add(partition)
-                                result = opt_for_part(
-                                    costs,
-                                    p,
-                                    partition,
-                                    target.n_inputs,
-                                    n_initial_patterns=config.n_initial_patterns,
-                                    rng=rng,
-                                    context=context,
-                                )
-                                stats.opt_for_part_calls += 1
-                                obs.incr("dalta.partitions_evaluated")
-                                if (
-                                    best_setting is None
-                                    or result.error < best_setting.error
-                                ):
-                                    best_setting = Setting(
-                                        result.error, result.decomposition
-                                    )
-                        stats.partitions_visited += len(seen)
                         sequence = sequence.replace(k, best_setting)
             history.append(sequence.med(target, p, bits))
 

@@ -19,8 +19,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .. import caching
-from ..boolean import ops
 from ..boolean.decomposition import MultiSharedDecomposition, NonDisjointDecomposition
 from ..boolean.partition import Partition
 from .cost import BitCosts
@@ -28,7 +26,6 @@ from .opt_for_part import (
     KernelContext,
     KernelRequest,
     draw_patterns,
-    opt_for_part,
     opt_for_part_grouped,
 )
 
@@ -53,37 +50,31 @@ class NonDisjointResult:
         return self.decomposition.shared
 
 
-def _reduced_partition(partition: Partition, shared: int) -> Partition:
-    """Partition over the reduced variable numbering (``x_s`` deleted)."""
+def _reduced_partition(partition: Partition, shared: Tuple[int, ...]) -> Partition:
+    """Partition over the reduced variable numbering (the ``shared``
+    bits deleted)."""
 
     def shift(v: int) -> int:
-        return v - 1 if v > shared else v
+        return v - sum(1 for s in shared if s < v)
 
     return Partition(
         tuple(shift(v) for v in partition.free),
-        tuple(shift(v) for v in partition.bound if v != shared),
+        tuple(shift(v) for v in partition.bound if v not in shared),
     )
 
 
-def _half_problem(
-    costs: BitCosts, p: np.ndarray, n_inputs: int, fixed: Dict[int, int]
-) -> Tuple[BitCosts, np.ndarray]:
-    """Conditional cost vectors + weights for one shared-bit assignment.
-
-    ``fixed`` maps each shared bit to its value; the cofactor slices of
-    the cost vectors and of the (unnormalised) conditional distribution
-    are indexed by the reduced input word.  The serial reference loops
-    solve these copies as standalone problems; the batched loops solve
-    the same halves as :meth:`KernelContext.cofactor` views of the
-    parent, bit for bit the same problems.
-    """
-    half_costs = BitCosts(
-        costs.k,
-        ops.cofactor(costs.cost0, n_inputs, fixed),
-        ops.cofactor(costs.cost1, n_inputs, fixed),
-    )
-    weights = ops.cofactor(np.asarray(p, dtype=np.float64), n_inputs, fixed)
-    return half_costs, weights
+def _check_candidates(partition: Partition, candidates: Tuple[int, ...]) -> None:
+    """The ND argument checks, made before any draw."""
+    if partition.n_bound < 2:
+        raise ValueError(
+            "non-disjoint decomposition needs a bound set of size >= 2 "
+            "(removing the shared bit must leave a non-empty bound table)"
+        )
+    if not candidates:
+        raise ValueError("at least one shared-bit candidate is required")
+    for shared in candidates:
+        if shared not in partition.bound:
+            raise ValueError(f"shared variable {shared} not in bound set")
 
 
 def optimize_nondisjoint_shared(
@@ -102,40 +93,18 @@ def optimize_nondisjoint_shared(
     solves the two conditional disjoint problems; the reported error is
     the sum of the two conditional (probability-weighted, unnormalised)
     errors, i.e. exactly the total MED contribution of this output bit.
+    This is :func:`optimize_nondisjoint` with ``shared`` its one
+    candidate.
     """
-    if shared not in partition.bound:
-        raise ValueError(f"shared variable {shared} not in bound set")
-    if partition.n_bound < 2:
-        raise ValueError(
-            "non-disjoint decomposition needs a bound set of size >= 2 "
-            "(removing the shared bit must leave a non-empty bound table)"
-        )
-    reduced = _reduced_partition(partition, shared)
-
-    halves = []
-    total_error = 0.0
-    for j in (0, 1):
-        half_costs, weights = _half_problem(costs, p, n_inputs, {shared: j})
-        result = opt_for_part(
-            half_costs,
-            weights,
-            reduced,
-            n_inputs - 1,
-            n_initial_patterns=n_initial_patterns,
-            rng=rng,
-        )
-        halves.append(result.decomposition)
-        total_error += result.error
-
-    decomposition = NonDisjointDecomposition(
+    return optimize_nondisjoint(
+        costs,
+        p,
         partition,
-        shared,
-        halves[0].pattern,
-        halves[0].types,
-        halves[1].pattern,
-        halves[1].types,
+        n_inputs,
+        n_initial_patterns=n_initial_patterns,
+        rng=rng,
+        shared_candidates=(shared,),
     )
-    return NonDisjointResult(total_error, decomposition)
 
 
 def optimize_nondisjoint(
@@ -153,70 +122,31 @@ def optimize_nondisjoint(
     ``shared_candidates`` restricts the enumeration (defaults to the
     full bound set, as the paper does).
 
-    With the fast paths on and an explicit ``rng``, the whole
-    enumeration is *batched*: the per-half initial patterns are pre-drawn
-    in exactly the serial call order, every conditional half problem
+    The whole enumeration is one batch: every conditional half problem
     becomes a :class:`~repro.core.opt_for_part.KernelRequest` over a
     :meth:`~repro.core.opt_for_part.KernelContext.cofactor` view of the
     parent context (one weighting and one gate verdict for all halves),
-    and all ``2 * len(candidates)`` halves run in one
-    :func:`~repro.core.opt_for_part.opt_for_part_grouped` pass.  The
-    generator stream and every returned bit match the serial loop;
-    strict ``<`` keeps the first-best tie-breaking.
+    its initial patterns drawn candidate-major, half-minor, and all
+    ``2 * len(candidates)`` halves run in one
+    :func:`~repro.core.opt_for_part.opt_for_part_grouped` pass.  Strict
+    ``<`` keeps the first-best on ties.  Without ``rng`` the patterns
+    come from one fresh ``np.random.default_rng()``.
     """
     candidates = (
         tuple(shared_candidates) if shared_candidates is not None else partition.bound
     )
-    if not candidates:
-        raise ValueError("at least one shared-bit candidate is required")
-    # validates the shapes for both loops
+    _check_candidates(partition, candidates)
     context = KernelContext(costs, p, n_inputs)
-    if rng is not None and caching.fast_paths_enabled():
-        return _optimize_nondisjoint_fused(
-            context, partition, candidates, n_initial_patterns, rng
-        )
-    best: Optional[NonDisjointResult] = None
-    for shared in candidates:
-        result = optimize_nondisjoint_shared(
-            costs,
-            p,
-            partition,
-            n_inputs,
-            shared,
-            n_initial_patterns=n_initial_patterns,
-            rng=rng,
-        )
-        if best is None or result.error < best.error:
-            best = result
-    assert best is not None
-    return best
-
-
-def _optimize_nondisjoint_fused(
-    context: KernelContext,
-    partition: Partition,
-    candidates: Tuple[int, ...],
-    n_initial_patterns: int,
-    rng: np.random.Generator,
-) -> NonDisjointResult:
-    """Batched shared-bit enumeration; bitwise equal to the serial loop."""
-    if partition.n_bound < 2:
-        raise ValueError(
-            "non-disjoint decomposition needs a bound set of size >= 2 "
-            "(removing the shared bit must leave a non-empty bound table)"
-        )
-    for shared in candidates:
-        if shared not in partition.bound:
-            raise ValueError(f"shared variable {shared} not in bound set")
-    # the serial loop's opt_for_part draws happen candidate-major,
-    # half-minor; every reduced partition has the same shape
+    # every reduced partition has the same shape
     halves = [
-        (shared, j, _reduced_partition(partition, shared))
+        (shared, j, _reduced_partition(partition, (shared,)))
         for shared in candidates
         for j in (0, 1)
     ]
     draws = draw_patterns(
-        rng, [reduced for _, _, reduced in halves], n_initial_patterns
+        rng or np.random.default_rng(),
+        [reduced for _, _, reduced in halves],
+        n_initial_patterns,
     )
     evaluated = opt_for_part_grouped(
         [
@@ -286,60 +216,31 @@ def optimize_multi_shared(
             raise ValueError(f"shared variable {v} not in bound set")
     if len(shared) >= partition.n_bound:
         raise ValueError("|C| must be smaller than the bound set")
-    # validates the shapes for both loops
     context = KernelContext(costs, p, n_inputs)
-
-    shared_set = set(shared)
-
-    def shift(v: int) -> int:
-        return v - sum(1 for s in shared if s < v)
-
-    reduced = Partition(
-        tuple(shift(v) for v in partition.free),
-        tuple(shift(v) for v in partition.bound if v not in shared_set),
-    )
+    reduced = _reduced_partition(partition, shared)
 
     def assignment(j: int) -> Dict[int, int]:
         """Values of the shared bits in cofactor ``j`` (bit ``i`` -> ``shared[i]``)."""
         return {bit: (j >> i) & 1 for i, bit in enumerate(shared)}
 
-    patterns = []
-    types = []
-    total_error = 0.0
-    if rng is not None and caching.fast_paths_enabled():
-        # batched: pre-draw each cofactor's patterns in the serial call
-        # order and solve all 2**s conditional problems, as views of
-        # the parent context, in one grouped kernel pass — bitwise
-        # equal to the loop below
-        count = 1 << len(shared)
-        draws = draw_patterns(rng, [reduced] * count, n_initial_patterns)
-        requests = [
+    # all 2**s conditional problems, as views of the parent context, in
+    # one grouped kernel pass; patterns drawn in cofactor order
+    count = 1 << len(shared)
+    draws = draw_patterns(
+        rng or np.random.default_rng(), [reduced] * count, n_initial_patterns
+    )
+    results = opt_for_part_grouped(
+        [
             KernelRequest(context.cofactor(assignment(j)), [reduced], draws[j : j + 1])
             for j in range(count)
         ]
-        for (result,) in opt_for_part_grouped(requests):
-            patterns.append(result.decomposition.pattern)
-            types.append(result.decomposition.types)
-            total_error += result.error
-        decomposition = MultiSharedDecomposition(
-            partition, shared, tuple(patterns), tuple(types)
-        )
-        return MultiSharedResult(total_error, decomposition)
-    for j in range(1 << len(shared)):
-        half_costs, weights = _half_problem(costs, p, n_inputs, assignment(j))
-        result = opt_for_part(
-            half_costs,
-            weights,
-            reduced,
-            n_inputs - len(shared),
-            n_initial_patterns=n_initial_patterns,
-            rng=rng,
-        )
-        patterns.append(result.decomposition.pattern)
-        types.append(result.decomposition.types)
-        total_error += result.error
-
-    decomposition = MultiSharedDecomposition(
-        partition, shared, tuple(patterns), tuple(types)
     )
-    return MultiSharedResult(total_error, decomposition)
+    decomposition = MultiSharedDecomposition(
+        partition,
+        shared,
+        tuple(result.decomposition.pattern for (result,) in results),
+        tuple(result.decomposition.types for (result,) in results),
+    )
+    return MultiSharedResult(
+        sum(result.error for (result,) in results), decomposition
+    )

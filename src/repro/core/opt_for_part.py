@@ -63,9 +63,10 @@ ND or multi-shared decomposition.  Items are grouped by table shape,
 candidate count and the sweep's dtypes
 (:meth:`KernelContext.sweep_dtypes`) and executed in chunks up to
 ``_BATCH_LIMIT`` wide, each item bitwise equal to its standalone call.
-Every search takes its initial patterns from :func:`draw_patterns`,
-one uint8 ``(Z, cols)`` draw per partition in serial order, so a
-batched search consumes its generator exactly as the serial one does.
+Every search takes its initial patterns from :func:`draw_patterns`
+(through :func:`sample_partitions` when it samples partitions), one
+uint8 ``(Z, cols)`` draw per partition in order, so a batch consumes
+its generator exactly as a loop of single calls would.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from ..boolean.decomposition import (
     RowType,
 )
 from ..boolean.packed import WeightPlanes, pack_bits
-from ..boolean.partition import Partition
+from ..boolean.partition import Partition, random_partition
 from .cost import BitCosts
 
 __all__ = [
@@ -94,6 +95,7 @@ __all__ = [
     "KernelRequest",
     "result_memo",
     "draw_patterns",
+    "sample_partitions",
     "opt_for_part",
     "opt_for_part_many",
     "opt_for_part_grouped",
@@ -889,11 +891,11 @@ def draw_patterns(
 
     This is the one draw rule every search keeps: one uint8 ``(Z,
     cols)`` draw per partition, in order — the stream a loop of single
-    :func:`opt_for_part` calls takes, which is what keeps a batched
-    search, and every later draw of its generator, bit-identical to the
-    serial one.  The partitions must share one column count.  A search
-    that interleaves other generator use (partition sampling) draws one
-    partition at a time.
+    :func:`opt_for_part` calls takes, so a batch returns what those
+    calls would, and every later draw of its generator is the same.
+    The partitions must share one column count.  A search that
+    interleaves partition sampling draws through
+    :func:`sample_partitions`.
     """
     if z < 1:
         raise ValueError("n_initial_patterns must be >= 1")
@@ -909,6 +911,34 @@ def draw_patterns(
             0, 2, size=(z, partition.n_cols), dtype=np.uint8
         )
     return stacked
+
+
+def sample_partitions(
+    rng: np.random.Generator, n_inputs: int, bound_size: int, budget: int, z: int
+) -> Tuple[List[Partition], List[np.ndarray]]:
+    """DALTA's random sample: distinct partitions and their patterns.
+
+    Draws :func:`~repro.boolean.partition.random_partition` until
+    ``budget`` distinct partitions are accepted or ``20 * budget``
+    attempts are spent; each accepted partition is followed at once by
+    its :func:`draw_patterns` draw, so the two interleave in one
+    stream.  Returns the partitions in acceptance order and their
+    ``(Z, cols)`` patterns, ready for one :func:`opt_for_part_many`
+    call.
+    """
+    partitions: List[Partition] = []
+    patterns: List[np.ndarray] = []
+    seen = set()
+    attempts = 0
+    while len(partitions) < budget and attempts < 20 * budget:
+        attempts += 1
+        partition = random_partition(n_inputs, bound_size, rng)
+        if partition in seen:
+            continue
+        seen.add(partition)
+        partitions.append(partition)
+        patterns.append(draw_patterns(rng, [partition], z)[0])
+    return partitions, patterns
 
 
 def opt_for_part(

@@ -120,8 +120,19 @@ class ServeHandler(exposition._Handler):
                 413, {"error": f"request body over {MAX_BODY_BYTES} bytes"}
             )
             return
+        body = self.rfile.read(length)
+        if len(body) < length:
+            # the client closed its side before sending the whole body
+            self._send_json(
+                400,
+                {
+                    "error": f"request body is {len(body)} bytes, "
+                    f"Content-Length says {length}"
+                },
+            )
+            return
         try:
-            document = json.loads(self.rfile.read(length))
+            document = json.loads(body)
         except (ValueError, RecursionError):
             # ValueError covers bad JSON and bytes that are not UTF-8;
             # a deeply nested body overflows the decoder's recursion

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.boolean import Partition
 from repro.core import (
     AlgorithmConfig,
     SearchStats,
@@ -10,6 +11,7 @@ from repro.core import (
     find_best_settings,
     run_bssa,
 )
+from repro.core.bs_sa import _collect_neighbours
 from repro.metrics import distributions, med
 
 from ..conftest import random_bits, random_function
@@ -18,6 +20,35 @@ from ..conftest import random_bits, random_function
 def _costs(bits):
     bits = np.asarray(bits, dtype=np.int64)
     return cost_vectors_fixed(bits, np.zeros_like(bits), 0)
+
+
+_A = Partition((2, 3), (0, 1))
+_B = Partition((1, 3), (0, 2))
+_C = Partition((1, 2), (0, 3))
+_D = Partition((0, 3), (1, 2))
+
+
+class TestCollectNeighbours:
+    """Algorithm 2's budget rule, as literal ``(scan, fresh)`` splits."""
+
+    @pytest.mark.parametrize(
+        "neighbours,visited,budget,scan,fresh",
+        [
+            # a repeat within one list is scanned twice, evaluated once
+            ([_A, _B, _A], {}, 10, [_A, _B, _A], [_A, _B]),
+            # a visited neighbour is scanned, not evaluated again
+            ([_A, _B], {_A: 1.0}, 10, [_A, _B], [_B]),
+            # the budget is reached at _D: the scan stops there, so the
+            # visited _C after it is left out too
+            ([_B, _A, _D, _C], {_A: 0.5, _C: 0.25}, 3, [_B, _A], [_B]),
+            # a budget already spent scans nothing before the first
+            # unvisited neighbour
+            ([_A, _B, _C], {_A: 0.5}, 1, [_A], []),
+        ],
+        ids=["repeat", "visited", "budget-mid-list", "budget-spent"],
+    )
+    def test_split(self, neighbours, visited, budget, scan, fresh):
+        assert _collect_neighbours(neighbours, visited, budget) == (scan, fresh)
 
 
 class TestFindBestSettings:

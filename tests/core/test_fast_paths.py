@@ -3,12 +3,15 @@
 Every fast path (batched ``opt_for_part_many``, the exact sweep) must
 be *bit-exact*: identical errors, identical
 pattern/type bytes, identical downstream generator streams.  These
-tests pin that contract against the serial reference implementation
-(``caching.fast_paths(False)``).
+tests pin that contract against loops of single ``opt_for_part``
+calls, against the reference kernel (``caching.fast_paths(False)``),
+and against run digests captured from the serial search loops that
+the batched generations replaced.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 
 import numpy as np
@@ -289,7 +292,13 @@ class TestDrawContract:
             _same_result(a, b)
 
 class TestPipelineBitExact:
-    """Full algorithm runs are byte-identical with fast paths on/off."""
+    """Full algorithm runs reach the same bytes with fast paths on/off.
+
+    ``DIGESTS`` are the sha256 of each run's :func:`_run_fingerprint`,
+    captured from the serial reference search loops (one
+    ``opt_for_part`` call per partition) before they were folded into
+    the batched generations: both switch settings must still reach them.
+    """
 
     CONFIG = AlgorithmConfig(
         bound_size=4,
@@ -301,6 +310,21 @@ class TestPipelineBitExact:
         nd_candidates=2,
     )
 
+    DIGESTS = {
+        ("bs-sa", "normal"): (
+            "0fa76eb1a8babe19823217e7960f8dfdb33e4c5c8d76318882dae144e942f36c"
+        ),
+        ("bs-sa", "bto-normal"): (
+            "f4da8b793b0e519c27802cfbe6beb5300c0b18828f69acdd8d3569f701cd63fa"
+        ),
+        ("bs-sa", "bto-normal-nd"): (
+            "3ff5a955e138c56a119df1fe7768bde229a1d4db8cc63865a71855022d763f92"
+        ),
+        ("dalta", "normal"): (
+            "86bcd807fbcd36bb07e24f8ebfe0d4b4c4b83b32b8b8367adf653a97f8551535"
+        ),
+    }
+
     def _run(self, algorithm, architecture, fast):
         rng = np.random.default_rng(2024)
         target = random_function(8, 4, np.random.default_rng(77), name="t")
@@ -311,19 +335,12 @@ class TestPipelineBitExact:
                 target, self.CONFIG, rng=rng, architecture=architecture
             )
 
-    @pytest.mark.parametrize(
-        "algorithm,architecture",
-        [
-            ("bs-sa", "normal"),
-            ("bs-sa", "bto-normal"),
-            ("bs-sa", "bto-normal-nd"),
-            ("dalta", "normal"),
-        ],
-    )
+    @pytest.mark.parametrize("algorithm,architecture", sorted(DIGESTS))
     def test_fast_paths_do_not_change_results(self, algorithm, architecture):
-        fast = self._run(algorithm, architecture, fast=True)
-        slow = self._run(algorithm, architecture, fast=False)
-        assert _run_fingerprint(fast) == _run_fingerprint(slow)
+        for fast in (True, False):
+            result = self._run(algorithm, architecture, fast)
+            digest = hashlib.sha256(repr(_run_fingerprint(result)).encode())
+            assert digest.hexdigest() == self.DIGESTS[algorithm, architecture], fast
 
     def test_warm_process_rerun_is_identical(self):
         """A same-seed rerun in a warm process repeats the first run."""

@@ -228,14 +228,14 @@ _ENTRY_POINTS = {
         costs, p, _PARTITION, n, n_initial_patterns=2,
         rng=np.random.default_rng(0),
     ),
-    "nondisjoint-serial": lambda costs, p, n: optimize_nondisjoint(
+    "nondisjoint-no-rng": lambda costs, p, n: optimize_nondisjoint(
         costs, p, _PARTITION, n, n_initial_patterns=2
     ),
     "multi-shared-fused": lambda costs, p, n: optimize_multi_shared(
         costs, p, _PARTITION, n, [0, 2], n_initial_patterns=2,
         rng=np.random.default_rng(0),
     ),
-    "multi-shared-serial": lambda costs, p, n: optimize_multi_shared(
+    "multi-shared-no-rng": lambda costs, p, n: optimize_multi_shared(
         costs, p, _PARTITION, n, [0, 2], n_initial_patterns=2
     ),
 }

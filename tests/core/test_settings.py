@@ -156,16 +156,13 @@ class TestEvaluateOncePerRun:
     """A whole search run evaluates every setting's table at most once.
 
     The runs are :class:`TestPipelineBitExact`'s fixed-seed 8-bit runs,
-    which that class pins to the serial reference; the digests below
-    are their :func:`_run_fingerprint` bytes, so caching the tables
-    cannot change a bit.
+    and the digests its :func:`_run_fingerprint` bytes, so caching the
+    tables cannot change a bit.
     """
 
     DIGESTS = {
-        "bto-normal-nd": (
-            "3ff5a955e138c56a119df1fe7768bde229a1d4db8cc63865a71855022d763f92"
-        ),
-        "dalta": "86bcd807fbcd36bb07e24f8ebfe0d4b4c4b83b32b8b8367adf653a97f8551535",
+        "bto-normal-nd": TestPipelineBitExact.DIGESTS["bs-sa", "bto-normal-nd"],
+        "dalta": TestPipelineBitExact.DIGESTS["dalta", "normal"],
     }
 
     @pytest.mark.parametrize("architecture", sorted(DIGESTS))

@@ -9,9 +9,11 @@ and on the warm-pool backend with a worker killed mid-flight.
 
 import dataclasses
 import json
+import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -109,6 +111,27 @@ class TestGoldenResponses:
         )
 
 
+def raw_post(url, content_length, body):
+    """POST ``body`` to ``/compile`` under a literal ``Content-Length``
+    header over a raw socket, then half-close; returns ``(status, json)``."""
+    address = urllib.parse.urlsplit(url)
+    head = (
+        "POST /compile HTTP/1.1\r\n"
+        f"Host: {address.netloc}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n"
+        "Connection: close\r\n\r\n"
+    )
+    with socket.create_connection((address.hostname, address.port), 10) as sock:
+        sock.sendall(head.encode() + body)
+        sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
 class TestHttpSurface:
     def test_api_doc_health_metrics_state(self, telemetry):
         with inline_daemon() as daemon:
@@ -150,6 +173,23 @@ class TestHttpSurface:
         with inline_daemon() as daemon:
             status, body, _ = post_compile(daemon.url, None, raw=b"[" * 200_000)
             assert status == 400 and "JSON" in body["error"]
+            status, envelope, _ = post_compile(daemon.url, bench_doc())
+            assert status == 200
+            assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT
+
+    @pytest.mark.parametrize(
+        "content_length",
+        ["500", "abc", "-5"],
+        ids=["longer-than-body", "not-a-number", "negative"],
+    )
+    def test_bad_content_length_is_a_400_and_the_daemon_serves_on(
+        self, telemetry, content_length
+    ):
+        # a valid 28-byte body, sent whole, then the write side closed
+        body = b'{"benchmark":"cos","bits":6}'
+        with inline_daemon() as daemon:
+            status, document = raw_post(daemon.url, content_length, body)
+            assert status == 400, document
             status, envelope, _ = post_compile(daemon.url, bench_doc())
             assert status == 200
             assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT
