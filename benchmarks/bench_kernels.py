@@ -77,7 +77,7 @@ def test_opt_for_part_many_reference(benchmark):
     """The same batch on the reference kernel (fast paths off).
 
     Timed beside :func:`test_opt_for_part_many_neighbourhood` (the
-    exact sweep) so a local run shows the two tiers' kernel-level
+    exact sweep) so a local run shows the two kernels' kernel-level
     ratio.
     """
     costs, p, _, n = _cost_setup(12, 7)

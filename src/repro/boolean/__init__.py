@@ -14,7 +14,6 @@ from .analysis import (
 )
 from .function import BooleanFunction
 from .partition import Partition, all_partitions, partition_count, random_partition
-from .packed import pack_bits, popcount
 from .truth_table import TwoDimensionalTable, component_matrix, from_matrix, to_matrix
 from .decomposition import (
     BoundOnlyDecomposition,
@@ -47,8 +46,6 @@ __all__ = [
     "all_partitions",
     "partition_count",
     "random_partition",
-    "pack_bits",
-    "popcount",
     "TwoDimensionalTable",
     "component_matrix",
     "from_matrix",

@@ -40,9 +40,10 @@ Two implementations (see ``docs/performance.md``)
   reference's patterns, types, and totals while running a fraction of
   its work.  It evaluates a whole stacked batch of same-shape
   partitions at once and freezes each item at exactly the sweep where
-  the serial loop would stop.  Its matmuls run in float32 wherever the
-  gate's bounds prove every partial sum on the table's shape exact in
-  float32 (:meth:`KernelContext.sweep_dtypes`).
+  the serial loop would stop.  The gate only certifies exactness; one
+  rule, :meth:`KernelContext.sweep_dtypes`, runs the matmuls in float32
+  wherever the gate's numbers prove every partial sum on the table's
+  shape exact in float32, and the totals too where they stay small.
 
 Both read one :class:`KernelContext` per ``(costs, p)`` pair: the
 search loops build it once per context and pass it to every call, so
@@ -85,7 +86,6 @@ from ..boolean.decomposition import (
     DisjointDecomposition,
     RowType,
 )
-from ..boolean.packed import WeightPlanes, pack_bits
 from ..boolean.partition import Partition, random_partition
 from .cost import BitCosts
 
@@ -263,37 +263,30 @@ def _alternate_reference(
 class _Verdict(NamedTuple):
     """What the one gate scan of a ``(costs, p)`` context found.
 
-    ``tier`` is ``"f32"``, ``"f64"`` or ``None`` (the reference runs).
-    ``reason`` says why a rejected context failed, and is counted once
-    per context as ``opt.packed_rejected_<reason>``: ``"cost"`` (a
-    fractional, negative or non-finite cost), ``"weight"`` (a weight
-    that is negative, non-finite or wider than 52 bits on the common
-    unit), ``"total"`` (``T >= 2**52``) or ``"unit"`` (``U < -1073``, or
-    ``T * 2**U`` past the float64 range).  For an admitted context
-    ``unit`` is the common dyadic unit ``U`` and ``bound`` the largest
-    ``|w1 - w0|`` in units of ``2**U``, an exact integer: each entry's
+    A context is admitted when ``reason`` is ``None``.  Otherwise
+    ``reason`` says why it failed, and is counted once per context as
+    ``opt.packed_rejected_<reason>``: ``"cost"`` (a fractional, negative
+    or non-finite cost), ``"weight"`` (a weight that is negative,
+    non-finite or wider than 52 bits on the common unit), ``"total"``
+    (``T >= 2**52``) or ``"unit"`` (``U < -1073``, or ``T * 2**U`` past
+    the float64 range).  For an admitted context ``unit`` is the common
+    dyadic unit ``U``, ``total`` the exact integer ``T`` and ``bound``
+    the largest ``|w1 - w0|``, both in units of ``2**U``: each entry's
     ``|cost1 - cost0| * w_i`` is at most its share of ``T``.
+    :meth:`KernelContext.sweep_dtypes` turns the three into dtypes.
     """
 
-    tier: Optional[str]
-    reason: Optional[str] = None
+    reason: Optional[str]
+    total: int = 0
     bound: int = 0
     unit: int = 0
 
 
-#: the exact sweep's (matmul, totals) dtypes: the "f32" tier, an "f64"
-#: context whose table shape keeps its partial sums float32-exact, and
-#: the "f64" tier
-_F32_TIER = (np.float32, np.float32)
-_F32_SUMS = (np.float32, np.float64)
-_F64_TIER = (np.float64, np.float64)
-
-
 def _gate(costs: BitCosts, p: np.ndarray) -> _Verdict:
-    """Dyadic-exactness gate: the exact sweep's precision tier.
+    """Dyadic-exactness gate: certify the exact sweep, report its numbers.
 
-    A tier is admitted when every float the alternation forms is
-    *exactly representable* in it.  The cost vectors must be
+    A context is admitted when every float the alternation forms is
+    *exactly representable* in float64.  The cost vectors must be
     non-negative integers, and every supported weight must be a finite
     non-negative ``p_i = w_i * 2**U`` with an integer ``w_i`` of at
     most 52 bits on the least common dyadic unit ``U``.  The one exact
@@ -304,51 +297,49 @@ def _gate(costs: BitCosts, p: np.ndarray) -> _Verdict:
     ``T < 2**52`` with ``U >= -1073`` and ``T * 2**U < 2**1024`` makes
     every intermediate an exact, finite float64 (the half-step's unit
     ``2**(U-1)`` must itself be a float, and the least subnormal is
-    ``2**-1074``), and ``T < 2**24`` with ``U >= -37`` and
-    ``T * 2**U < 2**128`` an exact, finite float32 — the bound on ``U``
-    keeps the convergence test's ``1e-12`` slack resolving to the same
-    verdict in both precisions (totals are spaced ``2**U`` apart, far
-    wider than the slack or either tier's rounding radius).  Every
-    bound is on ``T``, ``T * 2**U`` or ``U`` from below, and a
-    cofactor's ``T * 2**U`` can only fall while its ``U`` only rises,
-    so a cofactor never gates slower than its parent.
-    Under the gate the tier's arithmetic is exact in any association
-    order, so the exact sweep is bit-identical to the reference.  An
-    ``"f64"`` context may still form its partial sums in float32 on a
-    small enough table (:meth:`KernelContext.sweep_dtypes`), which is
-    what the verdict's ``bound`` is for.
+    ``2**-1074``).  Under the gate the arithmetic is exact in any
+    association order, so the exact sweep is bit-identical to the
+    reference.  The gate decides no dtype: the verdict carries ``T``,
+    ``U`` and the largest ``|w1 - w0|``, and
+    :meth:`KernelContext.sweep_dtypes` alone decides where float32 is
+    exact too.  Every bound is on ``T``, ``T * 2**U`` or ``U`` from
+    below, and a cofactor's ``T * 2**U`` can only fall while its ``U``
+    only rises, so a cofactor passes whatever its parent passes.
 
-    ``T`` is accumulated in Python integers, so the verdict never
-    rounds.  A constant distribution (the protocol default) has one
-    weight, so ``T = w * sum_i comb_i`` is one integer sum; any other
-    distribution forms ``T`` by weighted popcounts over the weights'
-    bit-planes (:class:`~repro.boolean.packed.WeightPlanes`).  Entries
-    with zero weight or zero cost add exactly 0.0 to every product the
-    kernel forms and are left out; an instance with no such entry at
-    all is exact in any tier (``"f32"``).
+    ``T`` is exact, never rounded.  A constant distribution (the
+    protocol default) has one weight, so ``T = w * sum_i comb_i`` is one
+    integer product.  Any other distribution takes a float64 dot of the
+    combined costs and the weights first: its relative error is about
+    ``n * 2**-53`` over ``n`` terms, ``2**-37`` at ``2**16``, so a true
+    ``T < 2**52`` never reads ``2**53``, and a reading below ``2**53``
+    keeps every term and partial sum of the int64 dot that then forms
+    ``T`` below ``2**63``.
+    Entries with zero weight or zero cost add exactly 0.0 to every
+    product the kernel forms and are left out; an instance with no
+    such entry at all has ``T = 0``, exact in any dtype.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.size == 0:
-        return _Verdict(None, "weight")
+        return _Verdict("weight")
     c0, c1 = costs.cost0, costs.cost1
     # integer-valued (floor == value rejects NaN; infinities die below)
     if not (np.all(np.floor(c0) == c0) and np.all(np.floor(c1) == c1)):
-        return _Verdict(None, "cost")
+        return _Verdict("cost")
     hi = float(c0.max()) + float(c1.max())
     if not math.isfinite(hi) or float(c0.min()) < 0.0 or float(c1.min()) < 0.0:
-        return _Verdict(None, "cost")
+        return _Verdict("cost")
     p0 = float(p.flat[0])
     if bool(np.all(p == p0)):
         # constant distribution (the protocol default): one weight
         if not (math.isfinite(p0) and p0 >= 0.0):
-            return _Verdict(None, "weight")
+            return _Verdict("weight")
         # a float sum of non-negative integers is exact below 2**53, and
         # it reaches 2**52 exactly when the true sum does
         comb_sum = float(c0.sum()) + float(c1.sum())
         if p0 == 0.0 or comb_sum == 0.0:
-            return _Verdict("f32")
+            return _Verdict(None)
         if comb_sum >= float(1 << 52):
-            return _Verdict(None, "total")
+            return _Verdict("total")
         # p0 = m_int * 2**(exponent - 53), exact by construction of frexp
         mantissa, exponent = math.frexp(p0)
         m_int = int(mantissa * (1 << 53))
@@ -358,20 +349,20 @@ def _gate(costs: BitCosts, p: np.ndarray) -> _Verdict:
         weight = m_int >> trailing
         total = weight * int(comb_sum)
         if total >= (1 << 52):
-            return _Verdict(None, "total")
+            return _Verdict("total")
         bound = weight * int(np.abs(c1 - c0).max())
     else:
         if not bool(np.all(np.isfinite(p))) or float(p.min()) < 0.0:
-            return _Verdict(None, "weight")
+            return _Verdict("weight")
         combined = np.asarray(c0, dtype=np.float64) + np.asarray(
             c1, dtype=np.float64
         )
         support = (p > 0.0) & (combined > 0.0)
         if not bool(support.any()):
-            return _Verdict("f32")
+            return _Verdict(None)
         comb = combined[support]
         if float(comb.max()) >= float(1 << 52):
-            return _Verdict(None, "total")
+            return _Verdict("total")
         # p_i = m_int_i * 2**(exp_i - 53) with m_int in [2**52, 2**53) —
         # exact by construction of frexp/ldexp
         mant, exp = np.frexp(p[support])
@@ -386,29 +377,24 @@ def _gate(costs: BitCosts, p: np.ndarray) -> _Verdict:
         # both to avoid int64 overflow and to keep T's terms bounded
         odd_bits = np.frexp(odd.astype(np.float64))[1]
         if int((odd_bits + shift).max()) > 52:
-            return _Verdict(None, "weight")
+            return _Verdict("weight")
         weights = odd << shift
-        comb_int = comb.astype(np.int64)
-        planes = WeightPlanes(weights)
-        total = 0
-        for bit in range(int(comb_int.max()).bit_length()):
-            mask = pack_bits(((comb_int >> np.int64(bit)) & 1).astype(np.uint8))
-            total += planes.masked_sum(mask) << bit
-            if total >= (1 << 52):
-                return _Verdict(None, "total")
+        # the float64 pre-check keeps the int64 dot from wrapping
+        if float(comb @ weights.astype(np.float64)) >= float(1 << 53):
+            return _Verdict("total")
+        total = int(comb.astype(np.int64) @ weights)
+        if total >= (1 << 52):
+            return _Verdict("total")
         # each product is at most its entry's term of T < 2**52: exact
         # in int64
         spread = np.abs(c1[support] - c0[support]).astype(np.int64)
         bound = int((spread * weights).max())
     # every partial sum is at most T * 2**U < 2**(T.bit_length() + U)
-    magnitude = total.bit_length() + unit
-    if unit < -1073 or magnitude > 1024:
+    if unit < -1073 or total.bit_length() + unit > 1024:
         # the half-step's unit 2**(U-1) is below the least subnormal,
         # or a sum could pass the largest float64
-        return _Verdict(None, "unit")
-    if total < (1 << 24) and unit >= -37 and magnitude <= 128:
-        return _Verdict("f32", None, bound, unit)
-    return _Verdict("f64", None, bound, unit)
+        return _Verdict("unit")
+    return _Verdict(None, total, bound, unit)
 
 
 class KernelContext:
@@ -420,7 +406,9 @@ class KernelContext:
     ``i`` on axis ``n-1-i`` (the axis convention of
     :func:`repro.boolean.ops.cofactor`):
 
-    * :attr:`verdict` / :attr:`tier` — the gate scan (:func:`_gate`);
+    * :attr:`verdict` — the gate scan (:func:`_gate`), and
+      :meth:`sweep_dtypes` — the one rule that turns it into the exact
+      sweep's dtypes on a table shape;
     * :meth:`weights` — the float64 grids ``cost0 * p`` / ``cost1 * p``
       that the reference, the BTO variant and the exhaustive oracle
       read;
@@ -475,38 +463,34 @@ class KernelContext:
                 obs.incr(f"opt.packed_rejected_{self._verdict.reason}")
         return self._verdict
 
-    @property
-    def tier(self) -> Optional[str]:
-        """The gate's tier: ``"f32"``, ``"f64"`` or ``None``."""
-        return self.verdict.tier
-
     def sweep_dtypes(self, rows: int, cols: int) -> Tuple[type, type]:
         """``(matmul dtype, totals dtype)`` of the exact sweep on a
         ``rows x cols`` table of this (admitted) context.
 
-        An ``"f32"`` context runs everything in float32.  On an
-        ``"f64"`` one, with ``M`` the verdict's bound, the sweep's
-        partial sums are ``diff`` entries (at most ``M`` units of
-        ``2**U``), row sums and pattern costs (at most ``M * cols``
-        units) and sign products (at most ``M * rows`` units of
-        ``2**(U-1)``).  When ``S = M * max(rows, cols) < 2**24``,
-        ``2**(U-1)`` is a float32 (``U >= -148``) and
-        ``S * 2**U < 2**128`` each is an exact, finite float32, so the
-        matmuls run in float32.  Only the per-candidate totals reach
-        ``T``; they accumulate in float64, exact below ``2**52``, so the
-        convergence test compares the reference's own float64 totals.
+        With ``T``, ``M`` (the largest ``|w1 - w0|``) and ``U`` from the
+        verdict, the sweep's partial sums are ``diff`` entries (at most
+        ``M`` units of ``2**U``), row sums and pattern costs (at most
+        ``M * cols`` units) and sign products (at most ``M * rows``
+        units of ``2**(U-1)``), and none of them passes ``T`` units.  So
+        ``S = min(T, M * max(rows, cols))`` bounds them all: when
+        ``S < 2**24``, ``2**(U-1)`` is a float32 (``U >= -148``) and
+        ``S * 2**U < 2**128``, each is an exact, finite float32 and the
+        matmuls run in float32.  The per-candidate totals reach ``T``;
+        they run in float32 only when also ``T < 2**24``, ``U >= -37``
+        and ``T * 2**U < 2**128``.  The floor on ``U`` keeps the
+        convergence test's ``1e-12`` slack resolving to the float64
+        verdict: totals are spaced ``2**U`` apart, far wider than the
+        slack or float32's rounding radius.  Everything else runs in
+        float64, exact below ``2**52`` units by the gate.
         """
         verdict = self.verdict
-        if verdict.tier == "f32":
-            return _F32_TIER
-        span = verdict.bound * max(rows, cols)
-        if (
-            span < (1 << 24)
-            and verdict.unit >= -148
-            and span.bit_length() + verdict.unit <= 128
-        ):
-            return _F32_SUMS
-        return _F64_TIER
+        total, unit = verdict.total, verdict.unit
+        span = min(total, verdict.bound * max(rows, cols))
+        if span >= 1 << 24 or unit < -148 or span.bit_length() + unit > 128:
+            return np.float64, np.float64
+        if total >= 1 << 24 or unit < -37 or total.bit_length() + unit > 128:
+            return np.float32, np.float64
+        return np.float32, np.float32
 
     def weights(self) -> Tuple[np.ndarray, np.ndarray]:
         """The weighted cost grids ``(w0, w1)``, float64."""
@@ -531,7 +515,7 @@ class KernelContext:
         return wdiff
 
     def exact_weights(self, dtype: type) -> Tuple[np.ndarray, float]:
-        """``(w1 - w0, w0.sum())`` for the exact sweep (gated tiers only).
+        """``(w1 - w0, w0.sum())`` for the exact sweep (admitted contexts).
 
         ``w1 - w0`` comes in ``dtype``, the matmul dtype
         :meth:`sweep_dtypes` picked.  ``w0.sum()`` is exact under the
@@ -553,17 +537,16 @@ class KernelContext:
         product of the slices bit for bit, and so does a slice of
         ``w1 - w0`` in either dtype.
 
-        The cofactor inherits this context's verdict, bound and unit
-        included.  Its supported weights are a subset of the parent's on
-        the same costs, so its least dyadic unit ``U`` can only rise and
-        its exact total ``T`` and largest ``|w1 - w0|`` only fall: its
-        entries are multiples of the parent's ``2**U`` within the
-        parent's bound, so every limit the parent's verdict passed, the
-        cofactor passes too.  An ``"f32"`` parent has exact f32
-        cofactors and an ``"f64"`` parent exact f64 ones (float32
-        partial sums where the half's table shape allows); a rejected
-        parent sends its cofactors to the reference.  The only loss is a
-        cofactor that could have run a narrower tier than its parent.
+        The cofactor inherits this context's verdict: ``T``, ``M`` and
+        ``U`` included.  Its supported weights are a subset of the
+        parent's on the same costs, so its least dyadic unit ``U`` can
+        only rise and its exact total ``T`` and largest ``|w1 - w0|``
+        only fall: its entries are multiples of the parent's ``2**U``
+        within the parent's bounds, so every limit the parent's verdict
+        passed, the cofactor passes too, and :meth:`sweep_dtypes` on the
+        parent's numbers picks dtypes exact for the half's table.  A
+        rejected parent sends its cofactors to the reference.  The only
+        loss is a cofactor whose own numbers would allow narrower dtypes.
         """
         index = ops.cofactor_index(self.n_inputs, fixed)
         w0, w1 = self.weights()
@@ -578,34 +561,29 @@ class KernelContext:
         return view
 
 
-def _engaged_tier(context: KernelContext) -> Optional[str]:
-    """Production's gate verdict for ``context``, with telemetry.
-
-    ``None`` whenever the fast-path switch is off: then the reference
-    runs everything.
-    """
-    if not caching.fast_paths_enabled():
-        return None
-    tier = context.tier
-    if obs.enabled():
-        obs.incr("opt.packed_calls" if tier else "opt.packed_ineligible")
-        if tier == "f32":
-            obs.incr("opt.packed_f32_calls")
-    return tier
-
-
 def _sweep_dispatch(
     context: KernelContext, rows: int, cols: int
 ) -> Optional[Tuple[type, type]]:
     """Production's ``(matmul, totals)`` dtypes for one request of
     ``context`` on a ``rows x cols`` table, or ``None`` for the
-    reference.  Counts ``opt.packed_f32_sums_calls`` for an ``"f64"``
-    context whose matmuls run in float32."""
-    if not _engaged_tier(context):
+    reference: a rejected context, or the fast-path switch off.
+
+    The one home of the per-request gate counters, counted only in
+    production: ``opt.packed_calls`` or ``opt.packed_ineligible``, then
+    ``opt.packed_f32_calls`` for float32 totals and
+    ``opt.packed_f32_sums_calls`` for float32 matmuls with float64
+    totals.
+    """
+    if not caching.fast_paths_enabled():
         return None
-    dtypes = context.sweep_dtypes(rows, cols)
-    if dtypes is _F32_SUMS and obs.enabled():
-        obs.incr("opt.packed_f32_sums_calls")
+    admitted = context.verdict.reason is None
+    dtypes = context.sweep_dtypes(rows, cols) if admitted else None
+    if obs.enabled():
+        obs.incr("opt.packed_calls" if admitted else "opt.packed_ineligible")
+        if dtypes and dtypes[1] is np.float32:
+            obs.incr("opt.packed_f32_calls")
+        elif dtypes and dtypes[0] is np.float32:
+            obs.incr("opt.packed_f32_sums_calls")
     return dtypes
 
 
@@ -657,10 +635,8 @@ class _ExactSweep:
         # exact-sum reduction vector: under the gate a gemv against ones
         # is bitwise equal to ``pat.sum(axis=2)`` in any association
         # order, and roughly halves the dispatch.  Its dtype is the
-        # totals' (float64 unless the whole context is "f32": an "f64"
-        # context's totals can pass 2**24).  All other scratch follows
-        # diff's dtype — float64, or float32 when the gate's bounds
-        # prove the narrower significand exact too.
+        # totals'; all other scratch follows diff's, the matmul dtype
+        # (both from KernelContext.sweep_dtypes).
         dtype = diff.dtype
         self.ones = np.ones(rows, dtype=totals_dtype)
         self.v = np.empty((batch, z, cols), dtype=dtype)
@@ -820,7 +796,7 @@ def _alternate_exact(
         patterns = _exact_patterns_core(sweep, use4, use_vt)
         use4, use_vt, new_totals = _exact_types_core(sweep)
         # same op order as the reference: (totals - 1e-12) then
-        # the compare, so the f32 tier rounds the slack identically
+        # the compare, so float32 totals round the slack identically
         np.subtract(totals, 1e-12, out=slack)
         np.greater_equal(new_totals, slack, out=slack_ok)
         converged = np.logical_and.reduce(slack_ok, axis=1, out=conv)
@@ -850,8 +826,8 @@ def _alternate_exact(
             # of its batchmates) until a quarter of the slots are dead
             # — at that point the dead matmul flops outweigh the
             # slicing the compaction costs (measured: eager 1/8
-            # compaction wins for f64 sweeps but loses once the f32
-            # tier halves the flop cost; 1/4 is the robust middle)
+            # compaction wins for float64 sweeps but loses once float32
+            # matmuls halve the flop cost; 1/4 is the robust middle)
             if remaining * 4 <= active.size * 3:
                 keep = ~done_mask
                 active = active[keep]
@@ -1268,9 +1244,9 @@ def opt_for_part_bto(
     if context is None:
         context = KernelContext(costs, p, n_inputs)
     if obs.enabled():
-        # the per-column sums below run on every tier; the verdict
+        # the per-column sums below run whatever the verdict says; it
         # only feeds the gate counters
-        _engaged_tier(context)
+        _sweep_dispatch(context, partition.n_rows, partition.n_cols)
     w0, w1 = context.weights()
     axes = partition.table_axes(n_inputs)
     table = (partition.n_rows, partition.n_cols)

@@ -164,7 +164,9 @@ def _common_knobs(document: Dict[str, Any]) -> Dict[str, Any]:
             f"unknown algorithm {algorithm!r}; choose from {list(ALGORITHMS)}"
         )
     budget = document.get("budget", "reduced")
-    if budget not in compile_api.BUDGETS:
+    # BUDGETS is a dict: test the type first, or a list or object value
+    # raises TypeError (unhashable) instead of a 400
+    if not isinstance(budget, str) or budget not in compile_api.BUDGETS:
         raise RequestError(
             f"unknown budget {budget!r}; "
             f"choose from {sorted(compile_api.BUDGETS)}"

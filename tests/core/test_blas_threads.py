@@ -290,11 +290,12 @@ class TestScope:
 
 
 def _instance(kind, n_inputs, seed=0):
-    """Costs and p whose gate verdict is ``kind``.
+    """Costs and p whose sweep runs its totals in ``kind``.
 
-    Integer 0/1 costs under uniform p pass as ``"f32"``; scaled by
-    2**12 their exact total needs more than 24 bits, so ``"f64"``; a
-    random non-dyadic ``p`` is rejected (``None``, the reference).
+    Integer 0/1 costs under uniform p run everything in float32
+    (``"f32"``); scaled by 2**12 their exact total needs more than 24
+    bits, so float64 totals (``"f64"``); a random non-dyadic ``p`` is
+    rejected (``None``, the reference).
     """
     rng = np.random.default_rng(seed)
     bits = random_bits(n_inputs, rng)
@@ -305,7 +306,9 @@ def _instance(kind, n_inputs, seed=0):
     elif kind is None:
         raw = rng.random(1 << n_inputs) + 1e-3
         p = raw / raw.sum()
-    assert KernelContext(costs, p, n_inputs).tier == kind
+    context = KernelContext(costs, p, n_inputs)
+    totals = context.sweep_dtypes(1, 1)[1] if context.verdict.reason is None else None
+    assert totals == {"f32": np.float32, "f64": np.float64, None: None}[kind]
     return costs, p
 
 

@@ -10,8 +10,8 @@ contract at three levels — single kernel calls across sweep budgets,
 full algorithm runs across all three architectures, and gate-rejected
 batches — plus the gate itself, hardest at its boundaries and under
 general weighted distributions (dyadic weights admitted, everything
-else refused), the exact weighted popcounts behind its certificate,
-and the grouped engine (each request of an ``opt_for_part_grouped``
+else refused), the one rule that picks the sweep's dtypes, and the
+grouped engine (each request of an ``opt_for_part_grouped``
 pass equal to its own ``opt_for_part_many`` call).
 """
 
@@ -28,7 +28,6 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro import caching, compile_api, obs, workloads
 from repro.boolean import Partition, ops, random_partition
-from repro.boolean.packed import WeightPlanes, pack_bits
 from repro.core import (
     AlgorithmConfig,
     BitCosts,
@@ -56,6 +55,27 @@ from .test_fast_paths import _run_fingerprint, _same_result
 ofp = importlib.import_module("repro.core.opt_for_part")
 
 _SUPPRESS = [HealthCheck.function_scoped_fixture]
+
+#: the exact sweep's (matmul, totals) dtype pairs
+_F32 = (np.float32, np.float32)
+_F32_SUMS = (np.float32, np.float64)
+_F64 = (np.float64, np.float64)
+
+
+def _totals_id(value):
+    """Name a dtype pair in test ids by its totals dtype."""
+    if isinstance(value, tuple):
+        return {np.float32: "f32", np.float64: "f64"}[value[1]]
+    return None
+
+
+def _dtypes(costs, p, n_inputs, rows, cols):
+    """The sweep's dtypes on a ``rows x cols`` table, ``None`` when the
+    gate rejects the context."""
+    context = KernelContext(costs, p, n_inputs)
+    if context.verdict.reason is not None:
+        return None
+    return context.sweep_dtypes(rows, cols)
 
 
 def _uniform_instance(n_inputs, seed):
@@ -93,32 +113,32 @@ def _production_vs_reference(costs, p, n_inputs, bound, count, seed):
 class TestEligibilityGate:
     def test_uniform_integer_instance_is_eligible(self):
         costs, p = _uniform_instance(8, seed=0)
-        assert ofp._gate(costs, p).tier is not None
+        assert ofp._gate(costs, p).reason is None
 
     def test_non_uniform_distribution_is_rejected(self):
         costs, _ = _uniform_instance(6, seed=1)
         raw = np.random.default_rng(1).random(1 << 6) + 1e-3
-        assert ofp._gate(costs, raw / raw.sum()).tier is None
+        assert ofp._gate(costs, raw / raw.sum()).reason == "weight"
 
     def test_fractional_costs_are_rejected(self):
         costs, p = _uniform_instance(5, seed=2)
         fractional = BitCosts(costs.k, costs.cost0 + 0.5, costs.cost1)
-        assert ofp._gate(fractional, p).tier is None
+        assert ofp._gate(fractional, p).reason == "cost"
 
     def test_negative_costs_are_rejected(self):
         costs, p = _uniform_instance(5, seed=3)
         negative = BitCosts(costs.k, costs.cost0 - 1.0, costs.cost1)
-        assert ofp._gate(negative, p).tier is None
+        assert ofp._gate(negative, p).reason == "cost"
 
     def test_magnitude_overflow_is_rejected(self):
         """Sums that could leave the exact-integer float range bail out."""
         costs, p = _uniform_instance(5, seed=4)
         huge = BitCosts(costs.k, costs.cost0 + 2.0**53, costs.cost1)
-        assert ofp._gate(huge, p).tier is None
+        assert ofp._gate(huge, p).reason == "total"
 
     def test_empty_distribution_is_rejected(self):
         costs, _ = _uniform_instance(4, seed=5)
-        assert ofp._gate(costs, np.empty(0)).tier is None
+        assert ofp._gate(costs, np.empty(0)).reason == "weight"
 
     def test_shared_context_caches_the_verdict(self, monkeypatch):
         """A search context's KernelContext gates once for every call."""
@@ -133,7 +153,7 @@ class TestEligibilityGate:
         monkeypatch.setattr(ofp, "_gate", counted)
         context = KernelContext(costs, p, 7)
         assert calls == []
-        assert ofp._engaged_tier(context) == verdict.tier
+        assert ofp._sweep_dispatch(context, 16, 8) == context.sweep_dtypes(16, 8)
         # later kernel calls reuse the context: the verdict and the
         # weighted grids are computed once per context
         partition = Partition((3, 4, 5, 6), (0, 1, 2))
@@ -141,13 +161,13 @@ class TestEligibilityGate:
         opt_for_part(
             costs, p, partition, 7, rng=np.random.default_rng(0), context=context
         )
-        assert context.tier == verdict.tier
+        assert context.verdict == verdict
         assert len(calls) == 1
 
     def test_fast_paths_off_engages_nothing(self):
         costs, p = _uniform_instance(7, seed=6)
         with caching.fast_paths(False):
-            assert ofp._engaged_tier(KernelContext(costs, p, 7)) is None
+            assert ofp._sweep_dispatch(KernelContext(costs, p, 7), 16, 8) is None
 
 
 class TestWeightedEligibility:
@@ -171,7 +191,7 @@ class TestWeightedEligibility:
         shift = data.draw(st.integers(0, 24), label="shift")
         p = mant / float(1 << shift)
         # dyadic weights with a tiny magnitude bound: always provable
-        assert ofp._gate(costs, p).tier
+        assert ofp._gate(costs, p).reason is None
         on, off = _production_vs_reference(costs, p, n_inputs, 3, 3, seed=5)
         for a, b in zip(on, off):
             _same_result(a, b)
@@ -209,7 +229,7 @@ class TestWeightedEligibility:
         costs = _integer_costs(6, seed=3)
         p = np.full(64, 1.0 / 3.0)
         p[0] = 2.0 / 3.0
-        assert not ofp._gate(costs, p).tier
+        assert ofp._gate(costs, p).reason == "weight"
 
     def test_weighted_overflow_is_refused(self):
         """Weights whose *scaled* total leaves 2**52 bail out.
@@ -221,18 +241,18 @@ class TestWeightedEligibility:
         costs = _integer_costs(6, seed=4)
         p = np.full(64, 2.0**50 + 1.0)
         p[0] = 2.0**50 + 3.0  # non-constant: takes the weighted path
-        assert not ofp._gate(costs, p).tier
+        assert ofp._gate(costs, p).reason == "total"
 
     def test_power_of_two_magnitudes_stay_eligible(self):
         """Huge but dyadic-unit weights are exact in scaled units."""
         costs = _integer_costs(6, seed=4)
         p = np.full(64, float(1 << 50))
         p[0] = float(1 << 51)
-        assert ofp._gate(costs, p).tier
+        assert ofp._gate(costs, p).reason is None
 
     def test_uniform_stays_eligible_via_closed_form(self):
         costs = _integer_costs(8, seed=5)
-        assert ofp._gate(costs, distributions.uniform(8)).tier
+        assert ofp._gate(costs, distributions.uniform(8)).reason is None
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +260,8 @@ class TestWeightedEligibility:
 # T = sum_i (cost0_i + cost1_i) * w_i and the dyadic unit U of
 # p_i = w_i * 2**U; a case runs with one constant weight (the protocol
 # default, the gate's closed form) and with alternating weights 1 and 2
-# (the gate's weighted popcounts).
+# (the gate's int64 dot).  The expected dtypes are the sweep's on the
+# 4 x 4 tables the byte checks run.
 # ----------------------------------------------------------------------
 
 _N = 4
@@ -265,26 +286,26 @@ def _instance(total, weights, unit=0, seed=0):
 _WEIGHTS = {"constant": (1,), "weighted": (1, 2)}
 
 _BOUNDARIES = [
-    # (T, U, tier)
-    ((1 << 24) - 1, 0, "f32"),
-    (1 << 24, 0, "f64"),
-    (1000, -37, "f32"),
-    (1000, -38, "f64"),
-    ((1 << 52) - 1, 0, "f64"),
+    # (T, U, dtypes); the tables' M * 4 stays below 2**24 until T = 2**52
+    ((1 << 24) - 1, 0, _F32),
+    (1 << 24, 0, _F32_SUMS),
+    (1000, -37, _F32),
+    (1000, -38, _F32_SUMS),
+    ((1 << 52) - 1, 0, _F64),
     (1 << 52, 0, None),
     # the msign half-step needs the unit 2**(U-1): a float at U = -1073
     # (the least subnormal), not at U = -1074
-    (1000, -1073, "f64"),
+    (1000, -1073, _F64),
     (1000, -1074, None),
-    # the f32 tier's 1e-12 convergence slack with totals near 2**24
+    # float32 totals' 1e-12 convergence slack with totals near 2**24
     # units, where a float32 total's spacing is the unit itself
-    ((1 << 24) - 1, -37, "f32"),
-    ((1 << 24) - 1, -38, "f64"),
+    ((1 << 24) - 1, -37, _F32),
+    ((1 << 24) - 1, -38, _F32_SUMS),
     # every sum is at most T * 2**U: below 2**128 in float32, below
     # 2**1024 in float64
-    ((1 << 24) - 1, 104, "f32"),
-    ((1 << 24) - 1, 105, "f64"),
-    ((1 << 52) - 1, 972, "f64"),
+    ((1 << 24) - 1, 104, _F32),
+    ((1 << 24) - 1, 105, _F32_SUMS),
+    ((1 << 52) - 1, 972, _F64),
 ]
 
 
@@ -296,39 +317,41 @@ def _same_as_reference(costs, p, seed=3):
 
 class TestGateBoundaries:
     @pytest.mark.parametrize("shape", sorted(_WEIGHTS))
-    @pytest.mark.parametrize("total,unit,tier", _BOUNDARIES)
-    def test_total_and_unit_boundaries(self, shape, total, unit, tier):
+    @pytest.mark.parametrize("total,unit,dtypes", _BOUNDARIES, ids=_totals_id)
+    def test_total_and_unit_boundaries(self, shape, total, unit, dtypes):
         costs, p = _instance(total, _WEIGHTS[shape], unit)
-        assert ofp._gate(costs, p).tier == tier
+        assert _dtypes(costs, p, _N, 4, 4) == dtypes
         _same_as_reference(costs, p)
 
     @pytest.mark.parametrize(
-        "p0,tier",
+        "p0,dtypes",
         [
             (1.0 - 2.0**-53, None),  # odd part 2**53 - 1: T >= 2**52
-            (1.0 - 2.0**-52, "f64"),  # odd part 2**52 - 1: T < 2**52
+            (1.0 - 2.0**-52, _F64),  # odd part 2**52 - 1: T < 2**52
         ],
+        ids=_totals_id,
     )
-    def test_constant_weight_bit_budget(self, p0, tier):
+    def test_constant_weight_bit_budget(self, p0, dtypes):
         cost0 = np.zeros(1 << _N)
         cost0[5] = 1.0
         costs = BitCosts(0, cost0, np.zeros(1 << _N))
-        assert ofp._gate(costs, np.full(1 << _N, p0)).tier == tier
+        assert _dtypes(costs, np.full(1 << _N, p0), _N, 4, 4) == dtypes
         _same_as_reference(costs, np.full(1 << _N, p0))
 
     @pytest.mark.parametrize(
-        "small,tier",
+        "small,dtypes",
         [
             (2.0**-51, None),  # 3 on a 2**-51 unit: 3 * 2**51 needs 53 bits
-            (2.0**-50, "f64"),  # 3 * 2**50 needs 52 bits
+            (2.0**-50, _F64),  # 3 * 2**50 needs 52 bits
         ],
+        ids=_totals_id,
     )
-    def test_common_unit_bit_budget(self, small, tier):
+    def test_common_unit_bit_budget(self, small, dtypes):
         p = np.resize([3.0, small], 1 << _N)
         cost0 = np.zeros(1 << _N)
         cost0[:2] = [1.0, 5.0]
         costs = BitCosts(0, cost0, np.zeros(1 << _N))
-        assert ofp._gate(costs, p).tier == tier
+        assert _dtypes(costs, p, _N, 4, 4) == dtypes
         _same_as_reference(costs, p)
 
     def test_zero_weight_supports_are_ignored(self):
@@ -337,7 +360,7 @@ class TestGateBoundaries:
         cost0 = np.resize([3.0, 2.0**60, 1.0, 0.0], 1 << _N)
         cost1 = np.resize([1.0, 0.0, 4.0, 0.0], 1 << _N)
         costs = BitCosts(0, cost0, cost1)
-        assert ofp._gate(costs, p).tier == "f32"
+        assert _dtypes(costs, p, _N, 4, 4) == _F32
         _same_as_reference(costs, p)
 
     @pytest.mark.parametrize("p0", [1.0 / 3.0, 0.0])
@@ -354,7 +377,8 @@ class TestGateBoundaries:
                 rng.integers(0, 9, 1 << _N).astype(np.float64),
             )
             p = np.zeros(1 << _N)
-        assert ofp._gate(costs, p).tier == "f32"
+        assert ofp._gate(costs, p) == ofp._Verdict(None, 0, 0, 0)
+        assert _dtypes(costs, p, _N, 4, 4) == _F32
         _same_as_reference(costs, p)
 
     @pytest.mark.parametrize("unit", [-1073, -1074])
@@ -414,7 +438,7 @@ class TestGateBoundaries:
     def test_float64_overflow_is_rejected(self, shape):
         """``T * 2**U >= 2**1024``: a sum could pass the largest float."""
         costs, p = _instance(1000, _WEIGHTS[shape], 1015)
-        assert ofp._gate(costs, p) == ofp._Verdict(None, "unit")
+        assert ofp._gate(costs, p) == ofp._Verdict("unit")
 
     @pytest.mark.parametrize("shape", sorted(_WEIGHTS))
     @pytest.mark.parametrize(
@@ -425,16 +449,18 @@ class TestGateBoundaries:
         cost0 = costs.cost0.copy()
         cost0[3] = {"fractional": cost0[3] + 0.5, "negative": -1.0,
                     "nan": np.nan, "inf": np.inf}[bad]
-        assert ofp._gate(BitCosts(0, cost0, costs.cost1), p).tier is None
+        assert ofp._gate(BitCosts(0, cost0, costs.cost1), p).reason == "cost"
 
 
 # ----------------------------------------------------------------------
 # Drawn edges of the gate.  The strategy aims at each edge the hand-made
 # boundaries above pin one point of -- T at 2**24 and 2**52, weights 52
 # and 53 bits wide on the common unit, T * 2**U at 2**128 and 2**1024 --
-# under constant and non-constant distributions.  The expected verdict
-# comes from the drawn integers by the gate's documented contract, in
-# Python integers and fractions, not from the gate's own scan.
+# under constant and non-constant distributions, and at the weighted
+# total's int64 dot over 2**16 entries: T at 2**52 from many small
+# terms, and T far past 2**63.  The expected verdict comes from the
+# drawn integers by the gate's documented contract, in Python integers
+# and fractions, not from the gate's own scan.
 # ----------------------------------------------------------------------
 
 
@@ -458,7 +484,9 @@ def _gate_edge(draw):
     weights = [1] * size
     if not constant:
         weights[1:] = [int(w) for w in rng.integers(1, 4, size - 1)]
-    edge = draw(st.sampled_from(["total", "width", "range"]), label="edge")
+    edge = draw(
+        st.sampled_from(["total", "width", "range", "wide"]), label="edge"
+    )
     if edge == "total":
         total = draw(
             st.sampled_from([(1 << 24) - 1, 1 << 24, (1 << 52) - 1, 1 << 52]),
@@ -484,24 +512,41 @@ def _gate_edge(draw):
         comb = [int(c) for c in rng.integers(0, 3, size)]
         comb[int(np.argmax(weights))] = 1
         unit = draw(st.integers(-1000, 0), label="unit")
-    else:
+    elif edge == "range":
         # T * 2**U just below (side 0) or at (side 1) 2**128 or 2**1024
         edge_bits = draw(st.sampled_from([128, 1024]), label="edge_bits")
         k = draw(st.sampled_from([12, 23, 24, 25, 40, 52]), label="T_bits")
         total = draw(st.sampled_from([1 << (k - 1), (1 << k) - 1]), label="T")
         unit = edge_bits - k + draw(st.sampled_from([0, 1]), label="side")
         comb = _fill_total(total, weights, rng)
+    else:
+        # 2**16 weighted entries
+        size = 1 << 16
+        if draw(st.booleans(), label="past_int64"):
+            # costs and weights near 2**51: T near 2**118
+            top = 1 << 51
+            weights = [int(w) for w in rng.integers(top - 4096, top, size)]
+            comb = [int(c) for c in rng.integers(top - 4096, top, size)]
+        else:
+            # T at 2**52 from terms near T / 2**17; entry 0 (weight 1)
+            # takes the remainder
+            weights = [1] + [int(w) for w in rng.integers(1, 4, size - 1)]
+            total = draw(st.sampled_from([(1 << 52) - 1, 1 << 52]), label="T")
+            share = total // sum(weights)
+            comb = [0] + [share - int(j) for j in rng.integers(0, 8, size - 1)]
+            comb[0] = total - sum(c * w for c, w in zip(comb[1:], weights[1:]))
+        unit = draw(st.integers(-60, 0), label="unit")
     return comb, weights, unit
 
 
 def _contract_verdict(comb, weights, unit):
-    """The gate's verdict ``(tier, reason)`` from the exact integers."""
+    """The gate's verdict ``reason`` from the exact integers."""
     p = [math.ldexp(w, unit) for w in weights]
     if not all(math.isfinite(x) for x in p):
-        return None, "weight"
+        return "weight"
     support = [(c, w) for c, w in zip(comb, weights) if c and w]
     if not support:
-        return "f32", None
+        return None
     # the least common dyadic unit of the supported weights
     trailing = min((w & -w).bit_length() - 1 for _, w in support)
     support = [(c, w >> trailing) for c, w in support]
@@ -512,15 +557,13 @@ def _contract_verdict(comb, weights, unit):
     # a weight past 52 bits makes T >= 2**52 by itself; the weighted
     # scan names the weight unless one entry's cost alone reaches 2**52
     if not constant and widest > 52 and max(c for c, _ in support) < 1 << 52:
-        return None, "weight"
+        return "weight"
     if total >= 1 << 52:
-        return None, "total"
+        return "total"
     scaled = Fraction(total) * Fraction(2) ** unit
     if unit < -1073 or scaled >= 2**1024:
-        return None, "unit"
-    if total < 1 << 24 and unit >= -37 and scaled < 2**128:
-        return "f32", None
-    return "f64", None
+        return "unit"
+    return None
 
 
 class TestDrawnGateEdges:
@@ -535,11 +578,16 @@ class TestDrawnGateEdges:
         p = np.array([math.ldexp(w, unit) for w in weights])
         verdict = ofp._gate(costs, p)
         kind = "constant" if len(set(weights)) == 1 else "weighted"
-        event(f"{kind}: {verdict.tier or verdict.reason}")
-        assert (verdict.tier, verdict.reason) == _contract_verdict(
-            comb, weights, unit
-        )
-        on, off = _production_vs_reference(costs, p, _N, 2, 3, seed=3)
+        event(f"{kind}, {len(comb)} entries: {verdict.reason or 'admitted'}")
+        assert verdict.reason == _contract_verdict(comb, weights, unit)
+        if verdict.reason is None:
+            # T is the exact weighted total on the unit 2**U
+            exact = sum(c * w for c, w in zip(comb, weights))
+            assert verdict.total * Fraction(2) ** verdict.unit == (
+                exact * Fraction(2) ** unit
+            )
+        n_inputs = len(comb).bit_length() - 1
+        on, off = _production_vs_reference(costs, p, n_inputs, 2, 3, seed=3)
         for a, b in zip(on, off):
             # byte-level: a rejected context may total to inf or nan
             assert np.float64(a.error).tobytes() == np.float64(b.error).tobytes()
@@ -548,12 +596,12 @@ class TestDrawnGateEdges:
 
 
 class TestConvergenceSlack:
-    """The f32 tier compares float32 totals against ``totals - 1e-12``.
+    """Float32 totals are compared against ``totals - 1e-12``.
 
     The subtraction rounds to float32, so it only gives the reference's
     float64 verdict while the rounding cannot reach a whole unit
-    ``2**U``.  That holds from ``U = -38`` up; the gate's f32 floor is
-    ``U = -37``, one unit of margin.  Probes sit where a float32 total's
+    ``2**U``.  That holds from ``U = -38`` up; ``sweep_dtypes`` floors
+    float32 totals at ``U = -37``, one unit of margin.  Probes sit where a float32 total's
     spacing is the unit itself (``2**23`` to ``2**24`` units): the last
     sweep improved by one unit, tied, or (never in the alternation, but
     a sharper probe) worsened by one.
@@ -574,10 +622,12 @@ class TestConvergenceSlack:
             flips += int(np.count_nonzero(want != got))
         return flips
 
-    @pytest.mark.parametrize("unit,tier", [(-37, "f32"), (-38, "f64")])
-    def test_slack_verdicts_at_the_floor(self, unit, tier):
+    @pytest.mark.parametrize(
+        "unit,dtypes", [(-37, _F32), (-38, _F32_SUMS)], ids=_totals_id
+    )
+    def test_slack_verdicts_at_the_floor(self, unit, dtypes):
         costs, p = _instance((1 << 24) - 1, (1,), unit)
-        assert ofp._gate(costs, p).tier == tier
+        assert _dtypes(costs, p, _N, 4, 4) == dtypes
         assert self._disagreements(unit) == 0
         for seed in range(4):
             _same_as_reference(costs, p, seed=seed)
@@ -589,12 +639,14 @@ class TestConvergenceSlack:
 
 
 # ----------------------------------------------------------------------
-# The shape rule: an "f64" context runs the sweep's matmuls in float32 on
-# a rows x cols table when M * max(rows, cols) < 2**24, with M its
-# largest |w1 - w0| in units of 2**U, 2**(U-1) a float32 (U >= -148) and
-# M * max(rows, cols) * 2**U below 2**128.  Only the per-candidate totals
-# stay float64.  Tables are 2**free x 2**bound, so the nearest products
-# either side of the bound are 2**24 - max(rows, cols) and 2**24.
+# The shape rule: the sweep's matmuls run in float32 on a rows x cols
+# table when S = min(T, M * max(rows, cols)) < 2**24, with M the largest
+# |w1 - w0| in units of 2**U, 2**(U-1) a float32 (U >= -148) and
+# S * 2**U below 2**128; the totals stay float64 unless T alone passes
+# the float32 rule.  Most cases below have T far past 2**24, so S is
+# M * max(rows, cols): tables are 2**free x 2**bound, and the nearest
+# products either side of the bound are 2**24 - max(rows, cols) and
+# 2**24.
 # ----------------------------------------------------------------------
 
 
@@ -617,6 +669,11 @@ def _spread_instance(spread, n_inputs, unit, weights=(1,), seed=0):
     return costs, np.ldexp(w.astype(np.float64), unit)
 
 
+def _numbers(context):
+    """The verdict's reason, ``M`` and ``U``."""
+    return context.verdict.reason, context.verdict.bound, context.verdict.unit
+
+
 def _dispatched_vs_reference(costs, p, n_inputs, bound, seed=3, count=3):
     """Production against the reference, byte for byte; returns how many
     production requests ran float32 partial sums."""
@@ -633,9 +690,9 @@ class TestShapeRule:
     @pytest.mark.parametrize(
         "spread,dtypes",
         [
-            ((1 << 18) - 1, ofp._F32_SUMS),  # M * 64 = 2**24 - 64
-            (1 << 18, ofp._F64_TIER),  # M * 64 = 2**24
-            (1 << 20, ofp._F64_TIER),  # sums past 2**24 units
+            ((1 << 18) - 1, _F32_SUMS),  # M * 64 = 2**24 - 64
+            (1 << 18, _F64),  # M * 64 = 2**24
+            (1 << 20, _F64),  # sums past 2**24 units
         ],
         ids=["below", "at", "past"],
     )
@@ -643,15 +700,15 @@ class TestShapeRule:
         """9 inputs: 64 x 8 tables (b = 3) and 8 x 64 ones (b = 6)."""
         costs, p = _spread_instance(spread, 9, -9)
         context = KernelContext(costs, p, 9)
-        assert context.verdict == ofp._Verdict("f64", None, spread, -9)
+        assert _numbers(context) == (None, spread, -9)
         rows, cols = 1 << (9 - bound), 1 << bound
         assert context.sweep_dtypes(rows, cols) == dtypes
         used = _dispatched_vs_reference(costs, p, 9, bound)
-        assert used == (1 if dtypes == ofp._F32_SUMS else 0)
+        assert used == (1 if dtypes == _F32_SUMS else 0)
 
     @pytest.mark.parametrize(
         "unit,dtypes",
-        [(-148, ofp._F32_SUMS), (-149, ofp._F64_TIER)],
+        [(-148, _F32_SUMS), (-149, _F64)],
         ids=["f32-sums", "f64"],
     )
     def test_unit_floor(self, unit, dtypes):
@@ -662,14 +719,14 @@ class TestShapeRule:
         for seed in range(12):
             costs, p = _spread_instance(3, 7, unit, seed=seed)
             context = KernelContext(costs, p, 7)
-            assert context.verdict == ofp._Verdict("f64", None, 3, unit)
+            assert _numbers(context) == (None, 3, unit)
             assert context.sweep_dtypes(16, 8) == dtypes
             used = _dispatched_vs_reference(costs, p, 7, 3, seed=seed)
-            assert used == (1 if dtypes == ofp._F32_SUMS else 0)
+            assert used == (1 if dtypes == _F32_SUMS else 0)
 
     @pytest.mark.parametrize(
         "unit,dtypes",
-        [(104, ofp._F32_SUMS), (105, ofp._F64_TIER)],
+        [(104, _F32_SUMS), (105, _F64)],
         ids=["f32-sums", "f64"],
     )
     def test_unit_ceiling(self, unit, dtypes):
@@ -678,10 +735,31 @@ class TestShapeRule:
         spread = (1 << 18) - 1
         costs, p = _spread_instance(spread, 9, unit)
         context = KernelContext(costs, p, 9)
-        assert context.verdict == ofp._Verdict("f64", None, spread, unit)
+        assert _numbers(context) == (None, spread, unit)
         assert context.sweep_dtypes(64, 8) == dtypes
         used = _dispatched_vs_reference(costs, p, 9, 3)
-        assert used == (1 if dtypes == ofp._F32_SUMS else 0)
+        assert used == (1 if dtypes == _F32_SUMS else 0)
+
+    @pytest.mark.parametrize("bound", [3, 6], ids=["rows", "cols"])
+    def test_total_bounds_the_sums(self, bound):
+        """``T < 2**24`` bounds every partial sum where ``M * max(rows,
+        cols) = 2**24`` does not: entry 0 carries most of ``T``.  Below
+        the float32 totals' floor (``U = -60``) the matmuls run in
+        float32 and the totals in float64."""
+        n_inputs, spread = 9, 1 << 18
+        rng = np.random.default_rng(bound)
+        cost0 = rng.integers(0, 4, 1 << n_inputs).astype(np.float64)
+        cost1 = rng.integers(0, 4, 1 << n_inputs).astype(np.float64)
+        cost0[0], cost1[0] = spread, 0.0
+        costs = BitCosts(0, cost0, cost1)
+        p = np.full(1 << n_inputs, 2.0**-60)
+        context = KernelContext(costs, p, n_inputs)
+        assert _numbers(context) == (None, spread, -60)
+        assert spread < context.verdict.total < 1 << 24
+        rows, cols = 1 << (n_inputs - bound), 1 << bound
+        assert spread * max(rows, cols) == 1 << 24
+        assert context.sweep_dtypes(rows, cols) == _F32_SUMS
+        assert _dispatched_vs_reference(costs, p, n_inputs, bound) == 1
 
     def test_half_of_a_narrowed_parent(self):
         """An ND half runs float32 sums on the parent's bound.
@@ -697,9 +775,9 @@ class TestShapeRule:
         for seed in range(6):
             costs, p = _spread_instance(spread, n_inputs, -7, (1, 3), seed=seed)
             context = KernelContext(costs, p, n_inputs)
-            assert context.verdict == ofp._Verdict("f64", None, spread, -7)
-            assert context.sweep_dtypes(4, 32) == ofp._F64_TIER
-            assert context.cofactor({0: 1}).sweep_dtypes(4, 16) == ofp._F32_SUMS
+            assert _numbers(context) == (None, spread, -7)
+            assert context.sweep_dtypes(4, 32) == _F64
+            assert context.cofactor({0: 1}).sweep_dtypes(4, 16) == _F32_SUMS
             def solve():
                 return optimize_nondisjoint(
                     costs,
@@ -745,7 +823,7 @@ class TestShapeRule:
         )
         verdict = ofp._gate(costs, p)
         assert verdict.bound == spread
-        if verdict.tier is not None:
+        if verdict.reason is None:
             assert verdict.unit == unit
         _dispatched_vs_reference(costs, p, n_inputs, bound, seed=5, count=2)
 
@@ -773,12 +851,21 @@ class TestShapeRule:
 
 # ----------------------------------------------------------------------
 # Verdict inheritance: an ND half is solved as a view of its parent's
-# context and runs the parent's tier.  That is sound because a cofactor
-# is always admitted at least as fast as its parent (its weights are a
-# subset: U can only rise, T only fall).
+# context and runs the dtypes the parent's numbers pick for its table.
+# That is sound because a cofactor's own numbers always pick dtypes at
+# least as narrow (its weights are a subset: U can only rise, T and M
+# only fall).
 # ----------------------------------------------------------------------
 
-_SPEED = {None: 0, "f64": 1, "f32": 2}
+#: how narrow a sweep runs: the reference, float64, float32 matmuls,
+#: float32 throughout
+_WIDTH = {None: 0, _F64: 1, _F32_SUMS: 2, _F32: 3}
+
+
+def _width(context, rows, cols):
+    if context.verdict.reason is not None:
+        return 0
+    return _WIDTH[context.sweep_dtypes(rows, cols)]
 
 
 def _boundary_contexts():
@@ -810,9 +897,10 @@ def _boundary_contexts():
 
 
 def _assert_cofactors_inherit(costs, p, n_inputs):
-    """Each one-bit cofactor: gated at least as fast, views equal copies."""
-    parent = ofp._gate(costs, p).tier
+    """Each one-bit cofactor: its own numbers pick dtypes at least as
+    narrow as the inherited ones, and views equal copies."""
     context = KernelContext(costs, p, n_inputs)
+    parent = context.verdict
     for bit in range(n_inputs):
         for value in (0, 1):
             fixed = {bit: value}
@@ -822,15 +910,17 @@ def _assert_cofactors_inherit(costs, p, n_inputs):
                 ops.cofactor(costs.cost1, n_inputs, fixed),
             )
             half_p = ops.cofactor(p, n_inputs, fixed)
-            assert _SPEED[ofp._gate(half_costs, half_p).tier] >= _SPEED[parent], (
-                fixed
-            )
             view = context.cofactor(fixed)
-            assert view.tier == parent
+            assert view.verdict == parent
             copied = KernelContext(half_costs, half_p, n_inputs - 1)
+            for shape in ((1, 1), (1 << (n_inputs - 2), 2)):
+                assert _width(copied, *shape) >= _width(view, *shape), (
+                    fixed,
+                    shape,
+                )
             for got, want in zip(view.weights(), copied.weights()):
                 assert got.tobytes() == want.tobytes()
-            if parent:
+            if parent.reason is None:
                 # the sweep's matmul dtype on the smallest table, and float64
                 for dtype in {view.sweep_dtypes(1, 1)[0], np.float64}:
                     got_diff, got_zero = view.exact_weights(dtype)
@@ -884,7 +974,8 @@ class TestVerdictInheritance:
 # The gate on real contexts: cos at 4-16 bits, every output bit's
 # fixed-rest cost vectors, both objectives, the three distributions of
 # the distribution study.  Verdicts are spelled one character per
-# output bit: "3" = f32, "6" = f64, "-" = reference.
+# output bit: "3" = float32 totals, "6" = float64 totals, "-" = the
+# reference.  (Float32 totals take float32 matmuls on every table.)
 # ----------------------------------------------------------------------
 
 _VERDICTS = {
@@ -915,19 +1006,22 @@ class TestGateVerdicts:
     @pytest.mark.parametrize("objective", ["med", "mse"])
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     def test_expected_tiers(self, distribution, objective):
-        code = {"f32": "3", "f64": "6", None: "-"}
+        code = {None: "-", _F32: "3", _F32_SUMS: "6", _F64: "6"}
         for index, n_inputs in enumerate(range(4, 17)):
             target = workloads.get("cos", n_inputs)
             p = _make_distribution(distribution, n_inputs)
             spelled = "".join(
                 code[
-                    ofp._gate(
+                    _dtypes(
                         apply_objective(
                             cost_vectors_fixed(target, rest_word(target.table, k), k),
                             objective,
                         ),
                         p,
-                    ).tier
+                        n_inputs,
+                        1,
+                        1,
+                    )
                 ]
                 for k in range(target.n_outputs)
             )
@@ -1025,7 +1119,7 @@ class TestKernelByteIdentity:
     @pytest.mark.parametrize("batch", [1, 5])
     @pytest.mark.parametrize("max_sweeps", [1, 50])
     def test_exact_sweep_totals_are_float64(self, dtype, batch, max_sweeps):
-        """Both tiers, with or without the B = 1 shortcut, return the
+        """Both dtypes, with or without the B = 1 shortcut, return the
         reference's float64 totals, equal to it item by item."""
         rng = np.random.default_rng(batch * 100 + max_sweeps)
         rows, cols, z = 8, 16, 4
@@ -1077,7 +1171,7 @@ class TestKernelByteIdentity:
         n_inputs, count, z = 9, ofp._BATCH_LIMIT + 6, 5
         costs, _ = _uniform_instance(n_inputs, seed=47)
         p = distributions.truncated_gaussian(n_inputs, mean=0.45, std=0.2)
-        assert ofp._gate(costs, p).tier is None
+        assert ofp._gate(costs, p).reason is not None
         sample = np.random.default_rng(13)
         partitions = [random_partition(n_inputs, 4, sample) for _ in range(count)]
         with caching.fast_paths(False):
@@ -1163,7 +1257,7 @@ def _layout_digest(kind, n_inputs, distribution):
             rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
             rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
         )
-        assert ofp._gate(costs, p).tier is None
+        assert ofp._gate(costs, p).reason is not None
         if kind == "bto":
             result = opt_for_part_bto(costs, p, partition, n_inputs)
         else:
@@ -1227,41 +1321,6 @@ class TestPipelineByteIdentity:
         exact = self._run(algorithm, architecture, production=True)
         reference = self._run(algorithm, architecture, production=False)
         assert _run_fingerprint(exact) == _run_fingerprint(reference)
-
-
-class TestWeightPlanes:
-    @settings(max_examples=50, deadline=None, suppress_health_check=_SUPPRESS)
-    @given(data=st.data())
-    def test_masked_sum_is_exact(self, data):
-        n = data.draw(st.integers(1, 130), label="n")
-        weights = np.asarray(
-            data.draw(
-                st.lists(
-                    st.integers(0, 1 << 45), min_size=n, max_size=n
-                ),
-                label="weights",
-            ),
-            dtype=np.int64,
-        )
-        mask = np.asarray(
-            data.draw(
-                st.lists(st.integers(0, 1), min_size=n, max_size=n),
-                label="mask",
-            ),
-            dtype=np.uint8,
-        )
-        planes = WeightPlanes(weights)
-        expected = sum(int(w) for w, b in zip(weights, mask) if b)
-        assert planes.masked_sum(pack_bits(mask)) == expected
-        assert planes.total() == sum(int(w) for w in weights)
-
-    def test_rejects_negative_and_non_integer(self):
-        with pytest.raises(ValueError):
-            WeightPlanes(np.array([1, -1]))
-        with pytest.raises(ValueError):
-            WeightPlanes(np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            WeightPlanes(np.array([], dtype=np.int64))
 
 
 class TestGroupedEngine:

@@ -17,6 +17,7 @@ from repro.core import (
     rest_word,
 )
 from repro.core.cost import apply_objective
+from repro.core.opt_for_part import KernelContext
 from repro.experiments.distribution_study import _make_distribution
 from repro.metrics import distributions, med
 
@@ -205,11 +206,12 @@ def _subnormal_half_context():
     return costs, p
 
 
-#: ND parents solved as views, by distribution: (build, n_inputs, gate tier)
+#: ND parents solved as views, by distribution: (build, n_inputs, the
+#: sweep's totals dtype, None where the gate rejects the parent)
 ND_CONTEXTS = {
-    "uniform-12": (lambda: _cos_context(12, 11, "uniform", "mse"), 12, "f64"),
-    "uniform-8": (lambda: _cos_context(8, 7, "uniform"), 8, "f32"),
-    "sparse-bits": (lambda: _cos_context(10, 9, "sparse-bits"), 10, "f64"),
+    "uniform-12": (lambda: _cos_context(12, 11, "uniform", "mse"), 12, np.float64),
+    "uniform-8": (lambda: _cos_context(8, 7, "uniform"), 8, np.float32),
+    "sparse-bits": (lambda: _cos_context(10, 9, "sparse-bits"), 10, np.float64),
     "truncated-gaussian": (lambda: _cos_context(8, 6, "midtone-gaussian"), 8, None),
     "subnormal-half": (_subnormal_half_context, 6, None),
 }
@@ -217,9 +219,11 @@ ND_CONTEXTS = {
 
 def nd_context(name):
     """``(costs, p, n_inputs, partition)`` of an ``ND_CONTEXTS`` entry."""
-    build, n_inputs, tier = ND_CONTEXTS[name]
+    build, n_inputs, totals = ND_CONTEXTS[name]
     costs, p = build()
-    assert ofp._gate(costs, p).tier == tier
+    context = KernelContext(costs, p, n_inputs)
+    admitted = context.verdict.reason is None
+    assert (context.sweep_dtypes(1, 1)[1] if admitted else None) == totals
     bound = min(5, n_inputs - 2)
     partition = random_partition(n_inputs, bound, np.random.default_rng(n_inputs))
     return costs, p, n_inputs, partition
@@ -336,5 +340,5 @@ def layout_context(distribution, seed):
         rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
         rng.integers(0, 50, 1 << n_inputs).astype(np.float64),
     )
-    assert ofp._gate(costs, p).tier is None
+    assert ofp._gate(costs, p).reason is not None
     return costs, p, n_inputs, Partition((0, 1, 2), (3, 4, 5, 6))

@@ -87,8 +87,8 @@ class TestEnabled:
 
         The halves inherit their parent's verdict instead of gating
         their own copies; on this run (TestPipelineBitExact's 8-bit
-        ``bto-normal-nd`` run) every request is f32 either way, so the
-        counts are the ones the per-half gate produced.
+        ``bto-normal-nd`` run) every request runs float32 totals either
+        way, so the counts are the ones the per-half gate produced.
         """
         target = random_function(8, 4, np.random.default_rng(77), name="t")
         sink = obs.MemorySink()
@@ -216,14 +216,14 @@ class TestGateReasons:
         assert counters.get("opt.packed_calls", 0) == 0
 
     def test_float32_sums_dispatch_is_counted(self):
-        """An "f64" context (``T = 2**25`` units) whose 16 x 4 tables
-        keep ``M * 16 = 2**23``: float32 partial sums, one count per
-        kernel request."""
+        """An admitted context with ``T = 2**25`` units (float64
+        totals) whose 16 x 4 tables keep ``M * 16 = 2**23``: float32
+        partial sums, one count per kernel request."""
         costs, p, partition = _instance()
         assert np.all(costs.cost0 + costs.cost1 == 1.0)
         scaled = BitCosts(costs.k, costs.cost0 * 2.0**19, costs.cost1 * 2.0**19)
         context = KernelContext(scaled, p, 6)
-        assert context.tier == "f64"
+        assert context.verdict.reason is None
         assert context.sweep_dtypes(16, 4) == (np.float32, np.float64)
         sink = obs.MemorySink()
         with obs.session(sink):

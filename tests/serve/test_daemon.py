@@ -20,7 +20,7 @@ import pytest
 
 from repro import workloads
 from repro.compile_api import budget_config, canonical_json
-from repro.serve.daemon import ServeDaemon
+from repro.serve.daemon import MAX_BODY_BYTES, ServeDaemon
 from repro.serve.service import ServeConfig
 
 from .conftest import (
@@ -111,12 +111,12 @@ class TestGoldenResponses:
         )
 
 
-def raw_post(url, content_length, body):
-    """POST ``body`` to ``/compile`` under a literal ``Content-Length``
-    header over a raw socket, then half-close; returns ``(status, json)``."""
+def raw_post(url, content_length, body, path="/compile"):
+    """POST ``body`` to ``path`` under a literal ``Content-Length`` header
+    over a raw socket, then half-close; returns ``(status, body bytes)``."""
     address = urllib.parse.urlsplit(url)
     head = (
-        "POST /compile HTTP/1.1\r\n"
+        f"POST {path} HTTP/1.1\r\n"
         f"Host: {address.netloc}\r\n"
         "Content-Type: application/json\r\n"
         f"Content-Length: {content_length}\r\n"
@@ -129,7 +129,7 @@ def raw_post(url, content_length, body):
         while chunk := sock.recv(65536):
             response += chunk
     status_line, _, rest = response.partition(b"\r\n")
-    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+    return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
 
 
 class TestHttpSurface:
@@ -190,6 +190,36 @@ class TestHttpSurface:
         with inline_daemon() as daemon:
             status, document = raw_post(daemon.url, content_length, body)
             assert status == 400, document
+            status, envelope, _ = post_compile(daemon.url, bench_doc())
+            assert status == 200
+            assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT
+
+    @pytest.mark.parametrize(
+        "path,content_length,body,status",
+        [
+            ("/compile", 28, b'{"benchmark":"\xffcos","bits":6}', 400),
+            # the header alone: the daemon refuses before reading a byte
+            ("/compile", MAX_BODY_BYTES + 1, b"", 413),
+            ("/nope", 28, b'{"benchmark":"cos","bits":6}', 404),
+        ],
+        ids=["not-utf-8", "over-the-cap", "unknown-path"],
+    )
+    def test_bad_raw_request_is_refused_and_the_daemon_serves_on(
+        self, telemetry, path, content_length, body, status
+    ):
+        with inline_daemon() as daemon:
+            got, document = raw_post(daemon.url, content_length, body, path)
+            assert got == status, document
+            got, envelope, _ = post_compile(daemon.url, bench_doc())
+            assert got == 200
+            assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT
+
+    def test_non_string_budget_is_a_400_and_the_daemon_serves_on(self, telemetry):
+        # a list or object budget is a 400, not a dropped connection
+        with inline_daemon() as daemon:
+            for budget in (["x"], {}):
+                status, body, _ = post_compile(daemon.url, bench_doc(budget=budget))
+                assert status == 400 and "unknown budget" in body["error"]
             status, envelope, _ = post_compile(daemon.url, bench_doc())
             assert status == 200
             assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT

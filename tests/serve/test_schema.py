@@ -72,6 +72,12 @@ class TestBenchmarkForm:
         with pytest.raises(RequestError, match="seed"):
             parse_compile_request(bench_doc(seed="seven"))
 
+    @pytest.mark.parametrize("budget", [["x"], {}], ids=["list", "object"])
+    def test_non_string_budget_is_a_400(self, budget):
+        with pytest.raises(RequestError, match="unknown budget") as excinfo:
+            parse_compile_request(bench_doc(budget=budget))
+        assert excinfo.value.status == 400
+
     def test_negative_seed_rejected(self):
         with pytest.raises(RequestError, match="non-negative") as excinfo:
             parse_compile_request(bench_doc(seed=-1))
