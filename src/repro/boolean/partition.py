@@ -54,11 +54,15 @@ class Partition:
     def _trusted(
         cls, free: Tuple[int, ...], bound: Tuple[int, ...]
     ) -> "Partition":
-        """Construct from already-sorted, disjoint int tuples.
+        """Construct from already-sorted, disjoint, non-empty int tuples.
 
-        Reserved for :meth:`neighbours`, which derives both tuples from
-        a validated partition; skipping ``__post_init__`` matters there
-        because SA expands ``n_free * n_bound`` neighbours per move.
+        Reserved for the hot constructors whose tuples are valid by
+        construction: :meth:`neighbours` and :meth:`sample_neighbours`
+        swap one pair of a validated partition, and
+        :func:`random_partition` splits a permutation.  SA expands
+        ``n_free * n_bound`` neighbours per move and DALTA draws a
+        random partition per sample, so ``__post_init__``'s re-sort and
+        overlap check would be pure overhead there.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "free", free)
@@ -130,10 +134,16 @@ class Partition:
         into the table (or back) is one strided copy with no index
         array.  The axes are a permutation only for a partition that
         covers ``n_inputs`` exactly; callers outside the kernel check
-        that with :meth:`validate_for`.
+        that with :meth:`validate_for`.  Kept on the instance like the
+        hash: the kernel asks for them once per evaluated item.
         """
-        order = (*reversed(self.free), *reversed(self.bound))
-        return tuple(n_inputs - 1 - bit for bit in order)
+        cached = self.__dict__.get("_axes")
+        if cached is None or cached[0] != n_inputs:
+            top = n_inputs - 1
+            axes = tuple([top - bit for bit in self.free[::-1] + self.bound[::-1]])
+            cached = (n_inputs, axes)
+            object.__setattr__(self, "_axes", cached)
+        return cached[1]
 
     def scatter_index(self, n_inputs: int) -> np.ndarray:
         """Permutation ``idx`` with ``matrix.flat[idx[x]] = value[x]``.
@@ -155,13 +165,19 @@ class Partition:
         The list order is part of the contract: :meth:`sample_neighbours`
         draws indices into it.
         """
-        result = []
-        for a in self.free:
-            for b in self.bound:
-                free = tuple(sorted(set(self.free) - {a} | {b}))
-                bound = tuple(sorted(set(self.bound) - {b} | {a}))
-                result.append(Partition._trusted(free, bound))
-        return result
+        return [
+            self._swapped(i, j)
+            for i in range(len(self.free))
+            for j in range(len(self.bound))
+        ]
+
+    def _swapped(self, i: int, j: int) -> "Partition":
+        """The neighbour swapping ``free[i]`` with ``bound[j]``."""
+        free, bound = list(self.free), list(self.bound)
+        free[i], bound[j] = bound[j], free[i]
+        free.sort()
+        bound.sort()
+        return Partition._trusted(tuple(free), tuple(bound))
 
     def sample_neighbours(
         self, count: int, rng: np.random.Generator
@@ -179,17 +195,7 @@ class Partition:
         if count >= total:
             return self.neighbours()
         picks = rng.choice(total, size=count, replace=False)
-        result = []
-        for pick in picks:
-            a = self.free[int(pick) // n_bound]
-            b = self.bound[int(pick) % n_bound]
-            result.append(
-                Partition._trusted(
-                    tuple(sorted(set(self.free) - {a} | {b})),
-                    tuple(sorted(set(self.bound) - {b} | {a})),
-                )
-            )
-        return result
+        return [self._swapped(*divmod(pick, n_bound)) for pick in picks.tolist()]
 
     def is_neighbour_of(self, other: "Partition") -> bool:
         """True when the free sets differ in exactly one element."""
@@ -222,10 +228,12 @@ def random_partition(
         raise ValueError(
             f"bound_size must be in [1, {n_inputs - 1}], got {bound_size}"
         )
-    variables = rng.permutation(n_inputs)
-    bound = tuple(int(v) for v in variables[:bound_size])
-    free = tuple(int(v) for v in variables[bound_size:])
-    return Partition(free, bound)
+    variables = rng.permutation(n_inputs).tolist()
+    # the two slices of a permutation are disjoint, non-empty and cover
+    # every input: __post_init__ would prove nothing
+    return Partition._trusted(
+        tuple(sorted(variables[bound_size:])), tuple(sorted(variables[:bound_size]))
+    )
 
 
 def all_partitions(n_inputs: int, bound_size: int) -> Iterator[Partition]:

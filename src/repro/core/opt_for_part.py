@@ -75,7 +75,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -610,7 +619,7 @@ class _ExactSweep:
     """
 
     __slots__ = (
-        "diff", "diff_t", "both", "m01", "b01", "ones",
+        "diff", "diff_t", "both", "m01", "ones",
         "v", "pat", "comp", "m4", "g", "u4", "uvt",
     )
 
@@ -627,11 +636,6 @@ class _ExactSweep:
         # half-steps never rebuild views per sweep.
         self.both = row_sums[:, None, :]
         self.m01 = np.minimum(0.0, row_sums)[:, None, :]
-        # constant-row type by reference tie-breaking: ALL_ZERO unless
-        # the all-one row is strictly cheaper (argmin prefers index 0)
-        self.b01 = np.where(
-            row_sums < 0.0, np.int8(_T_ONE), np.int8(_T_ZERO)
-        )[:, None, :]
         # exact-sum reduction vector: under the gate a gemv against ones
         # is bitwise equal to ``pat.sum(axis=2)`` in any association
         # order, and roughly halves the dispatch.  Its dtype is the
@@ -653,7 +657,6 @@ class _ExactSweep:
         self.diff_t = self.diff.transpose(0, 2, 1)
         self.both = self.both[keep]
         self.m01 = self.m01[keep]
-        self.b01 = self.b01[keep]
         b = self.diff.shape[0]
         self.v = self.v[:b]
         self.pat = self.pat[:b]
@@ -671,9 +674,9 @@ def _exact_types_core(
 
     Returns ``(use4, use_vt, totals)`` — the two selection masks plus
     the per-candidate totals.  The ``int8`` type vectors the reference
-    emits are only needed when an item freezes, so the sweep loop
-    carries the masks and :func:`_exact_types` materialises types on
-    demand (most sweeps never do).  When ``patterns`` is ``None`` the
+    emits are only needed for each item's winner, so the sweep loop
+    carries the masks and :func:`_exact_types` builds the winners'
+    types once, after the last item froze.  When ``patterns`` is ``None`` the
     candidates already sit in ``sweep.v`` (the patterns half-step
     writes them there as exact 0.0/1.0 floats, skipping a copy).
     """
@@ -697,10 +700,16 @@ def _exact_types_core(
 
 
 def _exact_types(
-    use4: np.ndarray, use_vt: np.ndarray, b01: np.ndarray
+    use4: np.ndarray, use_vt: np.ndarray, row_sums: np.ndarray
 ) -> np.ndarray:
-    """Materialise the reference ``int8`` type vectors from the masks."""
-    return np.where(use_vt, use4 + np.int8(_T_PATTERN), b01)
+    """Materialise the reference ``int8`` type vectors from the masks.
+
+    ``row_sums`` are the rows' ``diff`` sums, in the masks' shape: a
+    constant row takes the reference's tie-breaking, ALL_ZERO unless
+    the all-one row is strictly cheaper (argmin prefers index 0).
+    """
+    constant = np.where(row_sums < 0.0, np.int8(_T_ONE), np.int8(_T_ZERO))
+    return np.where(use_vt, use4 + np.int8(_T_PATTERN), constant)
 
 
 def _exact_patterns_core(
@@ -748,22 +757,21 @@ def _alternate_exact(
     The matmuls run in ``diff``'s dtype and the per-candidate totals
     accumulate in ``totals_dtype`` (:meth:`KernelContext.sweep_dtypes`).
     Each item converges (or hits ``max_sweeps >= 1``) independently and is
-    frozen with exactly the state :func:`_alternate_reference` would
-    return for it: the convergence test runs the reference's op order,
+    frozen at exactly the sweep where :func:`_alternate_reference` would
+    stop for it: the convergence test runs the reference's op order,
     and every item's trajectory is independent of its batchmates.
 
-    Returns ``(patterns, types, totals, sweeps)`` with shapes
-    ``(B, Z, cols)``, ``(B, Z, rows)``, ``(B, Z)``, ``(B,)``.
+    A frozen item keeps only its winner: the first index of its least
+    total, the candidate the reference's ``argmin`` picks, with that
+    candidate's pattern row and the type row :func:`_exact_types`
+    builds from its masks.  Returns ``(patterns, types, totals,
+    sweeps)``: the winners' uint8 patterns ``(B, cols)`` and int8 types
+    ``(B, rows)``, every candidate's final float64 totals ``(B, Z)``,
+    and the sweep counts ``(B,)``.
     """
     batch, z = diff.shape[0], patterns.shape[1]
     sweep = _ExactSweep(diff, row_sums, z, totals_dtype)
     use4, use_vt, totals = _exact_types_core(sweep, patterns)
-    out_patterns = np.empty_like(patterns)
-    out_types = np.empty((batch, z, diff.shape[1]), dtype=np.int8)
-    # float64 in every dispatch, like the reference's totals and the
-    # ``totals + totals_offset`` of the batch-of-one return below
-    out_totals = np.empty(totals.shape)
-    out_sweeps = np.zeros(batch, dtype=np.int64)
     if batch == 1:
         # one item: skip the freeze/compaction bookkeeping below — the
         # sequence of core calls is identical, so the bits are too
@@ -775,13 +783,27 @@ def _alternate_exact(
             converged = bool((new_totals >= totals - 1e-12).all())
             totals = new_totals
             if converged or sweeps >= max_sweeps:
-                out_patterns[0] = patterns[0]
-                out_sweeps[0] = sweeps
-                types = _exact_types(use4, use_vt, sweep.b01)
-                return out_patterns, types, totals + totals_offset[:, None], out_sweeps
+                # float64 in every dispatch, like the reference's totals
+                out_totals = totals + totals_offset[:, None]
+                best = int(out_totals[0].argmin())
+                return (
+                    patterns[:, best].astype(np.uint8),
+                    _exact_types(use4[:, best], use_vt[:, best], row_sums),
+                    out_totals,
+                    np.array([sweeps]),
+                )
 
-    active = np.arange(batch)
+    # the winners' state, frozen item by item; the type rows are built
+    # from their masks once, after the last item froze
+    out_patterns = np.empty((batch, diff.shape[2]), dtype=np.uint8)
+    out_use4 = np.empty((batch, diff.shape[1]), dtype=bool)
+    out_use_vt = np.empty_like(out_use4)
+    out_totals = np.empty((batch, z))
+    out_sweeps = np.empty(batch, dtype=np.int64)
+    # original item index per slot; slots shrink on compaction
+    active = list(range(batch))
     done_mask = np.zeros(batch, dtype=bool)
+    remaining = batch
     # convergence-test scratch (re-sliced on compaction): the loop body
     # runs thousands of times per protocol pass, so the handful of
     # small temporaries it would otherwise allocate each iteration are
@@ -801,46 +823,49 @@ def _alternate_exact(
         np.greater_equal(new_totals, slack, out=slack_ok)
         converged = np.logical_and.reduce(slack_ok, axis=1, out=conv)
         totals = new_totals
-        finished = (
-            converged
-            if sweeps < max_sweeps
-            else np.ones(active.size, dtype=bool)
-        )
-        # boolean ``finished & ~done_mask`` without the two temporaries
-        newly = np.flatnonzero(np.greater(finished, done_mask, out=newly_mask))
-        if newly.size:
-            sel = active[newly]
-            out_patterns[sel] = patterns[newly]
-            out_types[sel] = _exact_types(
-                use4[newly], use_vt[newly], sweep.b01[newly]
-            )
-            out_totals[sel] = totals[newly]
-            out_sweeps[sel] = sweeps
-            done_mask[newly] = True
-            remaining = active.size - int(np.count_nonzero(done_mask))
-            if remaining == 0:
-                out_totals += totals_offset[:, None]
-                return out_patterns, out_types, out_totals, out_sweeps
-            # finished items keep riding the batch (their outputs are
-            # frozen above, and every item's trajectory is independent
-            # of its batchmates) until a quarter of the slots are dead
-            # — at that point the dead matmul flops outweigh the
-            # slicing the compaction costs (measured: eager 1/8
-            # compaction wins for float64 sweeps but loses once float32
-            # matmuls halve the flop cost; 1/4 is the robust middle)
-            if remaining * 4 <= active.size * 3:
-                keep = ~done_mask
-                active = active[keep]
-                sweep.compact(keep)
-                use4 = use4[keep]
-                use_vt = use_vt[keep]
-                totals = totals[keep]
-                done_mask = np.zeros(active.size, dtype=bool)
-                b = active.size
-                slack = slack[:b]
-                slack_ok = slack_ok[:b]
-                conv = conv[:b]
-                newly_mask = newly_mask[:b]
+        if sweeps >= max_sweeps:
+            converged[:] = True
+        # boolean ``converged & ~done_mask`` without the two temporaries
+        newly = np.greater(converged, done_mask, out=newly_mask).nonzero()[0]
+        if not newly.size:
+            continue
+        # a sweep freezes an item or two: basic indexing per item is a
+        # fraction of the cost of a fancy-index round trip per array
+        for slot in newly.tolist():
+            item = active[slot]
+            # float64 like the reference's totals: a float32 total
+            # widens exactly before the exact offset is added
+            frozen = out_totals[item]
+            np.add(totals[slot], totals_offset[item], out=frozen)
+            best = int(frozen.argmin())
+            out_patterns[item] = patterns[slot, best]
+            out_use4[item] = use4[slot, best]
+            out_use_vt[item] = use_vt[slot, best]
+            out_sweeps[item] = sweeps
+        remaining -= newly.size
+        if remaining == 0:
+            types = _exact_types(out_use4, out_use_vt, row_sums)
+            return out_patterns, types, out_totals, out_sweeps
+        done_mask[newly] = True
+        # finished items keep riding the batch (their outputs are
+        # frozen above, and every item's trajectory is independent
+        # of its batchmates) until a quarter of the slots are dead
+        # — at that point the dead matmul flops outweigh the
+        # slicing the compaction costs (measured: eager 1/8
+        # compaction wins for float64 sweeps but loses once float32
+        # matmuls halve the flop cost; 1/4 is the robust middle)
+        if remaining * 4 <= len(active) * 3:
+            keep = np.logical_not(done_mask).nonzero()[0]
+            active = [active[slot] for slot in keep.tolist()]
+            sweep.compact(keep)
+            use4 = use4[keep]
+            use_vt = use_vt[keep]
+            totals = totals[keep]
+            done_mask = np.zeros(remaining, dtype=bool)
+            slack = slack[:remaining]
+            slack_ok = slack_ok[:remaining]
+            conv = conv[:remaining]
+            newly_mask = newly_mask[:remaining]
 
 
 def _best_of(
@@ -872,21 +897,28 @@ def draw_patterns(
     The partitions must share one column count.  A search that
     interleaves partition sampling draws through
     :func:`sample_partitions`.
+
+    numpy draws uint8 values from 32-bit words and starts a fresh word
+    on every call, so when ``Z * cols`` fills whole words (a multiple
+    of 4) one stacked call takes exactly the bytes, and leaves the
+    generator exactly where, the ``N`` per-partition calls would.  Only
+    ``b = 1`` with an odd ``Z`` leaves a word part-used; those draws
+    stay one call per partition.
     """
     if z < 1:
         raise ValueError("n_initial_patterns must be >= 1")
     cols = partitions[0].n_cols if partitions else 0
-    stacked = np.empty((len(partitions), z, cols), dtype=np.uint8)
-    for index, partition in enumerate(partitions):
+    for partition in partitions:
         if partition.n_cols != cols:
             raise ValueError(
                 "draw_patterns needs partitions of one bound-set shape; "
                 f"got {partition.n_cols} and {cols} columns"
             )
-        stacked[index] = rng.integers(
-            0, 2, size=(z, partition.n_cols), dtype=np.uint8
-        )
-    return stacked
+    if z * cols % 4 == 0:
+        return rng.integers(0, 2, size=(len(partitions), z, cols), dtype=np.uint8)
+    return np.stack(
+        [rng.integers(0, 2, size=(z, cols), dtype=np.uint8) for _ in partitions]
+    )
 
 
 def sample_partitions(
@@ -1094,6 +1126,26 @@ def _evaluate(
         return results
 
 
+def _chunks(
+    spans: List[Tuple[int, int, int]], limit: int
+) -> Iterator[List[Tuple[int, int, int]]]:
+    """Cut ``(request, start, stop)`` item spans into chunks of at most
+    ``limit`` items, keeping the item order."""
+    chunk: List[Tuple[int, int, int]] = []
+    size = 0
+    for ri, lo, hi in spans:
+        while lo < hi:
+            take = min(hi - lo, limit - size)
+            chunk.append((ri, lo, lo + take))
+            size += take
+            lo += take
+            if size == limit:
+                yield chunk
+                chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
 @blas.single_threaded
 def _grouped_eval(
     requests: List[KernelRequest],
@@ -1104,7 +1156,9 @@ def _grouped_eval(
     Items the gate admits run the exact sweep in stacked chunks (with
     many requests the chunks simply interleave items, which the exact
     sweep keeps independent); every other item runs the reference on
-    its own.  Every item runs at most ``_MAX_SWEEPS`` sweeps.
+    its own.  Every item runs at most ``_MAX_SWEEPS`` sweeps.  A chunk
+    is a list of ``(request, start, stop)`` spans, so the per-request
+    lookups happen once per span, not once per item.
 
     Runs BLAS on one thread (:mod:`repro.blas`): parallelism comes from
     the process pool, and OpenBLAS helper threads in every pool worker
@@ -1112,8 +1166,8 @@ def _grouped_eval(
     """
     results: List[List[Optional[OptForPartResult]]] = []
     total_sweeps = 0
-    # (rows, cols, Z, dtypes) → [(request idx, item idx)]; dtypes is the
-    # sweep's (matmul, totals) pair, None for the reference
+    # (rows, cols, Z, dtypes) → [(request idx, 0, item count)]; dtypes
+    # is the sweep's (matmul, totals) pair, None for the reference
     groups: dict = {}
     for ri, request in enumerate(requests):
         count = len(request.partitions)
@@ -1126,27 +1180,21 @@ def _grouped_eval(
                 request.stacked.shape[1],
                 _sweep_dispatch(request.context, rows, cols),
             )
-            groups.setdefault(gkey, []).extend((ri, ii) for ii in range(count))
+            groups.setdefault(gkey, []).append((ri, 0, count))
 
-    for gkey, members in groups.items():
+    for gkey, spans in groups.items():
         rows, cols, z, dtypes = gkey
-        for start in range(0, len(members), _BATCH_LIMIT):
-            chunk = members[start : start + _BATCH_LIMIT]
-            b = len(chunk)
-            ri0, ii0 = chunk[0]
-            if chunk[-1] == (ri0, ii0 + b - 1) and all(
-                item == (ri0, ii0 + k) for k, item in enumerate(chunk)
-            ):
-                # one request, consecutive items (the common serial
-                # case): the caller's stack IS the chunk stack — the
-                # sweeps only read it, so skip the per-item copies
-                patterns = requests[ri0].stacked[ii0 : ii0 + b]
+        for chunk in _chunks(spans, _BATCH_LIMIT):
+            if len(chunk) == 1:
+                # one span (the common serial case): the caller's stack
+                # IS the chunk stack — the sweeps only read it
+                ri, lo, hi = chunk[0]
+                patterns = requests[ri].stacked[lo:hi]
             else:
-                patterns = np.empty(
-                    (b, z, cols), dtype=requests[ri0].stacked.dtype
+                patterns = np.concatenate(
+                    [requests[ri].stacked[lo:hi] for ri, lo, hi in chunk]
                 )
-                for j, (ri, ii) in enumerate(chunk):
-                    patterns[j] = requests[ri].stacked[ii]
+            b = patterns.shape[0]
             if dtypes:
                 # the exact sweep consumes only diff = d1 - d0 plus each
                 # item's *total* zero cost — a single scalar, since the
@@ -1155,27 +1203,32 @@ def _grouped_eval(
                 dtype, totals_dtype = dtypes
                 diff = np.empty((b, rows, cols), dtype=dtype)
                 offsets = np.empty(b)
-                for j, (ri, ii) in enumerate(chunk):
+                j = 0
+                for ri, lo, hi in chunk:
                     context = requests[ri].context
-                    wdiff, offsets[j] = context.exact_weights(dtype)
-                    axes = requests[ri].partitions[ii].table_axes(
-                        context.n_inputs
-                    )
-                    np.copyto(diff[j].reshape(wdiff.shape), wdiff.transpose(axes))
+                    wdiff, offsets[j : j + hi - lo] = context.exact_weights(dtype)
+                    n_inputs = context.n_inputs
+                    # the transposed grid, flattened, is the partition's
+                    # (rows x cols) table: one strided copy per item
+                    grids = diff[j : j + hi - lo].reshape((hi - lo, *wdiff.shape))
+                    for k, partition in enumerate(requests[ri].partitions[lo:hi]):
+                        grids[k] = wdiff.transpose(partition.table_axes(n_inputs))
+                    j += hi - lo
                 # the diff row sums are the only per-row state the
                 # exact sweep needs (exact integer-scaled sums under the
                 # gate, so any association order gives the same bits);
                 # each item's total zero cost re-bases its final totals
-                fin_patterns, fin_types, fin_totals, fin_sweeps = (
-                    _alternate_exact(
-                        diff,
-                        diff.sum(axis=2),
-                        patterns,
-                        _MAX_SWEEPS,
-                        offsets,
-                        totals_dtype,
-                    )
+                best_patterns, best_types, fin_totals, fin_sweeps = _alternate_exact(
+                    diff,
+                    diff.sum(axis=2),
+                    patterns,
+                    _MAX_SWEEPS,
+                    offsets,
+                    totals_dtype,
                 )
+                # the sweep froze each item's winner already; only the
+                # winners' totals are read here
+                winners = fin_totals.argmin(axis=1)
             else:
                 fin_patterns = np.empty_like(patterns)
                 fin_types = np.empty((b, z, rows), dtype=np.int8)
@@ -1186,43 +1239,44 @@ def _grouped_eval(
                 # the memory layout, not only on the values
                 d0 = np.empty((1, rows, cols))
                 d1 = np.empty_like(d0)
-                for j, (ri, ii) in enumerate(chunk):
+                j = 0
+                for ri, lo, hi in chunk:
                     context = requests[ri].context
                     w0, w1 = context.weights()
-                    # the transposed grid, flattened, is the partition's
-                    # (rows x cols) table: one strided copy per matrix
-                    axes = requests[ri].partitions[ii].table_axes(
-                        context.n_inputs
-                    )
-                    np.copyto(d0.reshape(w0.shape), w0.transpose(axes))
-                    np.copyto(d1.reshape(w1.shape), w1.transpose(axes))
-                    pat, typ, tot, fin_sweeps[j] = _alternate_reference(
-                        d0,
-                        d1,
-                        patterns[j : j + 1],
-                        _MAX_SWEEPS,
-                    )
-                    fin_patterns[j], fin_types[j], fin_totals[j] = (
-                        pat[0], typ[0], tot[0]
-                    )
-            # one argmin pass for the whole chunk; ties break exactly
-            # like the exhaustive oracle's _best_of (first index wins)
-            winners = fin_totals.argmin(axis=1)
-            # gather every winner in one fancy-index pass — the result
-            # owns its data, so the per-item rows below are views into
-            # it rather than 2B separate slice+copy numpy calls
-            arange_b = np.arange(b)
-            best_patterns = fin_patterns[arange_b, winners]
-            best_types = fin_types[arange_b, winners]
-            best_totals = fin_totals[arange_b, winners].tolist()
+                    grid0, grid1 = d0.reshape(w0.shape), d1.reshape(w1.shape)
+                    for partition in requests[ri].partitions[lo:hi]:
+                        axes = partition.table_axes(context.n_inputs)
+                        np.copyto(grid0, w0.transpose(axes))
+                        np.copyto(grid1, w1.transpose(axes))
+                        pat, typ, tot, fin_sweeps[j] = _alternate_reference(
+                            d0,
+                            d1,
+                            patterns[j : j + 1],
+                            _MAX_SWEEPS,
+                        )
+                        fin_patterns[j], fin_types[j], fin_totals[j] = (
+                            pat[0], typ[0], tot[0]
+                        )
+                        j += 1
+                # one argmin pass for the whole chunk; ties break exactly
+                # like the exhaustive oracle's _best_of (first index
+                # wins).  One fancy-index pass gathers every winner: the
+                # result owns its data, so the per-item rows below are
+                # views into it
+                winners = fin_totals.argmin(axis=1)
+                best_patterns = fin_patterns[np.arange(b), winners]
+                best_types = fin_types[np.arange(b), winners]
+            best_totals = fin_totals[np.arange(b), winners].tolist()
             total_sweeps += int(fin_sweeps.sum())
-            for j, (ri, ii) in enumerate(chunk):
-                decomposition = DisjointDecomposition._trusted(
-                    requests[ri].partitions[ii],
-                    best_patterns[j],
-                    best_types[j],
-                )
-                results[ri][ii] = OptForPartResult(best_totals[j], decomposition)
+            j = 0
+            for ri, lo, hi in chunk:
+                out = results[ri]
+                for ii, partition in enumerate(requests[ri].partitions[lo:hi], lo):
+                    decomposition = DisjointDecomposition._trusted(
+                        partition, best_patterns[j], best_types[j]
+                    )
+                    out[ii] = OptForPartResult(best_totals[j], decomposition)
+                    j += 1
 
     return results, total_sweeps  # type: ignore[return-value]
 

@@ -90,7 +90,7 @@ class ServeHandler(exposition._Handler):
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0]
         if path != "/compile":
-            self.send_error(404, "unknown path (POST /compile)")
+            self._send_json(404, {"error": f"unknown path {path!r} (POST /compile)"})
             return
         started = time.perf_counter()
         if self.bucket is not None:

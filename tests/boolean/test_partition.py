@@ -1,5 +1,7 @@
 """Unit tests for variable partitions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,58 @@ class TestGenerators:
         assert len(set(parts)) == 10
         for p in parts:
             p.validate_for(5)
+
+    def test_random_partition_builds_what_the_validating_constructor_would(self, rng):
+        for n_inputs, bound_size in ((2, 1), (7, 3), (12, 11)):
+            for _ in range(20):
+                p = random_partition(n_inputs, bound_size, rng)
+                assert p == Partition(p.free, p.bound)
+                assert all(type(v) is int for v in p.free + p.bound)
+                p.validate_for(n_inputs)
+
+    def test_random_partition_stream_is_pinned(self):
+        """Every search samples through this stream: 360 draws over
+        every ``(n, b)`` with ``n <= 16`` and the generator's end state
+        hash to the digest the validating constructor produced."""
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for n_inputs in range(2, 17):
+            for bound_size in range(1, n_inputs):
+                for _ in range(3):
+                    p = random_partition(n_inputs, bound_size, rng)
+                    digest.update(repr((p.free, p.bound)).encode())
+        digest.update(repr(rng.bit_generator.state).encode())
+        assert digest.hexdigest() == (
+            "67c4df35fdd5dc5c5e732d26ec8b0946d28bce2947b621dd5cea0737988c7bf9"
+        )
+
+    def test_neighbour_streams_are_pinned(self):
+        """``neighbours`` and ``sample_neighbours`` over every ``(n, b)``
+        with ``n <= 16`` hash to the digest of the set-based swaps."""
+        rng = np.random.default_rng(2025)
+        digest = hashlib.sha256()
+        for n_inputs in range(2, 17):
+            for bound_size in range(1, n_inputs):
+                p = random_partition(n_inputs, bound_size, rng)
+                for count in (1, 3, n_inputs):
+                    for nb in p.sample_neighbours(count, rng):
+                        digest.update(repr((nb.free, nb.bound)).encode())
+                for nb in p.neighbours():
+                    digest.update(repr((nb.free, nb.bound)).encode())
+        digest.update(repr(rng.bit_generator.state).encode())
+        assert digest.hexdigest() == (
+            "8106a07436412ffd45b5e3cb999c8277d5dea88ce055bb08272e5dabd33d4ebb"
+        )
+
+    def test_table_axes_are_kept_per_input_count(self):
+        p = Partition((0, 2), (1,))
+        assert p.table_axes(3) == (0, 2, 1)
+        assert p.table_axes(3) is p.table_axes(3)
+        # a partition of inputs {0, 1, 2} inside a wider word
+        assert p.table_axes(4) == (1, 3, 2)
+        assert p.table_axes(3) == (0, 2, 1)
+        assert p == Partition((0, 2), (1,))
+        assert hash(p) == hash(Partition((0, 2), (1,)))
 
     def test_random_partition_covers_space(self, rng):
         seen = {random_partition(5, 2, rng) for _ in range(300)}

@@ -171,18 +171,28 @@ class TestDrawContract:
         sample_rng = np.random.default_rng(6)
         return costs, p, [random_partition(7, 3, sample_rng) for _ in range(5)]
 
-    def test_draw_equals_successive_draws(self):
-        _, _, partitions = self._batch()
+    @pytest.mark.parametrize(
+        "z,bound",
+        # b = 1 with an odd Z leaves a 32-bit word part-used (Z * cols
+        # is 2 mod 4): there a stacked draw would differ from the loop
+        [(1, 1), (3, 1), (2, 1), (30, 1), (1, 2), (3, 2), (4, 3), (5, 3), (30, 4)],
+    )
+    def test_draw_equals_successive_draws(self, z, bound):
+        rng = np.random.default_rng(4)
+        partitions = [random_partition(7, bound, rng) for _ in range(5)]
         rng_loop = np.random.default_rng(9)
         loop = [
-            rng_loop.integers(0, 2, size=(4, pt.n_cols), dtype=np.uint8)
+            rng_loop.integers(0, 2, size=(z, pt.n_cols), dtype=np.uint8)
             for pt in partitions
         ]
         rng_stack = np.random.default_rng(9)
-        stacked = draw_patterns(rng_stack, partitions, 4)
+        stacked = draw_patterns(rng_stack, partitions, z)
         assert stacked.dtype == np.uint8
+        assert stacked.shape == (5, z, 1 << bound)
         assert stacked.tobytes() == np.stack(loop).tobytes()
         assert rng_loop.bit_generator.state == rng_stack.bit_generator.state
+        # and the next draw of either generator is the same
+        assert rng_loop.integers(1 << 30) == rng_stack.integers(1 << 30)
 
     def test_draw_rejects_no_candidates(self):
         _, _, partitions = self._batch()

@@ -111,25 +111,42 @@ class TestGoldenResponses:
         )
 
 
-def raw_post(url, content_length, body, path="/compile"):
-    """POST ``body`` to ``path`` under a literal ``Content-Length`` header
-    over a raw socket, then half-close; returns ``(status, body bytes)``."""
+def raw_head(url, content_length, path="/compile"):
+    """The request line and headers of a raw POST to ``path``."""
     address = urllib.parse.urlsplit(url)
-    head = (
+    return (
         f"POST {path} HTTP/1.1\r\n"
         f"Host: {address.netloc}\r\n"
         "Content-Type: application/json\r\n"
         f"Content-Length: {content_length}\r\n"
         "Connection: close\r\n\r\n"
-    )
+    ).encode()
+
+
+def raw_exchange(url, content_length, body, path="/compile"):
+    """POST ``body`` to ``path`` under a literal ``Content-Length`` header
+    over a raw socket, then half-close; returns ``(status, headers with
+    lower-case names, body bytes)``."""
+    address = urllib.parse.urlsplit(url)
     with socket.create_connection((address.hostname, address.port), 10) as sock:
-        sock.sendall(head.encode() + body)
+        sock.sendall(raw_head(url, content_length, path) + body)
         sock.shutdown(socket.SHUT_WR)
         response = b""
         while chunk := sock.recv(65536):
             response += chunk
-    status_line, _, rest = response.partition(b"\r\n")
-    return int(status_line.split()[1]), rest.partition(b"\r\n\r\n")[2]
+    head, _, payload = response.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = {}
+    for line in header_lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, payload
+
+
+def raw_post(url, content_length, body, path="/compile"):
+    """:func:`raw_exchange` without the headers: ``(status, body bytes)``."""
+    status, _, payload = raw_exchange(url, content_length, body, path)
+    return status, payload
 
 
 class TestHttpSurface:
@@ -208,8 +225,13 @@ class TestHttpSurface:
         self, telemetry, path, content_length, body, status
     ):
         with inline_daemon() as daemon:
-            got, document = raw_post(daemon.url, content_length, body, path)
+            got, headers, document = raw_exchange(
+                daemon.url, content_length, body, path
+            )
             assert got == status, document
+            # every refusal is an API error: JSON, never an HTML page
+            assert headers["content-type"] == "application/json"
+            assert json.loads(document)["error"]
             got, envelope, _ = post_compile(daemon.url, bench_doc())
             assert got == 200
             assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT
@@ -240,6 +262,79 @@ class TestHttpSurface:
         body = json.loads(excinfo.value.read())
         assert body["retry_after"] > 0
         assert telemetry.counters["serve.throttled"] == 1
+
+
+class TestRobustness:
+    """The daemon under a client burst and a stalled client."""
+
+    def test_burst_past_the_rate_limit(self, telemetry):
+        # one token every 4 s: the burst arrives well inside that
+        burst, clients = 2, 8
+        results = []
+        lock = threading.Lock()
+
+        def client():
+            request = urllib.request.Request(
+                f"{daemon.url}/compile",
+                data=json.dumps(bench_doc()).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            try:
+                with urllib.request.urlopen(request, timeout=60) as response:
+                    outcome = (response.status, dict(response.headers), response.read())
+            except urllib.error.HTTPError as error:
+                outcome = (error.code, dict(error.headers), error.read())
+            with lock:
+                results.append(outcome)
+
+        with inline_daemon(rate=0.25, burst=burst) as daemon:
+            threads = [threading.Thread(target=client) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert len(results) == clients
+            served = [r for r in results if r[0] == 200]
+            refused = [r for r in results if r[0] != 200]
+            assert len(served) == burst
+            for body in (r[2] for r in served):
+                assert json.loads(body)["fingerprint"] == BENCHMARK_FINGERPRINT
+            refill = []
+            for status, headers, body in refused:
+                assert status == 429
+                assert headers["Content-Type"] == "application/json"
+                document = json.loads(body)
+                assert document["error"] == "rate limited"
+                assert int(headers["Retry-After"]) >= 1
+                refill.append(document["retry_after"])
+            assert telemetry.counters["serve.throttled"] == len(refused)
+            # every refusal came before this point, so once the longest
+            # wait has passed the bucket holds a token again
+            time.sleep(max(refill) + 0.05)
+            status, envelope, _ = post_compile(daemon.url, bench_doc())
+            assert status == 200
+            assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT
+            assert telemetry.counters["serve.throttled"] == len(refused)
+
+    def test_stalled_client_does_not_block_a_good_request(self, telemetry):
+        body = b'{"benchmark":"cos","bits":6}'
+        with inline_daemon() as daemon:
+            address = urllib.parse.urlsplit(daemon.url)
+            slow = socket.create_connection((address.hostname, address.port), 10)
+            try:
+                # the headers and part of the body, then nothing
+                slow.sendall(raw_head(daemon.url, len(body)) + body[:10])
+                status, envelope, _ = post_compile(daemon.url, bench_doc())
+                assert status == 200
+                assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT
+                # the stalled request is still waiting for its body
+                slow.setblocking(False)
+                with pytest.raises(BlockingIOError):
+                    slow.recv(1)
+            finally:
+                slow.close()
+            status, envelope, _ = post_compile(daemon.url, bench_doc())
+            assert status == 200
 
 
 class TestConcurrentLoad:
