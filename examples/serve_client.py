@@ -8,7 +8,7 @@ lets the content-addressed cache absorb repeated candidates.
 
 Start a daemon, then run the client:
 
-    python -m repro serve --port 8642 --backend inline &
+    python -m repro serve --port 8642 --jobs 1 &
     python examples/serve_client.py --url http://127.0.0.1:8642
 
 The ``compile`` helper below is the whole protocol: one POST, sorted

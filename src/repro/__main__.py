@@ -64,8 +64,8 @@ def _cmd_compile(args) -> int:
         f"compiling {args.benchmark} ({args.bits}-bit) onto "
         f"{args.architecture} with {args.algorithm} ..."
     )
-    # The same compile_one() the serve daemon executes per request —
-    # one code path, byte-identical outputs (tests/serve pins this).
+    # The serve daemon runs the same RunSpec and artifact_from_result()
+    # per request — byte-identical outputs (tests/serve pins this).
     artifact = compile_api.compile_one(
         args.benchmark,
         bits=args.bits,
@@ -287,7 +287,6 @@ def _cmd_serve(args) -> int:
     try:
         config = ServeConfig(
             jobs=resolve_jobs(args.jobs),
-            backend=args.backend,
             artifact_dir=args.artifact_dir,
             cache_size=args.cache_size,
             batch_window=args.batch_window,
@@ -309,7 +308,7 @@ def _cmd_serve(args) -> int:
     try:
         print(
             f"repro serve listening on {daemon.url} "
-            f"(backend={config.backend}, jobs={config.jobs})"
+            f"(jobs={config.jobs})"
         )
         print(
             "POST /compile — metrics at /metrics, health at /healthz "
@@ -496,15 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_jobs_arg,
         default=None,
         help="pool worker processes (default: all CPUs)",
-    )
-    serve_parser.add_argument(
-        "--backend",
-        default="pool",
-        choices=["pool", "inline"],
-        help=(
-            "pool = warm worker processes, inline = compile "
-            "in-process (single-core hosts, tests)"
-        ),
     )
     serve_parser.add_argument(
         "--artifact-dir",

@@ -17,7 +17,7 @@ An artifact is a plain JSON-able dict.  Everything inside it is
 deterministic (settings, MED, Verilog text, error metrics); wall-clock
 timing lives *outside* the artifact, in :class:`CompileArtifact`'s
 ``elapsed_seconds``, so artifacts can be byte-compared across cache
-layers, backends, and daemon restarts.
+layers, processes, and daemon restarts.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def artifact_from_result(
     :func:`repro.experiments.engine.result_from_payload` — both carry
     the exact same settings and floats, so the artifact is identical
     either way.  Search timing/statistics are deliberately excluded:
-    the payload must be byte-stable across backends and cache layers.
+    the payload must be byte-stable across processes and cache layers.
     """
     architecture = requested_architecture(spec)
     target = spec.target_function()
@@ -263,9 +263,9 @@ def compile_one(
     """Compile one target in-process and return its artifact.
 
     This is the ``repro compile`` body as a library call; the serve
-    daemon's inline backend calls it per request and its pool backend
-    executes the same :class:`RunSpec` in a worker — all three produce
-    byte-identical payloads.
+    daemon executes the same :class:`RunSpec` in a pool worker and
+    builds its artifact with :func:`artifact_from_result` — both
+    produce byte-identical payloads.
     """
     if config is None:
         config = budget_config(budget, seed)

@@ -210,31 +210,20 @@ def _optimal_types_core(
 
 
 def _optimal_patterns_core(
-    d0: np.ndarray,
-    d1: np.ndarray,
-    types: np.ndarray,
-    zero_cost: np.ndarray,
-    one_cost: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
+    d0: np.ndarray, d1: np.ndarray, types: np.ndarray
+) -> np.ndarray:
     """Best pattern vector per candidate given its type vector.
 
-    ``types`` has shape ``(B, Z, rows)``; returns ``(patterns, totals)``
-    with shapes ``(B, Z, cols)`` and ``(B, Z)``.
+    ``types`` has shape ``(B, Z, rows)``; returns the patterns, shape
+    ``(B, Z, cols)``.  The alternation reads its totals from the type
+    half-step only, so this half-step forms none.
     """
     mask3 = (types == _T_PATTERN).astype(np.float64)  # (B, Z, rows)
     mask4 = (types == _T_COMPLEMENT).astype(np.float64)
     # cost of V[c]=1: type-3 rows pay d1, type-4 rows pay d0
     cost_one = np.matmul(mask3, d1) + np.matmul(mask4, d0)  # (B, Z, cols)
     cost_zero = np.matmul(mask3, d0) + np.matmul(mask4, d1)
-    patterns = (cost_one < cost_zero).astype(np.uint8)
-    column_total = np.minimum(cost_zero, cost_one).sum(axis=2)
-    mask1 = types == _T_ZERO
-    mask2 = types == _T_ONE
-    constant_total = (
-        np.matmul(mask1, zero_cost[..., None])
-        + np.matmul(mask2, one_cost[..., None])
-    )[..., 0]
-    return patterns, column_total + constant_total
+    return (cost_one < cost_zero).astype(np.uint8)
 
 
 def _alternate_reference(
@@ -253,7 +242,7 @@ def _alternate_reference(
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        patterns, _ = _optimal_patterns_core(d0, d1, types, zero_cost, one_cost)
+        patterns = _optimal_patterns_core(d0, d1, types)
         types, new_totals = _optimal_types_core(
             d0, d1, patterns, zero_cost, one_cost
         )

@@ -3,8 +3,7 @@
 The paper's headline tables come from thousands of independent seeded
 runs, and a single worker crash (OOM, preemption, a poison job) must
 not lose the whole campaign.  This module is the durable job engine
-every multi-process run goes through (``run_many`` with
-``n_jobs > 1`` is a thin call into it):
+every multi-process run goes through:
 
 * every :class:`~repro.experiments.parallel.RunSpec` becomes a job
   whose result is persisted **atomically** (write to a temp file,
@@ -22,10 +21,11 @@ every multi-process run goes through (``run_many`` with
   chaos tests and CI prove the recovery paths are byte-exact.
 
 Telemetry (when enabled) gains ``engine.resumed`` / ``engine.retries``
-/ ``engine.timeouts`` / ``engine.quarantined`` counters and the worker
-spans are folded into the parent session tagged ``worker=<job index>``;
-with telemetry off the engine's outputs are byte-identical to the
-serial ``run_many`` loop under the same base seed.
+/ ``engine.timeouts`` / ``engine.quarantined`` counters, one
+``run.completed`` progress event per executed job, and the worker
+spans folded into the parent session tagged ``worker=<job index>``.
+The engine's outputs are byte-identical to the in-process
+``run_many`` loop under the same base seed.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from ..core.result import ApproximationResult, SearchStats
 from ..core.serialize import setting_from_dict, setting_to_dict
 from ..core.settings import SettingSequence
 from . import reporting
-from .parallel import RunSpec
+from .parallel import RunSpec, completed_event
 from .store import (
     SCHEMA as _SCHEMA,
     CampaignError,
@@ -532,6 +532,7 @@ class Engine:
             med=result.med,
             elapsed=result.elapsed_seconds,
         )
+        completed_event(specs[index], result, worker=index)
         fault = self.faults.engine_fault(index)
         if fault is not None:
             # Injected engine death: flush what we have, then die the

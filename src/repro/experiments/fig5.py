@@ -25,8 +25,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..boolean.function import BooleanFunction
-from ..core.bs_sa import run_bssa
-from ..core.dalta import run_dalta
 from ..hardware.architectures import (
     BtoNormalDesign,
     BtoNormalNdDesign,
@@ -39,7 +37,8 @@ from ..hardware.power import measure_energy, random_read_workload
 from ..hardware.simulate import verify_design
 from ..metrics import med
 from . import reporting
-from .runner import ExperimentScale, build_suite, repeat_specs, repeated_runs
+from .parallel import RunSpec, run_many
+from .runner import ExperimentScale, build_suite, repeat_specs
 
 __all__ = ["Fig5Metrics", "Fig5Result", "run_fig5", "ARCHITECTURE_ORDER"]
 
@@ -213,36 +212,24 @@ def _fig5_specs(scale: ExperimentScale, target: BooleanFunction, base_seed: int)
     """Job list for one benchmark: DALTA repeats + the two BS-SA runs.
 
     The two BS-SA compilations pin their generators via ``direct_seed``
-    to exactly the ``default_rng(base_seed + 17/29)`` calls the serial
-    path makes, so the engine path is byte-identical to it.
+    to ``np.random.default_rng(base_seed + 17)`` and ``(base_seed +
+    29)``.
     """
-    from .parallel import RunSpec
-
     specs = repeat_specs(
         "dalta", target, scale.dalta_config, scale.n_runs, base_seed
     )
-    specs.append(
-        RunSpec.for_function(
-            "bs-sa",
-            target,
-            scale.bssa_config,
-            None,
-            0,
-            architecture="bto-normal",
-            direct_seed=base_seed + 17,
+    for architecture, offset in (("bto-normal", 17), ("bto-normal-nd", 29)):
+        specs.append(
+            RunSpec.for_function(
+                "bs-sa",
+                target,
+                scale.bssa_config,
+                None,
+                0,
+                architecture=architecture,
+                direct_seed=base_seed + offset,
+            )
         )
-    )
-    specs.append(
-        RunSpec.for_function(
-            "bs-sa",
-            target,
-            scale.bssa_config,
-            None,
-            0,
-            architecture="bto-normal-nd",
-            direct_seed=base_seed + 29,
-        )
-    )
     return specs
 
 
@@ -280,53 +267,33 @@ def run_fig5(
 ) -> Fig5Result:
     """Regenerate the Fig. 5 comparison at the given scale.
 
-    With ``engine``, all algorithm runs execute as one checkpointed
-    campaign (design construction and measurement stay in-process —
-    they are deterministic and cheap relative to the searches).  A
+    All algorithm runs are one job list: in this process without
+    ``engine``, one checkpointed campaign with it (byte-identical
+    either way).  Design construction and measurement stay in-process
+    — they are deterministic and cheap relative to the searches.  A
     benchmark with quarantined jobs is dropped from the result.
     """
     if scale is None:
         scale = ExperimentScale.default()
     suite = build_suite(scale)
+    specs = [
+        spec
+        for target in suite.values()
+        for spec in _fig5_specs(scale, target, base_seed)
+    ]
+    results = engine.run(specs).results if engine is not None else run_many(specs)
+
     result = Fig5Result(scale.name, scale.n_inputs)
-
-    if engine is not None:
-        specs = []
-        for _, target in suite.items():
-            specs.extend(_fig5_specs(scale, target, base_seed))
-        outcome = engine.run(specs)
-        per_bench = scale.n_runs + 2
-        for index, (name, target) in enumerate(suite.items()):
-            block = outcome.results[index * per_bench : (index + 1) * per_bench]
-            dalta_runs = [r for r in block[: scale.n_runs] if r is not None]
-            bto, nd = block[scale.n_runs], block[scale.n_runs + 1]
-            if not dalta_runs or bto is None or nd is None:
-                continue
-            best_dalta = min(dalta_runs, key=lambda r: r.med)
-            result.per_benchmark[name] = _benchmark_metrics(
-                name, target, best_dalta, bto, nd, base_seed
-            )
-        return result
-
-    for name, target in suite.items():
-        # DALTA: best of n_runs, as the paper configures it.
-        dalta_runs = repeated_runs(
-            lambda rng: run_dalta(target, scale.dalta_config, rng=rng),
-            scale.n_runs,
-            base_seed,
-        )
+    per_bench = scale.n_runs + 2
+    for index, (name, target) in enumerate(suite.items()):
+        block = results[index * per_bench : (index + 1) * per_bench]
+        # DALTA: best of n_runs, as the paper configures it; the
+        # proposed architectures: one BS-SA run each.
+        dalta_runs = [r for r in block[: scale.n_runs] if r is not None]
+        bto, nd = block[scale.n_runs :]
+        if not dalta_runs or bto is None or nd is None:
+            continue
         best_dalta = min(dalta_runs, key=lambda r: r.med)
-
-        # Proposed architectures: one BS-SA run each.
-        rng = np.random.default_rng(base_seed + 17)
-        bto = run_bssa(
-            target, scale.bssa_config, rng=rng, architecture="bto-normal"
-        )
-        rng = np.random.default_rng(base_seed + 29)
-        nd = run_bssa(
-            target, scale.bssa_config, rng=rng, architecture="bto-normal-nd"
-        )
-
         result.per_benchmark[name] = _benchmark_metrics(
             name, target, best_dalta, bto, nd, base_seed
         )

@@ -28,14 +28,14 @@ from ..boolean.function import BooleanFunction
 from ..core.bs_sa import _nd_setting, find_best_settings, run_bssa
 from ..core.config import AlgorithmConfig
 from ..core.cost import cost_vectors_fixed
-from ..core.dalta import run_dalta
 from ..core.result import SearchStats
 from ..core.settings import Setting, SettingBits, SettingSequence
 from ..hardware.architectures import BtoNormalNdDesign, DaltaDesign
 from ..hardware.power import measure_energy, random_read_workload
 from ..metrics import distributions
 from . import reporting
-from .runner import ExperimentScale, repeated_runs
+from .parallel import run_many
+from .runner import ExperimentScale, repeat_specs
 from ..workloads import registry
 
 __all__ = ["Fig6Point", "Fig6Result", "run_fig6", "per_bit_candidates"]
@@ -211,10 +211,8 @@ def run_fig6(
     target = registry.get(benchmark, scale.n_inputs)
 
     # DALTA reference point (best of n_runs, as in Fig. 5).
-    dalta_runs = repeated_runs(
-        lambda rng: run_dalta(target, scale.dalta_config, rng=rng),
-        scale.n_runs,
-        base_seed,
+    dalta_runs = run_many(
+        repeat_specs("dalta", target, scale.dalta_config, scale.n_runs, base_seed)
     )
     best_dalta = min(dalta_runs, key=lambda r: r.med)
     return sweep_tradeoff(

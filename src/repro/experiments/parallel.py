@@ -1,4 +1,4 @@
-"""Multi-process execution of repeated algorithm runs.
+"""Repeated algorithm runs described as picklable job specs.
 
 The paper parallelises OptForPart calls over 44 threads; the Python
 port instead batches them within a run (each BS-SA, DALTA or ND
@@ -7,19 +7,18 @@ repeated-run granularity (independent seeds of whole algorithm runs),
 which needs no shared state and keeps every run bit-identical to its
 serial counterpart.
 
-Workers receive plain data (truth table, config, seed) so the jobs
-pickle cleanly on every platform.  Seeding uses
+A :class:`RunSpec` carries plain data (truth table, config, seed), so
+jobs pickle cleanly on every platform.  Seeding uses
 ``np.random.SeedSequence(base_seed).spawn(...)`` — the same spawn the
 serial :func:`repro.experiments.runner.repeated_runs` performs — so a
-parallel run is provably bit-identical to the serial one, and
+spec's run is bit-identical to the serial one, and
 :meth:`RunSpec.seed_info` exposes the spawned seed for run manifests.
 
-With ``n_jobs > 1`` the runs go through the campaign engine
-(:mod:`repro.experiments.engine`) on the warm worker pool.  When a
-telemetry session is active (:mod:`repro.obs`), workers capture their
-spans/counters in memory and ship them back with each result; the
-parent folds them into its own session as jobs complete, so one trace
-file holds the whole multi-process run.
+:func:`run_many` executes a job list in this process, in order.
+Multi-process execution is the campaign engine's
+(:class:`repro.experiments.engine.Engine`, on the warm worker pool);
+it executes the same specs through :meth:`RunSpec.execute`, so both
+give the same bytes.
 """
 
 from __future__ import annotations
@@ -176,8 +175,7 @@ class RunSpec:
     def _rng(self) -> np.random.Generator:
         """Identical to run ``spawn_index`` of the serial repeated_runs.
 
-        In direct-seed mode, identical to the serial harness's
-        ``np.random.default_rng(direct_seed)`` call.
+        In direct-seed mode, ``np.random.default_rng(direct_seed)``.
         """
         if self.direct_seed is not None:
             return np.random.default_rng(self.direct_seed)
@@ -200,40 +198,15 @@ class RunSpec:
         )
 
 
-def run_many(
-    specs: Sequence[RunSpec],
-    n_jobs: int = 1,
-) -> List[ApproximationResult]:
-    """Execute run specs, serially or across warm pool workers.
+def run_many(specs: Sequence[RunSpec]) -> List[ApproximationResult]:
+    """Execute run specs in this process, in spec order.
 
-    Results come back in spec order regardless of completion order, so
-    downstream statistics are independent of ``n_jobs``.  With
-    ``n_jobs > 1`` the specs run as one engine campaign without
-    retries (checkpoints in a discarded temporary directory); a job
-    that fails raises :class:`~repro.experiments.store.CampaignError`.
-    Under an active telemetry session, worker telemetry is aggregated
-    into the parent session and a ``run.completed`` event (one
-    progress line on the stderr sink) fires per run.
+    Under an active telemetry session every spec records its seed
+    (``run.seeded``) and every run its MED (``run.med``) and a
+    ``run.completed`` event (one progress line on the stderr sink) —
+    the records the campaign engine emits for its jobs.
     """
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
     telemetry = obs.current()
-    if n_jobs > 1 and len(specs) > 1:
-        # Imported here: ``compile_api`` uses RunSpec without the engine.
-        from ..faults import FaultPlan
-        from .engine import Engine, EngineConfig
-
-        # No fault plan from the environment: that is for campaigns.
-        # The engine emits run.seeded and observes run.med itself.
-        engine = Engine(
-            config=EngineConfig(n_jobs=n_jobs, max_retries=0),
-            faults=FaultPlan(),
-        )
-        results = engine.run(specs).require_complete()
-        if telemetry is not None:
-            for index, (spec, result) in enumerate(zip(specs, results)):
-                _completed_event(spec, result, worker=index)
-        return results
     if telemetry is not None:
         for spec in specs:
             telemetry.event("run.seeded", **spec.seed_info())
@@ -242,12 +215,13 @@ def run_many(
         result = spec.execute()
         if telemetry is not None:
             obs.observe("run.med", result.med)
-            _completed_event(spec, result)
+            completed_event(spec, result)
         results.append(result)
     return results
 
 
-def _completed_event(spec: RunSpec, result: ApproximationResult, **attrs) -> None:
+def completed_event(spec: RunSpec, result: ApproximationResult, **attrs) -> None:
+    """Emit the ``run.completed`` progress event of one finished run."""
     obs.event(
         "run.completed",
         benchmark=spec.name,

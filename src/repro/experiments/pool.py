@@ -1,7 +1,7 @@
 """The warm worker pool: every multi-process job runs here.
 
-The campaign engine (:mod:`repro.experiments.engine`, and through it
-``run_many``) and the serve daemon run their jobs on:
+The campaign engine (:mod:`repro.experiments.engine`) and the serve
+daemon run their jobs on:
 
 * a :class:`WorkerPool` of persistent worker processes, started once
   and fed jobs over per-worker pipes (no shared queue, so killing a
@@ -12,10 +12,11 @@ The campaign engine (:mod:`repro.experiments.engine`, and through it
   algorithms a zero-copy read-only numpy view instead of a pickle.
 
 Determinism: workers run :meth:`RunSpec.execute` exactly as the
-serial loop does, and every run re-seeds from the same
-``SeedSequence.spawn`` draw, so results are byte-identical to the
-serial loop — the differential test in
-``tests/engine/test_backend_equivalence.py`` pins this.  A run leaves
+in-process ``run_many`` loop does, and every run re-seeds from the
+same ``SeedSequence.spawn`` draw, so results are byte-identical to
+that loop — the differential tests in
+``tests/engine/test_backend_equivalence.py`` pin this for Table II
+and Fig. 5.  A run leaves
 no per-partition state behind in the worker, so a warm worker's memory
 does not grow with the jobs it has run.
 

@@ -41,9 +41,6 @@ class ExperimentScale:
     dalta_config: AlgorithmConfig
     bssa_config: AlgorithmConfig
     benchmarks: Sequence[str] = field(default_factory=registry.names)
-    #: worker processes for repeated runs (1 = serial; results are
-    #: bit-identical either way)
-    n_jobs: int = 1
 
     @classmethod
     def paper(cls) -> "ExperimentScale":
@@ -120,8 +117,8 @@ def repeat_specs(
 
     Spec ``i`` is bit-identical to serial run ``i`` of
     :func:`repeated_runs` under the same ``base_seed`` — this is the
-    single place the Table-II / Fig-5 harnesses and the checkpointed
-    engine derive their repeated-run jobs from.
+    single place the Table-II / Fig-5 / Fig-6 harnesses derive their
+    repeated-run jobs from, in process or on the engine.
     """
     from .parallel import RunSpec
 
@@ -141,7 +138,11 @@ def repeated_runs(
     """Execute ``run`` with independent per-run generators.
 
     Seeds are spawned deterministically from ``base_seed`` so repeated
-    experiments are reproducible while runs stay independent.
+    experiments are reproducible while runs stay independent.  For runs
+    a :class:`RunSpec` can describe, :func:`repeat_specs` with
+    :func:`~repro.experiments.parallel.run_many` draws the same seeds;
+    this form serves the ablation variants, which are ``run_bssa``
+    keyword arguments a spec cannot carry.
     """
     seed_seq = np.random.SeedSequence(base_seed)
     children = seed_seq.spawn(n_runs)

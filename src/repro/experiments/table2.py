@@ -18,11 +18,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .. import obs
-from ..core.bs_sa import run_bssa
-from ..core.dalta import run_dalta
 from . import reporting
-from .runner import ExperimentScale, build_suite, repeat_specs, repeated_runs
+from .parallel import run_many
+from .runner import ExperimentScale, build_suite, repeat_specs
 
 __all__ = ["Table2Row", "Table2Result", "run_table2"]
 
@@ -150,8 +148,7 @@ def _table2_specs(scale: ExperimentScale, suite, base_seed: int):
     """One flat job list for the whole campaign, in benchmark order.
 
     Per benchmark: ``n_runs`` DALTA jobs at ``base_seed`` then
-    ``n_runs`` BS-SA jobs at ``base_seed + 1`` — the same specs (and
-    therefore the same spawned seeds) as the ``run_many`` path.
+    ``n_runs`` BS-SA jobs at ``base_seed + 1``.
     """
     specs = []
     for _, target in suite.items():
@@ -183,62 +180,26 @@ def run_table2(
 ) -> Table2Result:
     """Regenerate Table II at the given scale.
 
-    With ``engine`` (a :class:`repro.experiments.engine.Engine`), the
-    whole campaign runs as one checkpointed job list — resumable and
-    fault-tolerant; quarantined jobs are dropped from the statistics
-    (partial-result reporting).  Outputs are byte-identical to the
-    engine-less path under the same ``base_seed``.
+    The whole campaign is one job list.  Without ``engine`` it runs in
+    this process (:func:`~repro.experiments.parallel.run_many`); with
+    one (a :class:`repro.experiments.engine.Engine`) it runs
+    checkpointed on the warm pool — resumable and fault-tolerant, and
+    byte-identical under the same ``base_seed``.  Quarantined jobs are
+    dropped from the statistics (partial-result reporting); a
+    benchmark left without runs of either algorithm gets no row.
     """
     if scale is None:
         scale = ExperimentScale.default()
     suite = build_suite(scale)
+    specs = _table2_specs(scale, suite, base_seed)
+    results = engine.run(specs).results if engine is not None else run_many(specs)
+
     result = Table2Result(scale.name, scale.n_inputs, scale.n_runs)
-
-    if engine is not None:
-        specs = _table2_specs(scale, suite, base_seed)
-        outcome = engine.run(specs)
-        cursor = 0
-        for name in suite:
-            dalta_runs = [
-                r
-                for r in outcome.results[cursor : cursor + scale.n_runs]
-                if r is not None
-            ]
-            cursor += scale.n_runs
-            bssa_runs = [
-                r
-                for r in outcome.results[cursor : cursor + scale.n_runs]
-                if r is not None
-            ]
-            cursor += scale.n_runs
-            if not dalta_runs or not bssa_runs:
-                continue
-            result.rows.append(_table2_row(name, dalta_runs, bssa_runs))
-        return result
-
-    for name, target in suite.items():
-        with obs.span("table2.benchmark", benchmark=name):
-            if scale.n_jobs > 1:
-                from .parallel import run_many
-
-                dalta_specs = repeat_specs(
-                    "dalta", target, scale.dalta_config, scale.n_runs, base_seed
-                )
-                bssa_specs = repeat_specs(
-                    "bs-sa", target, scale.bssa_config, scale.n_runs, base_seed + 1
-                )
-                dalta_runs = run_many(dalta_specs, scale.n_jobs)
-                bssa_runs = run_many(bssa_specs, scale.n_jobs)
-            else:
-                dalta_runs = repeated_runs(
-                    lambda rng: run_dalta(target, scale.dalta_config, rng=rng),
-                    scale.n_runs,
-                    base_seed,
-                )
-                bssa_runs = repeated_runs(
-                    lambda rng: run_bssa(target, scale.bssa_config, rng=rng),
-                    scale.n_runs,
-                    base_seed + 1,
-                )
+    n_runs = scale.n_runs
+    for index, name in enumerate(suite):
+        block = results[2 * n_runs * index : 2 * n_runs * (index + 1)]
+        dalta_runs = [r for r in block[:n_runs] if r is not None]
+        bssa_runs = [r for r in block[n_runs:] if r is not None]
+        if dalta_runs and bssa_runs:
             result.rows.append(_table2_row(name, dalta_runs, bssa_runs))
     return result

@@ -401,15 +401,9 @@ def render_top(state: Dict[str, Any]) -> str:
             resumed=campaign.get("resumed", 0),
         )
     )
-    backend = campaign.get("backend")
     experiment = campaign.get("experiment")
-    detail = [
-        f"backend={backend}" if backend else "",
-        f"experiment={experiment}" if experiment else "",
-    ]
-    detail = [part for part in detail if part]
-    if detail:
-        lines.append("  " + "  ".join(detail))
+    if experiment:
+        lines.append(f"  experiment={experiment}")
 
     workers = state.get("workers", {})
     if workers:

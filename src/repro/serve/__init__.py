@@ -14,8 +14,8 @@ The pieces, bottom-up:
     A token bucket backing 429 + ``Retry-After``.
 :mod:`repro.serve.service`
     The queue: concurrent requests coalesce into batches executed on
-    the warm :class:`WorkerPool` (or in-process, ``backend="inline"``),
-    identical in-flight fingerprints share one computation.
+    the warm :class:`WorkerPool`; identical in-flight fingerprints
+    share one computation.
 :mod:`repro.serve.daemon`
     The HTTP layer, mounted on the hardened
     :mod:`repro.obs.exposition` server so ``/metrics``, ``/healthz``

@@ -25,8 +25,8 @@ it, two threads could both miss, both read or write the same file,
 and count it twice.
 
 The memory cache lives as long as the daemon: nothing outside this
-class clears it, so entries survive every request the inline or pool
-backend executes in between.
+class clears it, so entries survive every request the worker pool
+executes in between.
 
 Artifacts are deterministic JSON documents (see
 :mod:`repro.compile_api`), so a disk entry loaded by a later daemon is

@@ -21,6 +21,7 @@ limited), 500 (compile failed), 503 (shutting down), 504 (timed out).
 from __future__ import annotations
 
 import json
+import socket
 import time
 from contextlib import ExitStack
 from typing import Any, Dict, Optional, Tuple
@@ -36,6 +37,9 @@ __all__ = ["ServeDaemon", "ServeHandler"]
 
 #: largest accepted request body (a 16-bit table of 64k words is ~400 KiB)
 MAX_BODY_BYTES = 4 << 20
+
+#: longest a refused request's connection stays open to drain its input
+LINGER_SECONDS = 2.0
 
 _API_DOC = {
     "service": "repro serve",
@@ -87,17 +91,44 @@ class ServeHandler(exposition._Handler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse(
+        self,
+        status: int,
+        document: Dict[str, Any],
+        extra_headers: Tuple[Tuple[str, str], ...] = (),
+    ) -> None:
+        """Send a 4xx, then drain the client's input before the close.
+
+        A refused request may leave body bytes unread (an unknown path,
+        a throttled or oversized request, bytes past its
+        ``Content-Length``).  Closing a socket with unread input resets
+        the connection, and a client still sending its body then gets
+        the reset instead of the answer.  So the answer goes out with a
+        FIN, and input is read and dropped until the client closes or
+        :data:`LINGER_SECONDS` pass.
+        """
+        self._send_json(status, document, extra_headers)
+        deadline = time.monotonic() + LINGER_SECONDS
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while (remaining := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(remaining)
+                if not self.rfile.read1(1 << 16):
+                    return
+        except OSError:  # reset or timed out: nothing left to save
+            pass
+
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0]
         if path != "/compile":
-            self._send_json(404, {"error": f"unknown path {path!r} (POST /compile)"})
+            self._refuse(404, {"error": f"unknown path {path!r} (POST /compile)"})
             return
         started = time.perf_counter()
         if self.bucket is not None:
             allowed, retry_after = self.bucket.try_acquire()
             if not allowed:
                 obs.incr("serve.throttled")
-                self._send_json(
+                self._refuse(
                     429,
                     {
                         "error": "rate limited",
@@ -113,10 +144,10 @@ class ServeHandler(exposition._Handler):
         except ValueError:
             length = 0
         if length <= 0:
-            self._send_json(400, {"error": "a JSON request body is required"})
+            self._refuse(400, {"error": "a JSON request body is required"})
             return
         if length > MAX_BODY_BYTES:
-            self._send_json(
+            self._refuse(
                 413, {"error": f"request body over {MAX_BODY_BYTES} bytes"}
             )
             return
@@ -136,12 +167,12 @@ class ServeHandler(exposition._Handler):
         except (ValueError, RecursionError):
             # ValueError covers bad JSON and bytes that are not UTF-8;
             # a deeply nested body overflows the decoder's recursion
-            self._send_json(400, {"error": "request body is not valid JSON"})
+            self._refuse(400, {"error": "request body is not valid JSON"})
             return
         try:
             request = parse_compile_request(document)
         except RequestError as exc:
-            self._send_json(exc.status, {"error": str(exc)})
+            self._refuse(exc.status, {"error": str(exc)})
             return
         try:
             payload, source = self.service.submit(request).result(
@@ -169,7 +200,7 @@ class ServeDaemon:
 
     ::
 
-        with ServeDaemon(ServeConfig(backend="inline"), port=0) as daemon:
+        with ServeDaemon(ServeConfig(jobs=1), port=0) as daemon:
             print(daemon.url)  # POST {url}/compile
 
     When no telemetry session is active one is opened on a

@@ -10,12 +10,11 @@ shares its result — and otherwise enqueues a new job.
 
 A single dispatcher thread drains the queue: it gathers up to
 ``max_batch`` jobs inside a ``batch_window`` and executes the batch on
-the backend — the warm :class:`WorkerPool` (jobs fan out across
-persistent workers sharing the ``TableArena``) or
-``"inline"`` (in-process, for tests and single-core hosts).  Every job
-of a batch is dispatched on its own, one pool job per request; the
-kernel batching happens inside each compile (one stacked call per
-search generation).  Worker deaths and errors are retried up to
+the warm :class:`WorkerPool` (jobs fan out across ``jobs`` persistent
+workers sharing the ``TableArena``; one worker on a single-core
+host).  Every job of a batch is dispatched on its own, one pool job
+per request; the kernel batching happens inside each compile (one
+stacked call per search generation).  Worker deaths and errors are retried up to
 ``max_retries`` times — the pool replaces dead workers itself, so a
 mid-batch kill costs retries, not the daemon.
 
@@ -63,7 +62,6 @@ class ServeConfig:
     """Daemon knobs (CLI flags map one-to-one onto these fields)."""
 
     jobs: int = 2
-    backend: str = "pool"
     artifact_dir: Optional[str] = None
     cache_size: int = 256
     batch_window: float = 0.02
@@ -74,11 +72,6 @@ class ServeConfig:
     request_timeout: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.backend not in ("pool", "inline"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                "choose 'pool' or 'inline'"
-            )
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.cache_size < 1:
@@ -147,7 +140,7 @@ _STOP = object()
 
 
 class CompileService:
-    """Owns the cache, the queue, the dispatcher and the backend."""
+    """Owns the cache, the queue, the dispatcher and the worker pool."""
 
     def __init__(
         self, config: ServeConfig, hub: Optional[MetricsHub] = None
@@ -176,8 +169,7 @@ class CompileService:
     def start(self) -> "CompileService":
         if self._thread is not None:
             raise RuntimeError("service already started")
-        if self.config.backend == "pool":
-            self._pool = WorkerPool(self.config.jobs)
+        self._pool = WorkerPool(self.config.jobs)
         self._campaign_update(state="serving", running=0)
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
@@ -257,7 +249,6 @@ class CompileService:
                 "failed": self.failed,
             }
         state = {
-            "backend": self.config.backend,
             "jobs": self.config.jobs,
             "inflight": inflight,
             "cache": self.cache.stats(),
@@ -270,9 +261,7 @@ class CompileService:
     # -- dispatcher ----------------------------------------------------
     def _campaign_update(self, **fields: Any) -> None:
         if self.hub is not None:
-            self.hub.campaign_update(
-                experiment="serve", backend=self.config.backend, **fields
-            )
+            self.hub.campaign_update(experiment="serve", **fields)
 
     def _refresh_pool_stats(self) -> None:
         """Snapshot the pool for ``/state`` readers (dispatcher only).
@@ -319,10 +308,7 @@ class CompileService:
         if len(batch) > 1:
             obs.incr("serve.batched_jobs", len(batch))
         self._campaign_update(running=len(batch))
-        if self._pool is not None:
-            results = self._run_pool_batch(batch)
-        else:
-            results = self._run_inline_batch(batch)
+        results = self._run_pool_batch(batch)
         for job in batch:
             outcome = results.get(job.key)
             if isinstance(outcome, Exception):
@@ -334,20 +320,6 @@ class CompileService:
                 self._finish_ok(job, outcome)
         self._refresh_pool_stats()
         self._campaign_update(running=0)
-
-    def _run_inline_batch(self, batch: List[_Job]) -> Dict[str, Any]:
-        results: Dict[str, Any] = {}
-        for job in batch:
-            try:
-                result = job.request.spec.execute()
-                artifact = compile_api.artifact_from_result(
-                    job.request.spec, result
-                )
-                results[job.key] = artifact.payload
-                obs.incr("serve.executed")
-            except Exception as exc:  # resolve the future, keep serving
-                results[job.key] = exc
-        return results
 
     def _absorb_payload(
         self, job: _Job, payload: Dict[str, Any]

@@ -37,3 +37,18 @@ def random_bits(n_inputs: int, rng: np.random.Generator) -> np.ndarray:
 def small_partition(n_inputs: int = 4, bound: int = 2) -> Partition:
     """The canonical low-bits-bound partition used in many tests."""
     return Partition(tuple(range(bound, n_inputs)), tuple(range(bound)))
+
+
+def run_on_pool(specs, n_jobs: int = 2):
+    """Run specs on the warm pool: one engine campaign, no retries, no faults.
+
+    The multi-process twin of ``run_many(specs)`` — results in spec
+    order; a failed job raises ``CampaignError``.
+    """
+    from repro.experiments.engine import Engine, EngineConfig
+    from repro.faults import FaultPlan
+
+    engine = Engine(
+        config=EngineConfig(n_jobs=n_jobs, max_retries=0), faults=FaultPlan()
+    )
+    return engine.run(specs).require_complete()

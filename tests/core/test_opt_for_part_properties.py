@@ -160,6 +160,25 @@ class TestReportedError:
         assert np.isclose(result.error, recomputed, rtol=0, atol=_TOL)
 
 
+def _assignment_totals(d0, d1, patterns, types):
+    """Cost of each candidate's ``(V, T)``, summed row by row.
+
+    ``d0``/``d1`` are ``(1, rows, cols)``, ``patterns`` ``(1, Z, cols)``
+    and ``types`` ``(1, Z, rows)``; returns ``(1, Z)``.  Written from the
+    row-type definitions, not from the kernel's half-steps.
+    """
+    v = patterns.astype(np.float64)[:, :, None, :]  # (1, Z, 1, cols)
+    d0z, d1z = d0[:, None], d1[:, None]  # (1, 1, rows, cols)
+    per_type = np.broadcast_arrays(
+        d0z.sum(axis=3),  # all-0 row
+        d1z.sum(axis=3),  # all-1 row
+        (d0z * (1 - v) + d1z * v).sum(axis=3),  # the pattern
+        (d0z * v + d1z * (1 - v)).sum(axis=3),  # its complement
+    )
+    rows = np.choose(types.astype(np.intp) - 1, per_type)
+    return rows.sum(axis=2)
+
+
 class TestMonotoneAlternation:
     @settings(max_examples=40, deadline=None)
     @given(bounded_instances())
@@ -172,11 +191,13 @@ class TestMonotoneAlternation:
             0, 2, size=(1, z, partition.n_cols), dtype=np.uint8
         )
         types, totals = _kernel._optimal_types_core(d0, d1, patterns, *sums)
+        assert np.allclose(
+            totals, _assignment_totals(d0, d1, patterns, types), rtol=0, atol=_TOL
+        )
         previous = totals
         for _ in range(6):
-            patterns, after_patterns = _kernel._optimal_patterns_core(
-                d0, d1, types, *sums
-            )
+            patterns = _kernel._optimal_patterns_core(d0, d1, types)
+            after_patterns = _assignment_totals(d0, d1, patterns, types)
             assert np.all(after_patterns <= previous + _TOL)
             types, after_types = _kernel._optimal_types_core(
                 d0, d1, patterns, *sums

@@ -1,10 +1,11 @@
-"""Differential equivalence of serial and warm-pool campaign execution.
+"""Differential equivalence of in-process and warm-pool campaign execution.
 
-One smoke-scale Table-II campaign is executed two ways — (a) serial
-(no engine, no worker processes), (b) the engine on the warm pool —
-and must produce byte-identical MEDs (every statistic except
-wall-clock timings), with the serial ``run_many`` and the engine
-recording the same seeds.  Persistent workers and the shared-memory
+One smoke-scale Table-II campaign is executed two ways — (a) in
+process (``run_many``, no worker processes), (b) the engine on the
+warm pool — and must produce byte-identical MEDs (every statistic
+except wall-clock timings), with both recording the same seeds.  The
+smoke-scale Fig. 5 job list is held to the same standard, every field
+of its result included.  Persistent workers and the shared-memory
 table transport may change *when* things are computed, never *what*.
 
 The kernel implementation adds a second axis: both must produce the
@@ -25,11 +26,13 @@ import pytest
 
 from repro import caching, obs
 from repro.experiments.engine import (
+    Engine,
     EngineConfig,
     campaign_status,
     resume_campaign,
     run_experiment_campaign,
 )
+from repro.experiments.fig5 import run_fig5
 from repro.experiments.runner import ExperimentScale
 from repro.experiments.table2 import run_table2
 from repro.faults import ENV_VAR, FaultPlan
@@ -65,17 +68,8 @@ def _campaign(tmp_path, name, config):
 
 
 def _seeds(sink):
-    """The spawned seed of every run, in campaign order.
-
-    The engine's ``run.seeded`` records also name the benchmark and
-    algorithm; the serial harness's do not, so only the seed itself
-    is compared.
-    """
-    keys = ("base_seed", "spawn_index", "spawn_key", "state")
-    return [
-        {key: record["attrs"][key] for key in keys}
-        for record in sink.events("run.seeded")
-    ]
+    """The ``run.seeded`` record of every run, in campaign order."""
+    return [record["attrs"] for record in sink.events("run.seeded")]
 
 
 class TestBackendEquivalence:
@@ -99,6 +93,28 @@ class TestBackendEquivalence:
         )
         counters = obs.summarize.summarize(pool_sink.records).counters
         assert counters["engine.jobs"] == len(seeds)
+
+
+class TestFig5BackendEquivalence:
+    """Fig. 5's job list in-process and on the warm pool.
+
+    Design construction and measurement run in-process either way, so
+    every field of ``as_dict()`` (no wall-clock timings) must match.
+    """
+
+    def test_in_process_and_pool_byte_identical(self):
+        scale = ExperimentScale.smoke()
+        in_process = run_fig5(scale, base_seed=0)
+        pooled = run_fig5(
+            scale,
+            base_seed=0,
+            engine=Engine(config=EngineConfig(n_jobs=2), faults=FaultPlan()),
+        )
+        blobs = [
+            json.dumps(result.as_dict(), sort_keys=True)
+            for result in (in_process, pooled)
+        ]
+        assert blobs[0] == blobs[1], "warm pool diverged from in-process Fig. 5"
 
 
 class TestPackedKernelAxis:

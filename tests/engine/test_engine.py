@@ -1,13 +1,14 @@
 """Unit tests for the checkpointed experiment engine and fault plans."""
 
 import dataclasses
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
-from repro import faults, workloads
+from repro import faults, obs, workloads
 from repro.core.config import AlgorithmConfig
 from repro.core.serialize import setting_to_dict
 from repro.experiments.engine import (
@@ -218,6 +219,38 @@ class TestEngineRun:
         for a, b in zip(first.results, second.results):
             assert b.med == a.med
             assert b.elapsed_seconds == a.elapsed_seconds
+
+    def test_progress_event_per_executed_job_none_for_resumed(self, tmp_path):
+        """Each executed job prints one ``run done`` line; resumed jobs none."""
+        specs = _specs(n_runs=3)
+
+        def run_and_capture():
+            stream = io.StringIO()
+            sink = obs.MemorySink()
+            with obs.session(sink, obs.StderrSink(stream=stream)):
+                outcome = Engine(str(tmp_path)).run(specs)
+            lines = [
+                line for line in stream.getvalue().splitlines()
+                if line.startswith("[repro] run done:")
+            ]
+            return outcome, sink.events("run.completed"), lines
+
+        outcome, events, lines = run_and_capture()
+        assert outcome.executed == 3 and len(lines) == 3
+        assert sorted(
+            (e["attrs"]["worker"], e["attrs"]["seed"]) for e in events
+        ) == [(0, 0), (1, 1), (2, 2)]
+        for event in events:
+            attrs = event["attrs"]
+            assert attrs["benchmark"] == specs[0].name
+            assert attrs["algorithm"] == "dalta"
+            assert attrs["elapsed"] == outcome.results[attrs["worker"]].elapsed_seconds
+
+        (tmp_path / "jobs" / "job-00001.json").unlink()
+        outcome, events, lines = run_and_capture()
+        assert outcome.resumed == 2 and outcome.executed == 1
+        assert [e["attrs"]["worker"] for e in events] == [1]
+        assert len(lines) == 1 and "worker=1" in lines[0]
 
     def test_invalid_checkpoint_discarded_and_rerun(self, tmp_path):
         specs = _specs(n_runs=1)

@@ -1,8 +1,9 @@
 """Unit tests for the warm pool and its building blocks.
 
 Covers the cache eviction counters, the shared-memory table arena,
-``resolve_jobs``, pool execution through ``run_many`` and the engine
-(including fault recovery), an empty wait sleeping out its timeout,
+``resolve_jobs``, pool execution through the engine (including fault
+recovery) against the in-process ``run_many``, an empty wait sleeping
+out its timeout,
 and workers exiting once their parent is gone.  The full
 serial-vs-pool differential is in
 ``tests/engine/test_backend_equivalence.py``.
@@ -23,6 +24,8 @@ from repro.experiments import pool as pool_mod
 from repro.experiments.engine import Engine, EngineConfig, resolve_jobs
 from repro.experiments.parallel import run_many
 from repro.experiments.runner import repeat_specs
+
+from ..conftest import run_on_pool
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -119,7 +122,7 @@ class TestPoolExecution:
     def test_run_many_pool_matches_serial(self):
         specs = _specs(n_runs=3)
         serial = run_many(specs)
-        pooled = run_many(specs, n_jobs=2)
+        pooled = run_on_pool(specs)
         assert [r.med for r in pooled] == [r.med for r in serial]
         assert [r.round_history for r in pooled] == [
             r.round_history for r in serial
@@ -157,9 +160,9 @@ class TestPoolExecution:
         table segments it attached and warn about them.
         """
         code = (
-            "from repro.experiments.parallel import run_many\n"
+            "from tests.conftest import run_on_pool\n"
             "from tests.experiments.test_pool import _specs\n"
-            "run_many(_specs(), n_jobs=2)\n"
+            "run_on_pool(_specs())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],

@@ -234,7 +234,6 @@ class TestTopRendering:
                     "done": 2,
                     "total": 8,
                     "running": 1,
-                    "backend": "pool",
                     "experiment": "table2",
                 },
                 "workers": {"0": {"job": [3, 0]}},
@@ -242,7 +241,7 @@ class TestTopRendering:
             }
         )
         assert "2/8 done" in frame
-        assert "backend=pool" in frame
+        assert "experiment=table2" in frame
         assert "run.med" in frame
 
 

@@ -14,6 +14,8 @@ from repro.experiments.parallel import RunSpec, run_many
 from repro.obs.summarize import summarize
 from repro.workloads import get
 
+from ..conftest import run_on_pool
+
 
 @pytest.fixture(scope="module")
 def target():
@@ -109,7 +111,7 @@ class TestParallelAggregation:
 
         sink = obs.MemorySink()
         with obs.session(sink) as session:
-            results = run_many(specs, n_jobs=2)
+            results = run_on_pool(specs)
             merged = dict(session.counters)
         assert all(r is not None for r in results)
         for key in ("opt.calls", "sa.partitions_evaluated"):
@@ -121,7 +123,7 @@ class TestParallelAggregation:
         ]
         sink = obs.MemorySink()
         with obs.session(sink):
-            run_many(specs, n_jobs=2)
+            run_on_pool(specs)
         runs = sink.spans("bssa.run")
         assert len(runs) == 2
         assert {s["attrs"]["worker"] for s in runs} == {0, 1}
@@ -134,9 +136,9 @@ class TestParallelAggregation:
         specs = [
             RunSpec.for_function("bs-sa", target, config, 5, i) for i in range(2)
         ]
-        plain = run_many(specs, n_jobs=1)
+        plain = run_many(specs)
         with obs.session(obs.MemorySink()):
-            traced = run_many(specs, n_jobs=2)
+            traced = run_on_pool(specs)
         assert [r.med for r in plain] == [r.med for r in traced]
 
 
@@ -158,7 +160,7 @@ class TestSeeding:
         specs = [
             RunSpec.for_function("bs-sa", target, config, 2, i) for i in range(3)
         ]
-        parallel = run_many(specs, n_jobs=2)
+        parallel = run_on_pool(specs)
         for a, b in zip(serial, parallel):
             assert a.med == b.med
             assert (

@@ -4,7 +4,8 @@ The headline invariant, proven at every level here: an artifact served
 over HTTP is byte-identical to what offline ``repro compile`` produces
 — serially for all three request forms, under concurrent batched
 load, across a daemon restart (served from the disk artifact cache),
-and on the warm-pool backend with a worker killed mid-flight.
+and with a pool worker killed mid-flight.  Every daemon runs the warm
+pool; most tests use one worker.
 """
 
 import dataclasses
@@ -33,8 +34,9 @@ from .conftest import (
 )
 
 
-def inline_daemon(**overrides):
-    defaults = dict(backend="inline", jobs=1, batch_window=0.02)
+def pool_daemon(**overrides):
+    """A daemon on a one-worker pool."""
+    defaults = dict(jobs=1, batch_window=0.02)
     defaults.update(overrides)
     return ServeDaemon(ServeConfig(**defaults), port=0)
 
@@ -60,7 +62,7 @@ class TestGoldenResponses:
     def test_benchmark_form_byte_identical_to_offline(self, telemetry):
         doc = bench_doc()
         twin = offline_twin(doc)
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             status, envelope, raw = post_compile(daemon.url, doc)
         assert status == 200
         assert_served_equals_offline(envelope, twin)
@@ -80,14 +82,14 @@ class TestGoldenResponses:
             "budget": "fast",
         }
         twin = offline_twin(doc)
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             status, envelope, _ = post_compile(daemon.url, doc)
         assert status == 200
         assert_served_equals_offline(envelope, twin)
         assert envelope["artifact"]["target"]["name"] == "gray3"
 
     def test_spec_form_addresses_same_artifact_as_benchmark(self, telemetry):
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             status, bench_env, _ = post_compile(daemon.url, bench_doc())
             assert status == 200
             status, spec_env, _ = post_compile(daemon.url, spec_doc_for_cos6())
@@ -101,7 +103,7 @@ class TestGoldenResponses:
         )
 
     def test_repeat_request_is_memory_hit(self, telemetry):
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             _, first, _ = post_compile(daemon.url, bench_doc())
             _, second, _ = post_compile(daemon.url, bench_doc())
         assert second["source"] == "memory"
@@ -151,14 +153,15 @@ def raw_post(url, content_length, body, path="/compile"):
 
 class TestHttpSurface:
     def test_api_doc_health_metrics_state(self, telemetry):
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             doc = get_json(daemon.url, "/")
             assert "POST /compile" in doc["endpoints"]
             post_compile(daemon.url, bench_doc())
             health = get_json(daemon.url, "/healthz")
             assert health["status"] == "ok"
             state = get_json(daemon.url, "/state")
-            assert state["serve"]["backend"] == "inline"
+            assert "backend" not in state["serve"]
+            assert state["serve"]["jobs"] == 1
             assert state["serve"]["completed"] == 1
             assert state["serve"]["cache"]["size"] == 1
             with urllib.request.urlopen(f"{daemon.url}/metrics") as response:
@@ -167,7 +170,7 @@ class TestHttpSurface:
         assert "repro_serve_request_seconds_bucket" in text
 
     def test_error_statuses(self, telemetry):
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             status, body, _ = post_compile(
                 daemon.url, None, raw=b"{not json"
             )
@@ -187,7 +190,7 @@ class TestHttpSurface:
         self, telemetry
     ):
         # json.loads raises RecursionError, not a ValueError, on this
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             status, body, _ = post_compile(daemon.url, None, raw=b"[" * 200_000)
             assert status == 400 and "JSON" in body["error"]
             status, envelope, _ = post_compile(daemon.url, bench_doc())
@@ -204,7 +207,7 @@ class TestHttpSurface:
     ):
         # a valid 28-byte body, sent whole, then the write side closed
         body = b'{"benchmark":"cos","bits":6}'
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             status, document = raw_post(daemon.url, content_length, body)
             assert status == 400, document
             status, envelope, _ = post_compile(daemon.url, bench_doc())
@@ -224,7 +227,7 @@ class TestHttpSurface:
     def test_bad_raw_request_is_refused_and_the_daemon_serves_on(
         self, telemetry, path, content_length, body, status
     ):
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             got, headers, document = raw_exchange(
                 daemon.url, content_length, body, path
             )
@@ -238,7 +241,7 @@ class TestHttpSurface:
 
     def test_non_string_budget_is_a_400_and_the_daemon_serves_on(self, telemetry):
         # a list or object budget is a 400, not a dropped connection
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             for budget in (["x"], {}):
                 status, body, _ = post_compile(daemon.url, bench_doc(budget=budget))
                 assert status == 400 and "unknown budget" in body["error"]
@@ -247,7 +250,7 @@ class TestHttpSurface:
             assert envelope["fingerprint"] == BENCHMARK_FINGERPRINT
 
     def test_rate_limit_429_with_retry_after(self, telemetry):
-        with inline_daemon(rate=0.001, burst=1) as daemon:
+        with pool_daemon(rate=0.001, burst=1) as daemon:
             status, _, _ = post_compile(daemon.url, bench_doc())
             assert status == 200
             request = urllib.request.Request(
@@ -287,7 +290,7 @@ class TestRobustness:
             with lock:
                 results.append(outcome)
 
-        with inline_daemon(rate=0.25, burst=burst) as daemon:
+        with pool_daemon(rate=0.25, burst=burst) as daemon:
             threads = [threading.Thread(target=client) for _ in range(clients)]
             for thread in threads:
                 thread.start()
@@ -318,7 +321,7 @@ class TestRobustness:
 
     def test_stalled_client_does_not_block_a_good_request(self, telemetry):
         body = b'{"benchmark":"cos","bits":6}'
-        with inline_daemon() as daemon:
+        with pool_daemon() as daemon:
             address = urllib.parse.urlsplit(daemon.url)
             slow = socket.create_connection((address.hostname, address.port), 10)
             try:
@@ -345,7 +348,7 @@ class TestConcurrentLoad:
         seeds = [0, 1, 2, 3]
         docs = {seed: bench_doc(seed=seed) for seed in seeds}
         twins = {seed: offline_twin(docs[seed]) for seed in seeds}
-        with inline_daemon(batch_window=0.3, max_batch=16) as daemon:
+        with pool_daemon(batch_window=0.3, max_batch=16) as daemon:
             barrier = threading.Barrier(16)
             responses = {}
 
@@ -387,14 +390,14 @@ class TestRestart:
     def test_restart_serves_byte_identical_from_disk(self, telemetry, tmp_path):
         artifact_dir = str(tmp_path / "artifacts")
         doc = bench_doc()
-        with inline_daemon(artifact_dir=artifact_dir) as daemon:
+        with pool_daemon(artifact_dir=artifact_dir) as daemon:
             status, first, _ = post_compile(daemon.url, doc)
             assert status == 200
             assert first["source"] == "computed"
 
         # fresh daemon, empty memory cache: the disk artifact cache is
         # what answers, then the promoted entry serves from memory
-        with inline_daemon(artifact_dir=artifact_dir) as daemon:
+        with pool_daemon(artifact_dir=artifact_dir) as daemon:
             status, second, _ = post_compile(daemon.url, doc)
             assert status == 200
             assert second["source"] == "disk"
@@ -422,7 +425,7 @@ class TestRestart:
         artifact_dir.mkdir()
         (artifact_dir / f"{BENCHMARK_FINGERPRINT}.json").write_bytes(content)
         doc = bench_doc()
-        with inline_daemon(artifact_dir=str(artifact_dir)) as daemon:
+        with pool_daemon(artifact_dir=str(artifact_dir)) as daemon:
             status, first, _ = post_compile(daemon.url, doc)
             assert status == 200
             assert first["source"] == "computed"
@@ -430,7 +433,7 @@ class TestRestart:
 
         # the recompute replaced the corrupt file: a restarted daemon
         # serves the same artifact from disk
-        with inline_daemon(artifact_dir=str(artifact_dir)) as daemon:
+        with pool_daemon(artifact_dir=str(artifact_dir)) as daemon:
             status, second, _ = post_compile(daemon.url, doc)
             assert status == 200
             assert second["source"] == "disk"
@@ -445,9 +448,7 @@ class TestPoolBackend:
         seeds = [0, 1, 2, 3, 4, 5]
         docs = {seed: bench_doc(seed=seed) for seed in seeds}
         twins = {seed: offline_twin(docs[seed]) for seed in seeds}
-        config = ServeConfig(
-            backend="pool", jobs=2, batch_window=0.3, max_batch=16
-        )
+        config = ServeConfig(jobs=2, batch_window=0.3, max_batch=16)
         with ServeDaemon(config, port=0) as daemon:
             barrier = threading.Barrier(len(seeds))
             responses = {}
@@ -470,7 +471,7 @@ class TestPoolBackend:
                 assert status == 200
                 assert_served_equals_offline(envelope, twins[seed])
             state = get_json(daemon.url, "/state")
-        assert state["serve"]["backend"] == "pool"
+        assert state["serve"]["jobs"] == 2
         assert telemetry.counters["serve.batched_jobs"] > 0
         # a batch wider than the two idle workers still dispatches job
         # by job: one pool job per distinct request, none retried
@@ -482,9 +483,7 @@ class TestPoolBackend:
         seeds = [0, 1, 2, 3, 4, 5]
         docs = {seed: bench_doc(seed=seed, bits=8) for seed in seeds}
         twins = {seed: offline_twin(docs[seed]) for seed in seeds}
-        config = ServeConfig(
-            backend="pool", jobs=2, batch_window=0.3, max_batch=16
-        )
+        config = ServeConfig(jobs=2, batch_window=0.3, max_batch=16)
         with ServeDaemon(config, port=0) as daemon:
             barrier = threading.Barrier(len(seeds) + 1)
             responses = {}

@@ -21,16 +21,17 @@ from repro.serve.service import (
 from .conftest import bench_doc, offline_twin
 
 
-def inline_config(**overrides):
-    defaults = dict(backend="inline", jobs=1, batch_window=0.05)
+def pool_config(**overrides):
+    """A one-worker pool: the smallest daemon the service runs."""
+    defaults = dict(jobs=1, batch_window=0.05)
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
 
 class TestServeConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="backend"):
-            ServeConfig(backend="threads")
+        with pytest.raises(TypeError, match="backend"):
+            ServeConfig(backend="pool")  # one transport: the warm pool
         with pytest.raises(ValueError, match="jobs"):
             ServeConfig(jobs=0)
         with pytest.raises(ValueError, match="rate"):
@@ -40,8 +41,10 @@ class TestServeConfig:
 
 
 class TestInlineService:
+    """The service driven in-line, without the HTTP layer, on one worker."""
+
     def test_coalesce_batch_and_cache(self, telemetry):
-        service = CompileService(inline_config())
+        service = CompileService(pool_config())
         distinct = [parse_compile_request(bench_doc(seed=s)) for s in (0, 1)]
         duplicate = parse_compile_request(bench_doc(seed=0))
 
@@ -64,7 +67,7 @@ class TestInlineService:
         assert counters["serve.executed"] == 2
 
     def test_cache_hit_after_completion(self, telemetry):
-        with CompileService(inline_config()) as service:
+        with CompileService(pool_config()) as service:
             first = service.submit(parse_compile_request(bench_doc()))
             payload, source = first.result(timeout=60)
             assert source == "computed"
@@ -76,22 +79,22 @@ class TestInlineService:
 
     def test_served_equals_offline(self, telemetry):
         doc = bench_doc(seed=5)
-        with CompileService(inline_config()) as service:
+        with CompileService(pool_config()) as service:
             payload, _ = service.submit(
                 parse_compile_request(doc)
             ).result(timeout=60)
         assert payload == offline_twin(doc)
 
     def test_state_snapshot(self, telemetry):
-        with CompileService(inline_config()) as service:
+        with CompileService(pool_config()) as service:
             service.submit(parse_compile_request(bench_doc())).result(60)
             state = service.state()
-        assert state["backend"] == "inline"
+        assert "backend" not in state
+        assert state["jobs"] == 1
         assert state["requests"] == 1
         assert state["completed"] == 1
         assert state["failed"] == 0
         assert state["cache"]["size"] == 1
-        assert "pool" not in state  # inline backend has no pool block
 
     def test_compile_failure_is_500(self, telemetry, monkeypatch):
         request = parse_compile_request(bench_doc(seed=9))
@@ -100,7 +103,7 @@ class TestInlineService:
             "execute",
             lambda self: (_ for _ in ()).throw(RuntimeError("boom")),
         )
-        with CompileService(inline_config()) as service:
+        with CompileService(pool_config()) as service:
             future = service.submit(request)
             with pytest.raises(ServiceError) as excinfo:
                 future.result(timeout=30)
@@ -110,7 +113,7 @@ class TestInlineService:
         assert service.state()["failed"] == 1
 
     def test_submit_after_stop_is_503(self, telemetry):
-        service = CompileService(inline_config())
+        service = CompileService(pool_config())
         service._stopping.set()
         future = service.submit(parse_compile_request(bench_doc()))
         with pytest.raises(ServiceError) as excinfo:
@@ -118,7 +121,7 @@ class TestInlineService:
         assert excinfo.value.status == 503
 
     def test_stop_fails_queued_jobs(self, telemetry):
-        service = CompileService(inline_config())
+        service = CompileService(pool_config())
         # never started: enqueue, then run the shutdown drain directly
         future = service.submit(parse_compile_request(bench_doc(seed=2)))
         service._stopping.set()
@@ -133,7 +136,7 @@ class TestInlineService:
         """stop() cuts a batch window short: the jobs queued ahead of it
         still run, and the dispatcher ends without waiting out the
         window."""
-        service = CompileService(inline_config(batch_window=60.0)).start()
+        service = CompileService(pool_config(batch_window=60.0)).start()
         future = service.submit(parse_compile_request(bench_doc(seed=3)))
         started = time.monotonic()
         service.stop()
@@ -142,14 +145,14 @@ class TestInlineService:
         assert source == "computed"
 
     def test_future_timeout_is_504(self, telemetry):
-        service = CompileService(inline_config())
+        service = CompileService(pool_config())
         future = service.submit(parse_compile_request(bench_doc()))
         with pytest.raises(ServiceError) as excinfo:
             future.result(timeout=0.01)  # dispatcher never started
         assert excinfo.value.status == 504
 
     def test_max_batch_splits_batches(self, telemetry):
-        config = inline_config(max_batch=2, batch_window=0.2)
+        config = pool_config(max_batch=2, batch_window=0.2)
         service = CompileService(config)
         futures = [
             service.submit(parse_compile_request(bench_doc(seed=s)))

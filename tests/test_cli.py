@@ -39,16 +39,17 @@ class TestParser:
             assert "must be >= 1" in capsys.readouterr().err
 
     def test_backend_flag_rejected_by_run_and_resume(self, capsys):
-        """Campaigns have one transport; only ``serve`` keeps --backend."""
+        """Campaigns and the daemon share one transport, the warm pool;
+        no command takes --backend (``serve`` included)."""
         for argv in (
             ["run", "table2", "--dir", "/tmp/c", "--backend", "pool"],
             ["resume", "/tmp/c", "--backend", "spawn"],
+            ["serve", "--backend", "inline"],
+            ["serve", "--backend", "pool"],
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
             assert "unrecognized arguments: --backend" in capsys.readouterr().err
-        args = build_parser().parse_args(["serve", "--backend", "inline"])
-        assert args.backend == "inline"
 
 
 class TestCommands:
