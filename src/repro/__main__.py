@@ -160,7 +160,6 @@ def _campaign_setup(args):
         n_jobs=resolve_jobs(args.jobs),
         job_timeout=args.timeout,
         max_retries=args.retries,
-        backoff_base=args.backoff,
         metrics_port=args.metrics_port,
     )
     return config, faults.from_env()
@@ -281,6 +280,8 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import signal
+
     from .experiments.engine import resolve_jobs
     from .serve import ServeConfig, ServeDaemon
 
@@ -314,6 +315,9 @@ def _cmd_serve(args) -> int:
             "POST /compile — metrics at /metrics, health at /healthz "
             "(docs/serving.md)"
         )
+        # `kill <pid>` stops the daemon like Ctrl-C: the pool closes and
+        # the shared-memory table segments are unlinked
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         daemon.serve_forever()
         print("shutting down")
     finally:
@@ -405,12 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="retries per job before quarantine",
-    )
-    engine_opts.add_argument(
-        "--backoff",
-        type=float,
-        default=0.0,
-        help="base of the deterministic exponential retry backoff (s)",
     )
     engine_opts.add_argument(
         "--metrics-port",

@@ -13,9 +13,9 @@ every multi-process run goes through:
   to an uninterrupted run — seeds come from the existing
   ``SeedSequence.spawn`` scheme, so resume never re-draws RNG state;
 * jobs run on the warm :class:`~repro.experiments.pool.WorkerPool`
-  under supervision: a per-job timeout, bounded retries with
-  deterministic backoff, and quarantine of poison jobs (partial-result
-  reporting instead of campaign abort);
+  under supervision: a per-job timeout, bounded retries, and
+  quarantine of poison jobs (partial-result reporting instead of
+  campaign abort);
 * a seedable fault-injection harness (:mod:`repro.faults`) can kill,
   hang, or corrupt chosen jobs, or SIGKILL the engine itself, so the
   chaos tests and CI prove the recovery paths are byte-exact.
@@ -67,7 +67,6 @@ __all__ = [
     "CampaignStatus",
     "JobFailure",
     "atomic_write_json",
-    "backoff_seconds",
     "result_to_payload",
     "result_from_payload",
     "run_experiment_campaign",
@@ -75,16 +74,8 @@ __all__ = [
     "campaign_status",
 ]
 
-def backoff_seconds(attempt: int, base: float) -> float:
-    """Deterministic exponential backoff before retry ``attempt``.
-
-    Attempt 0 (the first execution) never waits; retry ``a`` waits
-    ``base * 2**(a - 1)`` seconds.  No jitter — two runs of the same
-    campaign with the same fault plan retry on the same schedule.
-    """
-    if attempt <= 0 or base <= 0:
-        return 0.0
-    return base * (2.0 ** (attempt - 1))
+#: seconds the supervision loop waits on the pool per tick
+POLL_INTERVAL = 0.02
 
 
 def resolve_jobs(requested: Optional[int], job_count: Optional[int] = None) -> int:
@@ -165,10 +156,6 @@ class EngineConfig:
     job_timeout: Optional[float] = None
     #: retries after the first failed attempt before quarantine
     max_retries: int = 2
-    #: base of the deterministic exponential retry backoff (seconds)
-    backoff_base: float = 0.0
-    #: supervision poll interval (seconds)
-    poll_interval: float = 0.02
     #: serve live /metrics + /healthz on this port while the campaign
     #: runs (0 = ephemeral port; None = no server).  Read-only: the
     #: endpoint never changes campaign results.
@@ -360,13 +347,16 @@ class Engine:
         print(f"[repro] live metrics: {server.url}/metrics", file=sys.stderr)
         stack.callback(server.stop)
         stack.callback(lambda: hub.campaign_update(state="done", running=0))
-        stack.enter_context(exposition.activated(hub))
         self._hub = hub
 
     def _sync_hub(
-        self, outcome: CampaignOutcome, running: Optional[int] = None
+        self,
+        outcome: CampaignOutcome,
+        running: Optional[int] = None,
+        pool=None,
     ) -> None:
-        """Publish campaign progress to the live hub, if one is active."""
+        """Publish campaign progress (and ``pool``'s counts, when the
+        supervision loop passes its pool) to the live hub, if any."""
         hub = self._hub
         if hub is None:
             return
@@ -380,6 +370,8 @@ class Engine:
         if running is not None:
             fields["running"] = running
         hub.campaign_update(**fields)
+        if pool is not None:
+            hub.pool_update(pool.stats())
 
     def _execute(self, specs: List[RunSpec], outcome: CampaignOutcome) -> None:
         telemetry = obs.current()
@@ -426,10 +418,7 @@ class Engine:
 
     # -- supervision helpers -------------------------------------------
     def _prepare_attempt(self, index: int, attempt: int):
-        """Backoff sleep + fault-plan lookup before (re)starting a job."""
-        delay = backoff_seconds(attempt, self.config.backoff_base)
-        if delay:
-            time.sleep(delay)
+        """Fault-plan lookup before (re)starting a job."""
         fault = self.faults.worker_fault(index, attempt)
         if fault is not None:
             obs.incr("faults.injected")
@@ -574,9 +563,6 @@ class Engine:
         pool = WorkerPool(
             min(config.n_jobs, max(1, len(pending))),
             capture_telemetry=telemetry is not None,
-            # stream mid-job counter/histogram snapshots only when a
-            # live metrics hub is consuming them
-            metrics_interval=0.2 if self._hub is not None else None,
         )
         try:
             while pending or running:
@@ -590,8 +576,8 @@ class Engine:
                         if config.job_timeout is not None
                         else None
                     )
-                self._sync_hub(outcome, running=len(running))
-                for event in pool.wait(config.poll_interval):
+                self._sync_hub(outcome, running=len(running), pool=pool)
+                for event in pool.wait(POLL_INTERVAL):
                     running.pop(event.index, None)
                     if event.kind == "ok":
                         if event.raw is not None:

@@ -20,6 +20,12 @@ and Fig. 5.  A run leaves
 no per-partition state behind in the worker, so a warm worker's memory
 does not grow with the jobs it has run.
 
+Telemetry: with ``capture_telemetry`` a worker returns its job's
+telemetry records inside the job's reply, and the owner folds them in
+when it takes the result — nothing else crosses the pipe mid-job.  The
+pool reports to no one: its owner (the engine's supervision loop, the
+serve dispatcher) reads :meth:`WorkerPool.stats` and publishes it.
+
 Fault injection: the pool accepts :class:`repro.faults.Fault`
 objects — ``crash``/``hang`` fire inside the worker before
 computation (the supervisor restarts the worker), ``corrupt`` makes
@@ -30,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -43,7 +48,6 @@ import numpy as np
 
 from .. import blas, obs
 from .. import faults as faults_mod
-from ..obs import exposition
 from ..core.config import AlgorithmConfig
 from .parallel import RunSpec
 
@@ -171,89 +175,19 @@ def _spec_from_message(fields: Dict[str, Any], table: np.ndarray) -> RunSpec:
     )
 
 
-def _stream_telemetry(
-    results, send_lock, current_job, stop, interval: float
-) -> None:
-    """Daemon thread: ship cumulative telemetry snapshots mid-job.
-
-    Each message carries the *whole* current-job session so arrival
-    order does not matter; the parent keeps only the latest snapshot
-    per worker and drops it the moment the job's authoritative
-    end-of-job records are absorbed (no double counting).  A torn
-    snapshot (the main thread mutating a dict mid-copy) is simply
-    skipped — the next tick replaces it.
-    """
-    while not stop.wait(interval):
-        job = current_job["job"]
-        session = obs.current()
-        if job is None or session is None:
-            continue
-        try:
-            counters = dict(session.counters)
-            gauges = dict(session.gauges)
-            histograms = {
-                name: hist.to_dict()
-                for name, hist in dict(session.histograms).items()
-            }
-        except RuntimeError:  # resized mid-copy; retry next tick
-            continue
-        message = {
-            "kind": "telemetry",
-            "job": list(job),
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
-        try:
-            with send_lock:
-                results.send(message)
-        except (BrokenPipeError, OSError):
-            return
-
-
-def _pool_worker(
-    worker_id: int,
-    parent: int,
-    tasks,
-    results,
-    metrics_interval: Optional[float] = None,
-) -> None:
+def _pool_worker(parent: int, tasks, results) -> None:
     """Persistent worker loop: recv job → execute → reply.
 
     Import ordering note: this function runs in a child of the pool
     parent, so numpy/repro are already imported under the fork start
     method — the pool's whole point.  Under spawn the first job pays
     the import once and the rest stay warm.
-
-    With ``metrics_interval`` a daemon thread streams cumulative
-    telemetry snapshots of the in-flight job over the same result pipe
-    (serialised by a send lock); the computation itself is untouched.
     """
     from ..core.serialize import setting_to_dict  # noqa: F401  (warm import)
     from .engine import result_to_payload
 
     segments: Dict[str, shared_memory.SharedMemory] = {}
     tables: Dict[str, np.ndarray] = {}
-    send_lock = threading.Lock()
-    current_job: Dict[str, Any] = {"job": None}
-    stop_streaming = threading.Event()
-    if metrics_interval:
-        threading.Thread(
-            target=_stream_telemetry,
-            args=(
-                results,
-                send_lock,
-                current_job,
-                stop_streaming,
-                metrics_interval,
-            ),
-            name=f"repro-pool-stream-{worker_id}",
-            daemon=True,
-        ).start()
-
-    def _send(message: Dict[str, Any]) -> None:
-        with send_lock:
-            results.send(message)
 
     # Under the fork start method every worker inherits its siblings'
     # pipe ends, so a SIGKILLed pool parent never produces an EOF on
@@ -282,13 +216,11 @@ def _pool_worker(
         table = _table_view(segments, tables, message["table"])
         spec = _spec_from_message(message["spec"], table)
         sink = obs.MemorySink()
-        current_job["job"] = (message["index"], message["attempt"])
         try:
             with obs.session(sink):
                 result = spec.execute()
         except Exception:
-            current_job["job"] = None
-            _send(
+            results.send(
                 {
                     "kind": "error",
                     "index": message["index"],
@@ -297,7 +229,6 @@ def _pool_worker(
                 }
             )
             continue
-        current_job["job"] = None
         raw: Optional[str] = None
         if fault is not None and fault.kind == "corrupt":
             payload: Dict[str, Any] = {}
@@ -306,7 +237,7 @@ def _pool_worker(
             payload = result_to_payload(spec, result)
             if message["capture"]:
                 payload["telemetry"] = sink.records
-        _send(
+        results.send(
             {
                 "kind": "ok",
                 "index": message["index"],
@@ -315,7 +246,6 @@ def _pool_worker(
                 "raw": raw,
             }
         )
-    stop_streaming.set()
 
 
 # ======================================================================
@@ -364,17 +294,12 @@ class WorkerPool:
         self,
         n_workers: int,
         capture_telemetry: bool = False,
-        metrics_interval: Optional[float] = None,
         context=None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if metrics_interval is not None and metrics_interval <= 0:
-            raise ValueError("metrics_interval must be positive")
         self.n_workers = n_workers
         self.capture_telemetry = capture_telemetry
-        #: seconds between mid-job telemetry snapshots (None = off)
-        self.metrics_interval = metrics_interval
         self._context = context if context is not None else _preferred_context()
         self.arena = TableArena()
         self._workers: List[_WorkerHandle] = []
@@ -394,13 +319,7 @@ class WorkerPool:
         result_recv, result_send = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_pool_worker,
-            args=(
-                worker_id,
-                os.getpid(),
-                task_recv,
-                result_send,
-                self.metrics_interval,
-            ),
+            args=(os.getpid(), task_recv, result_send),
             daemon=True,
         )
         # forked on one BLAS thread, the worker keeps one (repro.blas):
@@ -412,9 +331,6 @@ class WorkerPool:
         task_recv.close()
         result_send.close()
         obs.incr("pool.workers_started")
-        hub = exposition.active_hub()
-        if hub is not None:
-            hub.worker_seen(worker_id)
         return _WorkerHandle(worker_id, process, task_send, result_recv)
 
     def _restart(self, handle: _WorkerHandle) -> None:
@@ -443,11 +359,12 @@ class WorkerPool:
         return sum(1 for w in self._workers if w.job is not None)
 
     def stats(self) -> Dict[str, Any]:
-        """Service-facing snapshot (the serve daemon's ``/state`` block).
+        """Worker counts for the live hub's ``pool`` block.
 
         Only the owning thread may call this (like ``submit``/``wait``
         — the pool is not thread-safe); the serve dispatcher and the
-        campaign engine both satisfy that by construction.
+        campaign engine both satisfy that by construction, and publish
+        the result to their live metrics hub.
         """
         return {
             "workers": self.n_workers,
@@ -482,9 +399,6 @@ class WorkerPool:
         }
         handle.task_send.send(message)
         handle.job = (index, attempt)
-        hub = exposition.active_hub()
-        if hub is not None:
-            hub.worker_seen(handle.worker_id, job=[index, attempt])
         return handle.worker_id
 
     def wait(self, timeout: Optional[float]) -> List[PoolEvent]:
@@ -508,27 +422,12 @@ class WorkerPool:
         for handle in busy:
             if handle.result_recv not in ready:
                 continue
-            # Drain streamed telemetry snapshots (never surfaced as
-            # PoolEvents) until the completion message, if one is in.
-            message = None
             try:
-                while True:
-                    message = handle.result_recv.recv()
-                    if message.get("kind") != "telemetry":
-                        break
-                    self._stream_report(handle, message)
-                    if not handle.result_recv.poll():
-                        message = None
-                        break
+                message = handle.result_recv.recv()
             except (EOFError, OSError):
                 continue  # worker died mid-send; sentinel path handles it
-            if message is None:
-                continue
             index, attempt = handle.job  # type: ignore[misc]
             handle.job = None
-            hub = exposition.active_hub()
-            if hub is not None:
-                hub.worker_clear(handle.worker_id)
             if message["kind"] == "ok":
                 obs.incr("pool.jobs")
                 events.append(
@@ -556,9 +455,6 @@ class WorkerPool:
                 continue
             index, attempt = handle.job
             handle.job = None
-            hub = exposition.active_hub()
-            if hub is not None:
-                hub.worker_gone(handle.worker_id)
             exitcode = handle.process.exitcode
             events.append(
                 PoolEvent(
@@ -572,40 +468,11 @@ class WorkerPool:
             self._restart(handle)
         return events
 
-    def _stream_report(
-        self, handle: _WorkerHandle, message: Dict[str, Any]
-    ) -> None:
-        """Route one streamed snapshot to the live hub (if any).
-
-        Snapshots whose ``(index, attempt)`` no longer match the
-        worker's current job are stale (the job completed or was
-        killed between the worker's send and our recv) and count only
-        as a liveness heartbeat — accepting them would double-count a
-        job already folded into the session.
-        """
-        hub = exposition.active_hub()
-        if hub is None:
-            return
-        job = message.get("job")
-        if handle.job is None or job is None or tuple(job) != handle.job:
-            hub.worker_seen(handle.worker_id)
-            return
-        hub.worker_report(
-            handle.worker_id,
-            list(job),
-            counters=message.get("counters"),
-            gauges=message.get("gauges"),
-            histograms=message.get("histograms"),
-        )
-
     def kill_job(self, index: int) -> bool:
         """Kill the worker running job ``index`` (timeout enforcement)."""
         for handle in self._workers:
             if handle.job is not None and handle.job[0] == index:
                 handle.job = None
-                hub = exposition.active_hub()
-                if hub is not None:
-                    hub.worker_gone(handle.worker_id)
                 self._restart(handle)
                 return True
         return False

@@ -51,7 +51,6 @@ __all__ = [
     "session",
     "span",
     "incr",
-    "gauge",
     "observe",
     "event",
     "exposition",
@@ -135,13 +134,6 @@ def incr(name: str, value: float = 1) -> None:
     telemetry = _current
     if telemetry is not None:
         telemetry.incr(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    """Set a gauge to its latest value (no-op when disabled)."""
-    telemetry = _current
-    if telemetry is not None:
-        telemetry.gauge(name, value)
 
 
 def observe(name: str, value: float) -> None:

@@ -15,7 +15,7 @@ Records are plain dicts with a ``type`` discriminator:
 ``event``
     A point-in-time occurrence (e.g. ``run.completed``).
 ``counters``
-    A snapshot of the accumulated counters/gauges/histograms, emitted
+    A snapshot of the accumulated counters and histograms, emitted
     on flush.
 ``manifest``
     A run manifest (see :mod:`repro.obs.manifest`).
@@ -255,7 +255,6 @@ class Telemetry:
     def __init__(self, sinks=()) -> None:
         self.sinks = list(sinks)
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self._stack: List[Span] = []
         self._next_id = 1
@@ -296,14 +295,10 @@ class Telemetry:
                 record["error"] = True
             self.emit(record)
 
-    # -- counters / gauges --------------------------------------------
+    # -- counters / histograms ----------------------------------------
     def incr(self, name: str, value: float = 1) -> None:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the named histogram."""
@@ -318,25 +313,6 @@ class Telemetry:
         with self._lock:
             for name, value in counters.items():
                 self.counters[name] = self.counters.get(name, 0) + value
-
-    def merge_gauges(
-        self, gauges: Dict[str, float], worker: Optional[Any] = None
-    ) -> None:
-        """Fold gauges from another session, last writer wins.
-
-        Unlike counters, gauges are point-in-time values that cannot be
-        summed; when ``worker`` is given each gauge is stored under a
-        worker-labelled key (``name#worker=N``) so concurrent workers
-        never clobber each other's readings.  Exposition parses the
-        suffix back into a Prometheus label.
-        """
-        with self._lock:
-            for name, value in gauges.items():
-                if worker is None or "#" in name:  # already labelled upstream
-                    key = name
-                else:
-                    key = f"{name}#worker={worker}"
-                self.gauges[key] = value
 
     def merge_histograms(self, histograms: Dict[str, Any]) -> None:
         """Fold histogram payloads (``Histogram`` or dict) from elsewhere."""
@@ -370,9 +346,6 @@ class Telemetry:
         for record in records:
             if record.get("type") == "counters":
                 self.merge_counters(record.get("values", {}))
-                gauges = record.get("gauges")
-                if gauges:
-                    self.merge_gauges(gauges, worker=extra_attrs.get("worker"))
                 histograms = record.get("histograms")
                 if histograms:
                     self.merge_histograms(histograms)
@@ -390,8 +363,6 @@ class Telemetry:
             record: Dict[str, Any] = {
                 "type": "counters", "values": dict(self.counters)
             }
-            if self.gauges:
-                record["gauges"] = dict(self.gauges)
             if self.histograms:
                 record["histograms"] = {
                     name: hist.to_dict() for name, hist in self.histograms.items()
@@ -400,7 +371,7 @@ class Telemetry:
 
     def flush(self) -> None:
         """Emit the counter snapshot and flush every sink."""
-        if self.counters or self.gauges or self.histograms:
+        if self.counters or self.histograms:
             self.emit(self.counters_record())
         for sink in self.sinks:
             sink.flush()

@@ -1,16 +1,16 @@
 """Live metrics exposition: Prometheus text + healthz over stdlib HTTP.
 
 A :class:`MetricsHub` is the thread-safe live view of a running
-campaign: the parent session's counters/gauges/histograms, plus
-*in-flight* per-job snapshots streamed by pool workers mid-job, plus
-campaign bookkeeping (jobs done/running/retried/quarantined) and
-worker liveness.  :class:`MetricsServer` serves that view over plain
+campaign or serve daemon: the parent session's counters and
+histograms, campaign bookkeeping (jobs done/running/retried/
+quarantined), and the worker pool's counts as the pool's owner last
+published them.  :class:`MetricsServer` serves that view over plain
 ``http.server``:
 
 ``/metrics``
     Prometheus text exposition (version 0.0.4).
 ``/healthz``
-    Small JSON health document: campaign state, worker liveness,
+    Small JSON health document: campaign state, the pool block,
     quarantine count.
 ``/state``
     The full hub snapshot as JSON — consumed by ``repro top``.
@@ -19,14 +19,11 @@ Everything here is stdlib-only and strictly read-only with respect to
 the computation: scraping the endpoint can never change an
 algorithm's outcome.
 
-The in-flight scheme avoids double counting: workers stream
-*cumulative* snapshots of their current job's session, keyed by
-``(worker, job index, attempt)``; the parent drops a worker's
-in-flight snapshot the moment the job's authoritative end-of-job
-records are absorbed.  The live view is therefore always
-``session totals + sum(in-flight snapshots)`` — merge-consistent at
-every instant, and exactly equal to the post-hoc aggregation once the
-campaign drains.
+Pool workers report telemetry only in their end-of-job records, which
+the parent folds into its session when it takes the job's result, so
+live counters and histograms change when a job completes and equal the
+post-hoc aggregation once the campaign drains.  The hub is passed to
+its publishers: the engine and the serve service.
 """
 
 from __future__ import annotations
@@ -37,9 +34,8 @@ import selectors
 import socket
 import threading
 import time
-from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .core import Histogram, Telemetry
 
@@ -47,16 +43,11 @@ __all__ = [
     "HardenedHTTPServer",
     "MetricsHub",
     "MetricsServer",
-    "active_hub",
-    "activated",
     "render_prometheus",
     "render_top",
     "sanitize_metric_name",
     "sparkline",
 ]
-
-#: seconds without a heartbeat before a worker is reported stale
-WORKER_STALE_SECONDS = 10.0
 
 #: per-connection socket timeout — a client that stops sending (or
 #: reading) mid-request is disconnected instead of wedging its handler
@@ -64,26 +55,6 @@ WORKER_STALE_SECONDS = 10.0
 REQUEST_TIMEOUT = 30.0
 
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_]")
-
-#: the hub the current campaign publishes to, or None
-_active: Optional[MetricsHub] = None
-
-
-def active_hub() -> Optional["MetricsHub"]:
-    """The hub the running campaign publishes to, or ``None``."""
-    return _active
-
-
-@contextmanager
-def activated(hub: "MetricsHub") -> Iterator["MetricsHub"]:
-    """Make ``hub`` the process-wide publish target for the duration."""
-    global _active
-    previous = _active
-    _active = hub
-    try:
-        yield hub
-    finally:
-        _active = previous
 
 
 def _copy_dict(source: Dict[str, Any]) -> Dict[str, Any]:
@@ -113,133 +84,60 @@ class MetricsHub:
             "quarantined": 0,
             "resumed": 0,
         }
-        #: worker id -> {"last_seen": ts, "job": [index, attempt] | None}
-        self._workers: Dict[Any, Dict[str, Any]] = {}
-        #: worker id -> latest cumulative snapshot of its in-flight job
-        self._inflight: Dict[Any, Dict[str, Any]] = {}
-        #: total streamed reports accepted (tests/diagnostics)
-        self.stream_reports = 0
+        #: the last :meth:`WorkerPool.stats` its owner published
+        self.pool: Dict[str, Any] = {}
 
     # -- publishing (campaign / supervisor side) ----------------------
     def campaign_update(self, **fields: Any) -> None:
         with self._lock:
             self.campaign.update(fields)
 
-    def worker_seen(self, worker_id: Any, job: Optional[List[int]] = None) -> None:
+    def pool_update(self, stats: Dict[str, Any]) -> None:
+        """Publish the pool's counts (called by the pool's owner)."""
         with self._lock:
-            entry = self._workers.setdefault(worker_id, {"job": None})
-            entry["last_seen"] = time.time()
-            if job is not None:
-                entry["job"] = list(job)
-
-    def worker_report(
-        self,
-        worker_id: Any,
-        job: List[int],
-        counters: Optional[Dict[str, float]] = None,
-        gauges: Optional[Dict[str, float]] = None,
-        histograms: Optional[Dict[str, Dict[str, Any]]] = None,
-    ) -> None:
-        """Accept a cumulative mid-job snapshot streamed by a worker."""
-        with self._lock:
-            entry = self._workers.setdefault(worker_id, {})
-            entry["last_seen"] = time.time()
-            entry["job"] = list(job)
-            self._inflight[worker_id] = {
-                "job": list(job),
-                "counters": counters or {},
-                "gauges": gauges or {},
-                "histograms": histograms or {},
-            }
-            self.stream_reports += 1
-
-    def worker_clear(self, worker_id: Any) -> None:
-        """Job finished: its telemetry is now in the session, drop the
-        in-flight snapshot so nothing is counted twice."""
-        with self._lock:
-            self._inflight.pop(worker_id, None)
-            entry = self._workers.setdefault(worker_id, {})
-            entry["last_seen"] = time.time()
-            entry["job"] = None
-
-    def worker_gone(self, worker_id: Any) -> None:
-        with self._lock:
-            self._inflight.pop(worker_id, None)
-            self._workers.pop(worker_id, None)
+            self.pool = dict(stats)
 
     # -- reading (HTTP handler side) ----------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Merge-consistent view: session totals + in-flight deltas."""
+        """The session's totals plus the published campaign and pool."""
         telemetry = self._telemetry
         counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, Histogram] = {}
+        histograms: Dict[str, Dict[str, Any]] = {}
         if telemetry is not None:
             counters = _copy_dict(telemetry.counters)
-            gauges = _copy_dict(telemetry.gauges)
-            for name, hist in _copy_dict(telemetry.histograms).items():
-                clone = Histogram()
-                clone.merge(hist)
-                histograms[name] = clone
+            histograms = {
+                name: hist.to_dict()
+                for name, hist in _copy_dict(telemetry.histograms).items()
+            }
         with self._lock:
-            inflight = {
-                worker_id: snap for worker_id, snap in self._inflight.items()
-            }
             campaign = dict(self.campaign)
-            now = time.time()
-            workers = {
-                str(worker_id): {
-                    "job": entry.get("job"),
-                    "age": round(now - entry.get("last_seen", now), 3),
-                }
-                for worker_id, entry in self._workers.items()
-            }
-        for worker_id, snap in inflight.items():
-            for name, value in snap["counters"].items():
-                counters[name] = counters.get(name, 0) + value
-            for name, value in snap["gauges"].items():
-                gauges[f"{name}#worker={worker_id}"] = value
-            for name, payload in snap["histograms"].items():
-                hist = histograms.get(name)
-                if hist is None:
-                    hist = histograms[name] = Histogram()
-                try:
-                    hist.merge(payload)
-                except (TypeError, ValueError):  # torn snapshot; skip
-                    continue
+            pool = dict(self.pool)
         return {
             "time": time.time(),
             "uptime": round(time.time() - self.started, 3),
             "campaign": campaign,
-            "workers": workers,
+            "pool": pool,
             "counters": counters,
-            "gauges": gauges,
-            "histograms": {
-                name: hist.to_dict() for name, hist in histograms.items()
-            },
+            "histograms": histograms,
         }
 
     def healthz(self) -> Dict[str, Any]:
-        """Light health document for ``/healthz``."""
-        snap = self.snapshot()
-        campaign = snap["campaign"]
-        stale = [
-            worker_id
-            for worker_id, entry in snap["workers"].items()
-            if entry["age"] > WORKER_STALE_SECONDS and entry["job"] is not None
-        ]
-        degraded = campaign.get("quarantined", 0) > 0 or bool(stale)
+        """Light health document for ``/healthz``.
+
+        ``degraded`` means a job was quarantined or a pool worker is
+        down; a busy worker is healthy however long its job runs.
+        """
+        with self._lock:
+            campaign = dict(self.campaign)
+            pool = dict(self.pool)
+        degraded = campaign.get("quarantined", 0) > 0 or pool.get(
+            "alive", 0
+        ) < pool.get("workers", 0)
         return {
             "status": "degraded" if degraded else "ok",
             "campaign": campaign,
-            "uptime": snap["uptime"],
-            "workers": {
-                "known": len(snap["workers"]),
-                "busy": sum(
-                    1 for e in snap["workers"].values() if e["job"] is not None
-                ),
-                "stale": stale,
-            },
+            "uptime": round(time.time() - self.started, 3),
+            "pool": pool,
             "quarantine_count": campaign.get("quarantined", 0),
         }
 
@@ -259,17 +157,6 @@ def _format_value(value: Any) -> str:
     if number == int(number) and abs(number) < 1e15:
         return str(int(number))
     return repr(number)
-
-
-def _split_gauge_key(key: str) -> Tuple[str, str]:
-    """``name#worker=N`` -> (name, '{worker="N"}'); plain names pass through."""
-    base, _, label = key.partition("#")
-    if not label or "=" not in label:
-        return base, ""
-    label_name, _, label_value = label.partition("=")
-    label_name = _INVALID_CHARS.sub("_", label_name)
-    label_value = str(label_value).replace("\\", r"\\").replace('"', r'\"')
-    return base, '{%s="%s"}' % (label_name, label_value)
 
 
 def render_prometheus(snapshot: Dict[str, Any]) -> str:
@@ -295,14 +182,17 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
             "repro_campaign_running %d" % (1 if state == "running" else 0)
         )
 
-    workers = snapshot.get("workers", {})
+    pool = snapshot.get("pool", {})
+    workers = [
+        'repro_pool_workers{state="%s"} %s' % (label, _format_value(pool[key]))
+        for label, key in (
+            ("total", "workers"), ("alive", "alive"), ("busy", "busy")
+        )
+        if key in pool
+    ]
     if workers:
-        lines.append("# TYPE repro_worker_busy gauge")
-        for worker_id in sorted(workers):
-            busy = 1 if workers[worker_id].get("job") is not None else 0
-            lines.append(
-                'repro_worker_busy{worker="%s"} %d' % (worker_id, busy)
-            )
+        lines.append("# TYPE repro_pool_workers gauge")
+        lines.extend(workers)
 
     for name in sorted(snapshot.get("counters", {})):
         metric = sanitize_metric_name(name) + "_total"
@@ -310,18 +200,6 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
         lines.append(
             "%s %s" % (metric, _format_value(snapshot["counters"][name]))
         )
-
-    gauges = snapshot.get("gauges", {})
-    by_metric: Dict[str, List[Tuple[str, Any]]] = {}
-    for key in sorted(gauges):
-        base, labels = _split_gauge_key(key)
-        by_metric.setdefault(sanitize_metric_name(base), []).append(
-            (labels, gauges[key])
-        )
-    for metric in sorted(by_metric):
-        lines.append("# TYPE %s gauge" % metric)
-        for labels, value in by_metric[metric]:
-            lines.append("%s%s %s" % (metric, labels, _format_value(value)))
 
     for name in sorted(snapshot.get("histograms", {})):
         payload = snapshot["histograms"][name]
@@ -405,16 +283,15 @@ def render_top(state: Dict[str, Any]) -> str:
     if experiment:
         lines.append(f"  experiment={experiment}")
 
-    workers = state.get("workers", {})
-    if workers:
-        parts = []
-        for worker_id in sorted(workers):
-            entry = workers[worker_id]
-            job = entry.get("job")
-            parts.append(
-                f"{worker_id}:{'idle' if job is None else 'job %s' % job[0]}"
+    pool = state.get("pool", {})
+    if pool:
+        lines.append(
+            "pool: {workers} workers — {busy} busy, {alive} alive".format(
+                workers=pool.get("workers", 0),
+                busy=pool.get("busy", 0),
+                alive=pool.get("alive", 0),
             )
-        lines.append(f"workers: {len(workers)} — " + " ".join(parts))
+        )
 
     serve_requests = counters.get("serve.requests", 0)
     if serve_requests:

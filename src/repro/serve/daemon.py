@@ -67,7 +67,8 @@ class ServeHandler(exposition._Handler):
             )
         routed = super().route_get(path)
         if path == "/state" and routed is not None:
-            # graft the queue/cache/pool snapshot onto the hub document
+            # graft the queue/cache snapshot onto the hub document (the
+            # pool block is the hub's own)
             document = json.loads(routed[0])
             document["serve"] = self.service.state()
             routed = (
@@ -237,7 +238,6 @@ class ServeDaemon:
             if obs.current() is None:
                 stack.enter_context(obs.session(obs.NullSink()))
             self.hub = MetricsHub(telemetry=obs.current())
-            stack.enter_context(exposition.activated(self.hub))
             self.service = CompileService(self.config, hub=self.hub)
             stack.enter_context(self.service)
             bucket = (

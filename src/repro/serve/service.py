@@ -160,16 +160,13 @@ class CompileService:
         self.requests = 0
         self.completed = 0
         self.failed = 0
-        #: last pool snapshot, refreshed by the dispatcher after each
-        #: batch (the pool itself is single-owner and must not be
-        #: touched from handler threads)
-        self._pool_stats: Optional[Dict[str, Any]] = None
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "CompileService":
         if self._thread is not None:
             raise RuntimeError("service already started")
         self._pool = WorkerPool(self.config.jobs)
+        self._refresh_pool_stats()
         self._campaign_update(state="serving", running=0)
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
@@ -242,21 +239,17 @@ class CompileService:
         """Service block for ``/state`` consumers and tests."""
         with self._lock:
             inflight = len(self._inflight)
-            pool_stats = self._pool_stats
             counts = {
                 "requests": self.requests,
                 "completed": self.completed,
                 "failed": self.failed,
             }
-        state = {
+        return {
             "jobs": self.config.jobs,
             "inflight": inflight,
             "cache": self.cache.stats(),
             **counts,
         }
-        if pool_stats is not None:
-            state["pool"] = pool_stats
-        return state
 
     # -- dispatcher ----------------------------------------------------
     def _campaign_update(self, **fields: Any) -> None:
@@ -264,18 +257,15 @@ class CompileService:
             self.hub.campaign_update(experiment="serve", **fields)
 
     def _refresh_pool_stats(self) -> None:
-        """Snapshot the pool for ``/state`` readers (dispatcher only).
+        """Publish the pool's counts to the hub (the pool's owner only:
+        :meth:`start`, then the dispatcher).
 
-        Also called on idle dispatcher ticks: ``/healthz`` and
-        ``/state`` previously served the snapshot from the *last batch*
-        indefinitely, so a worker that died while the queue was empty
-        kept reporting as alive until the next compile arrived.
+        The dispatcher publishes whenever a job starts or ends, and on
+        idle ticks too, so a worker that dies while the queue is empty
+        shows on ``/healthz`` before the next compile arrives.
         """
-        if self._pool is None:
-            return
-        stats = self._pool.stats()
-        with self._lock:
-            self._pool_stats = stats
+        if self.hub is not None and self._pool is not None:
+            self.hub.pool_update(self._pool.stats())
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -309,6 +299,7 @@ class CompileService:
             obs.incr("serve.batched_jobs", len(batch))
         self._campaign_update(running=len(batch))
         results = self._run_pool_batch(batch)
+        self._refresh_pool_stats()
         for job in batch:
             outcome = results.get(job.key)
             if isinstance(outcome, Exception):
@@ -318,7 +309,6 @@ class CompileService:
             else:
                 self.cache.put(job.key, outcome)
                 self._finish_ok(job, outcome)
-        self._refresh_pool_stats()
         self._campaign_update(running=0)
 
     def _absorb_payload(
@@ -363,6 +353,7 @@ class CompileService:
                 job = batch[index]
                 pool.submit(index, job.request.spec, attempt=attempts[index])
                 active[index] = job
+            self._refresh_pool_stats()
             for event in pool.wait(0.05):
                 job = active.pop(event.index)
                 if event.kind == "ok" and event.payload is not None:

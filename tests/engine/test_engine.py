@@ -16,7 +16,6 @@ from repro.experiments.engine import (
     Engine,
     EngineConfig,
     atomic_write_json,
-    backoff_seconds,
     campaign_status,
     result_from_payload,
     result_to_payload,
@@ -39,19 +38,6 @@ def _settings_blob(result):
     return json.dumps(
         [setting_to_dict(s) for s in result.sequence.settings], sort_keys=True
     )
-
-
-class TestBackoff:
-    def test_first_attempt_never_waits(self):
-        assert backoff_seconds(0, 10.0) == 0.0
-
-    def test_doubles_deterministically(self):
-        assert backoff_seconds(1, 0.5) == 0.5
-        assert backoff_seconds(2, 0.5) == 1.0
-        assert backoff_seconds(3, 0.5) == 2.0
-
-    def test_zero_base_disables(self):
-        assert backoff_seconds(3, 0.0) == 0.0
 
 
 class TestAtomicWrite:
@@ -137,8 +123,6 @@ class TestEngineConfig:
             "n_jobs",
             "job_timeout",
             "max_retries",
-            "backoff_base",
-            "poll_interval",
             "metrics_port",
         ]
 

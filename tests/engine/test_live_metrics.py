@@ -1,10 +1,10 @@
-"""Live campaign telemetry: streaming workers, /metrics mid-run, and
-the telemetry-on/off differential.
+"""Live campaign telemetry: /metrics mid-run, the published pool
+block, and the telemetry-on/off differential.
 
 The acceptance tests of the observability layer: a pool campaign with
 ``metrics_port`` must serve a non-final ``/healthz`` + ``/metrics``
-view *while jobs are still running*, worker-streamed histograms must
-reach the hub mid-job, and — the invariant everything else rests on —
+view *while jobs are still running*, with the pool's counts as the
+engine publishes them, and — the invariant everything else rests on —
 enabling all of it must not move a single output bit.
 """
 
@@ -20,7 +20,6 @@ from repro.experiments.engine import (
     EngineConfig,
     run_experiment_campaign,
 )
-from repro.experiments.pool import WorkerPool
 from repro.experiments.runner import ExperimentScale, repeat_specs
 from repro.experiments.table2 import run_table2
 from repro.obs import exposition
@@ -31,58 +30,6 @@ def _specs(n_runs=2, n_inputs=6, base_seed=7):
     return repeat_specs(
         "dalta", target, AlgorithmConfig.fast(), n_runs, base_seed
     )
-
-
-def _run(pool, specs):
-    """Run every spec on ``pool``; the payloads in spec order."""
-    payloads = [None] * len(specs)
-    pending = list(range(len(specs)))
-    while any(payload is None for payload in payloads):
-        while pending and pool.has_idle():
-            index = pending.pop(0)
-            pool.submit(index, specs[index])
-        for event in pool.wait(0.05):
-            assert event.kind == "ok", event
-            payloads[event.index] = event.payload
-    return payloads
-
-
-class TestWorkerStreaming:
-    def test_streamed_snapshots_reach_the_hub(self):
-        hub = exposition.MetricsHub()
-        with exposition.activated(hub):
-            pool = WorkerPool(
-                1, capture_telemetry=True, metrics_interval=0.002
-            )
-            try:
-                _run(pool, _specs(n_runs=3, n_inputs=7))
-            finally:
-                pool.close()
-        assert hub.stream_reports > 0
-        snapshot = hub.snapshot()
-        # every in-flight snapshot was dropped at job completion
-        assert all(
-            entry["job"] is None for entry in snapshot["workers"].values()
-        )
-
-    def test_streaming_does_not_change_results(self):
-        specs = _specs(n_runs=2, n_inputs=6)
-
-        def _meds(metrics_interval):
-            hub = exposition.MetricsHub()
-            with exposition.activated(hub):
-                pool = WorkerPool(
-                    1,
-                    capture_telemetry=True,
-                    metrics_interval=metrics_interval,
-                )
-                try:
-                    payloads = _run(pool, specs)
-                finally:
-                    pool.close()
-            return [payload["med"] for payload in payloads]
-
-        assert _meds(None) == _meds(0.002)
 
 
 class TestLiveEndpointMidCampaign:
@@ -132,6 +79,54 @@ class TestLiveEndpointMidCampaign:
         assert any(
             'repro_campaign_jobs{state="total"} 6' in text
             for _, text in probes
+        )
+
+
+class TestPoolBlockMidCampaign:
+    def test_busy_workers_read_healthy(self, tmp_path, monkeypatch):
+        # a worker once went "stale" after this many seconds without a
+        # mid-job report; shrunk below a job's length, it must not
+        # matter (raising=False: the attribute no longer exists)
+        monkeypatch.setattr(
+            exposition, "WORKER_STALE_SECONDS", 0.001, raising=False
+        )
+        engine = Engine(config=EngineConfig(n_jobs=1, metrics_port=0))
+        scrapes = []
+        done = threading.Event()
+
+        def probe():
+            while engine.metrics_address is None and not done.is_set():
+                time.sleep(0.005)
+            while not done.is_set():
+                host, port = engine.metrics_address
+                try:
+                    with urllib.request.urlopen(
+                        f"http://{host}:{port}/healthz", timeout=2
+                    ) as response:
+                        health = json.load(response)
+                    with urllib.request.urlopen(
+                        f"http://{host}:{port}/metrics", timeout=2
+                    ) as response:
+                        text = response.read().decode()
+                except OSError:
+                    break  # server already stopped — campaign drained
+                scrapes.append((health, text))
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=probe)
+        thread.start()
+        try:
+            outcome = engine.run(_specs(n_runs=4, n_inputs=7, base_seed=5))
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert outcome.complete
+        busy = [h for h, _ in scrapes if h["pool"].get("busy") == 1]
+        assert busy, f"no scrape saw the worker busy: {scrapes[:3]}"
+        assert all(h["status"] == "ok" for h, _ in scrapes), scrapes
+        assert all(h["pool"]["workers"] == 1 for h in busy)
+        assert any(
+            'repro_pool_workers{state="busy"} 1' in text for _, text in scrapes
         )
 
 

@@ -20,7 +20,7 @@ class TestDisabled:
 
     def test_counters_noop(self):
         obs.incr("nothing")
-        obs.gauge("nothing", 1.0)
+        obs.observe("nothing", 1.0)
         obs.event("nothing", k=1)
         assert not obs.enabled()
 
@@ -81,10 +81,11 @@ class TestCountersAndEvents:
             obs.incr("a")
             obs.incr("a", 2)
             obs.incr("b", 0.5)
-            obs.gauge("g", 7.0)
+            obs.observe("h", 7.0)
         assert sink.counters() == {"a": 3, "b": 0.5}
         counters = [r for r in sink.records if r["type"] == "counters"]
-        assert counters[0]["gauges"] == {"g": 7.0}
+        assert counters[0]["histograms"]["h"]["count"] == 1
+        assert "gauges" not in counters[0]  # counters and histograms only
 
     def test_events(self):
         sink = obs.MemorySink()
@@ -105,11 +106,13 @@ class TestCountersAndEvents:
         with obs.session(worker):
             with obs.span("work"):
                 obs.incr("n", 4)
+                obs.observe("opt.for_part_seconds", 0.25)
         parent_sink = obs.MemorySink()
         parent = obs.Telemetry([parent_sink])
         parent.incr("n", 1)
         parent.absorb(worker.records, worker=3)
         assert parent.counters == {"n": 5}
+        assert parent.histograms["opt.for_part_seconds"].count == 1
         replayed = [r for r in parent_sink.records if r["type"] == "span"]
         assert replayed[0]["attrs"]["worker"] == 3
 

@@ -1,9 +1,7 @@
 """Metrics exposition: hub, Prometheus text, healthz, HTTP server.
 
 Includes the golden-text exposition test (a fixed snapshot must render
-to an exact Prometheus document — catches accidental format drift) and
-the ``merge_gauges`` worker-labelling semantics that keep multi-worker
-gauges from silently overwriting each other.
+to an exact Prometheus document — catches accidental format drift).
 """
 
 import json
@@ -16,48 +14,11 @@ from repro.obs import Histogram, Telemetry
 from repro.obs.exposition import (
     MetricsHub,
     MetricsServer,
-    activated,
-    active_hub,
     render_prometheus,
     render_top,
     sanitize_metric_name,
     sparkline,
 )
-
-
-class TestMergeGauges:
-    def test_last_writer_wins_without_worker(self):
-        telemetry = Telemetry()
-        telemetry.merge_gauges({"pool.queue_depth": 3})
-        telemetry.merge_gauges({"pool.queue_depth": 5})
-        assert telemetry.gauges == {"pool.queue_depth": 5}
-
-    def test_worker_label_keeps_gauges_apart(self):
-        telemetry = Telemetry()
-        telemetry.merge_gauges({"rss_mb": 120}, worker=0)
-        telemetry.merge_gauges({"rss_mb": 250}, worker=1)
-        assert telemetry.gauges == {
-            "rss_mb#worker=0": 120,
-            "rss_mb#worker=1": 250,
-        }
-
-    def test_already_labelled_gauges_are_not_relabelled(self):
-        # absorbing a record whose gauges were labelled in the worker
-        # must not stack a second worker label on top
-        telemetry = Telemetry()
-        telemetry.merge_gauges({"rss_mb#worker=2": 99}, worker=7)
-        assert telemetry.gauges == {"rss_mb#worker=2": 99}
-
-    def test_absorb_folds_gauges_and_histograms(self):
-        worker = Telemetry()
-        worker.gauge("rss_mb", 64)
-        worker.observe("opt.for_part_seconds", 0.25)
-        record = worker.counters_record()
-
-        parent = Telemetry()
-        parent.absorb([record], worker=3)
-        assert parent.gauges == {"rss_mb#worker=3": 64}
-        assert parent.histograms["opt.for_part_seconds"].count == 1
 
 
 class TestSanitize:
@@ -88,9 +49,8 @@ def _golden_snapshot():
             "quarantined": 0,
             "resumed": 0,
         },
-        "workers": {"0": {"job": [4, 0], "age": 0.1}, "1": {"job": None, "age": 0.2}},
+        "pool": {"workers": 2, "busy": 1, "alive": 2, "arena_tables": 8},
         "counters": {"engine.jobs": 3, "opt.cache_hits": 10},
-        "gauges": {"rss_mb#worker=0": 120.5, "pool.queue_depth": 2},
         "histograms": {"run.med": hist.to_dict()},
     }
 
@@ -112,17 +72,14 @@ class TestRenderPrometheus:
                 'repro_campaign_jobs{state="resumed"} 0',
                 "# TYPE repro_campaign_running gauge",
                 "repro_campaign_running 1",
-                "# TYPE repro_worker_busy gauge",
-                'repro_worker_busy{worker="0"} 1',
-                'repro_worker_busy{worker="1"} 0',
+                "# TYPE repro_pool_workers gauge",
+                'repro_pool_workers{state="total"} 2',
+                'repro_pool_workers{state="alive"} 2',
+                'repro_pool_workers{state="busy"} 1',
                 "# TYPE repro_engine_jobs_total counter",
                 "repro_engine_jobs_total 3",
                 "# TYPE repro_opt_cache_hits_total counter",
                 "repro_opt_cache_hits_total 10",
-                "# TYPE repro_pool_queue_depth gauge",
-                "repro_pool_queue_depth 2",
-                "# TYPE repro_rss_mb gauge",
-                'repro_rss_mb{worker="0"} 120.5',
                 "# TYPE repro_run_med histogram",
                 'repro_run_med_bucket{le="%r"} 1' % b1,
                 'repro_run_med_bucket{le="%r"} 2' % b2,
@@ -153,21 +110,6 @@ class TestRenderPrometheus:
 
 
 class TestHub:
-    def test_inflight_adds_then_clears_without_double_count(self):
-        telemetry = Telemetry()
-        telemetry.incr("opt.calls", 10)
-        hub = MetricsHub(telemetry)
-        hub.worker_report(
-            0, [2, 0], counters={"opt.calls": 4}, histograms={}
-        )
-        assert hub.snapshot()["counters"]["opt.calls"] == 14
-
-        # job done: authoritative absorb into the session, then clear
-        telemetry.incr("opt.calls", 4)
-        hub.worker_clear(0)
-        assert hub.snapshot()["counters"]["opt.calls"] == 14
-        assert hub.stream_reports == 1
-
     def test_healthz_degrades_on_quarantine(self):
         hub = MetricsHub()
         hub.campaign_update(state="running", total=4, quarantined=0)
@@ -175,12 +117,30 @@ class TestHub:
         hub.campaign_update(quarantined=1)
         assert hub.healthz()["status"] == "degraded"
 
-    def test_activated_scopes_the_hub(self):
-        assert active_hub() is None
+    def test_healthz_degrades_only_on_a_dead_worker(self):
         hub = MetricsHub()
-        with activated(hub):
-            assert active_hub() is hub
-        assert active_hub() is None
+        hub.campaign_update(state="running", total=4)
+        hub.pool_update({"workers": 2, "busy": 2, "alive": 2, "arena_tables": 1})
+        health = hub.healthz()
+        # every worker busy is healthy, however long the jobs run
+        assert health["status"] == "ok"
+        assert health["pool"]["busy"] == 2
+        hub.pool_update({"workers": 2, "busy": 1, "alive": 1, "arena_tables": 1})
+        assert hub.healthz()["status"] == "degraded"
+
+    def test_snapshot_holds_the_published_pool_block(self):
+        hub = MetricsHub(Telemetry())
+        assert hub.snapshot()["pool"] == {}
+        stats = {"workers": 1, "busy": 0, "alive": 1, "arena_tables": 0}
+        hub.pool_update(stats)
+        stats["busy"] = 1  # the hub keeps its own copy
+        snapshot = hub.snapshot()
+        assert snapshot["pool"] == {
+            "workers": 1, "busy": 0, "alive": 1, "arena_tables": 0
+        }
+        assert set(snapshot) == {
+            "time", "uptime", "campaign", "pool", "counters", "histograms"
+        }
 
 
 class TestMetricsServer:
@@ -236,12 +196,13 @@ class TestTopRendering:
                     "running": 1,
                     "experiment": "table2",
                 },
-                "workers": {"0": {"job": [3, 0]}},
+                "pool": {"workers": 2, "busy": 1, "alive": 2},
                 "histograms": {"run.med": hist.to_dict()},
             }
         )
         assert "2/8 done" in frame
         assert "experiment=table2" in frame
+        assert "pool: 2 workers — 1 busy, 2 alive\n" in frame
         assert "run.med" in frame
 
 

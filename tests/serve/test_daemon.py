@@ -10,7 +10,11 @@ pool; most tests use one worker.
 
 import dataclasses
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -21,6 +25,7 @@ import pytest
 
 from repro import workloads
 from repro.compile_api import budget_config, canonical_json
+from repro.obs import exposition
 from repro.serve.daemon import MAX_BODY_BYTES, ServeDaemon
 from repro.serve.service import ServeConfig
 
@@ -168,6 +173,50 @@ class TestHttpSurface:
                 text = response.read().decode()
         assert "repro_serve_requests_total 1" in text
         assert "repro_serve_request_seconds_bucket" in text
+
+    def test_state_has_the_pool_block_from_the_first_answer(self, telemetry):
+        with pool_daemon() as daemon:
+            status, _, _ = post_compile(daemon.url, bench_doc())
+            assert status == 200
+            state = get_json(daemon.url, "/state")
+        # one copy, the hub's, already idle when the answer went out
+        assert state["pool"] == {
+            "workers": 1, "busy": 0, "alive": 1, "arena_tables": 1
+        }
+        assert "pool" not in state["serve"]
+
+    def test_healthz_stays_ok_through_a_long_compile(
+        self, telemetry, monkeypatch
+    ):
+        # a busy worker once read "stale" (and the daemon "degraded")
+        # after this many seconds; shrunk well below the compile's
+        # length, it must not matter (raising=False: it no longer exists)
+        window = 0.05
+        monkeypatch.setattr(
+            exposition, "WORKER_STALE_SECONDS", window, raising=False
+        )
+        doc = bench_doc(bits=12, budget="reduced")
+        with pool_daemon() as daemon:
+            answer = {}
+            client = threading.Thread(
+                target=lambda: answer.update(
+                    response=post_compile(daemon.url, doc)
+                )
+            )
+            readings = []
+            client.start()
+            while client.is_alive():
+                readings.append(
+                    (time.monotonic(), get_json(daemon.url, "/healthz"))
+                )
+                time.sleep(0.01)
+            client.join()
+        assert answer["response"][0] == 200
+        assert all(h["status"] == "ok" for _, h in readings), readings
+        busy = [t for t, h in readings if h["pool"]["busy"] == 1]
+        assert busy and busy[-1] - busy[0] > window, (
+            "the compile never outlasted the old staleness window"
+        )
 
     def test_error_statuses(self, telemetry):
         with pool_daemon() as daemon:
@@ -522,3 +571,38 @@ class TestPoolBackend:
             health = get_json(daemon.url, "/healthz")
         assert health["status"] == "ok"
         assert telemetry.counters.get("serve.retries", 0) >= 1
+
+
+class TestCliSigterm:
+    def test_sigterm_shuts_down_cleanly(self):
+        """``kill <pid>`` stops ``repro serve`` like Ctrl-C: exit 0, the
+        pool closed and the table arena's shared memory unlinked."""
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        daemon = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+             "--jobs", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            first = daemon.stdout.readline()
+            assert "listening on" in first, first
+            url = first.split("listening on ", 1)[1].split()[0]
+            # a compile puts a table into the arena's shared memory
+            status, _, _ = post_compile(url, bench_doc())
+            assert status == 200
+            daemon.send_signal(signal.SIGTERM)
+            out, err = daemon.communicate(timeout=60)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate()
+        assert daemon.returncode == 0, err
+        assert "shutting down" in out
+        assert "leaked shared_memory" not in err, err

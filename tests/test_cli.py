@@ -209,14 +209,17 @@ class TestCampaignCommands:
     def test_resume_accepts_a_manifest_recording_a_backend(
         self, capsys, tmp_path
     ):
-        """Campaign dirs written while ``--backend`` existed still resume."""
+        """Campaign dirs written while ``--backend`` (and the engine's
+        ``backoff_base``/``poll_interval`` fields) existed still resume."""
         campaign = tmp_path / "campaign"
         assert main(
             ["run", "table2", "--dir", str(campaign), "--scale", "smoke"]
         ) == 0
         manifest_path = campaign / "campaign.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["engine"]["backend"] = "spawn"
+        manifest["engine"].update(
+            backend="spawn", backoff_base=0.0, poll_interval=0.02
+        )
         manifest_path.write_text(json.dumps(manifest))
         (campaign / "jobs" / "job-00000.json").unlink()
         capsys.readouterr()
